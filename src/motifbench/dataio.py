@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import struct
@@ -52,6 +53,18 @@ def _enc_str(out: io.BytesIO, s: str):
     out.write(raw)
 
 
+# Values per struct.pack call: large enough to amortize the call, small enough
+# that the argument tuple and packed chunk stay far below the payload's size.
+_PACK_CHUNK = 8192
+
+
+def _write_packed(out: io.BytesIO, code: str, values):
+    """Write numbers as little-endian struct `code` items, in bounded chunks."""
+    it = iter(values)
+    while chunk := tuple(itertools.islice(it, _PACK_CHUNK)):
+        out.write(struct.pack(f"<{len(chunk)}{code}", *chunk))
+
+
 def canonical_bytes(payload: Payload) -> bytes:
     """Platform-independent byte encoding of a payload; basis for checksums
     and for the byte-size accounting in run reports."""
@@ -81,23 +94,18 @@ def canonical_bytes(payload: Payload) -> bytes:
         out.write(b"matr\x00")
         out.write(_U64.pack(payload.rows))
         out.write(_U64.pack(payload.cols))
-        for v in payload.data:
-            out.write(_F64.pack(v))
+        _write_packed(out, "d", payload.data)
     elif isinstance(payload, Tensor):
         out.write(b"tens\x00")
         out.write(_U64.pack(len(payload.shape)))
-        for d in payload.shape:
-            out.write(_U64.pack(d))
-        for v in payload.data:
-            out.write(_F64.pack(v))
+        _write_packed(out, "Q", payload.shape)
+        _write_packed(out, "d", payload.data)
     elif isinstance(payload, Graph):
         out.write(b"grph\x00")
         out.write(_U64.pack(payload.vertex_count))
         out.write(b"\x01" if payload.directed else b"\x00")
         out.write(_U64.pack(len(payload.edges)))
-        for u, v in payload.edges:
-            out.write(_U64.pack(u))
-            out.write(_U64.pack(v))
+        _write_packed(out, "Q", itertools.chain.from_iterable(payload.edges))
     elif isinstance(payload, KeyValueSet):
         out.write(b"kvst\x00")
         items = sorted(payload.entries.items())

@@ -1,8 +1,10 @@
 """Seeded, scalable dataset generators.
 
 Every generator is a pure function of its GenSpec: identical parameters and
-seed give checksum-identical output on any platform, because all randomness
-flows through the integer SplitMix64 stream.
+seed give checksum-identical output, because all randomness flows through the
+integer SplitMix64 stream. Integer and uniform outputs are identical on any
+platform; gaussian draws go through the platform libm (log, cos, sqrt), so
+they are identical only on the same platform.
 
     text    bigram language model fitted on a seed corpus; emits lines until
             the byte target is met (within +/-5%)
@@ -358,28 +360,38 @@ def _dist_from_params(kind: str, p: dict) -> tuple[object, dict]:
     return dist, recorded
 
 
+def _pop_int(kind: str, p: dict, key: str) -> int:
+    """Remove and return integer parameter `key` (default 0). Like kernel int
+    parameters, it takes ints and integer strings; floats and bools are
+    rejected rather than truncated."""
+    value = p.pop(key, 0)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvariantError(f"generate.{kind}: parameter {key!r} must be an integer, got {value!r}")
+
+
 def make_genspec(kind: str, raw_params: dict) -> GenSpec:
     """Validate raw key=value parameters (as parsed from a workload spec or
     CLI flags) into a GenSpec; raises InvariantError on any bad value."""
     if kind not in _GEN_KINDS:
         raise InvariantError(f"unknown generator kind {kind!r}")
     p = dict(raw_params)
-    try:
-        seed = int(p.pop("seed", 0))
-    except (TypeError, ValueError):
-        raise InvariantError(f"bad seed {raw_params.get('seed')!r}") from None
+    seed = _pop_int(kind, p, "seed")
 
     norm: dict[str, object] = {}
     if kind == "text":
-        norm["bytes"] = int(p.pop("bytes", 0))
+        norm["bytes"] = _pop_int(kind, p, "bytes")
         if norm["bytes"] <= 0:
             raise InvariantError("generate.text needs bytes > 0")
         corpus = p.pop("corpus", None)
         if corpus is not None:
             norm["corpus"] = str(corpus)
     elif kind == "graph":
-        norm["vertices"] = int(p.pop("vertices", 0))
-        norm["edges"] = int(p.pop("edges", 0))
+        norm["vertices"] = _pop_int(kind, p, "vertices")
+        norm["edges"] = _pop_int(kind, p, "edges")
         model = str(p.pop("model", "uniform"))
         if model not in ("uniform", "rmat"):
             raise InvariantError(f"unknown graph model {model!r}")
@@ -406,8 +418,8 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
                 raise InvariantError(f"rmat probabilities must sum to 1, got {sum(probs)}")
     elif kind in ("matrix", "tensor"):
         if kind == "matrix":
-            norm["rows"] = int(p.pop("rows", 0))
-            norm["cols"] = int(p.pop("cols", 0))
+            norm["rows"] = _pop_int(kind, p, "rows")
+            norm["cols"] = _pop_int(kind, p, "cols")
             if norm["rows"] <= 0 or norm["cols"] <= 0:
                 raise InvariantError("generate.matrix needs rows > 0 and cols > 0")
         else:
@@ -415,8 +427,8 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
         _, recorded = _dist_from_params(kind, p)
         norm.update(recorded)
     elif kind == "table":
-        norm["orders"] = int(p.pop("orders", 0))
-        norm["items"] = int(p.pop("items", 0))
+        norm["orders"] = _pop_int(kind, p, "orders")
+        norm["items"] = _pop_int(kind, p, "items")
         if norm["orders"] <= 0 or norm["items"] <= 0:
             raise InvariantError("generate.table needs orders > 0 and items > 0")
         which = str(p.pop("which", "order"))

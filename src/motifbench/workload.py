@@ -220,6 +220,8 @@ def parse_spec(text: str) -> WorkloadSpec:
         line = _strip_comment(raw_line)
         if not line:
             continue
+        if line.count('"') % 2:
+            raise SpecError([Diagnostic(f"unterminated quoted value: {line!r}", line=lineno)])
         m = _RE_WORKLOAD.match(line)
         if m:
             if name is not None:
@@ -369,6 +371,7 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         if inv.result_id in inv_pos:
             definers[inv.result_id] = inv_pos[inv.result_id]
 
+    writers: dict[str, int] = {}  # normalized output path -> first line writing it
     for out in s.outputs:
         if out.dataset_id not in definers:
             diags.append(
@@ -376,6 +379,18 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
             )
         if not out.path:
             diags.append(Diagnostic("empty output path", out.dataset_id, out.line))
+            continue
+        key = os.path.normpath(out.path)
+        if key in writers:
+            diags.append(
+                Diagnostic(
+                    f"output path {out.path!r} is already written on line {writers[key]}",
+                    out.dataset_id,
+                    out.line,
+                )
+            )
+        else:
+            writers[key] = out.line
     return diags
 
 

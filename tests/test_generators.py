@@ -250,3 +250,28 @@ def test_genspec_text_uses_seed_corpus_file(tmp_path):
     ds = materialize(spec, base_dir=str(tmp_path))
     vocab = set(" ".join(ds.payload.documents).split())
     assert vocab <= {"alpha", "beta", "gamma", "delta"}
+
+
+_INT_PARAMS = [
+    ("text", {"bytes": 100}, "bytes"),
+    ("graph", {"vertices": 8, "edges": 4}, "vertices"),
+    ("graph", {"vertices": 8, "edges": 4}, "edges"),
+    ("matrix", {"rows": 2, "cols": 3}, "rows"),
+    ("matrix", {"rows": 2, "cols": 3}, "cols"),
+    ("table", {"orders": 3, "items": 9}, "orders"),
+    ("table", {"orders": 3, "items": 9}, "items"),
+    ("matrix", {"rows": 2, "cols": 3}, "seed"),
+]
+
+
+@pytest.mark.parametrize("kind,params,key", _INT_PARAMS)
+@pytest.mark.parametrize("bad", [2.7, 3.0, True, "2.5"])
+def test_genspec_rejects_non_integral_values(kind, params, key, bad):
+    with pytest.raises(InvariantError, match=f"'{key}' must be an integer"):
+        make_genspec(kind, {**params, key: bad})
+
+
+@pytest.mark.parametrize("kind,params,key", _INT_PARAMS)
+def test_genspec_accepts_integer_strings(kind, params, key):
+    spec = make_genspec(kind, {**params, key: "5"})
+    assert (spec.rng_seed if key == "seed" else spec.param_dict()[key]) == 5

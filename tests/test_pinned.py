@@ -1,0 +1,113 @@
+"""Pinned outputs: canonical encodings, shipped-spec checksums, MD5 edge cases.
+
+These values were recorded before the MD5 kernel and the canonical encoder
+were rewritten for speed; both rewrites must stay bit-exact. Outputs that pass
+through the platform libm (gaussian draws, FFT twiddles) are pinned only on
+the platform they were recorded on.
+"""
+
+import hashlib
+import platform
+
+import pytest
+
+from motifbench import shipped_spec_path
+from motifbench.dataio import canonical_bytes
+from motifbench.datasets import Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
+from motifbench.kernels.logic import md5_bytes, md5_corpus
+from motifbench.workload import execute, parse_spec_file
+
+# ---------------------------------------------------------------------------
+# canonical_bytes
+
+PAYLOADS = {
+    "text": TextCorpus(["the quick fox", "", "naïve café ☕"]),
+    "table": Table(
+        (("id", "integer"), ("price", "real"), ("name", "string")),
+        [(1, 2.5, "a,b"), (-7, -0.0, "ünï")],
+    ),
+    "matrix": Matrix(2, 3, [0.0, -1.5, 1e-300, 3.25, -0.0, 12345.678]),
+    "tensor": Tensor((2, 1, 2), [1.0, -2.0, 0.125, 7e10]),
+    "graph": Graph(5, [(0, 1), (4, 2), (3, 3), (1, 0)], directed=True),
+    "kv": KeyValueSet([("zeta", "1"), ("alpha", "two"), ("mid", "")]),
+}
+
+CANONICAL_SHA256 = {
+    "text": "488d2f3088935faeaee47c45f9e3fe6d2c273f28a575cfa304ed0826743a910c",
+    "table": "cafb738a624d337b7de096e53e81eee2f6793341bdb1428892788d9c0af2cfea",
+    "matrix": "00261c4f6d8bec66651c87cbb8ba23f652fdb501c9cc5a426763ed8a4774f059",
+    "tensor": "e7c88fbf67306fca27eeb0945878f4c6251f4df26c84a1c2d812fcdf41b876c0",
+    "graph": "74aaaf27912cce7f80e49bb6b0a9c2a6491e51a2dc9a74df3fc65b0448e6250d",
+    "kv": "873307d5fa380f1b7140ea9a3abef0e3f53a376463d151f39f1f0b835e336d99",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS))
+def test_canonical_bytes_pinned(kind):
+    digest = hashlib.sha256(canonical_bytes(PAYLOADS[kind])).hexdigest()
+    assert digest == CANONICAL_SHA256[kind]
+
+
+def test_canonical_bytes_edgeless_graph_layout():
+    blob = canonical_bytes(Graph(3, [], directed=False))
+    assert blob == b"grph\x00" + (3).to_bytes(8, "little") + b"\x00" + bytes(8)
+
+
+# ---------------------------------------------------------------------------
+# shipped specs
+
+# Platform the goldens were recorded on; libm-dependent outputs are checked
+# only there.
+GOLDEN_PLATFORM = "Linux-x86_64-glibc-2.36"
+
+SPEC_GOLDENS = {
+    "index": {"posting": "2b214e3eff26e2d7", "vocab": "850237ed30a94f26"},
+    "pagerank": {"ranked": "16c798306f04c465", "summary": "6331c1ff371c532a"},
+    "sift-like": {"feats": "6211cffc333e42f1", "ranked": "d7bb4fbd242531ea"},
+    "cnn-forward": {"norm": "581322c2a888fc7c"},
+}
+
+LIBM_SPECS = {"sift-like", "cnn-forward"}
+
+
+def _platform_fingerprint() -> str:
+    libc = "-".join(p for p in platform.libc_ver() if p) or "unknown-libc"
+    return f"{platform.system()}-{platform.machine()}-{libc}"
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_GOLDENS))
+def test_shipped_spec_output_checksums(name):
+    if name in LIBM_SPECS and _platform_fingerprint() != GOLDEN_PLATFORM:
+        pytest.skip(f"{name} goes through libm; goldens recorded on {GOLDEN_PLATFORM}")
+    spec = parse_spec_file(shipped_spec_path(name))
+    (report,) = execute(spec, write_outputs=False)
+    got = {k: f"{v:016x}" for k, v in report.output_checksums.items()}
+    assert got == SPEC_GOLDENS[name]
+
+
+# ---------------------------------------------------------------------------
+# MD5 edge cases
+
+# Lengths on either side of the padding boundaries: 55 bytes is the longest
+# message that pads within one block, 56 spills into a second, 64 and 128 fill
+# whole blocks, and 119/120 are the 55/56 boundary one block later.
+@pytest.mark.parametrize("n", [55, 56, 63, 64, 119, 120, 128])
+def test_md5_block_boundary_lengths(n):
+    data = bytes((7 * i + 3) & 0xFF for i in range(n))
+    assert md5_bytes(data) == hashlib.md5(data).digest()
+    assert md5_bytes(b"\xff" * n) == hashlib.md5(b"\xff" * n).digest()
+
+
+def test_md5_corpus_multibyte_utf8():
+    lines = ["naïve café ☕", "日本語テキスト", "x" * 60]
+    assert md5_corpus(TextCorpus(lines)).documents == (
+        "ead149e8ab3ebc8c0dfbac046470cae6",
+        "291a033f45232d75458716bcc03d90a0",
+        "1198000c11968f9368e02d6da57ec147",
+    )
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_md5_accepts_buffer_inputs(wrap):
+    data = b"message digest" * 9
+    assert md5_bytes(wrap(data)) == hashlib.md5(data).digest()

@@ -302,3 +302,41 @@ def test_quoted_param_with_comma_and_hash():
         'node g = set.grep(t, pattern="a,b # not a comment")\n'
     )
     assert spec.invocations[0].param_dict() == {"pattern": "a,b # not a comment"}
+
+
+def test_parse_unterminated_quote_rejected_with_line():
+    text = (
+        'workload "q"\n'
+        "input t = generate.text(bytes=200, seed=1)\n"
+        'node g = set.grep(t, pattern="the)\n'
+    )
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == 3
+    assert "unterminated" in diag.message
+
+
+def test_parse_duplicate_output_path_rejected_with_line():
+    text = (
+        'workload "q"\n'
+        "input m = generate.matrix(rows=2, cols=2, seed=1)\n"
+        "node s = sort.sort(m, key=0)\n"
+        'output m @ "out/a.matrix"\n'
+        'output s @ "out/./a.matrix"\n'
+    )
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == 5
+    assert "already written on line 4" in diag.message
+
+
+@pytest.mark.parametrize("args", ["rows=2.7, cols=3, seed=1", "rows=2, cols=3, seed=1.9"])
+def test_parse_non_integral_generator_param_rejected(args):
+    text = f'workload "q"\ninput m = generate.matrix({args})\n'
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == 2
+    assert "must be an integer" in diag.message
