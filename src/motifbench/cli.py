@@ -82,65 +82,61 @@ def _emit_dataset(dataset: Dataset, path: str, text_matrix: bool = False) -> Non
     print(f"{digest} {size} {path}")
 
 
+def _dist_flag(text: str) -> dict:
+    """--dist 'uniform:lo,hi' or 'gaussian:mu,sigma' as generator params;
+    omitted values take the generator defaults."""
+    name, _, rest = text.partition(":")
+    params = {"dist": name}
+    keys = generators.DISTRIBUTIONS.get(name)
+    if keys is not None:  # an unknown name is left for make_genspec to reject
+        values = [v for v in rest.split(",") if v]
+        if len(values) > len(keys):
+            raise InvariantError(f"--dist {name} takes at most {len(keys)} values, got {text!r}")
+        params.update(zip(keys, values))
+    return params
+
+
+def _generate_params(args) -> dict:
+    """The raw generator params spelled by the flags of a generate command."""
+    params = {"seed": args.rng_seed}
+    for key in ("bytes", "vertices", "edges", "rows", "cols", "shape", "orders", "items"):
+        if key in args:
+            params[key] = getattr(args, key)
+    if getattr(args, "seed_corpus", None):
+        params["corpus"] = args.seed_corpus
+    if "dist" in args:
+        params.update(_dist_flag(args.dist))
+    if "model" in args:
+        model, sep, probs = args.model.partition(":")
+        params["model"] = model
+        if sep:
+            probs = probs.split(",")
+            if len(probs) != 4:
+                raise InvariantError(f"rmat needs four probabilities, got {args.model!r}")
+            params.update(zip("abcd", probs))
+    return params
+
+
 def cmd_generate(args) -> int:
-    kind = args.gen_kind
     try:
-        if kind == "text":
-            params = {"bytes": args.bytes, "seed": args.rng_seed}
-            if args.seed_corpus:
-                params["corpus"] = args.seed_corpus
-            spec = generators.make_genspec("text", params)
-        elif kind == "graph":
-            params = {
-                "vertices": args.vertices,
-                "edges": args.edges,
-                "seed": args.rng_seed,
-            }
-            model = args.model
-            if model.startswith("rmat:"):
-                probs = model[len("rmat:"):].split(",")
-                if len(probs) != 4:
-                    raise InvariantError(f"rmat needs four probabilities, got {model!r}")
-                params.update(zip("abcd", (float(p) for p in probs)))
-                params["model"] = "rmat"
-            else:
-                params["model"] = model
-            spec = generators.make_genspec("graph", params)
-        elif kind == "matrix":
-            dist = generators.parse_dist(args.dist)
-            params = {"rows": args.rows, "cols": args.cols, "seed": args.rng_seed}
-            params.update(_dist_params(dist))
-            spec = generators.make_genspec("matrix", params)
-        elif kind == "tensor":
-            dist = generators.parse_dist(args.dist)
-            params = {"shape": args.shape, "seed": args.rng_seed}
-            params.update(_dist_params(dist))
-            spec = generators.make_genspec("tensor", params)
-        else:  # table
-            if args.orders <= 0 or args.items <= 0:
-                raise InvariantError("--orders and --items must be > 0")
-            spec = None
-    except (InvariantError, ValueError) as exc:
+        spec = generators.make_genspec(args.gen_kind, _generate_params(args))
+    except InvariantError as exc:
         _fail(str(exc))
         return EXIT_USAGE
 
-    if kind == "table":
-        order, item = generators.gen_table(args.orders, args.items, args.rng_seed)
-        prov = Provenance.of("gen_table", args.rng_seed, orders=args.orders, items=args.items)
+    if spec.kind == "table":
+        # Both tables come from one draw, so generate the pair once.
+        p = spec.param_dict()
+        prov = Provenance("gen_table", spec.rng_seed, spec.params)
         os.makedirs(args.output, exist_ok=True)
-        _emit_dataset(Dataset(order, prov), os.path.join(args.output, "order.table"))
-        _emit_dataset(Dataset(item, prov), os.path.join(args.output, "item.table"))
+        tables = generators.gen_table(p["orders"], p["items"], spec.rng_seed)
+        for name, table in zip(("order", "item"), tables):
+            _emit_dataset(Dataset(table, prov), os.path.join(args.output, f"{name}.table"))
         return EXIT_OK
 
     dataset = generators.materialize(spec)
     _emit_dataset(dataset, args.output, text_matrix=getattr(args, "text", False))
     return EXIT_OK
-
-
-def _dist_params(dist) -> dict:
-    if isinstance(dist, generators.Uniform):
-        return {"dist": "uniform", "lo": dist.lo, "hi": dist.hi}
-    return {"dist": "gaussian", "mu": dist.mu, "sigma": dist.sigma}
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,6 @@ def checksum_payload(payload: Payload) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def checksum_dataset(d: Dataset) -> int:
-    """64-bit digest of the payload; independent of provenance."""
-    return checksum_payload(d.payload)
-
-
 def checksum_hex(value: int) -> str:
     return f"{value:016x}"
 

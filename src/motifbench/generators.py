@@ -12,6 +12,13 @@ they are identical only on the same platform.
     matrix  i.i.d. uniform or gaussian entries
     tensor  same distributions over an arbitrary shape
     table   ORDER/ITEM pair with referentially intact foreign keys
+
+make_genspec validates key=value parameters against one schema per kind,
+with the ParamSpec/coerce checks kernels use (see params): counts are
+integers >= 1, the seed lies in [0, 2**64), a graph takes the RMAT
+probabilities a/b/c/d only with model=rmat, and a matrix or tensor takes
+lo/hi only with dist=uniform and mu/sigma only with dist=gaussian. Unknown
+names are errors; omitted ones take the schema defaults.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .datasets import (
     TextCorpus,
 )
 from .errors import InvariantError
+from .params import SEED, ParamSpec, coerce
 from .rng import SplitMix64
 
 RMAT_DEFAULT = (0.57, 0.19, 0.19, 0.05)
@@ -104,19 +112,18 @@ class Gaussian:
         return rng.gauss(self.mu, self.sigma)
 
 
-def parse_dist(text: str):
-    """'uniform:lo,hi' or 'gaussian:mu,sigma' (bare names take defaults)."""
-    name, _, rest = text.partition(":")
-    args = [a for a in rest.split(",") if a != ""] if rest else []
-    try:
-        values = [float(a) for a in args]
-    except ValueError:
-        raise InvariantError(f"bad distribution parameters in {text!r}") from None
-    if name == "uniform":
-        return Uniform(*values) if values else Uniform()
-    if name == "gaussian":
-        return Gaussian(*values) if values else Gaussian()
-    raise InvariantError(f"unknown distribution {name!r}")
+# Per-distribution parameters, in positional order for `--dist name:v1,v2`.
+DISTRIBUTIONS = {
+    "uniform": {"lo": ParamSpec("float", default=0.0), "hi": ParamSpec("float", default=1.0)},
+    "gaussian": {"mu": ParamSpec("float", default=0.0), "sigma": ParamSpec("float", default=1.0)},
+}
+
+
+def make_dist(p: dict):
+    """The Uniform or Gaussian described by coerced generator params."""
+    if p["dist"] == "uniform":
+        return Uniform(p["lo"], p["hi"])
+    return Gaussian(p["mu"], p["sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +232,8 @@ def gen_graph(
     if model == "uniform":
         edge_list = [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
     elif model == "rmat":
-        if vertices & (vertices - 1):
-            raise InvariantError(f"rmat needs a power-of-two vertex count, got {vertices}")
+        _check_rmat(vertices, probs)
         a, b, c, d = probs
-        for p in probs:
-            if not 0.0 <= p <= 1.0:
-                raise InvariantError(f"rmat probabilities must be in [0, 1], got {probs}")
-        if abs((a + b + c + d) - 1.0) > 1e-9:
-            raise InvariantError(f"rmat probabilities must sum to 1, got {sum(probs)}")
         levels = vertices.bit_length() - 1
         ab, abc = a + b, a + b + c
         edge_list = []
@@ -255,6 +256,19 @@ def gen_graph(
     else:
         raise InvariantError(f"unknown graph model {model!r}")
     return Graph(vertices, edge_list, directed=True)
+
+
+def _check_rmat(vertices: int, probs: tuple) -> None:
+    if vertices & (vertices - 1):
+        raise InvariantError(f"rmat needs a power-of-two vertex count, got {vertices}")
+    if any(not 0.0 <= p <= 1.0 for p in probs):
+        raise InvariantError(f"rmat probabilities must be in [0, 1], got {probs}")
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise InvariantError(f"rmat probabilities must sum to 1, got {sum(probs)}")
+
+
+def _rmat_probs(p: dict) -> tuple:
+    return tuple(p.get(k, default) for k, default in zip("abcd", RMAT_DEFAULT))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +348,6 @@ class GenSpec:
         return dict(self.params)
 
 
-_GEN_KINDS = ("text", "graph", "matrix", "tensor", "table")
-
-
 def parse_shape(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in str(text).split("x"))
@@ -347,102 +358,51 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _dist_from_params(kind: str, p: dict) -> tuple[object, dict]:
-    dist_name = str(p.pop("dist", "uniform"))
-    if dist_name == "uniform":
-        dist = Uniform(float(p.pop("lo", 0.0)), float(p.pop("hi", 1.0)))
-        recorded = {"dist": "uniform", "lo": dist.lo, "hi": dist.hi}
-    elif dist_name == "gaussian":
-        dist = Gaussian(float(p.pop("mu", 0.0)), float(p.pop("sigma", 1.0)))
-        recorded = {"dist": "gaussian", "mu": dist.mu, "sigma": dist.sigma}
-    else:
-        raise InvariantError(f"unknown distribution {dist_name!r} for generate.{kind}")
-    return dist, recorded
+_COUNT = ParamSpec("int", required=True, lo=1)
+_DIST = ParamSpec("str", default="uniform", choices=tuple(DISTRIBUTIONS))
 
-
-def _pop_int(kind: str, p: dict, key: str) -> int:
-    """Remove and return integer parameter `key` (default 0). Like kernel int
-    parameters, it takes ints and integer strings; floats and bools are
-    rejected rather than truncated."""
-    value = p.pop(key, 0)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InvariantError(f"generate.{kind}: parameter {key!r} must be an integer, got {value!r}")
+# One schema per generator kind. RMAT probabilities exist only for
+# model=rmat, and each distribution's parameters only under its own dist=.
+_SCHEMAS = {
+    "text": {"bytes": _COUNT, "corpus": ParamSpec("str"), "seed": SEED},
+    "graph": {
+        "vertices": _COUNT,
+        "edges": _COUNT,
+        "model": ParamSpec("str", default="uniform", choices=("uniform", "rmat")),
+        "seed": SEED,
+    },
+    "matrix": {"rows": _COUNT, "cols": _COUNT, "dist": _DIST, "seed": SEED},
+    "tensor": {"shape": ParamSpec("str", required=True), "dist": _DIST, "seed": SEED},
+    "table": {
+        "orders": _COUNT,
+        "items": _COUNT,
+        "which": ParamSpec("str", default="order", choices=("order", "item")),
+        "seed": SEED,
+    },
+}
+_RMAT_PARAMS = {k: ParamSpec("float", default=v) for k, v in zip("abcd", RMAT_DEFAULT)}
 
 
 def make_genspec(kind: str, raw_params: dict) -> GenSpec:
     """Validate raw key=value parameters (as parsed from a workload spec or
     CLI flags) into a GenSpec; raises InvariantError on any bad value."""
-    if kind not in _GEN_KINDS:
+    if kind not in _SCHEMAS:
         raise InvariantError(f"unknown generator kind {kind!r}")
-    p = dict(raw_params)
-    seed = _pop_int(kind, p, "seed")
+    schema = dict(_SCHEMAS[kind])
+    if kind == "graph" and raw_params.get("model") == "rmat":
+        schema.update(_RMAT_PARAMS)
+    if "dist" in schema:
+        schema.update(DISTRIBUTIONS.get(str(raw_params.get("dist", "uniform")), {}))
+    p = coerce(schema, raw_params, f"generate.{kind}", InvariantError)
 
-    norm: dict[str, object] = {}
-    if kind == "text":
-        norm["bytes"] = _pop_int(kind, p, "bytes")
-        if norm["bytes"] <= 0:
-            raise InvariantError("generate.text needs bytes > 0")
-        corpus = p.pop("corpus", None)
-        if corpus is not None:
-            norm["corpus"] = str(corpus)
-    elif kind == "graph":
-        norm["vertices"] = _pop_int(kind, p, "vertices")
-        norm["edges"] = _pop_int(kind, p, "edges")
-        model = str(p.pop("model", "uniform"))
-        if model not in ("uniform", "rmat"):
-            raise InvariantError(f"unknown graph model {model!r}")
-        norm["model"] = model
-        probs = (
-            float(p.pop("a", RMAT_DEFAULT[0])),
-            float(p.pop("b", RMAT_DEFAULT[1])),
-            float(p.pop("c", RMAT_DEFAULT[2])),
-            float(p.pop("d", RMAT_DEFAULT[3])),
-        )
-        if model == "rmat":
-            norm["a"], norm["b"], norm["c"], norm["d"] = probs
-        if norm["vertices"] <= 0 or norm["edges"] <= 0:
-            raise InvariantError("generate.graph needs vertices > 0 and edges > 0")
-        if model == "rmat":
-            if norm["vertices"] & (norm["vertices"] - 1):
-                raise InvariantError(
-                    f"rmat needs a power-of-two vertex count, got {norm['vertices']}"
-                )
-            for q in probs:
-                if not 0.0 <= q <= 1.0:
-                    raise InvariantError(f"rmat probabilities must be in [0, 1], got {probs}")
-            if abs(sum(probs) - 1.0) > 1e-9:
-                raise InvariantError(f"rmat probabilities must sum to 1, got {sum(probs)}")
-    elif kind in ("matrix", "tensor"):
-        if kind == "matrix":
-            norm["rows"] = _pop_int(kind, p, "rows")
-            norm["cols"] = _pop_int(kind, p, "cols")
-            if norm["rows"] <= 0 or norm["cols"] <= 0:
-                raise InvariantError("generate.matrix needs rows > 0 and cols > 0")
-        else:
-            norm["shape"] = "x".join(str(d) for d in parse_shape(p.pop("shape", "")))
-        _, recorded = _dist_from_params(kind, p)
-        norm.update(recorded)
-    elif kind == "table":
-        norm["orders"] = _pop_int(kind, p, "orders")
-        norm["items"] = _pop_int(kind, p, "items")
-        if norm["orders"] <= 0 or norm["items"] <= 0:
-            raise InvariantError("generate.table needs orders > 0 and items > 0")
-        which = str(p.pop("which", "order"))
-        if which not in ("order", "item"):
-            raise InvariantError(f"generate.table which must be order or item, got {which!r}")
-        norm["which"] = which
-    if p:
-        raise InvariantError(f"generate.{kind}: unknown parameters {sorted(p)}")
-    return GenSpec(kind, seed, tuple(sorted(norm.items())))
-
-
-def result_kind(spec: GenSpec) -> str:
-    return {"text": "text", "graph": "graph", "matrix": "matrix",
-            "tensor": "tensor", "table": "table"}[spec.kind]
+    if kind == "graph" and p["model"] == "rmat":
+        _check_rmat(p["vertices"], _rmat_probs(p))
+    elif kind == "tensor":
+        p["shape"] = "x".join(str(d) for d in parse_shape(p["shape"]))
+    if "dist" in p:
+        make_dist(p)  # raises on bad bounds
+    seed = p.pop("seed")
+    return GenSpec(kind, seed, tuple(sorted((k, v) for k, v in p.items() if v is not None)))
 
 
 def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
@@ -464,26 +424,14 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
             seed_corpus = DEFAULT_SEED_CORPUS
         payload = gen_text(seed_corpus, p["bytes"], spec.rng_seed)
     elif spec.kind == "graph":
-        probs = (
-            p.get("a", RMAT_DEFAULT[0]), p.get("b", RMAT_DEFAULT[1]),
-            p.get("c", RMAT_DEFAULT[2]), p.get("d", RMAT_DEFAULT[3]),
-        )
-        payload = gen_graph(p["vertices"], p["edges"], p["model"], probs, spec.rng_seed)
+        payload = gen_graph(p["vertices"], p["edges"], p["model"], _rmat_probs(p), spec.rng_seed)
     elif spec.kind == "matrix":
-        dist = _dist_of(p)
-        payload = gen_matrix(p["rows"], p["cols"], dist, spec.rng_seed)
+        payload = gen_matrix(p["rows"], p["cols"], make_dist(p), spec.rng_seed)
     elif spec.kind == "tensor":
-        dist = _dist_of(p)
-        payload = gen_tensor(parse_shape(p["shape"]), dist, spec.rng_seed)
+        payload = gen_tensor(parse_shape(p["shape"]), make_dist(p), spec.rng_seed)
     elif spec.kind == "table":
         order, item = gen_table(p["orders"], p["items"], spec.rng_seed)
         payload = order if p["which"] == "order" else item
     else:
         raise InvariantError(f"unknown generator kind {spec.kind!r}")
     return Dataset(payload, Provenance(f"gen_{spec.kind}", spec.rng_seed, spec.params))
-
-
-def _dist_of(p: dict):
-    if p["dist"] == "uniform":
-        return Uniform(p["lo"], p["hi"])
-    return Gaussian(p["mu"], p["sigma"])

@@ -12,7 +12,7 @@ inputs yields a checksum-identical payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..datasets import (
@@ -28,19 +28,12 @@ from ..datasets import (
     Table,
 )
 from ..errors import KernelError
+from ..params import SEED, ParamSpec, coerce
 from . import graphops, logic, matrixops, sampling, sets, sorting, statistic, transform
 
 FAMILIES = ("matrix", "sampling", "transform", "graph", "logic", "set", "sort", "statistic")
 
 SAME_AS_INPUT = "same"
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    kind: str  # int | float | str
-    required: bool = False
-    default: object = None
-    choices: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -52,68 +45,24 @@ class KernelSpec:
     output_kind: str  # concrete kind, or SAME_AS_INPUT
     fn: Callable[[list, dict], Payload]
     params: dict[str, ParamSpec] = field(default_factory=dict)
-    check: Optional[Callable[[dict], None]] = None  # parameter range validation
+    check: Optional[Callable[[dict], None]] = None  # checks the schema cannot state
 
     @property
     def motif(self) -> str:
         return f"{self.family}.{self.name}"
 
-    def result_kind(self, operand_kinds: list[str]) -> str:
-        if self.output_kind == SAME_AS_INPUT:
-            return operand_kinds[0]
-        return self.output_kind
-
     def coerce_params(self, raw: dict) -> dict:
-        """Validate names/types/choices and fill defaults; raises KernelError."""
-        out = {}
-        for key, value in raw.items():
-            if key not in self.params:
-                raise KernelError(f"{self.motif}: unknown parameter {key!r}")
-            spec = self.params[key]
-            out[key] = _coerce_value(self.motif, key, spec, value)
-        for key, spec in self.params.items():
-            if key in out:
-                continue
-            if spec.required:
-                raise KernelError(f"{self.motif}: missing required parameter {key!r}")
-            out[key] = spec.default
+        """Validate against the schema and fill defaults; raises KernelError."""
+        out = coerce(self.params, raw, self.motif, KernelError)
         if self.check is not None:
             self.check(out)
         return out
 
 
-def _coerce_value(motif: str, key: str, spec: ParamSpec, value):
-    if spec.kind == "int":
-        if isinstance(value, bool) or (not isinstance(value, int) and not isinstance(value, str)):
-            raise KernelError(f"{motif}: parameter {key!r} must be an integer, got {value!r}")
-        try:
-            value = int(value)
-        except ValueError:
-            raise KernelError(f"{motif}: parameter {key!r} must be an integer, got {value!r}") from None
-    elif spec.kind == "float":
-        if isinstance(value, bool):
-            raise KernelError(f"{motif}: parameter {key!r} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise KernelError(f"{motif}: parameter {key!r} must be a number, got {value!r}") from None
-    else:
-        value = str(value)
-    if spec.choices is not None and value not in spec.choices:
-        raise KernelError(
-            f"{motif}: parameter {key!r} must be one of {', '.join(spec.choices)}, got {value!r}"
-        )
-    return value
-
-
-def _in_range(motif, params, key, lo=None, hi=None, lo_open=False, hi_open=False):
+def _open_range(motif, params, key, lo, hi=None):
+    """Open-interval check for bounds a ParamSpec's closed range cannot state."""
     v = params[key]
-    bad = False
-    if lo is not None:
-        bad = v <= lo if lo_open else v < lo
-    if not bad and hi is not None:
-        bad = v >= hi if hi_open else v > hi
-    if bad:
+    if v <= lo or (hi is not None and v >= hi):
         raise KernelError(f"{motif}: parameter {key!r}={v} out of range")
 
 
@@ -170,6 +119,12 @@ def _project(ops, p):
     return sets.project(ops[0], columns)
 
 
+_POOL_PARAMS = {
+    "window": ParamSpec("int", required=True, lo=1),
+    "stride": ParamSpec("int", default=1, lo=1),
+}
+
+
 def _check_aggregate(p):
     if p["agg"] in ("sum", "avg") and not p["target"]:
         raise KernelError(f"statistic.aggregate: {p['agg']} needs target=<column>")
@@ -207,15 +162,6 @@ _KERNELS = [
             "value": ParamSpec("str", required=True),
         },
     ),
-    KernelSpec(
-        "set", "select", 1, (_TBL,), KIND_TABLE,
-        lambda ops, p: sets.filter_rows(ops[0], p["column"], p["cmp"], p["value"]),
-        {
-            "column": ParamSpec("str", required=True),
-            "cmp": ParamSpec("str", required=True, choices=("lt", "le", "gt", "ge", "eq", "ne")),
-            "value": ParamSpec("str", required=True),
-        },
-    ),
     KernelSpec("set", "table_union", 2, (_TBL, _TBL), KIND_TABLE,
                lambda ops, p: sets.table_union(ops[0], ops[1])),
     # statistic
@@ -234,15 +180,13 @@ _KERNELS = [
     KernelSpec(
         "statistic", "batch_norm", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: statistic.batch_norm(ops[0], p["axis"], p["epsilon"]),
-        {"axis": ParamSpec("int", default=0), "epsilon": ParamSpec("float", default=1e-5)},
-        check=lambda p: (_in_range("statistic.batch_norm", p, "axis", lo=0),
-                         _in_range("statistic.batch_norm", p, "epsilon", lo=0.0, lo_open=True)),
+        {"axis": ParamSpec("int", default=0, lo=0), "epsilon": ParamSpec("float", default=1e-5)},
+        check=lambda p: _open_range("statistic.batch_norm", p, "epsilon", 0.0),
     ),
     KernelSpec(
         "statistic", "cosine_norm", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: statistic.cosine_norm(ops[0], p["axis"]),
-        {"axis": ParamSpec("int", default=0)},
-        check=lambda p: _in_range("statistic.cosine_norm", p, "axis", lo=0),
+        {"axis": ParamSpec("int", default=0, lo=0)},
     ),
     KernelSpec("statistic", "count", 1, (_ANY,), KIND_KV,
                lambda ops, p: statistic.count_records(ops[0])),
@@ -270,34 +214,27 @@ _KERNELS = [
     KernelSpec(
         "sampling", "random_sample", 1, (frozenset({KIND_TEXT, KIND_TABLE}),), SAME_AS_INPUT,
         lambda ops, p: sampling.random_sample(ops[0], p["fraction"], p["seed"]),
-        {"fraction": ParamSpec("float", required=True), "seed": ParamSpec("int", default=0)},
-        check=lambda p: _in_range("sampling.random_sample", p, "fraction", lo=0.0, hi=1.0),
+        {"fraction": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
     KernelSpec(
         "sampling", "max_pool", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: sampling.pool(ops[0], p["window"], p["stride"], "max"),
-        {"window": ParamSpec("int", required=True), "stride": ParamSpec("int", default=1)},
-        check=lambda p: (_in_range("sampling.max_pool", p, "window", lo=1),
-                         _in_range("sampling.max_pool", p, "stride", lo=1)),
+        _POOL_PARAMS,
     ),
     KernelSpec(
         "sampling", "avg_pool", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: sampling.pool(ops[0], p["window"], p["stride"], "avg"),
-        {"window": ParamSpec("int", required=True), "stride": ParamSpec("int", default=1)},
-        check=lambda p: (_in_range("sampling.avg_pool", p, "window", lo=1),
-                         _in_range("sampling.avg_pool", p, "stride", lo=1)),
+        _POOL_PARAMS,
     ),
     KernelSpec(
         "sampling", "downsample", 1, (_MAT,), KIND_MATRIX,
         lambda ops, p: sampling.downsample(ops[0], p["factor"]),
-        {"factor": ParamSpec("int", required=True)},
-        check=lambda p: _in_range("sampling.downsample", p, "factor", lo=1),
+        {"factor": ParamSpec("int", required=True, lo=1)},
     ),
     KernelSpec(
         "sampling", "dropout", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: sampling.dropout(ops[0], p["p"], p["seed"]),
-        {"p": ParamSpec("float", required=True), "seed": ParamSpec("int", default=0)},
-        check=lambda p: _in_range("sampling.dropout", p, "p", lo=0.0, hi=1.0),
+        {"p": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
     # transform
     KernelSpec("transform", "fft", 1, (_MAT,), KIND_MATRIX,
@@ -312,10 +249,9 @@ _KERNELS = [
         "transform", "convolution", 2, (_TEN, _TEN), KIND_TENSOR,
         lambda ops, p: transform.convolution(ops[0], ops[1], p["stride"], p["padding"]),
         {
-            "stride": ParamSpec("int", default=1),
+            "stride": ParamSpec("int", default=1, lo=1),
             "padding": ParamSpec("str", default="valid", choices=("valid", "same")),
         },
-        check=lambda p: _in_range("transform.convolution", p, "stride", lo=1),
     ),
     # graph
     KernelSpec("graph", "connected_components", 1, (_GRA,), KIND_TABLE, _components_table),
@@ -323,15 +259,15 @@ _KERNELS = [
         "graph", "pagerank", 1, (_GRA,), KIND_MATRIX, _pagerank_matrix,
         {
             "damping": ParamSpec("float", default=0.85),
-            "max_iters": ParamSpec("int", default=100),
-            "tol": ParamSpec("float", default=1e-10),
+            "max_iters": ParamSpec("int", default=100, lo=1),
+            "tol": ParamSpec("float", default=1e-10, lo=0.0),
         },
-        check=lambda p: (_in_range("graph.pagerank", p, "damping", lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-                         _in_range("graph.pagerank", p, "max_iters", lo=1),
-                         _in_range("graph.pagerank", p, "tol", lo=0.0)),
+        check=lambda p: _open_range("graph.pagerank", p, "damping", 0.0, 1.0),
     ),
 ]
 
 for _spec in _KERNELS:
     _register(_spec)
 del _spec
+# set.select is the relational name for set.filter: one kernel, one schema.
+_register(replace(REGISTRY["set.filter"], name="select"))

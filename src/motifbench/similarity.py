@@ -156,39 +156,8 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
 # hierarchical clustering
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    labels: tuple[str, ...]
-    d: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.d) != n or any(len(row) != n for row in self.d):
-            raise InvariantError("distance matrix shape does not match labels")
-        for i in range(n):
-            if self.d[i][i] != 0.0:
-                raise InvariantError(f"nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if abs(self.d[i][j] - self.d[j][i]) > 1e-12:
-                    raise InvariantError(f"asymmetry at ({i}, {j})")
-                if self.d[i][j] < 0.0:
-                    raise InvariantError(f"negative distance at ({i}, {j})")
-
-
 def euclidean(a, b) -> float:
     return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
-
-
-def distance_matrix(points: list, labels: list[str] | None = None) -> DistanceMatrix:
-    n = len(points)
-    labels = labels if labels is not None else [str(i) for i in range(n)]
-    d = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = euclidean(points[i], points[j])
-            d[i][j] = v
-            d[j][i] = v
-    return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in d))
 
 
 @dataclass(frozen=True)

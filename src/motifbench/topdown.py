@@ -40,8 +40,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shlex
-import subprocess
 from dataclasses import dataclass
 from typing import Optional
 
@@ -330,16 +328,6 @@ def load_mapping(path: str) -> dict[str, str]:
     return mapping
 
 
-def apply_mapping(sample: EventSample, mapping: dict[str, str]) -> EventSample:
-    """Rename platform counter names to the abstract names the trees use."""
-    events = dict(sample.events)
-    for abstract, platform in mapping.items():
-        if platform in events and abstract not in events:
-            events[abstract] = events.pop(platform)
-    cycles = events.get("cycles", sample.cycles)
-    return EventSample(events=events, width=sample.width, cycles=cycles, label=sample.label)
-
-
 def average_samples(samples: list[EventSample]) -> EventSample:
     """Arithmetic mean of event counts across runs of the same workload."""
     if not samples:
@@ -360,30 +348,6 @@ def average_samples(samples: list[EventSample]) -> EventSample:
     label = samples[0].label
     return EventSample(events=events, width=samples[0].width, cycles=cycles,
                        label=f"avg({label})" if label else "avg")
-
-
-def collect_sample(command_template: str, duration: float,
-                   pid: Optional[int] = None) -> EventSample:
-    """Run an external collector and parse its stdout as an event dump.
-
-    {pid} and {duration} in the template are substituted before launch; the
-    collector is expected to sample for roughly `duration` seconds and print
-    'event_name,count' lines.
-    """
-    command = command_template.replace("{pid}", str(pid if pid is not None else os.getpid()))
-    command = command.replace("{duration}", f"{duration:g}")
-    argv = shlex.split(command)
-    if not argv:
-        raise EventError("empty collector command")
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
-    except OSError as exc:
-        raise EventError(f"collector failed to start: {exc}") from None
-    if proc.returncode != 0:
-        raise EventError(
-            f"collector exited with {proc.returncode}: {proc.stderr.strip()[:200]}"
-        )
-    return parse_sample(proc.stdout, path=f"<collector:{argv[0]}>")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .errors import (
     MotifBenchError,
     SpecError,
 )
-from .kernels import REGISTRY, get_kernel
+from .kernels import REGISTRY, SAME_AS_INPUT, get_kernel
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def _split_args(text: str) -> list[str]:
     tail = "".join(cur).strip()
     if tail or parts:
         parts.append(tail)
-    return [p for p in parts if p != ""]
+    return parts
 
 
 def _parse_value(raw: str):
@@ -177,6 +177,8 @@ def _parse_arglist(args: str, lineno: int, allow_operands: bool):
     operands: list[str] = []
     params: dict[str, object] = {}
     for part in _split_args(args):
+        if not part:
+            raise SpecError([Diagnostic(f"empty argument in ({args})", line=lineno)])
         eq = -1
         in_quote = False
         for i, ch in enumerate(part):
@@ -239,11 +241,9 @@ def parse_spec(text: str) -> WorkloadSpec:
             _, params = _parse_arglist(m.group("args"), lineno, allow_operands=False)
             try:
                 spec = generators.make_genspec(m.group("kind"), params)
-            except (InvariantError, ValueError) as exc:
+            except InvariantError as exc:
                 raise SpecError([Diagnostic(str(exc), m.group("id"), lineno)]) from None
-            inputs.append(
-                InputDecl(m.group("id"), lineno, generators.result_kind(spec), genspec=spec)
-            )
+            inputs.append(InputDecl(m.group("id"), lineno, spec.kind, genspec=spec))
             continue
         m = _RE_NODE.match(line)
         if m:
@@ -366,7 +366,8 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
             diags.append(Diagnostic(str(exc), inv.motif, inv.line))
             ok = False
         if ok and inv.result_id in inv_pos:
-            kinds[inv.result_id] = kspec.result_kind(operand_kinds)
+            same = kspec.output_kind == SAME_AS_INPUT
+            kinds[inv.result_id] = operand_kinds[0] if same else kspec.output_kind
         # Results become visible to later invocations only now.
         if inv.result_id in inv_pos:
             definers[inv.result_id] = inv_pos[inv.result_id]
@@ -514,13 +515,6 @@ def report_document(reports: list[RunReport], counters: Optional[dict] = None) -
     family runtime aggregation over all repeats."""
     if not reports:
         raise InvariantError("no reports")
-    total = sum(r.total_ns for r in reports)
-    by_family: dict[str, int] = {}
-    for rep in reports:
-        for rec in rep.invocations:
-            fam = rec.motif.split(".", 1)[0]
-            by_family[fam] = by_family.get(fam, 0) + rec.wall_ns
-    aggregated = {fam: (by_family[fam] / total if total else 0.0) for fam in sorted(by_family)}
     doc = {
         "workload": reports[0].workload,
         "repeats": [
@@ -542,7 +536,7 @@ def report_document(reports: list[RunReport], counters: Optional[dict] = None) -
             }
             for rep in reports
         ],
-        "family_fractions": aggregated,
+        "family_fractions": family_fractions([rec for rep in reports for rec in rep.invocations]),
     }
     if counters is not None:
         doc["counters"] = counters

@@ -41,6 +41,28 @@ def test_generate_graph_rmat_rejects_non_power_of_two(tmp_path, capsys):
     assert "power-of-two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_generate_seed_outside_64_bits_exit_2(tmp_path, capsys, seed):
+    code = run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
+                   "--rng-seed", seed, "-o", str(tmp_path / "m"))
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_generate_largest_seed_accepted(tmp_path):
+    assert run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
+                   "--rng-seed", str(2**64 - 1), "-o", str(tmp_path / "m")) == 0
+
+
+@pytest.mark.parametrize("dist", ["uniform:1,2,3", "gaussian:0,1,2", "uniform:a,1", "poisson:3"])
+def test_generate_bad_dist_is_usage_error(tmp_path, capsys, dist):
+    code = run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
+                   "--dist", dist, "-o", str(tmp_path / "m"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_generate_table_writes_pair_with_integrity(tmp_path, capsys):
     out = tmp_path / "tables"
     assert run_cli(
@@ -137,6 +159,38 @@ def test_run_counters_file_count_mismatch(tmp_path, capsys, monkeypatch):
         "--counters", f"file:{p}",
     )
     assert code == 2
+
+
+def test_run_counters_cmd_substitutes_placeholders(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    collector = tmp_path / "collector.py"
+    collector.write_text(
+        "import sys\n"
+        "pid, duration = sys.argv[1], sys.argv[2]\n"
+        "print('cycles,100')\n"
+        "print(f'pid_echo,{int(pid)}')\n"
+        "print(f'duration_echo,{float(duration)}')\n"
+    )
+    report = tmp_path / "rep.json"
+    code = run_cli(
+        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "--counters", f"cmd:{sys.executable} {collector} {{pid}} {{duration}}",
+        "--duration", "2.5", "--report", str(report),
+    )
+    assert code == 0
+    events = json.loads(report.read_text())["counters"]["repeats"][0]["events"]
+    assert events["pid_echo"] == os.getpid()
+    assert events["duration_echo"] == 2.5
+
+
+def test_run_counters_cmd_collector_failure_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(
+        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "--counters", f'cmd:{sys.executable} -c "import sys; sys.exit(3)"',
+    )
+    assert code == 1
+    assert "collector exited" in capsys.readouterr().err
 
 
 def test_run_counters_cmd_collector(tmp_path, monkeypatch):
@@ -316,6 +370,58 @@ def test_list_motifs_eight_families(capsys):
         "Matrix", "Sampling", "Transform", "Graph", "Logic", "Set", "Sort", "Statistic",
     ]
     assert "  transform.fft2d" in out
+
+
+LIST_MOTIFS = """\
+Matrix
+  matrix.add                 arity 2  matrix, matrix -> matrix
+  matrix.fully_connected     arity 3  tensor, matrix, tensor -> tensor
+  matrix.hadamard            arity 2  matrix, matrix -> matrix
+  matrix.multiply            arity 2  matrix, matrix -> matrix
+  matrix.sigmoid             arity 1  tensor -> tensor
+  matrix.subtract            arity 2  matrix, matrix -> matrix
+  matrix.tanh                arity 1  tensor -> tensor
+Sampling
+  sampling.avg_pool          arity 1  tensor -> tensor
+  sampling.downsample        arity 1  matrix -> matrix
+  sampling.dropout           arity 1  tensor -> tensor
+  sampling.max_pool          arity 1  tensor -> tensor
+  sampling.random_sample     arity 1  table|text -> same as input
+Transform
+  transform.convolution      arity 2  tensor, tensor -> tensor
+  transform.fft              arity 1  matrix -> matrix
+  transform.fft2d            arity 1  matrix -> matrix
+  transform.ifft             arity 1  matrix -> matrix
+  transform.ifft2d           arity 1  matrix -> matrix
+Graph
+  graph.connected_components arity 1  graph -> table
+  graph.pagerank             arity 1  graph -> matrix
+Logic
+  logic.md5                  arity 1  text -> text
+  logic.relu                 arity 1  tensor -> tensor
+Set
+  set.difference             arity 2  kv, kv -> kv
+  set.filter                 arity 1  table -> table
+  set.grep                   arity 1  text -> text
+  set.intersect              arity 2  kv, kv -> kv
+  set.project                arity 1  table -> table
+  set.select                 arity 1  table -> table
+  set.table_union            arity 2  table, table -> table
+  set.union                  arity 2  kv, kv -> kv
+Sort
+  sort.sort                  arity 1  matrix|table|text -> same as input
+Statistic
+  statistic.aggregate        arity 1  table -> table
+  statistic.batch_norm       arity 1  tensor -> tensor
+  statistic.cosine_norm      arity 1  tensor -> tensor
+  statistic.count            arity 1  any -> kv
+  statistic.wordcount        arity 1  text -> kv
+"""
+
+
+def test_list_motifs_output_pinned(capsys):
+    assert run_cli("list-motifs") == 0
+    assert capsys.readouterr().out == LIST_MOTIFS
 
 
 def test_unknown_subcommand_exit_2():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from motifbench.dataio import (
-    checksum_dataset,
     checksum_payload,
     load_dataset,
     payload_size,
@@ -136,11 +135,14 @@ def test_checksum_deterministic_and_sensitive():
     assert checksum_payload(a) != checksum_payload(Matrix(2, 2, [1, 2, 3, 5]))
 
 
-def test_checksum_ignores_provenance():
+def test_checksum_ignores_provenance(tmp_path):
     m = Matrix(1, 2, [0.5, 1.5])
     d1 = Dataset(m, Provenance.of("gen_matrix", 1))
     d2 = Dataset(m, "external")
-    assert checksum_dataset(d1) == checksum_dataset(d2)
+    save_dataset(d1, str(tmp_path / "a.matrix"))
+    save_dataset(d2, str(tmp_path / "b.matrix"))
+    assert (tmp_path / "a.matrix").read_bytes() == (tmp_path / "b.matrix").read_bytes()
+    assert checksum_payload(load_dataset(str(tmp_path / "a.matrix")).payload) == checksum_payload(m)
 
 
 def test_checksum_distinguishes_kinds():

@@ -16,9 +16,9 @@ from motifbench.generators import (
     gen_table,
     gen_tensor,
     gen_text,
+    make_dist,
     make_genspec,
     materialize,
-    parse_dist,
 )
 
 
@@ -158,11 +158,19 @@ def test_dist_validation():
 
 
 def test_parse_dist():
+    from motifbench.cli import _dist_flag
+
+    def parse_dist(text):
+        spec = make_genspec("matrix", {"rows": 1, "cols": 1, **_dist_flag(text)})
+        return make_dist(spec.param_dict())
+
     assert parse_dist("uniform:0,1") == Uniform(0, 1)
     assert parse_dist("gaussian:3,0.5") == Gaussian(3, 0.5)
     assert parse_dist("uniform") == Uniform()
     with pytest.raises(InvariantError):
         parse_dist("poisson:3")
+    with pytest.raises(InvariantError):
+        parse_dist("uniform:1,2,3")
 
 
 def test_tensor_shape_and_determinism():
@@ -275,3 +283,24 @@ def test_genspec_rejects_non_integral_values(kind, params, key, bad):
 def test_genspec_accepts_integer_strings(kind, params, key):
     spec = make_genspec(kind, {**params, key: "5"})
     assert (spec.rng_seed if key == "seed" else spec.param_dict()[key]) == 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_genspec_rejects_seed_outside_64_bits(seed):
+    # SplitMix64 keeps only the low 64 bits, so these would alias other seeds.
+    with pytest.raises(InvariantError, match="'seed'"):
+        make_genspec("matrix", {"rows": 2, "cols": 2, "seed": seed})
+
+
+def test_genspec_accepts_largest_seed():
+    spec = make_genspec("matrix", {"rows": 2, "cols": 2, "seed": 2**64 - 1})
+    assert spec.rng_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("key", ["a", "b", "c", "d"])
+def test_genspec_uniform_graph_rejects_rmat_probabilities(key):
+    with pytest.raises(InvariantError, match=f"unknown parameter '{key}'"):
+        make_genspec("graph", {"vertices": 8, "edges": 4, key: 0.9})
+    spec = make_genspec("graph", {"vertices": 8, "edges": 4, "model": "rmat",
+                                  **dict.fromkeys("abcd", 0.25)})
+    assert spec.param_dict()[key] == 0.25

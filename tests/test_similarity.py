@@ -8,11 +8,9 @@ import pytest
 from motifbench.errors import InvariantError
 from motifbench.similarity import (
     Dendrogram,
-    DistanceMatrix,
     append_vector_csv,
     cut_dendrogram,
     dendrogram_to_json,
-    distance_matrix,
     euclidean,
     hcluster,
     pca,
@@ -228,14 +226,6 @@ def test_cut_bounds():
     assert cut_dendrogram(d, 3) == [0, 1, 2]
     with pytest.raises(InvariantError):
         cut_dendrogram(d, 4)
-
-
-def test_distance_matrix_properties():
-    dm = distance_matrix([[0, 0], [3, 4], [6, 8]], labels=["a", "b", "c"])
-    assert dm.d[0][1] == 5.0 and dm.d[1][0] == 5.0
-    assert all(dm.d[i][i] == 0.0 for i in range(3))
-    with pytest.raises(InvariantError):
-        DistanceMatrix(("a",), ((1.0,),))
 
 
 def test_dendrogram_requires_n_minus_one_merges():

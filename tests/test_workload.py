@@ -15,10 +15,13 @@ from motifbench.kernels.statistic import count_records
 from motifbench.kernels.transform import matrix_fft2d, matrix_ifft2d
 from motifbench.workload import (
     Diagnostic,
+    InvocationRecord,
+    RunReport,
     WorkloadRuntimeError,
     execute,
     parse_spec,
     parse_spec_file,
+    family_fractions,
     report_document,
     validate_spec,
 )
@@ -340,3 +343,54 @@ def test_parse_non_integral_generator_param_rejected(args):
     (diag,) = err.value.diagnostics
     assert diag.line == 2
     assert "must be an integer" in diag.message
+
+
+_SEEDED_LINES = [
+    "input m = generate.matrix(rows=2, cols=2, seed={seed})",
+    "input t = generate.text(bytes=200, seed=1)\nnode s = sampling.random_sample(t, fraction=0.5, seed={seed})",
+    "input x = generate.tensor(shape=2x2, seed=1)\nnode s = sampling.dropout(x, p=0.5, seed={seed})",
+]
+
+
+@pytest.mark.parametrize("line", _SEEDED_LINES)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_parse_seed_outside_64_bits_rejected_with_line(line, seed):
+    text = 'workload "q"\n' + line.format(seed=seed) + "\n"
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == text.count("\n")
+    assert "'seed'" in diag.message and "out of range" in diag.message
+
+
+@pytest.mark.parametrize("line", _SEEDED_LINES)
+def test_parse_largest_seed_accepted(line):
+    parse_spec('workload "q"\n' + line.format(seed=2**64 - 1) + "\n")
+
+
+@pytest.mark.parametrize("args", ["rows=2,, seed=1", "rows=2, cols=2,", ", rows=2", ","])
+def test_parse_empty_argument_rejected_with_line(args):
+    text = f'workload "q"\ninput m = generate.matrix({args})\n'
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    (diag,) = err.value.diagnostics
+    assert diag.line == 2
+    assert "empty argument" in diag.message
+
+
+@pytest.mark.parametrize("args", ["", "  "])
+def test_parse_empty_parentheses_mean_no_arguments(args):
+    # f() reaches the generator's schema with no parameters at all
+    with pytest.raises(SpecError) as err:
+        parse_spec(f'workload "q"\ninput m = generate.matrix({args})\n')
+    (diag,) = err.value.diagnostics
+    assert "missing required parameter 'rows'" in diag.message
+
+
+def test_family_fractions_all_zero_wall_times():
+    reports = [
+        RunReport("w", r, (InvocationRecord(f"x{r}", "sort.sort", 0, 8, 8),), 0, {}, {})
+        for r in range(2)
+    ]
+    assert family_fractions([rec for rep in reports for rec in rep.invocations]) == {}
+    assert report_document(reports)["family_fractions"] == {}
