@@ -1,9 +1,12 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
+import motifbench
+from motifbench.cli import main
 from motifbench.errors import EventError, FormulaError, MissingEventsError
 from motifbench.topdown import (
     EventSample,
@@ -146,6 +149,34 @@ def test_mapping_renames_platform_events(tmp_path):
     assert sample.events["uops_retired"] == 900
     assert sample.cycles == 1000
     assert "UOPS_RETIRED.RETIRE_SLOTS" not in sample.events
+
+
+def test_apply_mapping_on_existing_sample():
+    sample = parse_sample(
+        "RAW.COUNTER,42\ncycles,100\n", mapping={"uops_retired": "RAW.COUNTER"}
+    )
+    assert sample.events["uops_retired"] == 42
+    assert "RAW.COUNTER" not in sample.events
+
+
+def test_collect_sample_runs_command(tmp_path, monkeypatch):
+    # An inline, shell-quoted collector command is split and launched by
+    # `run --counters cmd:`, and its stdout parsed as an event sample.
+    monkeypatch.chdir(tmp_path)
+    script = (
+        "import sys; print('#meta width=4'); print('cycles,1000');"
+        "print('uops_retired,900')"
+    )
+    report = tmp_path / "rep.json"
+    code = main([
+        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "--counters", f'cmd:{sys.executable} -c "{script}"',
+        "--duration", "0.5", "--report", str(report),
+    ])
+    assert code == 0
+    sample = json.loads(report.read_text())["counters"]["repeats"][0]
+    assert sample["width"] == 4 and sample["cycles"] == 1000
+    assert sample["events"]["uops_retired"] == 900
 
 
 # ---------------------------------------------------------------------------
