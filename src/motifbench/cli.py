@@ -9,8 +9,9 @@ stdout, machine reports to files, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
+import functools
 import json
 import os
 import shlex
@@ -84,15 +85,15 @@ def _emit_dataset(dataset: Dataset, path: str, text_matrix: bool = False) -> Non
 
 def _dist_flag(text: str) -> dict:
     """--dist 'uniform:lo,hi' or 'gaussian:mu,sigma' as generator params;
-    omitted values take the generator defaults."""
+    omitted or empty values (`gaussian:,2`) take the generator defaults."""
     name, _, rest = text.partition(":")
     params = {"dist": name}
     keys = generators.DISTRIBUTIONS.get(name)
     if keys is not None:  # an unknown name is left for make_genspec to reject
-        values = [v for v in rest.split(",") if v]
+        values = rest.split(",") if rest else []
         if len(values) > len(keys):
             raise InvariantError(f"--dist {name} takes at most {len(keys)} values, got {text!r}")
-        params.update(zip(keys, values))
+        params.update((key, value) for key, value in zip(keys, values) if value)
     return params
 
 
@@ -164,47 +165,28 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     base_dir = os.path.dirname(os.path.abspath(args.spec))
 
-    counters_doc = None
     mode, _, counter_arg = (args.counters or "").partition(":")
-    if args.counters and mode not in ("file", "cmd"):
-        _fail(f"--counters must start with file: or cmd:, got {args.counters!r}")
-        return EXIT_USAGE
-
-    if args.counters and mode == "file":
+    samples: list[topdown.EventSample] = []
+    window = contextlib.nullcontext
+    if mode == "file":
         paths = [p for p in counter_arg.split(",") if p]
         if len(paths) != args.repeat:
             _fail(f"--counters file: needs {args.repeat} files (one per repeat), got {len(paths)}")
             return EXIT_USAGE
-        reports = workload.execute(spec, repeat=args.repeat, base_dir=base_dir)
         samples = [topdown.load_sample(p) for p in paths]
+    elif mode == "cmd":
+        window = functools.partial(_collector, counter_arg, args.duration, samples)
+    elif args.counters:
+        _fail(f"--counters must start with file: or cmd:, got {args.counters!r}")
+        return EXIT_USAGE
+
+    reports = workload.execute(spec, repeat=args.repeat, base_dir=base_dir, window=window)
+    counters_doc = None
+    if samples:
         counters_doc = {
             "repeats": [_sample_json(s) for s in samples],
             "averaged": _sample_json(topdown.average_samples(samples)),
         }
-    elif args.counters and mode == "cmd":
-        reports = []
-        samples = []
-        for r in range(args.repeat):
-            proc = subprocess.Popen(
-                _collector_argv(counter_arg, args.duration),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-            part = workload.execute(
-                spec, repeat=1, base_dir=base_dir, write_outputs=(r == args.repeat - 1)
-            )
-            out, err = proc.communicate()
-            if proc.returncode != 0:
-                raise EventError(f"collector exited with {proc.returncode}: {err.strip()[:200]}")
-            samples.append(topdown.parse_sample(out, path="<collector>"))
-            reports.append(dataclasses.replace(part[0], repeat_index=r))
-        counters_doc = {
-            "repeats": [_sample_json(s) for s in samples],
-            "averaged": _sample_json(topdown.average_samples(samples)),
-        }
-    else:
-        reports = workload.execute(spec, repeat=args.repeat, base_dir=base_dir)
 
     doc = workload.report_document(reports, counters=counters_doc)
     if args.report:
@@ -219,13 +201,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _collector_argv(template: str, duration: float) -> list[str]:
+@contextlib.contextmanager
+def _collector(template: str, duration: float, samples: list):
+    """Run the collector command across one repeat's invocations and append
+    the sample parsed from its stdout. A kernel failure inside the window
+    still reaps the collector and stays the error reported."""
     command = template.replace("{pid}", str(os.getpid()))
-    command = command.replace("{duration}", f"{duration:g}")
-    argv = shlex.split(command)
+    argv = shlex.split(command.replace("{duration}", f"{duration:g}"))
     if not argv:
         raise EventError("empty collector command")
-    return argv
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        yield
+    finally:
+        out, err = proc.communicate()
+    if proc.returncode != 0:
+        raise EventError(f"collector exited with {proc.returncode}: {err.strip()[:200]}")
+    samples.append(topdown.parse_sample(out, path="<collector>"))
 
 
 def _write_run_csv(path: str, doc: dict):

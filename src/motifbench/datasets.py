@@ -269,10 +269,6 @@ class Provenance:
     rng_seed: int
     params: tuple[tuple[str, object], ...] = ()
 
-    @staticmethod
-    def of(generator: str, rng_seed: int, **params) -> "Provenance":
-        return Provenance(generator, rng_seed, tuple(sorted(params.items())))
-
 
 EXTERNAL = "external"
 

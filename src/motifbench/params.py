@@ -8,6 +8,7 @@ errors stay KernelError and generator errors stay InvariantError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,8 @@ def _coerce_value(spec: ParamSpec, value, what: str, error: type):
             value = float(value)
         except (TypeError, ValueError):
             raise error(f"{what} must be a number, got {value!r}") from None
+        if not math.isfinite(value):  # NaN would pass every range check below
+            raise error(f"{what} must be finite, got {value!r}")
     else:
         value = str(value)
     if spec.choices is not None and value not in spec.choices:

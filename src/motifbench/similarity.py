@@ -327,8 +327,9 @@ def append_vector_csv(path: str, vector: MetricVector):
     if not os.path.exists(path):
         write_vectors_csv(path, [vector])
         return
-    existing = read_vectors_csv(path)
-    if existing and existing[0].names != vector.names:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header != ["label", *vector.names]:
         raise InvariantError(f"{path}: metric ordering does not match existing header")
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

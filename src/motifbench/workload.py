@@ -14,18 +14,20 @@ which is also what keeps the graph acyclic. Input paths resolve relative to
 the spec file's directory; output paths resolve relative to the working
 directory.
 
-execute() runs the invocations in order, times each one on a monotonic clock
-(parsing, input materialization, and output writes are not timed), frees
+execute() validates and materializes once, then for each repeat runs the
+invocations in order inside its `window` context (a counter collector, say),
+times each kernel call, sizes each dataset once when it is produced, frees
 intermediates after their last use, and returns one RunReport per repeat.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, ContextManager, Optional
 
 from . import generators
 from .dataio import checksum_payload, load_dataset, payload_size, save_dataset
@@ -436,13 +438,15 @@ def execute(
     s: WorkloadSpec,
     repeat: int = 1,
     base_dir: Optional[str] = None,
-    write_outputs: bool = True,
+    window: Callable[[], ContextManager] = contextlib.nullcontext,
 ) -> list[RunReport]:
     """Run the DAG `repeat` times; returns reports in repeat order.
 
-    Kernels are pure and all randomness is seeded, so dataset results are
-    bit-identical across repeats; outputs are written once, after the last
-    repeat.
+    Validation and input materialization happen once, before the first
+    repeat; each repeat's invocation loop alone runs inside a fresh `window()`,
+    and its output checksums follow it. Kernels are pure and all randomness
+    is seeded, so results are bit-identical across repeats; outputs are
+    written once, after the last repeat.
     """
     if repeat < 1:
         raise InvariantError(f"repeat must be >= 1, got {repeat}")
@@ -451,6 +455,7 @@ def execute(
         raise SpecError(diags)
 
     base_env = _materialize_inputs(s, base_dir)
+    base_sizes = {oid: payload_size(payload) for oid, payload in base_env.items()}
     output_ids = {o.dataset_id for o in s.outputs}
     last_use: dict[str, int] = {}
     for idx, inv in enumerate(s.invocations):
@@ -458,55 +463,52 @@ def execute(
             last_use[op] = idx
 
     reports: list[RunReport] = []
-    final_env: dict[str, object] = dict(base_env)
     for r in range(repeat):
         env = dict(base_env)
+        sizes = dict(base_sizes)
         records: list[InvocationRecord] = []
-        for idx, inv in enumerate(s.invocations):
-            ops = [env[o] for o in inv.operands]
-            kspec = get_kernel(inv.motif)
-            params = kspec.coerce_params(inv.param_dict())
-            t0 = time.perf_counter_ns()
-            try:
-                result = kspec.fn(ops, params)
-            except MotifBenchError as exc:
-                raise WorkloadRuntimeError(
-                    f"invocation {inv.result_id!r} ({inv.motif}) failed: {exc}"
-                ) from exc
-            wall_ns = time.perf_counter_ns() - t0
-            in_bytes = sum(payload_size(o) for o in ops)
-            records.append(
-                InvocationRecord(inv.result_id, inv.motif, wall_ns, in_bytes, payload_size(result))
-            )
-            env[inv.result_id] = result
-            for op in inv.operands:
-                if last_use.get(op) == idx and op not in output_ids and op in env:
-                    del env[op]
-        total_ns = sum(rec.wall_ns for rec in records)
+        with window():
+            for idx, inv in enumerate(s.invocations):
+                ops = [env[o] for o in inv.operands]
+                kspec = get_kernel(inv.motif)
+                params = kspec.coerce_params(inv.param_dict())
+                t0 = time.perf_counter_ns()
+                try:
+                    result = kspec.fn(ops, params)
+                except MotifBenchError as exc:
+                    raise WorkloadRuntimeError(
+                        f"invocation {inv.result_id!r} ({inv.motif}) failed: {exc}"
+                    ) from exc
+                wall_ns = time.perf_counter_ns() - t0
+                env[inv.result_id] = result
+                out_bytes = sizes[inv.result_id] = payload_size(result)
+                in_bytes = sum(sizes[o] for o in inv.operands)
+                records.append(
+                    InvocationRecord(inv.result_id, inv.motif, wall_ns, in_bytes, out_bytes)
+                )
+                for op in inv.operands:
+                    if last_use.get(op) == idx and op not in output_ids and op in env:
+                        del env[op]
         checks = {oid: checksum_payload(env[oid]) for oid in sorted(output_ids) if oid in env}
         reports.append(
             RunReport(
                 workload=s.name,
                 repeat_index=r,
                 invocations=tuple(records),
-                total_ns=total_ns,
+                total_ns=sum(rec.wall_ns for rec in records),
                 family_fractions=family_fractions(records),
                 output_checksums=checks,
             )
         )
-        if r == repeat - 1:
-            final_env = env
 
-    if write_outputs:
-        for out in s.outputs:
-            path = out.path
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            try:
-                save_dataset(Dataset(final_env[out.dataset_id], "derived"), path)
-            except (OSError, FormatError) as exc:
-                raise WorkloadRuntimeError(f"writing output {out.dataset_id!r}: {exc}") from exc
+    for out in s.outputs:
+        parent = os.path.dirname(out.path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        try:
+            save_dataset(Dataset(env[out.dataset_id], "derived"), out.path)
+        except (OSError, FormatError) as exc:
+            raise WorkloadRuntimeError(f"writing output {out.dataset_id!r}: {exc}") from exc
     return reports
 
 

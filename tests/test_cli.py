@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import motifbench
+from motifbench import generators
 from motifbench.cli import main
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
@@ -61,6 +62,17 @@ def test_generate_bad_dist_is_usage_error(tmp_path, capsys, dist):
                    "--dist", dist, "-o", str(tmp_path / "m"))
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("short, full", [("gaussian:,2", "gaussian:0,2"),
+                                         ("uniform:,5", "uniform:0,5")])
+def test_generate_dist_empty_field_keeps_its_position(tmp_path, capsys, short, full):
+    checksums = []
+    for i, dist in enumerate((short, full)):
+        assert run_cli("generate", "matrix", "--rows", "3", "--cols", "3", "--rng-seed", "4",
+                       "--dist", dist, "-o", str(tmp_path / f"m{i}")) == 0
+        checksums.append(capsys.readouterr().out.split()[0])
+    assert checksums[0] == checksums[1]
 
 
 def test_generate_table_writes_pair_with_integrity(tmp_path, capsys):
@@ -213,6 +225,55 @@ def test_run_counters_cmd_collector(tmp_path, monkeypatch):
     assert doc["counters"]["averaged"]["events"]["uops_retired"] == 800
 
 
+def test_run_counters_cmd_materializes_inputs_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = generators.materialize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "materialize", counting)
+    collector = tmp_path / "collector.py"
+    collector.write_text("print('cycles,1000')\n")
+    report = tmp_path / "rep.json"
+    code = run_cli(
+        "run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "3",
+        "--counters", f"cmd:{sys.executable} {collector}", "--report", str(report),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(report.read_text())
+    assert [rep["repeat"] for rep in doc["repeats"]] == [0, 1, 2]
+    assert len(doc["counters"]["repeats"]) == 3
+
+
+def test_run_counters_cmd_kernel_failure_waits_for_collector(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "bad.spec"
+    spec.write_text(
+        'workload "w"\n'
+        "input a = generate.matrix(rows=2, cols=3, seed=1)\n"
+        "input b = generate.matrix(rows=2, cols=3, seed=2)\n"
+        "node p = matrix.multiply(a, b)\n"
+    )
+    marker = tmp_path / "collector.done"
+    collector = tmp_path / "collector.py"
+    collector.write_text(
+        "import sys, time\n"
+        "time.sleep(0.2)\n"
+        f"open({str(marker)!r}, 'w').close()\n"
+        "sys.exit(3)\n"
+    )
+    code = run_cli("run", "--spec", str(spec), "--counters", f"cmd:{sys.executable} {collector}")
+    assert code == 1
+    assert marker.exists()
+    err = capsys.readouterr().err
+    assert "'p'" in err and "matrix.multiply" in err
+    assert "collector exited" not in err
+
+
 def test_validate_shipped_specs_exit_0(capsys):
     for name in motifbench.SHIPPED_SPECS:
         assert run_cli("validate", "--spec", motifbench.shipped_spec_path(name)) == 0
@@ -229,6 +290,19 @@ def test_validate_arity_error_exit_nonzero(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "takes 2 operand(s)" in err
+
+
+@pytest.mark.parametrize("line", [
+    "input t = generate.text(bytes=64, seed=1)\nnode s = sampling.random_sample(t, fraction=nan)",
+    "input g = generate.graph(vertices=8, edges=4, seed=1)\nnode r = graph.pagerank(g, damping=nan)",
+    "input g = generate.graph(vertices=8, edges=4, seed=1)\nnode r = graph.pagerank(g, tol=inf)",
+])
+def test_validate_non_finite_float_exit_3(tmp_path, capsys, line):
+    bad = tmp_path / "nan.spec"
+    bad.write_text(f'workload "w"\n{line}\n')
+    assert run_cli("validate", "--spec", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert "line 3:" in err and "must be finite" in err
 
 
 # ---------------------------------------------------------------------------

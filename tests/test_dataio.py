@@ -137,7 +137,7 @@ def test_checksum_deterministic_and_sensitive():
 
 def test_checksum_ignores_provenance(tmp_path):
     m = Matrix(1, 2, [0.5, 1.5])
-    d1 = Dataset(m, Provenance.of("gen_matrix", 1))
+    d1 = Dataset(m, Provenance("gen_matrix", 1))
     d2 = Dataset(m, "external")
     save_dataset(d1, str(tmp_path / "a.matrix"))
     save_dataset(d2, str(tmp_path / "b.matrix"))

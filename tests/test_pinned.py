@@ -76,13 +76,41 @@ def _platform_fingerprint() -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SPEC_GOLDENS))
-def test_shipped_spec_output_checksums(name):
+def test_shipped_spec_output_checksums(name, tmp_path, monkeypatch):
     if name in LIBM_SPECS and _platform_fingerprint() != GOLDEN_PLATFORM:
         pytest.skip(f"{name} goes through libm; goldens recorded on {GOLDEN_PLATFORM}")
+    monkeypatch.chdir(tmp_path)
     spec = parse_spec_file(shipped_spec_path(name))
-    (report,) = execute(spec, write_outputs=False)
+    (report,) = execute(spec)
     got = {k: f"{v:016x}" for k, v in report.output_checksums.items()}
     assert got == SPEC_GOLDENS[name]
+
+
+# (id, in_bytes, out_bytes) per invocation. A later repeat reuses the input
+# sizes taken before the first one, so it is the one that can drift.
+SPEC_RECORD_SIZES = {
+    "index": [
+        ("hits", 36897, 30119),
+        ("vocab", 30119, 4277),
+        ("digests", 36897, 23413),
+        ("posting", 23413, 23413),
+    ],
+    "pagerank": [
+        ("scores", 131094, 8213),
+        ("boosted", 16426, 8213),
+        ("ranked", 8213, 8213),
+        ("summary", 8213, 38),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_RECORD_SIZES))
+def test_shipped_spec_record_sizes_on_a_later_repeat(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = parse_spec_file(shipped_spec_path(name))
+    _, second = execute(spec, repeat=2)
+    got = [(rec.dataset_id, rec.in_bytes, rec.out_bytes) for rec in second.invocations]
+    assert got == SPEC_RECORD_SIZES[name]
 
 
 # ---------------------------------------------------------------------------

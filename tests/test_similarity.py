@@ -263,6 +263,16 @@ def test_append_vector_csv(tmp_path):
         append_vector_csv(path, MetricVector("w3", ("other",), (1.0,)))
 
 
+def test_append_vector_csv_checks_header_of_header_only_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("label,a,b\n")
+    with pytest.raises(InvariantError, match="does not match existing header"):
+        append_vector_csv(str(path), MetricVector("w1", ("c",), (1.0,)))
+    assert path.read_text() == "label,a,b\n"
+    append_vector_csv(str(path), MetricVector("w1", ("a", "b"), (1.0, 2.0)))
+    assert [v.values for v in read_vectors_csv(str(path))] == [(1.0, 2.0)]
+
+
 def test_read_vectors_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,m0\nw1,notanumber\n")
