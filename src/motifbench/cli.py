@@ -60,11 +60,16 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_json(path: str, doc: dict):
+def _out_path(path: str) -> str:
+    """Create the parent directory of a path the CLI is about to write."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    return path
+
+
+def _write_json(path: str, doc: dict):
+    with open(_out_path(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -74,10 +79,7 @@ def _write_json(path: str, doc: dict):
 
 
 def _emit_dataset(dataset: Dataset, path: str, text_matrix: bool = False) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    save_dataset(dataset, path, text_matrix=text_matrix)
+    save_dataset(dataset, _out_path(path), text_matrix=text_matrix)
     digest = checksum_hex(checksum_payload(dataset.payload))
     size = os.path.getsize(path)
     print(f"{digest} {size} {path}")
@@ -129,7 +131,6 @@ def cmd_generate(args) -> int:
         # Both tables come from one draw, so generate the pair once.
         p = spec.param_dict()
         prov = Provenance("gen_table", spec.rng_seed, spec.params)
-        os.makedirs(args.output, exist_ok=True)
         tables = generators.gen_table(p["orders"], p["items"], spec.rng_seed)
         for name, table in zip(("order", "item"), tables):
             _emit_dataset(Dataset(table, prov), os.path.join(args.output, f"{name}.table"))
@@ -221,10 +222,7 @@ def _collector(template: str, duration: float, samples: list):
 
 
 def _write_run_csv(path: str, doc: dict):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["workload", "repeat", "id", "motif", "wall_ns", "in_bytes", "out_bytes"])
         for rep in doc["repeats"]:
@@ -287,12 +285,12 @@ def cmd_analyze(args) -> int:
         else:
             _write_json(args.output, doc)
     if args.vector_out:
-        similarity.append_vector_csv(args.vector_out, vector)
+        similarity.append_vector_csv(_out_path(args.vector_out), vector)
     return EXIT_OK
 
 
 def _write_vector_csv_file(path: str, vector: topdown.MetricVector):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
         for name, value in zip(vector.names, vector.values):
@@ -344,7 +342,7 @@ def cmd_cluster(args) -> int:
 
 
 def _write_merges_csv(path: str, dendrogram, labels):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "b", "distance", "new_id", "size"])
         for step in dendrogram.merges:

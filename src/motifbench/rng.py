@@ -58,13 +58,3 @@ class SplitMix64:
         u2 = self.random()
         r = math.sqrt(-2.0 * math.log(u1))
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)
-
-    def shuffle_pick(self, weights: list[float], total: float) -> int:
-        """Index drawn proportionally to non-negative weights summing to total."""
-        x = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1

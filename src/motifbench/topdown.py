@@ -37,10 +37,12 @@ ms_uops_ratio (microcode-sequencer uops per retired uop).
 
 from __future__ import annotations
 
+import ast
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import EventError, FormulaError, MissingEventsError
@@ -90,124 +92,74 @@ EVENT_INTENT = {
 
 
 # ---------------------------------------------------------------------------
-# formula language: + - * / ( ), numbers, event/metric identifiers, meta.*
+# formula language: Python arithmetic restricted to + - * /, unary -,
+# parentheses, int/float literals and dotted names (meta.width, UOPS.ALL)
 
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
-def _tokenize(formula: str):
-    tokens = []
-    i, n = 0, len(formula)
-    while i < n:
-        ch = formula[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            tokens.append((ch, ch))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (formula[j].isdigit() or formula[j] in ".eE" or
-                             (formula[j] in "+-" and formula[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(formula[i:j])
-            except ValueError:
-                raise FormulaError(f"bad number {formula[i:j]!r} in {formula!r}") from None
-            tokens.append(("num", value))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (formula[j].isalnum() or formula[j] in "_."):
-                j += 1
-            tokens.append(("name", formula[i:j]))
-            i = j
-        else:
-            raise FormulaError(f"unexpected character {ch!r} in {formula!r}")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, formula: str):
-        self.formula = formula
-        self.tokens = _tokenize(formula)
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self._expr()
-        if self.pos != len(self.tokens):
-            raise FormulaError(f"trailing input in formula {self.formula!r}")
-        return node
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op, _ = self._next()
-            node = (op, node, self._term())
-        return node
-
-    def _term(self):
-        node = self._factor()
-        while self._peek() in ("*", "/"):
-            op, _ = self._next()
-            node = (op, node, self._factor())
-        return node
-
-    def _factor(self):
-        kind = self._peek()
-        if kind is None:
-            raise FormulaError(f"formula {self.formula!r} ends unexpectedly")
-        if kind == "(":
-            self._next()
-            node = self._expr()
-            if self._peek() != ")":
-                raise FormulaError(f"missing ')' in {self.formula!r}")
-            self._next()
-            return node
-        if kind == "-":
-            self._next()
-            return ("neg", self._factor())
-        if kind == "num":
-            return ("num", self._next()[1])
-        if kind == "name":
-            return ("name", self._next()[1])
-        raise FormulaError(f"unexpected {kind!r} in {self.formula!r}")
+# Bounds the recursion of _from_ast and eval_formula; the built-in formulas
+# nest at most four deep.
+MAX_FORMULA_DEPTH = 100
 
 
 def parse_formula(formula: str):
-    return _Parser(formula).parse()
+    """Parse a formula into nested tuples: ('num', v), ('name', n),
+    ('neg', x) or (op, left, right). Raises FormulaError on anything else."""
+    try:
+        body = ast.parse(formula.strip(), mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # ValueError covers lone surrogates; RecursionError and MemoryError
+        # are how CPython's parser reports input nested past its own limits.
+        raise FormulaError(f"bad formula {formula!r}: {exc}") from None
+    return _from_ast(body, formula, 0)
 
 
-def formula_names(ast) -> set[str]:
-    kind = ast[0]
+def _from_ast(node, formula: str, depth: int):
+    if depth > MAX_FORMULA_DEPTH:
+        raise FormulaError(f"formula nested deeper than {MAX_FORMULA_DEPTH}: {formula!r}")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _from_ast(node.left, formula, depth + 1),
+                _from_ast(node.right, formula, depth + 1))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", _from_ast(node.operand, formula, depth + 1))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            return ("num", float(node.value))
+        except OverflowError:
+            raise FormulaError(f"number too large in {formula!r}") from None
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ("name", ".".join([node.id, *reversed(attrs)]))
+    raise FormulaError(f"unsupported {type(node).__name__} in formula {formula!r}")
+
+
+def formula_names(parsed) -> set[str]:
+    kind = parsed[0]
     if kind == "name":
-        return {ast[1]}
+        return {parsed[1]}
     if kind == "num":
         return set()
     if kind == "neg":
-        return formula_names(ast[1])
-    return formula_names(ast[1]) | formula_names(ast[2])
+        return formula_names(parsed[1])
+    return formula_names(parsed[1]) | formula_names(parsed[2])
 
 
-def eval_formula(ast, env: dict, where: str) -> float:
-    kind = ast[0]
+def eval_formula(parsed, env: dict, where: str) -> float:
+    kind = parsed[0]
     if kind == "num":
-        return ast[1]
+        return parsed[1]
     if kind == "name":
         try:
-            return env[ast[1]]
+            return env[parsed[1]]
         except KeyError:
-            raise MissingEventsError([ast[1]]) from None
+            raise MissingEventsError([parsed[1]]) from None
     if kind == "neg":
-        return -eval_formula(ast[1], env, where)
-    left = eval_formula(ast[1], env, where)
-    right = eval_formula(ast[2], env, where)
+        return -eval_formula(parsed[1], env, where)
+    left = eval_formula(parsed[1], env, where)
+    right = eval_formula(parsed[2], env, where)
     if kind == "+":
         return left + right
     if kind == "-":
@@ -363,58 +315,63 @@ class MetricNode:
     children: tuple["MetricNode", ...] = ()
 
 
+def _preorder(roots):
+    """(node, depth) pairs in pre-order, the order metrics are evaluated in;
+    roots are at depth 1."""
+    stack = [(root, 1) for root in reversed(roots)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+META_NAMES = ("meta.width", "meta.cycles")
+
+
 @dataclass(frozen=True)
 class MetricTree:
+    """A validated metric hierarchy. Construction parses every formula once;
+    a formula may name events, META_NAMES and metrics evaluated before it."""
+
     roots: tuple[MetricNode, ...]
+    # derived from roots, so left out of equality: name -> parsed formula in
+    # evaluation order, and the events the formulas need
+    _parsed: dict = field(init=False, compare=False, repr=False)
+    _events: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
-
-        def walk(node: MetricNode, depth: int):
+        if not self.roots:
+            raise EventError("metric tree has no root")
+        parsed: dict = {}
+        events: set[str] = set()
+        later = {node.name for node, _ in _preorder(self.roots)}
+        for node, depth in _preorder(self.roots):
             if depth > 5:
                 raise EventError(f"tree deeper than 5 levels at {node.name!r}")
-            if node.name in seen:
+            if node.name in parsed:
                 raise EventError(f"duplicate metric name {node.name!r}")
-            seen.add(node.name)
-            parse_formula(node.formula)  # raises FormulaError on bad syntax
-            for child in node.children:
-                walk(child, depth + 1)
-
-        for root in self.roots:
-            walk(root, 1)
+            later.discard(node.name)
+            parsed[node.name] = parse_formula(node.formula)
+            for ref in formula_names(parsed[node.name]):
+                if ref in later or ref == node.name:
+                    raise FormulaError(
+                        f"{node.name}: formula names {ref!r}, which is not evaluated before it"
+                    )
+                if ref.startswith("meta.") and ref not in META_NAMES:
+                    raise FormulaError(f"{node.name}: unknown metadata name {ref!r}")
+                if ref not in parsed and ref not in META_NAMES:
+                    events.add(ref)
+        object.__setattr__(self, "_parsed", parsed)
+        object.__setattr__(self, "_events", frozenset(events))
 
     def node_count(self) -> int:
-        def count(node: MetricNode) -> int:
-            return 1 + sum(count(c) for c in node.children)
-
-        return sum(count(r) for r in self.roots)
+        return len(self._parsed)
 
     def metric_names(self) -> list[str]:
-        names: list[str] = []
-
-        def walk(node: MetricNode):
-            names.append(node.name)
-            for child in node.children:
-                walk(child)
-
-        for root in self.roots:
-            walk(root)
-        return names
+        return list(self._parsed)
 
     def required_events(self) -> set[str]:
-        metric_names = set(self.metric_names())
-        needed: set[str] = set()
-
-        def walk(node: MetricNode):
-            for name in formula_names(parse_formula(node.formula)):
-                if name not in metric_names and not name.startswith("meta."):
-                    needed.add(name)
-            for child in node.children:
-                walk(child)
-
-        for root in self.roots:
-            walk(root)
-        return needed
+        return set(self._events)
 
 
 @dataclass(frozen=True)
@@ -425,36 +382,30 @@ class BreakdownNode:
     children: tuple["BreakdownNode", ...] = ()
 
     def find(self, name: str) -> Optional["BreakdownNode"]:
-        if self.name == name:
-            return self
-        for child in self.children:
-            hit = child.find(name)
-            if hit is not None:
-                return hit
-        return None
+        return next((node for node, _ in _preorder((self,)) if node.name == name), None)
 
 
-def _slots_expr() -> str:
-    return "(meta.width * meta.cycles)"
+_SLOTS = "(meta.width * meta.cycles)"
 
 
+@functools.cache
 def builtin_tree() -> MetricTree:
-    """The default metric hierarchy described in the module docstring."""
-    slots = _slots_expr()
+    """The default metric hierarchy described in the module docstring; built
+    once per process and shared, which is safe because trees are frozen."""
 
     def leaf(name, formula, negative_ok=False):
         return MetricNode(name, formula, negative_ok=negative_ok)
 
     retiring = MetricNode(
-        "Retiring", f"uops_retired / {slots}",
+        "Retiring", f"uops_retired / {_SLOTS}",
         children=(
-            MetricNode("Base", f"Retiring - ms_uops / {slots}"),
-            leaf("Microcode_Sequencer", f"ms_uops / {slots}"),
+            MetricNode("Base", f"Retiring - ms_uops / {_SLOTS}"),
+            leaf("Microcode_Sequencer", f"ms_uops / {_SLOTS}"),
         ),
     )
     bad_speculation = MetricNode(
         "Bad_Speculation",
-        f"(uops_issued - uops_retired + meta.width * recovery_cycles) / {slots}",
+        f"(uops_issued - uops_retired + meta.width * recovery_cycles) / {_SLOTS}",
         children=(
             MetricNode(
                 "Branch_Mispredicts",
@@ -464,7 +415,7 @@ def builtin_tree() -> MetricTree:
         ),
     )
     frontend = MetricNode(
-        "Frontend_Bound", f"frontend_undelivered_slots / {slots}",
+        "Frontend_Bound", f"frontend_undelivered_slots / {_SLOTS}",
         children=(
             MetricNode(
                 "Frontend_Latency", "frontend_zero_delivery_cycles / meta.cycles",
@@ -553,18 +504,23 @@ def tree_to_json(tree: MetricTree) -> list[dict]:
 def _node_from_json(obj: dict) -> MetricNode:
     if not isinstance(obj, dict) or "name" not in obj or "formula" not in obj:
         raise EventError(f"tree node needs 'name' and 'formula': {obj!r}")
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise EventError(f"tree node {obj['name']!r}: 'children' must be a list, got {children!r}")
     return MetricNode(
         name=str(obj["name"]),
         formula=str(obj["formula"]),
         expected_fraction=bool(obj.get("expected_fraction", True)),
         negative_ok=bool(obj.get("negative_ok", False)),
-        children=tuple(_node_from_json(c) for c in obj.get("children", [])),
+        children=tuple(_node_from_json(c) for c in children),
     )
 
 
 def tree_from_json(doc) -> MetricTree:
     if isinstance(doc, dict):
         doc = [doc]
+    if not isinstance(doc, list):
+        raise EventError(f"a tree is a node object or a list of them, got {doc!r}")
     return MetricTree(tuple(_node_from_json(obj) for obj in doc))
 
 
@@ -572,7 +528,7 @@ def load_tree(path: str) -> MetricTree:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise EventError(f"{path}: bad tree JSON: {exc}") from None
     return tree_from_json(doc)
 
@@ -601,11 +557,8 @@ def evaluate_tree(sample: EventSample, tree: MetricTree) -> BreakdownNode:
     env["meta.cycles"] = float(sample.cycles)
     env.setdefault("cycles", float(sample.cycles))
 
-    def fraction_children(parent: MetricNode) -> set[str]:
-        return {c.name for c in parent.children if c.expected_fraction}
-
     def eval_node(node: MetricNode) -> BreakdownNode:
-        value = eval_formula(parse_formula(node.formula), env, node.name)
+        value = eval_formula(tree._parsed[node.name], env, node.name)
         negative = False
         if node.expected_fraction:
             if not (FRACTION_LO <= value <= FRACTION_HI):
@@ -619,8 +572,8 @@ def evaluate_tree(sample: EventSample, tree: MetricTree) -> BreakdownNode:
         env[node.name] = value
         children = tuple(eval_node(c) for c in node.children)
         if children:
-            counted = fraction_children(node)
-            child_sum = sum(c.fraction for c in children if c.name in counted)
+            child_sum = sum(b.fraction for b, c in zip(children, node.children)
+                            if c.expected_fraction)
             if node.expected_fraction and child_sum > value + CHILD_SUM_TOLERANCE:
                 raise EventError(
                     f"children of {node.name} sum to {child_sum:.6f}, "
@@ -709,21 +662,8 @@ def to_metric_vector(
     """Deterministic pre-order flattening of all tree fractions plus the
     scalar metrics; the synthetic container root is not a metric and is
     skipped. extras appends further (name, value) pairs, e.g. ms_uops_ratio."""
-    names: list[str] = []
-    values: list[float] = []
-
-    def walk(node: BreakdownNode):
-        names.append(node.name)
-        values.append(node.fraction)
-        for child in node.children:
-            walk(child)
-
     roots = breakdown.children if breakdown.name == "pipeline" else (breakdown,)
-    for root in roots:
-        walk(root)
-    names.extend(["ipc", "mlp"])
-    values.extend([ipc_value, mlp_value])
-    for name, value in extras:
-        names.append(name)
-        values.append(value)
-    return MetricVector(label, tuple(names), tuple(values))
+    pairs = [(node.name, node.fraction) for node, _ in _preorder(roots)]
+    pairs += [("ipc", ipc_value), ("mlp", mlp_value), *extras]
+    names, values = zip(*pairs)
+    return MetricVector(label, names, values)

@@ -14,10 +14,11 @@ which is also what keeps the graph acyclic. Input paths resolve relative to
 the spec file's directory; output paths resolve relative to the working
 directory.
 
-execute() validates and materializes once, then for each repeat runs the
-invocations in order inside its `window` context (a counter collector, say),
-times each kernel call, sizes each dataset once when it is produced, frees
-intermediates after their last use, and returns one RunReport per repeat.
+execute() takes a spec from parse_spec, materializes its inputs once, then
+for each repeat runs the invocations in order inside its `window` context (a
+counter collector, say), times each kernel call, sizes each dataset once when
+it is produced, frees intermediates after their last use, and returns one
+RunReport per repeat.
 """
 
 from __future__ import annotations
@@ -442,18 +443,19 @@ def execute(
 ) -> list[RunReport]:
     """Run the DAG `repeat` times; returns reports in repeat order.
 
-    Validation and input materialization happen once, before the first
-    repeat; each repeat's invocation loop alone runs inside a fresh `window()`,
-    and its output checksums follow it. Kernels are pure and all randomness
-    is seeded, so results are bit-identical across repeats; outputs are
-    written once, after the last repeat.
+    `s` comes from parse_spec, which has validated it. Input materialization
+    and parameter coercion happen once, before the first repeat; each
+    repeat's invocation loop alone runs inside a fresh `window()`, and its
+    output checksums follow it. Kernels are pure and all randomness is
+    seeded, so results are bit-identical across repeats; outputs are written
+    once, after the last repeat.
     """
     if repeat < 1:
         raise InvariantError(f"repeat must be >= 1, got {repeat}")
-    diags = validate_spec(s)
-    if diags:
-        raise SpecError(diags)
-
+    calls = []
+    for inv in s.invocations:
+        kspec = get_kernel(inv.motif)
+        calls.append((inv, kspec.fn, kspec.coerce_params(inv.param_dict())))
     base_env = _materialize_inputs(s, base_dir)
     base_sizes = {oid: payload_size(payload) for oid, payload in base_env.items()}
     output_ids = {o.dataset_id for o in s.outputs}
@@ -468,13 +470,11 @@ def execute(
         sizes = dict(base_sizes)
         records: list[InvocationRecord] = []
         with window():
-            for idx, inv in enumerate(s.invocations):
+            for idx, (inv, fn, params) in enumerate(calls):
                 ops = [env[o] for o in inv.operands]
-                kspec = get_kernel(inv.motif)
-                params = kspec.coerce_params(inv.param_dict())
                 t0 = time.perf_counter_ns()
                 try:
-                    result = kspec.fn(ops, params)
+                    result = fn(ops, params)
                 except MotifBenchError as exc:
                     raise WorkloadRuntimeError(
                         f"invocation {inv.result_id!r} ({inv.motif}) failed: {exc}"

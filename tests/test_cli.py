@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import motifbench
-from motifbench import generators
+from motifbench import generators, workload
 from motifbench.cli import main
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
@@ -247,6 +247,22 @@ def test_run_counters_cmd_materializes_inputs_once(tmp_path, monkeypatch):
     doc = json.loads(report.read_text())
     assert [rep["repeat"] for rep in doc["repeats"]] == [0, 1, 2]
     assert len(doc["counters"]["repeats"]) == 3
+
+
+def test_run_validates_spec_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = workload.validate_spec
+
+    def counting(spec):
+        calls.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(workload, "validate_spec", counting)
+    code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("index"),
+                   "--repeat", "3")
+    assert code == 0
+    assert calls == ["index"]
 
 
 def test_run_counters_cmd_kernel_failure_waits_for_collector(tmp_path, capsys, monkeypatch):
@@ -537,6 +553,20 @@ def test_cluster_csv_flattening(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "a,b,distance,new_id,size"
     assert len(lines) == 1 + 3  # 4 leaves -> 3 merges
+
+
+def test_writes_create_missing_parent_directories(tmp_path):
+    dump = tmp_path / "d.csv"
+    write_sample(ideal_sample(), str(dump))
+    out = tmp_path / "new"
+    assert run_cli("--csv", "analyze", "--events", str(dump), "-o", str(out / "a" / "a.csv")) == 0
+    assert run_cli("analyze", "--events", str(dump),
+                   "--vector-out", str(out / "v" / "m.csv")) == 0
+    assert run_cli("--csv", "cluster", "--metrics", _metrics_csv(tmp_path),
+                   "-o", str(out / "c" / "c.csv")) == 0
+    assert (out / "a" / "a.csv").read_text().startswith("metric,value\n")
+    assert read_vectors_csv(str(out / "v" / "m.csv"))[0].names[0] == "Retiring"
+    assert (out / "c" / "c.csv").read_text().startswith("a,b,distance")
 
 
 def test_flag_range_validation_exits_2(tmp_path):

@@ -4,8 +4,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import motifbench
+from motifbench import topdown
 from motifbench.cli import main
 from motifbench.errors import EventError, FormulaError, MissingEventsError
 from motifbench.topdown import (
@@ -69,9 +71,37 @@ def test_formula_missing_name():
 
 
 def test_formula_syntax_errors():
-    for bad in ("1 +", "(a", "a b", "2 ** 3", ""):
+    for bad in ("1 +", "(a", "a b", "2 ** 3", "", "+a", "a % b", "a < b", "f(a)", "a[0]",
+                "(a, b)", "'a'", "1j", "007", "True", "None", "if", "a.", "a..b", "a\x00",
+                "\ud800", "1" * 5000):
         with pytest.raises(FormulaError):
             parse_formula(bad)
+
+
+def test_formula_python_numerals_comments_and_dotted_names():
+    env = {"UOPS_RETIRED.ALL": 2.0, "meta.width": 4.0}
+    assert parse_formula(" 0x10 + 1_000  # note ") == ("+", ("num", 16.0), ("num", 1000.0))
+    assert parse_formula("-a") == ("neg", ("name", "a"))
+    assert eval_formula(parse_formula("UOPS_RETIRED.ALL * meta.width"), env, "t") == 8.0
+
+
+@pytest.mark.parametrize("formula", [
+    " + ".join(["a"] * 6000), "-" * 2000 + "a", "-" * 100000 + "a", "(" * 2000 + "a" + ")" * 2000,
+    " * ".join(["a"] * (topdown.MAX_FORMULA_DEPTH + 2)),
+], ids=["6000-terms", "2000-minus", "100000-minus", "2000-parens", "past-limit"])
+def test_formula_nested_too_deep(formula):
+    with pytest.raises(FormulaError):
+        parse_formula(formula)
+    assert parse_formula(" * ".join(["a"] * topdown.MAX_FORMULA_DEPTH))[0] == "*"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_formula_raises_only_formula_error(text):
+    try:
+        parse_formula(text)
+    except FormulaError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +263,85 @@ def test_tree_rejects_depth_over_five():
 def test_tree_rejects_duplicate_names():
     with pytest.raises(EventError):
         MetricTree((MetricNode("A", "1"), MetricNode("A", "2")))
+
+
+def test_tree_parses_each_formula_once(monkeypatch):
+    calls = []
+    real = topdown.parse_formula
+
+    def counting(formula):
+        calls.append(formula)
+        return real(formula)
+
+    monkeypatch.setattr(topdown, "parse_formula", counting)
+    builtin_tree.cache_clear()
+    try:
+        tree = builtin_tree()
+        assert len(calls) == tree.node_count() == 32
+        assert builtin_tree() is tree
+        evaluate_tree(golden_sample(0.3), tree)
+        evaluate_tree(ideal_sample(), tree)
+        assert len(calls) == 32
+    finally:
+        builtin_tree.cache_clear()
+
+
+@pytest.mark.parametrize("roots", [
+    (MetricNode("A", "B + 1"), MetricNode("B", "1")),
+    (MetricNode("A", "A"),),
+    (MetricNode("A", "1", children=(MetricNode("C1", "C2"), MetricNode("C2", "1"))),),
+    (MetricNode("A", "1", children=(MetricNode("C", "B"),)), MetricNode("B", "1")),
+])
+def test_tree_rejects_references_not_evaluated_before(roots):
+    with pytest.raises(FormulaError) as err:
+        MetricTree(roots)
+    assert "is not evaluated before it" in str(err.value)
+
+
+def test_tree_rejects_unknown_meta_name():
+    with pytest.raises(FormulaError) as err:
+        MetricTree((MetricNode("A", "x / meta.slots"),))
+    assert "'A'" in str(err.value) or "A:" in str(err.value)
+    assert "meta.slots" in str(err.value)
+
+
+def test_tree_references_to_earlier_metrics_are_not_events():
+    tree = MetricTree((
+        MetricNode("A", "a / meta.cycles", children=(MetricNode("A1", "A / 2"),)),
+        MetricNode("B", "A1 + A - b * meta.width"),
+    ))
+    assert tree.required_events() == {"a", "b"}
+    assert tree.metric_names() == ["A", "A1", "B"]
+
+
+@pytest.mark.parametrize("doc", [
+    5, "tree", None, [],
+    {"name": "A", "formula": "1", "children": None},
+    [{"name": "A", "formula": "1", "children": 7}],
+])
+def test_tree_from_json_rejects_bad_shapes(doc):
+    with pytest.raises(EventError):
+        tree_from_json(doc)
+
+
+_DEEP_TREE = "".join(f'{{"name": "n{i}", "formula": "1", "children": [' for i in range(2000))
+
+
+@pytest.mark.parametrize("text, needle", [
+    (json.dumps([{"name": "A", "formula": "B"}, {"name": "B", "formula": "1"}]), "'B'"),
+    (json.dumps({"name": "A", "formula": "1", "children": None}), "children"),
+    ("[]", "no root"),
+    ("5", "a tree is"),
+    (_DEEP_TREE + "]}" * 2000, "bad tree JSON"),
+], ids=["forward-reference", "children-null", "empty", "number", "nested-2000"])
+def test_analyze_bad_tree_file_exit_1(tmp_path, capsys, text, needle):
+    tree = tmp_path / "tree.json"
+    tree.write_text(text)
+    dump = tmp_path / "d.csv"
+    write_sample(ideal_sample(), str(dump))
+    assert main(["analyze", "--events", str(dump), "--tree", str(tree)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
 
 
 # ---------------------------------------------------------------------------
