@@ -1,7 +1,8 @@
-"""Pinned outputs: canonical encodings, shipped-spec checksums, MD5 edge cases.
+"""Pinned outputs: canonical encodings, saved file bytes, shipped-spec
+checksums, MD5 edge cases.
 
-These values were recorded before the MD5 kernel and the canonical encoder
-were rewritten for speed; both rewrites must stay bit-exact. Outputs that pass
+These values were recorded before the MD5 kernel, the canonical encoder and
+the dataset writer were rewritten; each rewrite must stay bit-exact. Outputs that pass
 through the platform libm (gaussian draws, FFT twiddles) are pinned only on
 the platform they were recorded on.
 """
@@ -12,8 +13,8 @@ import platform
 import pytest
 
 from motifbench import shipped_spec_path
-from motifbench.dataio import canonical_bytes
-from motifbench.datasets import Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
+from motifbench.dataio import canonical_bytes, save_dataset
+from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
 from motifbench.kernels.logic import md5_bytes, md5_corpus
 from motifbench.workload import execute, parse_spec_file
 
@@ -51,6 +52,46 @@ def test_canonical_bytes_pinned(kind):
 def test_canonical_bytes_edgeless_graph_layout():
     blob = canonical_bytes(Graph(3, [], directed=False))
     assert blob == b"grph\x00" + (3).to_bytes(8, "little") + b"\x00" + bytes(8)
+
+
+# ---------------------------------------------------------------------------
+# save_dataset file bytes
+
+SAVED_SHA256 = {
+    "text": "2d76ca5647707731d7a62511dc198149341349b7093b275975d03ea9d0c4b826",
+    "table": "9d2916a14200d301d86d339c6c38034f9cf6be4e09bd7fa19463c15190cc4b88",
+    "matrix": "26b6b45ed6a143d16969741edfa24ffcdbdef2ea842b5dc3a840afedd14005a8",
+    "tensor": "5e6d6f2184e329e150c442fe96729955598994b13fa25e35ed53e5f6cb40de68",
+    "graph": "0b2555f3f9c966917b994b350ad26d415ca27477a4823d6366ef479bcee7e143",
+    "kv": "5c4c4306762319dad8ddd724278860649360c1bcfb9e84300b0475cef2d9e0e6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS))
+def test_saved_bytes_pinned(kind, tmp_path):
+    path = tmp_path / kind
+    save_dataset(Dataset(PAYLOADS[kind], "derived"), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[kind]
+
+
+def test_saved_text_matrix_bytes_pinned(tmp_path):
+    path = tmp_path / "matrix.txt"
+    save_dataset(Dataset(PAYLOADS["matrix"], "derived"), str(path), text_matrix=True)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "87012284508d50151f5126f749a8745da043bef7cc7e6925c464422cc3a8fd84"
+
+
+# 9000 values: the binary body spans more than one pack chunk.
+@pytest.mark.parametrize("payload, expected", [
+    (Matrix(3, 3000, [i / 7 - 600 for i in range(9000)]),
+     "bb31d2e59f040b9a14aa04a2034c8b38aef186152e23d6474d7897eeef56dbdf"),
+    (Tensor((2, 3, 1500), [(-1) ** i * i / 3 for i in range(9000)]),
+     "1cb0d1c606df30e3bbe5e813b6cbb5edb56092b3658e59710279b84083fe5197"),
+])
+def test_saved_bytes_pinned_across_pack_chunks(payload, expected, tmp_path):
+    path = tmp_path / "big"
+    save_dataset(Dataset(payload, "derived"), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------
