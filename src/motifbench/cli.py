@@ -19,7 +19,7 @@ import subprocess
 import sys
 
 from . import generators, similarity, topdown, workload
-from .dataio import checksum_hex, checksum_payload, save_dataset
+from .dataio import checksum_hex, checksum_payload, open_output, save_dataset
 from .datasets import Dataset, Provenance
 from .errors import (
     EventError,
@@ -60,18 +60,17 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _out_path(path: str) -> str:
-    """Create the parent directory of a path the CLI is about to write."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
-
-
 def _write_json(path: str, doc: dict):
-    with open(_out_path(path), "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: list, rows):
+    with open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def _write_json(path: str, doc: dict):
 
 
 def _emit_dataset(dataset: Dataset, path: str, text_matrix: bool = False) -> None:
-    save_dataset(dataset, _out_path(path), text_matrix=text_matrix)
+    save_dataset(dataset, path, text_matrix=text_matrix)
     digest = checksum_hex(checksum_payload(dataset.payload))
     size = os.path.getsize(path)
     print(f"{digest} {size} {path}")
@@ -192,7 +191,10 @@ def cmd_run(args) -> int:
     doc = workload.report_document(reports, counters=counters_doc)
     if args.report:
         if args.csv:
-            _write_run_csv(args.report, doc)
+            fields = ["id", "motif", "wall_ns", "in_bytes", "out_bytes"]
+            _write_csv(args.report, ["workload", "repeat", *fields],
+                       ([doc["workload"], rep["repeat"], *(inv[f] for f in fields)]
+                        for rep in doc["repeats"] for inv in rep["invocations"]))
         else:
             _write_json(args.report, doc)
     total_ms = sum(r.total_ns for r in reports) / 1e6
@@ -219,25 +221,6 @@ def _collector(template: str, duration: float, samples: list):
     if proc.returncode != 0:
         raise EventError(f"collector exited with {proc.returncode}: {err.strip()[:200]}")
     samples.append(topdown.parse_sample(out, path="<collector>"))
-
-
-def _write_run_csv(path: str, doc: dict):
-    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["workload", "repeat", "id", "motif", "wall_ns", "in_bytes", "out_bytes"])
-        for rep in doc["repeats"]:
-            for inv in rep["invocations"]:
-                writer.writerow(
-                    [
-                        doc["workload"],
-                        rep["repeat"],
-                        inv["id"],
-                        inv["motif"],
-                        inv["wall_ns"],
-                        inv["in_bytes"],
-                        inv["out_bytes"],
-                    ]
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +264,13 @@ def cmd_analyze(args) -> int:
         for name, value in extras:
             doc[name] = value
         if args.csv:
-            _write_vector_csv_file(args.output, vector)
+            _write_csv(args.output, ["metric", "value"],
+                       ([name, repr(value)] for name, value in zip(vector.names, vector.values)))
         else:
             _write_json(args.output, doc)
     if args.vector_out:
-        similarity.append_vector_csv(_out_path(args.vector_out), vector)
+        similarity.append_vector_csv(args.vector_out, vector)
     return EXIT_OK
-
-
-def _write_vector_csv_file(path: str, vector: topdown.MetricVector):
-    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for name, value in zip(vector.names, vector.values):
-            writer.writerow([name, repr(value)])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +306,8 @@ def cmd_cluster(args) -> int:
         }
     if args.output:
         if args.csv:
-            _write_merges_csv(args.output, dendrogram, labels)
+            _write_csv(args.output, ["a", "b", "distance", "new_id", "size"],
+                       ([m.a, m.b, repr(m.distance), m.new_id, m.size] for m in dendrogram.merges))
         else:
             _write_json(args.output, doc)
     _say(args, similarity.render_dendrogram(dendrogram, labels))
@@ -339,14 +316,6 @@ def cmd_cluster(args) -> int:
         for label, cluster in zip(labels, assignments):
             _say(args, f"cluster {cluster}: {label}")
     return EXIT_OK
-
-
-def _write_merges_csv(path: str, dendrogram, labels):
-    with open(_out_path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a", "b", "distance", "new_id", "size"])
-        for step in dendrogram.merges:
-            writer.writerow([step.a, step.b, repr(step.distance), step.new_id, step.size])
 
 
 # ---------------------------------------------------------------------------

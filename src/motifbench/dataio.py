@@ -18,6 +18,7 @@ so payload-equal datasets always hash equal.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -58,7 +59,7 @@ def _enc_str(out: io.BytesIO, s: str):
 _PACK_CHUNK = 8192
 
 
-def _write_packed(out: io.BytesIO, code: str, values):
+def _write_packed(out, code: str, values):
     """Write numbers as little-endian struct `code` items, in bounded chunks."""
     it = iter(values)
     while chunk := tuple(itertools.islice(it, _PACK_CHUNK)):
@@ -140,6 +141,33 @@ def _format_real(v: float) -> str:
     return repr(v)
 
 
+@contextlib.contextmanager
+def open_output(path: str, binary: bool = False):
+    """Open `path` for writing so that it only ever holds a complete file.
+
+    Creates the parent directory, writes to a temporary file beside `path`
+    (UTF-8 with untranslated newlines unless `binary`) and moves it onto
+    `path` when the block succeeds. On any exception the temporary file is
+    removed and `path` keeps its old content, or stays absent.
+    """
+    parent, name = os.path.split(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    # A prefix of the name keeps the temporary name within NAME_MAX (255
+    # bytes) even when `path` itself is close to it.
+    tmp = os.path.join(parent, f".{name[:48]}.{os.getpid()}.tmp")
+    # A plain open, so the file gets the usual mode under the umask.
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
     """Write a dataset file; load_dataset(path) reconstructs the same payload.
 
@@ -147,18 +175,19 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
     everything else has a single canonical form.
     """
     payload = d.payload
-    if isinstance(payload, TextCorpus):
-        if payload.documents and payload.documents[0].startswith(_HEADER_PREFIXES):
-            raise InvariantError(
-                "text corpus first line collides with a reserved format header; "
-                "it would not load back as a corpus"
-            )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    documents = payload.documents if isinstance(payload, TextCorpus) else ()
+    if documents and documents[0].startswith(_HEADER_PREFIXES):
+        raise InvariantError(
+            "text corpus first line collides with a reserved format header; "
+            "it would not load back as a corpus"
+        )
+    binary = isinstance(payload, Tensor) or (isinstance(payload, Matrix) and not text_matrix)
+    with open_output(path, binary=binary) as fh:
+        if isinstance(payload, TextCorpus):
             for line in payload.documents:
                 fh.write(line)
                 fh.write("\n")
-    elif isinstance(payload, Table):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        elif isinstance(payload, Table):
             fh.write("#table v1\n")
             fh.write(",".join(f"{n}:{k}" for n, k in payload.schema) + "\n")
             writer = csv.writer(fh, lineterminator="\n")
@@ -167,33 +196,27 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
                 writer.writerow(
                     [_format_real(v) if k == "real" else str(v) for k, v in zip(kinds, row)]
                 )
-    elif isinstance(payload, Matrix):
-        if text_matrix:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
-                for i in range(payload.rows):
-                    fh.write(",".join(_format_real(v) for v in payload.row(i)) + "\n")
-        else:
-            with open(path, "wb") as fh:
-                fh.write(f"#matrix v1 {payload.rows} {payload.cols}\n".encode("ascii"))
-                fh.write(struct.pack(f"<{len(payload.data)}d", *payload.data))
-    elif isinstance(payload, Tensor):
-        with open(path, "wb") as fh:
+        elif isinstance(payload, Matrix) and text_matrix:
+            fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
+            for i in range(payload.rows):
+                fh.write(",".join(_format_real(v) for v in payload.row(i)) + "\n")
+        elif isinstance(payload, Matrix):
+            fh.write(f"#matrix v1 {payload.rows} {payload.cols}\n".encode("ascii"))
+            _write_packed(fh, "d", payload.data)
+        elif isinstance(payload, Tensor):
             dims = " ".join(str(v) for v in payload.shape)
             fh.write(f"#tensor v1 {dims}\n".encode("ascii"))
-            fh.write(struct.pack(f"<{len(payload.data)}d", *payload.data))
-    elif isinstance(payload, Graph):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_packed(fh, "d", payload.data)
+        elif isinstance(payload, Graph):
             fh.write(f"#graph v1 {payload.vertex_count} {1 if payload.directed else 0}\n")
             for u, v in payload.edges:
                 fh.write(f"{u} {v}\n")
-    elif isinstance(payload, KeyValueSet):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        elif isinstance(payload, KeyValueSet):
             fh.write("#kv v1\n")
             for key, value in sorted(payload.entries.items()):
                 fh.write(f"{key}\t{value}\n")
-    else:
-        raise InvariantError(f"not a dataset payload: {type(payload).__name__}")
+        else:
+            raise InvariantError(f"not a dataset payload: {type(payload).__name__}")
 
 
 # ---------------------------------------------------------------------------

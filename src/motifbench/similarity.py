@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .dataio import open_output
 from .errors import InvariantError
 from .topdown import MetricVector
 
@@ -314,7 +315,7 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
     for v in vectors[1:]:
         if v.names != names:
             raise InvariantError(f"metric orderings differ at {v.label!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label", *names])
         for v in vectors:
@@ -323,7 +324,8 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
 
 def append_vector_csv(path: str, vector: MetricVector):
     """Create the CSV with a header on first use; append rows afterwards,
-    refusing mismatched metric orderings."""
+    refusing mismatched metric orderings. A row is appended in place: copying
+    the file to replace it atomically would make N appends cost O(N^2)."""
     if not os.path.exists(path):
         write_vectors_csv(path, [vector])
         return

@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .dataio import open_output
 from .errors import EventError, FormulaError, MissingEventsError
 
 DEFAULT_ISSUE_WIDTH = 4
@@ -101,6 +102,14 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 # nest at most four deep.
 MAX_FORMULA_DEPTH = 100
 
+# Errors quote at most this much of a formula, so one rejected formula cannot
+# turn into a diagnostic as long as itself.
+_QUOTE_CHARS = 200
+
+
+def _quote(formula: str) -> str:
+    return repr(formula[:_QUOTE_CHARS]) + ("..." if len(formula) > _QUOTE_CHARS else "")
+
 
 def parse_formula(formula: str):
     """Parse a formula into nested tuples: ('num', v), ('name', n),
@@ -110,13 +119,13 @@ def parse_formula(formula: str):
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # ValueError covers lone surrogates; RecursionError and MemoryError
         # are how CPython's parser reports input nested past its own limits.
-        raise FormulaError(f"bad formula {formula!r}: {exc}") from None
+        raise FormulaError(f"bad formula {_quote(formula)}: {exc}") from None
     return _from_ast(body, formula, 0)
 
 
 def _from_ast(node, formula: str, depth: int):
     if depth > MAX_FORMULA_DEPTH:
-        raise FormulaError(f"formula nested deeper than {MAX_FORMULA_DEPTH}: {formula!r}")
+        raise FormulaError(f"formula nested deeper than {MAX_FORMULA_DEPTH}: {_quote(formula)}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         return (_BINOPS[type(node.op)], _from_ast(node.left, formula, depth + 1),
                 _from_ast(node.right, formula, depth + 1))
@@ -126,14 +135,14 @@ def _from_ast(node, formula: str, depth: int):
         try:
             return ("num", float(node.value))
         except OverflowError:
-            raise FormulaError(f"number too large in {formula!r}") from None
+            raise FormulaError(f"number too large in {_quote(formula)}") from None
     attrs = []
     while isinstance(node, ast.Attribute):
         attrs.append(node.attr)
         node = node.value
     if isinstance(node, ast.Name):
         return ("name", ".".join([node.id, *reversed(attrs)]))
-    raise FormulaError(f"unsupported {type(node).__name__} in formula {formula!r}")
+    raise FormulaError(f"unsupported {type(node).__name__} in formula {_quote(formula)}")
 
 
 def formula_names(parsed) -> set[str]:
@@ -254,7 +263,7 @@ def load_sample(path: str, width: Optional[int] = None,
 
 
 def write_sample(sample: EventSample, path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(f"#meta width={sample.width}\n")
         fh.write(f"#meta cycles={sample.cycles:g}\n")
         if sample.label:
@@ -501,18 +510,23 @@ def tree_to_json(tree: MetricTree) -> list[dict]:
     return [_node_to_json(r) for r in tree.roots]
 
 
+_NODE_FIELDS = (("name", str), ("formula", str), ("expected_fraction", bool),
+                ("negative_ok", bool), ("children", list))
+
+
 def _node_from_json(obj: dict) -> MetricNode:
     if not isinstance(obj, dict) or "name" not in obj or "formula" not in obj:
         raise EventError(f"tree node needs 'name' and 'formula': {obj!r}")
-    children = obj.get("children", [])
-    if not isinstance(children, list):
-        raise EventError(f"tree node {obj['name']!r}: 'children' must be a list, got {children!r}")
+    for key, want in _NODE_FIELDS:
+        if key in obj and not isinstance(obj[key], want):
+            raise EventError(f"tree node {obj['name']!r}: {key!r} must be a "
+                             f"{want.__name__}, got {obj[key]!r}")
     return MetricNode(
-        name=str(obj["name"]),
-        formula=str(obj["formula"]),
-        expected_fraction=bool(obj.get("expected_fraction", True)),
-        negative_ok=bool(obj.get("negative_ok", False)),
-        children=tuple(_node_from_json(c) for c in children),
+        name=obj["name"],
+        formula=obj["formula"],
+        expected_fraction=obj.get("expected_fraction", True),
+        negative_ok=obj.get("negative_ok", False),
+        children=tuple(_node_from_json(c) for c in obj.get("children", [])),
     )
 
 

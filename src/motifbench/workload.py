@@ -287,37 +287,29 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
     names the offending dataset id or motif and its line."""
     diags: list[Diagnostic] = []
 
-    kinds: dict[str, str] = {}
-    definers: dict[str, int] = {}  # dataset id -> defining position in statement order
-    pos = 0
-    for decl in s.inputs:
-        if decl.dataset_id in definers:
-            diags.append(
-                Diagnostic(f"duplicate dataset id {decl.dataset_id!r}", decl.dataset_id, decl.line)
-            )
-            continue
-        if decl.kind not in ALL_KINDS:
-            diags.append(
-                Diagnostic(f"unknown payload kind {decl.kind!r}", decl.dataset_id, decl.line)
-            )
-        definers[decl.dataset_id] = pos
-        kinds[decl.dataset_id] = decl.kind
-        pos += 1
-
-    # Assign positions to invocation results so forward references are
-    # distinguishable from plain unknowns: a forward reference is a cycle in
-    # execution order.
-    inv_pos: dict[str, int] = {}
-    for inv in s.invocations:
-        if inv.result_id in definers or inv.result_id in inv_pos:
-            diags.append(
-                Diagnostic(f"duplicate dataset id {inv.result_id!r}", inv.result_id, inv.line)
-            )
+    # Statements in line order; each defines one dataset id. Knowing every id
+    # up front tells a forward reference (a cycle in execution order) from an
+    # unknown id.
+    statements = sorted([*s.inputs, *s.invocations], key=lambda st: st.line)
+    definer: dict[str, object] = {}  # dataset id -> the statement defining it
+    for st in statements:
+        sid = st.dataset_id if isinstance(st, InputDecl) else st.result_id
+        if sid in definer:
+            diags.append(Diagnostic(f"duplicate dataset id {sid!r}", sid, st.line))
         else:
-            inv_pos[inv.result_id] = pos
-        pos += 1
+            definer[sid] = st
 
-    for inv in s.invocations:
+    kinds: dict[str, str] = {}  # ids defined on earlier lines -> kind, "" if unknown
+    for st in statements:
+        if isinstance(st, InputDecl):
+            if definer[st.dataset_id] is st:
+                if st.kind not in ALL_KINDS:
+                    diags.append(
+                        Diagnostic(f"unknown payload kind {st.kind!r}", st.dataset_id, st.line)
+                    )
+                kinds[st.dataset_id] = st.kind
+            continue
+        inv = st
         if inv.motif not in REGISTRY:
             diags.append(Diagnostic(f"unknown motif {inv.motif!r}", inv.motif, inv.line))
             continue
@@ -325,12 +317,12 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         ok = True
         operand_kinds: list[str] = []
         for op in inv.operands:
-            if op in definers:
-                operand_kinds.append(kinds.get(op, ""))
+            if op in kinds:
+                operand_kinds.append(kinds[op])
                 continue
-            if op in inv_pos:
-                # Defined, but by this invocation or a later one: a back edge
-                # in execution order.
+            if op in definer:
+                # Defined, but on this line or a later one: a back edge in
+                # execution order.
                 diags.append(
                     Diagnostic(
                         f"cycle detected: {inv.result_id!r} consumes {op!r}, "
@@ -368,16 +360,13 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         except KernelError as exc:
             diags.append(Diagnostic(str(exc), inv.motif, inv.line))
             ok = False
-        if ok and inv.result_id in inv_pos:
+        if definer[inv.result_id] is inv:
             same = kspec.output_kind == SAME_AS_INPUT
-            kinds[inv.result_id] = operand_kinds[0] if same else kspec.output_kind
-        # Results become visible to later invocations only now.
-        if inv.result_id in inv_pos:
-            definers[inv.result_id] = inv_pos[inv.result_id]
+            kinds[inv.result_id] = (operand_kinds[0] if same else kspec.output_kind) if ok else ""
 
     writers: dict[str, int] = {}  # normalized output path -> first line writing it
     for out in s.outputs:
-        if out.dataset_id not in definers:
+        if out.dataset_id not in kinds:
             diags.append(
                 Diagnostic(f"undefined dataset id {out.dataset_id!r}", out.dataset_id, out.line)
             )
@@ -502,9 +491,6 @@ def execute(
         )
 
     for out in s.outputs:
-        parent = os.path.dirname(out.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         try:
             save_dataset(Dataset(env[out.dataset_id], "derived"), out.path)
         except (OSError, FormatError) as exc:

@@ -10,6 +10,7 @@ from motifbench.cli import main
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
 
+from .test_dataio import fail_on_write
 from .topdown_samples import golden_sample, ideal_sample
 
 
@@ -567,6 +568,28 @@ def test_writes_create_missing_parent_directories(tmp_path):
     assert (out / "a" / "a.csv").read_text().startswith("metric,value\n")
     assert read_vectors_csv(str(out / "v" / "m.csv"))[0].names[0] == "Retiring"
     assert (out / "c" / "c.csv").read_text().startswith("a,b,distance")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--events", "{dump}", "-o", "{out}"),
+    ("--csv", "cluster", "--metrics", "{metrics}", "-o", "{out}"),
+], ids=["json", "csv"])
+@pytest.mark.parametrize("existing", [True, False], ids=["over-old-file", "fresh-path"])
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv, existing):
+    dump = tmp_path / "d.csv"
+    write_sample(ideal_sample(), str(dump))
+    metrics = _metrics_csv(tmp_path)
+    out = tmp_path / "out" / "result"
+    if existing:
+        out.parent.mkdir()
+        out.write_bytes(b"old bytes\n")
+    fail_on_write(monkeypatch, 3)
+    argv = [a.format(dump=dump, metrics=metrics, out=out) for a in argv]
+    assert run_cli(*argv) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(out.parent) == (["result"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old bytes\n"
 
 
 def test_flag_range_validation_exits_2(tmp_path):

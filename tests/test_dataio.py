@@ -1,10 +1,18 @@
+import ast
+import errno
+import os
+import pathlib
 import random
+import stat
 
 import pytest
 
+import motifbench
+from motifbench import dataio
 from motifbench.dataio import (
     checksum_payload,
     load_dataset,
+    open_output,
     payload_size,
     save_dataset,
 )
@@ -179,3 +187,119 @@ def test_edgeless_graph_roundtrip(tmp_path):
 def test_empty_kv_roundtrip(tmp_path):
     kv = KeyValueSet({})
     assert roundtrip(tmp_path, kv) == kv
+
+
+# ---------------------------------------------------------------------------
+# atomic output
+
+
+class _FailingFile:
+    """A file whose n-th write raises ENOSPC, as a full disk would."""
+
+    def __init__(self, fh, fail_at):
+        self._fh, self._left = fh, fail_at
+
+    def write(self, data):
+        self._left -= 1
+        if self._left == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fail_on_write(monkeypatch, n):
+    """Make the n-th write to every file dataio opens raise ENOSPC."""
+    monkeypatch.setattr(dataio, "open", lambda *a, **kw: _FailingFile(open(*a, **kw), n),
+                        raising=False)
+
+
+GRAPH_1000 = Graph(1000, [(i, (7 * i + 1) % 1000) for i in range(1000)], directed=True)
+MATRIX_64 = Matrix(8, 8, [i / 3 for i in range(64)])
+
+
+@pytest.mark.parametrize("payload, fail_at", [(GRAPH_1000, 401), (MATRIX_64, 2)],
+                         ids=["graph", "binary-matrix"])
+@pytest.mark.parametrize("existing", [True, False], ids=["over-old-file", "fresh-path"])
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, payload, fail_at, existing):
+    path = tmp_path / "new" / "data"
+    if existing:
+        save_dataset(Dataset(payload), str(path))
+    old = path.read_bytes() if existing else None
+    fail_on_write(monkeypatch, fail_at)
+    with pytest.raises(OSError):
+        save_dataset(Dataset(payload), str(path))
+    assert os.listdir(path.parent) == (["data"] if existing else [])
+    if existing:
+        assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_open_output_replaces_file_and_creates_parent(tmp_path, binary):
+    path = tmp_path / "a" / "b" / "out"
+    for text in ("first, longer content\n", "second\r\n"):
+        with open_output(str(path), binary=binary) as fh:
+            fh.write(text.encode("utf-8") if binary else text)
+    assert path.read_bytes() == b"second\r\n"
+    assert os.listdir(path.parent) == ["out"]
+
+
+def test_open_output_accepts_longest_file_name(tmp_path):
+    path = tmp_path / ("x" * 255)
+    with open_output(str(path)) as fh:
+        fh.write("x")
+    assert os.listdir(tmp_path) == [path.name]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_open_output_mode_follows_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open_output(str(tmp_path / "out")) as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out").st_mode) == 0o666 & ~umask
+
+
+# Functions allowed to open a file for writing: the atomic writer, and the
+# one-row append of metric vectors, which would turn quadratic if each append
+# copied the file.
+WRITE_OPENERS = {("dataio.py", "open_output"), ("similarity.py", "append_vector_csv")}
+
+
+def _write_opens(path: pathlib.Path):
+    """(file, enclosing function) of each open() call whose mode may write;
+    a mode that is not a string literal counts as one that may."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (kw.value for kw in child.keywords if kw.arg == "mode"), None)
+                read_only = mode is None or (
+                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+                if name == "open" and not read_only:
+                    found.add((path.name, func))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_files_are_written_only_through_open_output():
+    src = pathlib.Path(motifbench.__file__).parent
+    found = set().union(*(_write_opens(p) for p in sorted(src.rglob("*.py"))))
+    assert found == WRITE_OPENERS

@@ -90,8 +90,9 @@ def test_formula_python_numerals_comments_and_dotted_names():
     " * ".join(["a"] * (topdown.MAX_FORMULA_DEPTH + 2)),
 ], ids=["6000-terms", "2000-minus", "100000-minus", "2000-parens", "past-limit"])
 def test_formula_nested_too_deep(formula):
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError) as err:
         parse_formula(formula)
+    assert len(str(err.value)) < 300
     assert parse_formula(" * ".join(["a"] * topdown.MAX_FORMULA_DEPTH))[0] == "*"
 
 
@@ -318,6 +319,11 @@ def test_tree_references_to_earlier_metrics_are_not_events():
     5, "tree", None, [],
     {"name": "A", "formula": "1", "children": None},
     [{"name": "A", "formula": "1", "children": 7}],
+    {"name": 7, "formula": "1"},
+    {"name": "A", "formula": 0.5},
+    {"name": "A", "formula": "1", "negative_ok": "false"},
+    {"name": "A", "formula": "1", "expected_fraction": 1},
+    {"name": "A", "formula": "1", "children": [{"name": "B", "formula": None}]},
 ])
 def test_tree_from_json_rejects_bad_shapes(doc):
     with pytest.raises(EventError):
@@ -333,7 +339,10 @@ _DEEP_TREE = "".join(f'{{"name": "n{i}", "formula": "1", "children": [' for i in
     ("[]", "no root"),
     ("5", "a tree is"),
     (_DEEP_TREE + "]}" * 2000, "bad tree JSON"),
-], ids=["forward-reference", "children-null", "empty", "number", "nested-2000"])
+    (json.dumps({"name": 7, "formula": 0.5, "negative_ok": "false"}), "tree node 7: 'name' must be a str"),
+    (json.dumps({"name": "A", "formula": " + ".join(["a"] * 6000)}), "bad formula"),
+], ids=["forward-reference", "children-null", "empty", "number", "nested-2000", "field-types",
+        "6000-terms"])
 def test_analyze_bad_tree_file_exit_1(tmp_path, capsys, text, needle):
     tree = tmp_path / "tree.json"
     tree.write_text(text)
@@ -341,7 +350,7 @@ def test_analyze_bad_tree_file_exit_1(tmp_path, capsys, text, needle):
     write_sample(ideal_sample(), str(dump))
     assert main(["analyze", "--events", str(dump), "--tree", str(tree)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and needle in err
+    assert err.startswith("error: ") and needle in err and len(err) < 400
 
 
 # ---------------------------------------------------------------------------

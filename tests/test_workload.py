@@ -70,6 +70,19 @@ def test_parse_forward_reference_is_cycle():
     assert any("cycle detected" in str(d) for d in err.value.diagnostics)
 
 
+def test_parse_forward_reference_to_input_is_cycle():
+    text = (
+        'workload "w"\n'
+        "node c = statistic.count(a)\n"
+        "input a = generate.matrix(rows=2, cols=2, seed=1)\n"
+    )
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "line 2: cycle detected: 'c' consumes 'a', which is not defined earlier"
+    ]
+
+
 def test_parse_unknown_motif():
     text = 'workload "w"\ninput m = generate.matrix(rows=2, cols=2, seed=1)\nnode a = warp.zoom(m)\n'
     with pytest.raises(SpecError) as err:
