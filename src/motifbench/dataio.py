@@ -12,8 +12,11 @@ File formats (all headers are ASCII, one per file):
 
 Checksums are the first 64 bits of SHA-256 over a canonical byte encoding of
 the payload: little-endian unsigned 64-bit counts, IEEE-754 binary64 values,
-UTF-8 strings, kv entries sorted by key. Provenance never enters the digest,
-so payload-equal datasets always hash equal.
+UTF-8 strings, kv entries sorted by key, so payload-equal datasets always
+hash equal.
+
+Every file the toolkit reads goes through read_input, and every file it
+writes through open_output except the one-row metrics append.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ import csv
 import hashlib
 import io
 import itertools
-import math
 import os
 import struct
 
 from .datasets import (
     Dataset,
-    EXTERNAL,
     Graph,
     KeyValueSet,
     Matrix,
@@ -37,7 +38,6 @@ from .datasets import (
     Table,
     Tensor,
     TextCorpus,
-    kind_of,
 )
 from .errors import FormatError, InvariantError
 
@@ -45,7 +45,10 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
-_HEADER_PREFIXES = ("#table v1", "#matrix v1", "#tensor v1", "#graph v1", "#kv v1")
+
+def _is_header(line: str) -> bool:
+    """Whether a first line reads as a format header, known or not."""
+    return line.startswith("#") and " v1" in line[:12]
 
 
 def _enc_str(out: io.BytesIO, s: str):
@@ -176,9 +179,9 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
     """
     payload = d.payload
     documents = payload.documents if isinstance(payload, TextCorpus) else ()
-    if documents and documents[0].startswith(_HEADER_PREFIXES):
+    if documents and _is_header(documents[0]):
         raise InvariantError(
-            "text corpus first line collides with a reserved format header; "
+            "text corpus first line reads as a format header; "
             "it would not load back as a corpus"
         )
     binary = isinstance(payload, Tensor) or (isinstance(payload, Matrix) and not text_matrix)
@@ -223,6 +226,38 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
 # load
 
 
+def _decode(blob: bytes, path: str, line: int = 1) -> str:
+    """UTF-8 text of `blob`, whose first line is line `line` of `path`."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += blob.count(b"\n", 0, exc.start)
+        raise FormatError(f"not valid UTF-8 ({exc.reason})", path=path, line=line) from None
+
+
+def read_input(path: str, binary: bool = False):
+    """Return the bytes of `path`, or unless `binary` its UTF-8 text with
+    newlines untranslated. A file that cannot be read or decoded raises
+    FormatError naming the path (and for bad bytes, their line)."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(exc.strerror, path=path) from None
+    return blob if binary else _decode(blob, path)
+
+
+def csv_records(text: str, path: str, line: int = 1):
+    """Yield the records of CSV `text`, whose first line is line `line` of
+    `path`; a record the csv module cannot parse raises FormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        line += reader.line_num - 1
+        raise FormatError(f"bad CSV record ({exc})", path=path, line=line) from None
+
+
 def _wrap_invariant(path, line, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -247,7 +282,7 @@ def _load_table(path: str, text: str) -> Table:
     body = "\n".join(lines[2:])
     rows = []
     kinds = [k for _, k in schema]
-    for offset, record in enumerate(csv.reader(io.StringIO(body))):
+    for offset, record in enumerate(csv_records(body, path, 3)):
         if not record:
             continue
         lineno = offset + 3
@@ -280,11 +315,7 @@ def _read_doubles(path: str, blob: bytes, count: int, what: str) -> tuple[float,
         raise FormatError(
             f"{what} body has {len(blob)} bytes, expected {want}", path=path
         )
-    values = struct.unpack(f"<{count}d", blob)
-    for v in values:
-        if not math.isfinite(v):
-            raise FormatError(f"{what} contains non-finite value {v!r}", path=path)
-    return values
+    return struct.unpack(f"<{count}d", blob)
 
 
 def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
@@ -298,8 +329,7 @@ def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
         raise FormatError(f"malformed matrix header {header!r}", path=path, line=1) from None
     if text_mode:
         data = []
-        text = rest.decode("utf-8")
-        for i, line in enumerate(text.split("\n")):
+        for i, line in enumerate(_decode(rest, path, 2).split("\n")):
             if line == "":
                 continue
             cells = line.split(",")
@@ -344,7 +374,7 @@ def _load_graph(path: str, header: str, rest: bytes) -> Graph:
     except ValueError:
         raise FormatError(f"malformed graph header {header!r}", path=path, line=1) from None
     edges = []
-    for i, line in enumerate(rest.decode("utf-8").split("\n")):
+    for i, line in enumerate(_decode(rest, path, 2).split("\n")):
         if line.strip() == "":
             continue
         parts = line.split()
@@ -367,7 +397,7 @@ def _load_graph(path: str, header: str, rest: bytes) -> Graph:
 def _load_kv(path: str, rest: bytes) -> KeyValueSet:
     entries = []
     seen = set()
-    for i, line in enumerate(rest.decode("utf-8").split("\n")):
+    for i, line in enumerate(_decode(rest, path, 2).split("\n")):
         if line == "":
             continue
         if "\t" not in line:
@@ -382,21 +412,13 @@ def _load_kv(path: str, rest: bytes) -> KeyValueSet:
 
 def load_dataset(path: str) -> Dataset:
     """Read any recognized dataset file; files without a reserved header are
-    text corpora. Loaded datasets carry 'external' provenance."""
-    if not os.path.exists(path):
-        raise FormatError("no such file", path=path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    newline = blob.find(b"\n")
-    first = blob[: newline if newline >= 0 else len(blob)]
-    try:
-        header = first.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("first line is not valid UTF-8", path=path, line=1) from None
-    rest = blob[newline + 1 :] if newline >= 0 else b""
+    text corpora."""
+    blob = read_input(path, binary=True)
+    first, _, rest = blob.partition(b"\n")
+    header = _decode(first, path)
 
     if header.startswith("#table v1"):
-        payload: Payload = _load_table(path, blob.decode("utf-8"))
+        payload: Payload = _load_table(path, _decode(blob, path))
     elif header.startswith("#matrix v1"):
         payload = _load_matrix(path, header, rest)
     elif header.startswith("#tensor v1"):
@@ -405,15 +427,11 @@ def load_dataset(path: str) -> Dataset:
         payload = _load_graph(path, header, rest)
     elif header.startswith("#kv v1"):
         payload = _load_kv(path, rest)
-    elif header.startswith("#") and " v1" in header[:12]:
+    elif _is_header(header):
         raise FormatError(f"unknown format header {header!r}", path=path, line=1)
     else:
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"corpus is not valid UTF-8: {exc}", path=path) from None
-        lines = text.split("\n")
+        lines = _decode(blob, path).split("\n")
         if lines and lines[-1] == "":
             lines.pop()
         payload = _wrap_invariant(path, None, TextCorpus, lines)
-    return Dataset(payload, EXTERNAL)
+    return Dataset(payload)

@@ -89,9 +89,11 @@ class Table:
             out = []
             for (name, kind), value in zip(norm_schema, row):
                 if kind == "integer":
+                    # the canonical encoding stores signed 64-bit integers
                     _require(
-                        isinstance(value, int) and not isinstance(value, bool),
-                        f"row {r} column {name!r}: expected integer, got {value!r}",
+                        isinstance(value, int) and not isinstance(value, bool)
+                        and -2**63 <= value < 2**63,
+                        f"row {r} column {name!r}: expected a 64-bit integer, got {value!r}",
                     )
                     out.append(value)
                 elif kind == "real":
@@ -117,9 +119,6 @@ class Table:
             if n == name:
                 return i
         raise KeyError(name)
-
-    def column_names(self) -> list[str]:
-        return [n for n, _ in self.schema]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -262,31 +261,13 @@ def kind_of(payload: Payload) -> str:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How a generated payload came to be: generator name, seed, parameters."""
-
-    generator: str
-    rng_seed: int
-    params: tuple[tuple[str, object], ...] = ()
-
-
-EXTERNAL = "external"
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A payload plus its origin. Checksums and file formats cover only the
-    payload; provenance is bookkeeping."""
+    """A validated payload, as loaded from a file or generated."""
 
     payload: Payload
-    provenance: Union[Provenance, str] = EXTERNAL
 
     def __post_init__(self):
         kind_of(self.payload)  # raises on foreign objects
-        if isinstance(self.provenance, str):
-            _require(self.provenance != "", "provenance must not be empty")
-        elif not isinstance(self.provenance, Provenance):
-            raise InvariantError(f"bad provenance: {self.provenance!r}")
 
     @property
     def kind(self) -> str:

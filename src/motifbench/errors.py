@@ -17,7 +17,7 @@ class InvariantError(MotifBenchError, ValueError):
 
 
 class FormatError(MotifBenchError):
-    """A data file could not be parsed."""
+    """A data file could not be read or parsed."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path

@@ -30,7 +30,6 @@ from .datasets import (
     Dataset,
     Graph,
     Matrix,
-    Provenance,
     Table,
     Tensor,
     TextCorpus,
@@ -406,7 +405,7 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
 
 
 def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
-    """Run the generator described by a GenSpec; attaches provenance."""
+    """Run the generator described by a GenSpec."""
     p = spec.param_dict()
     if spec.kind == "text":
         if "corpus" in p:
@@ -434,4 +433,4 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         payload = order if p["which"] == "order" else item
     else:
         raise InvariantError(f"unknown generator kind {spec.kind!r}")
-    return Dataset(payload, Provenance(f"gen_{spec.kind}", spec.rng_seed, spec.params))
+    return Dataset(payload)

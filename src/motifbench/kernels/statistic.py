@@ -103,11 +103,9 @@ def count_records(payload: Payload) -> KeyValueSet:
     return KeyValueSet({"count": str(n)})
 
 
-def _fibers(shape: tuple[int, ...], axis: int):
+def _fibers(x: Tensor, axis: int):
     """Yield flat-index lists of every 1-D fiber along `axis` (row-major)."""
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
+    shape, strides = x.shape, x.strides()
     other = [i for i in range(len(shape)) if i != axis]
     base_indices = [0]
     for ax in other:
@@ -126,7 +124,7 @@ def batch_norm(x: Tensor, axis: int = 0, epsilon: float = 1e-5) -> Tensor:
     if not epsilon > 0:
         raise KernelError(f"epsilon must be > 0, got {epsilon}")
     out = list(x.data)
-    for fiber in _fibers(x.shape, axis):
+    for fiber in _fibers(x, axis):
         n = len(fiber)
         mean = math.fsum(x.data[i] for i in fiber) / n
         var = math.fsum((x.data[i] - mean) ** 2 for i in fiber) / n
@@ -141,7 +139,7 @@ def cosine_norm(x: Tensor, axis: int = 0) -> Tensor:
     if not 0 <= axis < x.rank:
         raise KernelError(f"axis {axis} out of range for rank-{x.rank} tensor")
     out = list(x.data)
-    for fiber in _fibers(x.shape, axis):
+    for fiber in _fibers(x, axis):
         norm = math.sqrt(math.fsum(x.data[i] ** 2 for i in fiber))
         if norm == 0.0:
             raise KernelError("cosine_norm hit a zero-norm slice")

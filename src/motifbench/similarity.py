@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .dataio import open_output
+from .dataio import csv_records, open_output, read_input
 from .errors import InvariantError
 from .topdown import MetricVector
 
@@ -329,8 +329,7 @@ def append_vector_csv(path: str, vector: MetricVector):
     if not os.path.exists(path):
         write_vectors_csv(path, [vector])
         return
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), [])
+    header = next(csv_records(read_input(path), path), [])
     if header != ["label", *vector.names]:
         raise InvariantError(f"{path}: metric ordering does not match existing header")
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -339,26 +338,25 @@ def append_vector_csv(path: str, vector: MetricVector):
 
 
 def read_vectors_csv(path: str) -> list[MetricVector]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv_records(read_input(path), path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvariantError(f"{path}: empty metrics file") from None
+    if not header or header[0] != "label":
+        raise InvariantError(f"{path}: first column must be 'label'")
+    names = tuple(header[1:])
+    vectors = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(names) + 1:
+            raise InvariantError(
+                f"{path}:{lineno}: row has {len(row)} fields, header has {len(names) + 1}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvariantError(f"{path}: empty metrics file") from None
-        if not header or header[0] != "label":
-            raise InvariantError(f"{path}: first column must be 'label'")
-        names = tuple(header[1:])
-        vectors = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names) + 1:
-                raise InvariantError(
-                    f"{path}:{lineno}: row has {len(row)} fields, header has {len(names) + 1}"
-                )
-            try:
-                values = tuple(float(x) for x in row[1:])
-            except ValueError:
-                raise InvariantError(f"{path}:{lineno}: non-numeric metric value") from None
-            vectors.append(MetricVector(row[0], names, values))
+            values = tuple(float(x) for x in row[1:])
+        except ValueError:
+            raise InvariantError(f"{path}:{lineno}: non-numeric metric value") from None
+        vectors.append(MetricVector(row[0], names, values))
     return vectors

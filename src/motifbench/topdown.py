@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dataio import open_output
+from .dataio import open_output, read_input
 from .errors import EventError, FormulaError, MissingEventsError
 
 DEFAULT_ISSUE_WIDTH = 4
@@ -245,12 +245,15 @@ def parse_sample(text: str, path: str = "<sample>",
             if platform in events and abstract not in events:
                 events[abstract] = events.pop(platform)
     cycles = events.get("cycles", 0.0)
-    if "cycles" in meta:
-        # explicit metadata beats a counter row; keep the two views consistent
-        cycles = float(meta["cycles"])
-        events["cycles"] = cycles
-    if width is None:
-        width = int(meta.get("width", DEFAULT_ISSUE_WIDTH))
+    try:
+        if "cycles" in meta:
+            # explicit metadata beats a counter row; keep the two views consistent
+            cycles = float(meta["cycles"])
+            events["cycles"] = cycles
+        if width is None:
+            width = int(meta.get("width", DEFAULT_ISSUE_WIDTH))
+    except ValueError as exc:
+        raise EventError(f"{path}: bad metadata value: {exc}") from None
     if label is None:
         label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
     return EventSample(events=events, width=width, cycles=cycles, label=label)
@@ -258,8 +261,7 @@ def parse_sample(text: str, path: str = "<sample>",
 
 def load_sample(path: str, width: Optional[int] = None,
                 mapping: Optional[dict[str, str]] = None) -> EventSample:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sample(fh.read(), path=path, width=width, mapping=mapping)
+    return parse_sample(read_input(path), path=path, width=width, mapping=mapping)
 
 
 def write_sample(sample: EventSample, path: str):
@@ -277,15 +279,14 @@ def write_sample(sample: EventSample, path: str):
 def load_mapping(path: str) -> dict[str, str]:
     """Event mapping CSV: 'abstract_name,platform_name' per line."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," not in line:
-                raise EventError(f"{path}:{lineno}: expected 'abstract,platform', got {line!r}")
-            abstract, _, platform = line.partition(",")
-            mapping[abstract.strip()] = platform.strip()
+    for lineno, raw in enumerate(read_input(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," not in line:
+            raise EventError(f"{path}:{lineno}: expected 'abstract,platform', got {line!r}")
+        abstract, _, platform = line.partition(",")
+        mapping[abstract.strip()] = platform.strip()
     return mapping
 
 
@@ -373,12 +374,6 @@ class MetricTree:
         object.__setattr__(self, "_parsed", parsed)
         object.__setattr__(self, "_events", frozenset(events))
 
-    def node_count(self) -> int:
-        return len(self._parsed)
-
-    def metric_names(self) -> list[str]:
-        return list(self._parsed)
-
     def required_events(self) -> set[str]:
         return set(self._events)
 
@@ -389,9 +384,6 @@ class BreakdownNode:
     fraction: float
     negative_artifact: bool = False
     children: tuple["BreakdownNode", ...] = ()
-
-    def find(self, name: str) -> Optional["BreakdownNode"]:
-        return next((node for node, _ in _preorder((self,)) if node.name == name), None)
 
 
 _SLOTS = "(meta.width * meta.cycles)"
@@ -539,11 +531,10 @@ def tree_from_json(doc) -> MetricTree:
 
 
 def load_tree(path: str) -> MetricTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise EventError(f"{path}: bad tree JSON: {exc}") from None
+    try:
+        doc = json.loads(read_input(path))
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
+        raise EventError(f"{path}: bad tree JSON: {exc}") from None
     return tree_from_json(doc)
 
 

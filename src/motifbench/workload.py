@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
 
 from . import generators
-from .dataio import checksum_payload, load_dataset, payload_size, save_dataset
+from .dataio import checksum_payload, load_dataset, payload_size, read_input, save_dataset
 from .datasets import ALL_KINDS, Dataset
 from .errors import (
     FormatError,
@@ -274,8 +274,7 @@ def parse_spec(text: str) -> WorkloadSpec:
 
 
 def parse_spec_file(path: str) -> WorkloadSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    return parse_spec(read_input(path))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +491,7 @@ def execute(
 
     for out in s.outputs:
         try:
-            save_dataset(Dataset(env[out.dataset_id], "derived"), out.path)
+            save_dataset(Dataset(env[out.dataset_id]), out.path)
         except (OSError, FormatError) as exc:
             raise WorkloadRuntimeError(f"writing output {out.dataset_id!r}: {exc}") from exc
     return reports

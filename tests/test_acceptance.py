@@ -63,7 +63,7 @@ from .oracles import (
     triple_loop_matmul,
     union_find_components,
 )
-from .topdown_samples import golden_sample, random_valid_sample
+from .topdown_samples import find_node, golden_sample, random_valid_sample
 
 CASES = 100  # randomized instances per kernel
 
@@ -300,8 +300,8 @@ def test_criterion_3_topdown_closure_and_goldens():
         for top in root.children:
             check_children(top)
 
-    assert evaluate_tree(golden_sample(0.229), tree).find("Retiring").fraction == 0.229
-    assert evaluate_tree(golden_sample(0.398), tree).find("Retiring").fraction == 0.398
+    assert find_node(evaluate_tree(golden_sample(0.229), tree), "Retiring").fraction == 0.229
+    assert find_node(evaluate_tree(golden_sample(0.398), tree), "Retiring").fraction == 0.398
     _done(3, "level-1 closure + child sums on 1000 random samples; goldens 0.229/0.398 exact")
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import motifbench
-from motifbench import generators, workload
+from motifbench import generators, topdown, workload
 from motifbench.cli import main
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
@@ -603,3 +603,67 @@ def test_global_flags_accepted_after_subcommand(tmp_path, capsys, monkeypatch):
     code = run_cli("run", "--spec", motifbench.shipped_spec_path("index"), "--quiet")
     assert code == 0
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+_TREE = '[{"name": "Retiring", "formula": "uops_retired / (meta.width * meta.cycles)"}]\n'
+_DUMP = "#meta width=4\n#meta cycles=100\nuops_retired,92\n"
+
+# input kind -> (file name, content with a byte that is not UTF-8, its line,
+# the command reading it); {path} is the bad file, {ok} a valid event dump.
+_BAD_UTF8 = {
+    "spec-validate": ("w.spec", b'workload "w"\n# caf\xff\n', 2, "validate --spec {path}"),
+    "spec-run": ("w.spec", b'workload "w"\n# caf\xff\n', 2, "run --spec {path}"),
+    "event-dump": ("d.csv", b"#meta width=4\n#meta cycles=100\nuops_\xff,9\n", 3,
+                   "analyze --events {path}"),
+    "mapping": ("m.csv", b"a,b\n\xff,c\n", 2, "analyze --events {ok} --mapping {path}"),
+    "tree": ("t.json", b'[{"name": "\xff", "formula": "1"}]\n', 1,
+             "analyze --events {ok} --tree {path}"),
+    "metrics": ("v.csv", b"label,m0\nw1,0\nw\xff,1\n", 3, "cluster --metrics {path}"),
+    "seed-corpus": ("c.txt", b"one line\nbad \xff line\n", 2,
+                    "generate text --bytes 100 --seed-corpus {path} -o {out}"),
+    "corpus": ("c.txt", b"one line\nbad \xff line\n", 2, "run --spec {spec}"),
+    "graph": ("g", b"#graph v1 3 1\n0 1\n1 \xff\n", 3, "run --spec {spec}"),
+    "kv": ("k", b"#kv v1\na\t1\nb\t\xff\n", 3, "run --spec {spec}"),
+    "table": ("t", b"#table v1\na:string\nx\n\xff\n", 4, "run --spec {spec}"),
+    "text-matrix": ("m", b"#matrix v1 2 1 text\n1.0\n\xff\n", 3, "run --spec {spec}"),
+    "header": ("g", b"#graph v1 \xff\n", 1, "run --spec {spec}"),
+}
+_KIND_OF_FILE = {"corpus": "text", "graph": "graph", "kv": "kv", "table": "table",
+                 "text-matrix": "matrix", "header": "graph"}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_UTF8))
+def test_input_not_utf8_exits_1_naming_path_and_line(tmp_path, capsys, case):
+    name, content, line, command = _BAD_UTF8[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    ok = tmp_path / "ok.csv"
+    ok.write_text(_DUMP)
+    spec = tmp_path / "in.spec"
+    spec.write_text(f'workload "w"\ninput d : {_KIND_OF_FILE.get(case, "text")} @ "{path}"\n'
+                    "node n = statistic.count(d)\n")
+    argv = command.format(path=path, ok=ok, spec=spec, out=tmp_path / "out").split()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}:{line}: not valid UTF-8 (")
+
+
+@pytest.mark.parametrize("content, read", [
+    ('workload "w"\ninput a = generate.text(bytes=64, seed=1)\n'
+     "node c = statistic.count(a)  # tally\n", workload.parse_spec_file),
+    (_DUMP + "# comment\ncycles,100\n", topdown.load_sample),
+    ("# abstract,platform\nuops_retired, UOPS.RETIRED\ncycles,CPU_CLK\n", topdown.load_mapping),
+    ('[\n  {"name": "A",\n   "formula": "1"}\n]\n', topdown.load_tree),
+], ids=["spec", "event-dump", "mapping", "tree"])
+def test_crlf_input_reads_as_lf(tmp_path, content, read):
+    # same file name, since a dump without a label is labelled by its name
+    lf, crlf = tmp_path / "lf" / "in", tmp_path / "crlf" / "in"
+    lf.parent.mkdir()
+    crlf.parent.mkdir()
+    lf.write_bytes(content.encode())
+    crlf.write_bytes(content.replace("\n", "\r\n").encode())
+    assert read(str(crlf)) == read(str(lf))

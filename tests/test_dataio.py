@@ -1,9 +1,11 @@
 import ast
 import errno
+import math
 import os
 import pathlib
 import random
 import stat
+import struct
 
 import pytest
 
@@ -21,7 +23,6 @@ from motifbench.datasets import (
     Graph,
     KeyValueSet,
     Matrix,
-    Provenance,
     Table,
     Tensor,
     TextCorpus,
@@ -111,6 +112,17 @@ def test_table_arity_mismatch_on_load(tmp_path):
     assert "arity" in str(err.value) and ":4" in str(err.value)
 
 
+@pytest.mark.parametrize("body, message", [
+    ('"' + "x" * 200_000 + '"\n', ":3: bad CSV record"),
+    ("1\n" + "9" * 20 + "\n", "expected a 64-bit integer"),
+], ids=["beyond-csv-field-limit", "beyond-64-bits"])
+def test_table_cell_out_of_range_on_load(tmp_path, body, message):
+    path = tmp_path / "bad.table"
+    path.write_text("#table v1\na:integer\n" + body)
+    with pytest.raises(FormatError, match=message):
+        load_dataset(str(path))
+
+
 def test_matrix_header_consistency_on_load(tmp_path):
     path = tmp_path / "ok.matrix"
     save_dataset(Dataset(Matrix(2, 3, range(6))), str(path))
@@ -135,22 +147,16 @@ def test_truncated_matrix_body(tmp_path):
     path.write_bytes(b"#matrix v1 2 2\n" + b"\x00" * 17)
     with pytest.raises(FormatError):
         load_dataset(str(path))
+    # a body of the right length is still checked value by value
+    path.write_bytes(b"#matrix v1 2 2\n" + struct.pack("<4d", 1.0, math.nan, 3.0, 4.0))
+    with pytest.raises(FormatError, match="finite"):
+        load_dataset(str(path))
 
 
 def test_checksum_deterministic_and_sensitive():
     a = Matrix(2, 2, [1, 2, 3, 4])
     assert checksum_payload(a) == checksum_payload(Matrix(2, 2, [1, 2, 3, 4]))
     assert checksum_payload(a) != checksum_payload(Matrix(2, 2, [1, 2, 3, 5]))
-
-
-def test_checksum_ignores_provenance(tmp_path):
-    m = Matrix(1, 2, [0.5, 1.5])
-    d1 = Dataset(m, Provenance("gen_matrix", 1))
-    d2 = Dataset(m, "external")
-    save_dataset(d1, str(tmp_path / "a.matrix"))
-    save_dataset(d2, str(tmp_path / "b.matrix"))
-    assert (tmp_path / "a.matrix").read_bytes() == (tmp_path / "b.matrix").read_bytes()
-    assert checksum_payload(load_dataset(str(tmp_path / "a.matrix")).payload) == checksum_payload(m)
 
 
 def test_checksum_distinguishes_kinds():
@@ -269,15 +275,18 @@ def test_open_output_mode_follows_umask(tmp_path, umask):
     assert stat.S_IMODE(os.stat(tmp_path / "out").st_mode) == 0o666 & ~umask
 
 
-# Functions allowed to open a file for writing: the atomic writer, and the
-# one-row append of metric vectors, which would turn quadratic if each append
-# copied the file.
-WRITE_OPENERS = {("dataio.py", "open_output"), ("similarity.py", "append_vector_csv")}
+# The only functions that may call open(): the atomic writer, the reader, and
+# the one-row append of metric vectors, which would turn quadratic if each
+# append copied the file.
+OPENERS = {
+    ("dataio.py", "open_output"),
+    ("dataio.py", "read_input"),
+    ("similarity.py", "append_vector_csv"),
+}
 
 
-def _write_opens(path: pathlib.Path):
-    """(file, enclosing function) of each open() call whose mode may write;
-    a mode that is not a string literal counts as one that may."""
+def _opens(path: pathlib.Path):
+    """(file, enclosing function) of each call to a function named open."""
     found = set()
 
     def visit(node, func):
@@ -285,12 +294,7 @@ def _write_opens(path: pathlib.Path):
             if isinstance(child, ast.Call):
                 callee = child.func
                 name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (kw.value for kw in child.keywords if kw.arg == "mode"), None)
-                read_only = mode is None or (
-                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and not set(mode.value) & set("wax+"))
-                if name == "open" and not read_only:
+                if name == "open":
                     found.add((path.name, func))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
@@ -299,7 +303,7 @@ def _write_opens(path: pathlib.Path):
     return found
 
 
-def test_files_are_written_only_through_open_output():
+def test_files_are_opened_only_through_read_input_and_open_output():
     src = pathlib.Path(motifbench.__file__).parent
-    found = set().union(*(_write_opens(p) for p in sorted(src.rglob("*.py"))))
-    assert found == WRITE_OPENERS
+    found = set().union(*(_opens(p) for p in sorted(src.rglob("*.py"))))
+    assert found == OPENERS

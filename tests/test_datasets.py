@@ -7,7 +7,6 @@ from motifbench.datasets import (
     Graph,
     KeyValueSet,
     Matrix,
-    Provenance,
     Table,
     Tensor,
     TextCorpus,
@@ -107,9 +106,6 @@ def test_kv_rejects_duplicates_and_tabs():
 def test_dataset_kinds():
     assert kind_of(TextCorpus([])) == "text"
     assert kind_of(Matrix(1, 1, [0.0])) == "matrix"
-    ds = Dataset(Matrix(1, 1, [0.0]), Provenance("gen_matrix", 7, (("cols", 1), ("rows", 1))))
-    assert ds.kind == "matrix"
+    assert Dataset(Matrix(1, 1, [0.0])).kind == "matrix"
     with pytest.raises(InvariantError):
         Dataset("not a payload")  # type: ignore[arg-type]
-    with pytest.raises(InvariantError):
-        Dataset(Matrix(1, 1, [0.0]), "")

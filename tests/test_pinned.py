@@ -70,13 +70,13 @@ SAVED_SHA256 = {
 @pytest.mark.parametrize("kind", sorted(PAYLOADS))
 def test_saved_bytes_pinned(kind, tmp_path):
     path = tmp_path / kind
-    save_dataset(Dataset(PAYLOADS[kind], "derived"), str(path))
+    save_dataset(Dataset(PAYLOADS[kind]), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[kind]
 
 
 def test_saved_text_matrix_bytes_pinned(tmp_path):
     path = tmp_path / "matrix.txt"
-    save_dataset(Dataset(PAYLOADS["matrix"], "derived"), str(path), text_matrix=True)
+    save_dataset(Dataset(PAYLOADS["matrix"]), str(path), text_matrix=True)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "87012284508d50151f5126f749a8745da043bef7cc7e6925c464422cc3a8fd84"
 
@@ -90,7 +90,7 @@ def test_saved_text_matrix_bytes_pinned(tmp_path):
 ])
 def test_saved_bytes_pinned_across_pack_chunks(payload, expected, tmp_path):
     path = tmp_path / "big"
-    save_dataset(Dataset(payload, "derived"), str(path))
+    save_dataset(Dataset(payload), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 

@@ -1,0 +1,163 @@
+"""Property tests for the readers and the spec parser.
+
+Whatever bytes a dataset file holds, load_dataset returns a payload that can
+be checksummed or raises FormatError; whatever a spec file says, parse_spec
+returns a spec or raises SpecError; and a payload saved and loaded back keeps
+its checksum.
+"""
+
+import math
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from motifbench import SHIPPED_SPECS, shipped_spec_path
+from motifbench.dataio import checksum_payload, load_dataset, read_input, save_dataset
+from motifbench.datasets import (
+    TABLE_KINDS,
+    Dataset,
+    Graph,
+    KeyValueSet,
+    Matrix,
+    Table,
+    Tensor,
+    TextCorpus,
+)
+from motifbench.errors import FormatError, InvariantError, SpecError
+from motifbench.workload import parse_spec
+
+from .test_pinned import PAYLOADS
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+dims = st.integers(1, 4)
+# One line of text: no line terminator, no lone surrogate.
+line = st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
+               max_size=10)
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(dims), draw(dims)
+    return Matrix(rows, cols, draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def tensors(draw):
+    shape = draw(st.lists(dims, min_size=1, max_size=3))
+    size = math.prod(shape)
+    return Tensor(shape, draw(st.lists(finite, min_size=size, max_size=size)))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    return Graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=10)), draw(st.booleans()))
+
+
+@st.composite
+def tables(draw):
+    name = st.text(st.characters(blacklist_characters=":,\n\r", blacklist_categories=("Cs",)),
+                   min_size=1, max_size=6)
+    names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    kinds = draw(st.lists(st.sampled_from(TABLE_KINDS), min_size=len(names), max_size=len(names)))
+    cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": finite,
+            "string": st.text(max_size=8)}
+    rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=5))
+    return Table(list(zip(names, kinds)), rows)
+
+
+kv_key = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+                 max_size=6)
+# Corpus lines include some that read like format headers.
+corpus_line = line | st.sampled_from(["#table v1", "#graph v1 3 0", "#blob v1 2", "#", "# v1"])
+
+payloads = st.one_of(
+    st.lists(corpus_line, max_size=6).map(TextCorpus),
+    tables(),
+    matrices(),
+    tensors(),
+    graphs(),
+    st.dictionaries(kv_key, line, max_size=6).map(KeyValueSet),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=payloads, text_matrix=st.booleans())
+def test_load_of_save_keeps_the_checksum(tmp_path, payload, text_matrix):
+    path = str(tmp_path / "data")
+    try:
+        save_dataset(Dataset(payload), path, text_matrix=text_matrix)
+    except InvariantError:
+        # only a corpus whose first line reads as a format header is refused
+        assert isinstance(payload, TextCorpus) and payload.documents[0].startswith("#")
+        return
+    assert checksum_payload(load_dataset(path).payload) == checksum_payload(payload)
+
+
+def _saved_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved")
+    files = []
+    for kind, payload in sorted(PAYLOADS.items()):
+        save_dataset(Dataset(payload), str(out / kind))
+        files.append((out / kind).read_bytes())
+    save_dataset(Dataset(PAYLOADS["matrix"]), str(out / "matrix.txt"), text_matrix=True)
+    files.append((out / "matrix.txt").read_bytes())
+    return files
+
+
+# Random bytes, plus pieces that hit the parsers' edge cases: a byte that is
+# not UTF-8, line ends, separators, an integer beyond 64 bits, a NaN.
+BYTE_PIECES = st.binary(max_size=3) | st.sampled_from(
+    [b"\xff", b"\n", b"\r\n", b"\r", b",", b"\t", b'"', b"9" * 20, b"nan", b"-0"])
+
+
+@st.composite
+def mutations(draw, blob: bytes):
+    """`blob` with a few byte spans replaced, then possibly cut short."""
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(blob)))
+        span = draw(st.integers(0, 3))
+        blob = blob[:at] + draw(BYTE_PIECES) + blob[at + span:]
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+def test_load_of_mutated_files_raises_only_format_error(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "data"
+
+    @settings(max_examples=600, deadline=None)
+    @given(blob=st.sampled_from(_saved_files(tmp_path_factory)).flatmap(mutations))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            payload = load_dataset(str(path)).payload
+        except FormatError:
+            return
+        checksum_payload(payload)
+
+    check()
+
+
+SPEC_TEXTS = [read_input(shipped_spec_path(name)) for name in SHIPPED_SPECS]
+
+
+@st.composite
+def mutated_specs(draw):
+    text = draw(st.sampled_from(SPEC_TEXTS))
+    pieces = st.text(max_size=4) | st.sampled_from(
+        ["(", ")", ",", "=", '"', "@", "node ", "input ", "output ", "generate.", "1e999",
+         "-", "x", "\n", "#"])
+    for _ in range(draw(st.integers(1, 5))):
+        at = draw(st.integers(0, len(text)))
+        span = draw(st.integers(0, 6))
+        text = text[:at] + draw(pieces) + text[at + span:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=mutated_specs())
+def test_parse_of_mutated_specs_raises_only_spec_error(text):
+    try:
+        parse_spec(text)
+    except SpecError:
+        pass

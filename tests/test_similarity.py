@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from motifbench.errors import InvariantError
+from motifbench.errors import FormatError, InvariantError
 from motifbench.similarity import (
     Dendrogram,
     append_vector_csv,
@@ -280,4 +280,7 @@ def test_read_vectors_csv_rejects_malformed(tmp_path):
         read_vectors_csv(str(path))
     path.write_text("wrong,m0\n")
     with pytest.raises(InvariantError):
+        read_vectors_csv(str(path))
+    path.write_text("label,m0\n" + "w" * 200_000 + ",1\n")  # beyond the csv field limit
+    with pytest.raises(FormatError, match=":2: bad CSV record"):
         read_vectors_csv(str(path))

@@ -33,7 +33,14 @@ from motifbench.topdown import (
     write_sample,
 )
 
-from .topdown_samples import golden_sample, ideal_sample, random_valid_sample, zero_events
+from .topdown_samples import (
+    find_node,
+    golden_sample,
+    ideal_sample,
+    metric_names,
+    random_valid_sample,
+    zero_events,
+)
 
 LEVEL1_TREE = MetricTree(
     (
@@ -118,6 +125,12 @@ def test_parse_sample_cycles_event_line():
 def test_parse_sample_meta_lines():
     sample = parse_sample("#meta width=8\n#meta cycles=400\n#meta label=run1\nuops_retired,3\n")
     assert sample.width == 8 and sample.cycles == 400 and sample.label == "run1"
+
+
+@pytest.mark.parametrize("meta", ["width=abc", "cycles=zz", "width=" + "9" * 5000])
+def test_parse_sample_rejects_bad_meta_values(meta):
+    with pytest.raises(EventError, match="bad metadata value"):
+        parse_sample(f"#meta {meta}\ncycles,10\nuops_retired,1\n")
 
 
 def test_parse_sample_duplicate_event():
@@ -278,7 +291,7 @@ def test_tree_parses_each_formula_once(monkeypatch):
     builtin_tree.cache_clear()
     try:
         tree = builtin_tree()
-        assert len(calls) == tree.node_count() == 32
+        assert len(calls) == len(metric_names(tree)) == 32
         assert builtin_tree() is tree
         evaluate_tree(golden_sample(0.3), tree)
         evaluate_tree(ideal_sample(), tree)
@@ -312,7 +325,7 @@ def test_tree_references_to_earlier_metrics_are_not_events():
         MetricNode("B", "A1 + A - b * meta.width"),
     ))
     assert tree.required_events() == {"a", "b"}
-    assert tree.metric_names() == ["A", "A1", "B"]
+    assert metric_names(tree) == ["A", "A1", "B"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -341,8 +354,9 @@ _DEEP_TREE = "".join(f'{{"name": "n{i}", "formula": "1", "children": [' for i in
     (_DEEP_TREE + "]}" * 2000, "bad tree JSON"),
     (json.dumps({"name": 7, "formula": 0.5, "negative_ok": "false"}), "tree node 7: 'name' must be a str"),
     (json.dumps({"name": "A", "formula": " + ".join(["a"] * 6000)}), "bad formula"),
+    ('{"name": "A", "formula": "1", "n": ' + "1" * 5000 + "}", "bad tree JSON"),
 ], ids=["forward-reference", "children-null", "empty", "number", "nested-2000", "field-types",
-        "6000-terms"])
+        "6000-terms", "int-5000-digits"])
 def test_analyze_bad_tree_file_exit_1(tmp_path, capsys, text, needle):
     tree = tmp_path / "tree.json"
     tree.write_text(text)
@@ -385,7 +399,7 @@ def test_ideal_pipeline_all_retiring():
 def test_golden_retiring_fractions_exact():
     for target in (0.229, 0.398):
         root = evaluate_tree(golden_sample(target), builtin_tree())
-        assert root.find("Retiring").fraction == target
+        assert find_node(root, "Retiring").fraction == target
 
 
 def test_missing_events_all_named():
@@ -434,7 +448,7 @@ def test_l2_negative_artifact_flagged():
     flagged = 0
     for _ in range(50):
         root = evaluate_tree(random_valid_sample(rng, force_erratum=True), tree)
-        node = root.find("L2_Bound")
+        node = find_node(root, "L2_Bound")
         if node.fraction < 0:
             assert node.negative_artifact
             flagged += 1
@@ -482,7 +496,7 @@ def test_frontend_monotone_in_undelivered_slots():
         events["uops_issued"] = slots // 10
         sample = EventSample(dict(events, frontend_undelivered_slots=int(frac * slots)),
                              width=width, cycles=cycles)
-        value = evaluate_tree(sample, tree).find("Frontend_Bound").fraction
+        value = find_node(evaluate_tree(sample, tree), "Frontend_Bound").fraction
         assert value >= prev
         prev = value
 
@@ -547,7 +561,7 @@ def test_vector_length_is_node_count_plus_two():
     sample = random_valid_sample(rng)
     root = evaluate_tree(sample, tree)
     vec = to_metric_vector(root, ipc(sample), mlp(sample), "w")
-    assert len(vec.names) == tree.node_count() + 2
+    assert len(vec.names) == len(metric_names(tree)) + 2
     assert vec.names[-2:] == ("ipc", "mlp")
 
 

@@ -1,4 +1,5 @@
-"""Constructors for event samples used across the analyzer tests.
+"""Constructors for event samples used across the analyzer tests, and
+lookups into metric trees and breakdowns.
 
 random_valid_sample builds integer event counts top-down from slot budgets so
 every hierarchy constraint (level-1 closure, child sums, fraction ranges)
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from motifbench.topdown import EventSample
+from motifbench.topdown import EventSample, _preorder
 
 ALL_EVENTS = (
     "instructions_retired",
@@ -165,3 +166,13 @@ def ideal_sample(width: int = 4, cycles: int = 1000) -> EventSample:
     events["instructions_retired"] = slots
     events["ms_uops"] = 0
     return EventSample(events=events, width=width, cycles=cycles, label="ideal")
+
+
+def metric_names(tree) -> list[str]:
+    """A metric tree's node names in evaluation (pre-)order."""
+    return [node.name for node, _ in _preorder(tree.roots)]
+
+
+def find_node(root, name: str):
+    """The breakdown node called `name` under `root`, or None."""
+    return next((node for node, _ in _preorder((root,)) if node.name == name), None)
