@@ -193,7 +193,11 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
         elif isinstance(payload, Table):
             fh.write("#table v1\n")
             fh.write(",".join(f"{n}:{k}" for n, k in payload.schema) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
+            # csv quotes a field only for the characters of its line terminator,
+            # but a bare CR in a string cell would read back as a line break
+            has_cr = any("\r" in v for row in payload.rows for v in row if isinstance(v, str))
+            quoting = csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
+            writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
             kinds = [k for _, k in payload.schema]
             for row in payload.rows:
                 writer.writerow(
@@ -245,6 +249,14 @@ def read_input(path: str, binary: bool = False):
     except OSError as exc:
         raise FormatError(exc.strerror, path=path) from None
     return blob if binary else _decode(blob, path)
+
+
+def resolve_path(path: str, base_dir: str | None) -> str:
+    """`path` taken relative to `base_dir` (a spec file's directory) unless
+    it is absolute or there is no base."""
+    if base_dir is not None and not os.path.isabs(path):
+        return os.path.join(base_dir, path)
+    return path
 
 
 def csv_records(text: str, path: str, line: int = 1):

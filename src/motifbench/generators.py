@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dataio import load_dataset, resolve_path
 from .datasets import (
     Dataset,
     Graph,
@@ -409,12 +410,7 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
     p = spec.param_dict()
     if spec.kind == "text":
         if "corpus" in p:
-            from .dataio import load_dataset  # local import avoids a cycle
-            import os
-
-            path = p["corpus"]
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+            path = resolve_path(p["corpus"], base_dir)
             seed_ds = load_dataset(path)
             if not isinstance(seed_ds.payload, TextCorpus):
                 raise InvariantError(f"seed corpus {path!r} is not a text corpus")

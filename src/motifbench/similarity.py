@@ -6,10 +6,10 @@ merge clusters bottom-up under Euclidean distance. A short linkage distance
 between two workloads means their metric profiles are close; the Dendrogram
 merge list records every join and its distance.
 
-The covariance eigendecomposition is a cyclic Jacobi sweep (rotate away the
-largest remaining off-diagonal entries until the off-diagonal Frobenius norm
-drops below 1e-12), which keeps the component matrix orthonormal by
-construction.
+The covariance eigendecomposition is cyclic Jacobi: each sweep rotates away
+every off-diagonal entry (p, q) in turn, row by row, and sweeps repeat until
+the off-diagonal Frobenius norm drops below 1e-12. Rotations keep the
+component matrix orthonormal by construction.
 """
 
 from __future__ import annotations

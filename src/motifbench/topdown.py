@@ -96,15 +96,18 @@ EVENT_INTENT = {
 # formula language: Python arithmetic restricted to + - * /, unary -,
 # parentheses, int/float literals and dotted names (meta.width, UOPS.ALL)
 
-_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
-# Bounds the recursion of _from_ast and eval_formula; the built-in formulas
-# nest at most four deep.
+# Bounds the recursion of _checked; the built-in formulas nest at most four
+# deep.
 MAX_FORMULA_DEPTH = 100
 
 # Errors quote at most this much of a formula, so one rejected formula cannot
 # turn into a diagnostic as long as itself.
 _QUOTE_CHARS = 200
+
+# The one name compiled formulas read; every formula name is a key into it.
+_ENV = "env"
 
 
 def _quote(formula: str) -> str:
@@ -112,72 +115,61 @@ def _quote(formula: str) -> str:
 
 
 def parse_formula(formula: str):
-    """Parse a formula into nested tuples: ('num', v), ('name', n),
-    ('neg', x) or (op, left, right). Raises FormulaError on anything else."""
+    """Compile a formula; returns (code, names), the code eval_formula runs and
+    the set of names the formula reads. Raises FormulaError on anything
+    outside the formula language."""
     try:
         body = ast.parse(formula.strip(), mode="eval").body
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # ValueError covers lone surrogates; RecursionError and MemoryError
         # are how CPython's parser reports input nested past its own limits.
         raise FormulaError(f"bad formula {_quote(formula)}: {exc}") from None
-    return _from_ast(body, formula, 0)
+    names: set[str] = set()
+    tree = ast.Expression(_checked(body, formula, 0, names))
+    return compile(tree, "<formula>", "eval"), names
 
 
-def _from_ast(node, formula: str, depth: int):
+def _checked(node, formula: str, depth: int, names: set):
+    """Check one node of the whitelist and rewrite it for compile: numbers
+    become floats and a dotted name (meta.width) becomes env["meta.width"],
+    so a name resolves in the evaluation env and nowhere else."""
     if depth > MAX_FORMULA_DEPTH:
         raise FormulaError(f"formula nested deeper than {MAX_FORMULA_DEPTH}: {_quote(formula)}")
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return (_BINOPS[type(node.op)], _from_ast(node.left, formula, depth + 1),
-                _from_ast(node.right, formula, depth + 1))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+        node.left = _checked(node.left, formula, depth + 1, names)
+        node.right = _checked(node.right, formula, depth + 1, names)
+        return node
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return ("neg", _from_ast(node.operand, formula, depth + 1))
+        node.operand = _checked(node.operand, formula, depth + 1, names)
+        return node
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
-            return ("num", float(node.value))
+            node.value = float(node.value)
         except OverflowError:
             raise FormulaError(f"number too large in {_quote(formula)}") from None
+        return node
     attrs = []
     while isinstance(node, ast.Attribute):
         attrs.append(node.attr)
         node = node.value
     if isinstance(node, ast.Name):
-        return ("name", ".".join([node.id, *reversed(attrs)]))
+        name = ".".join([node.id, *reversed(attrs)])
+        names.add(name)
+        # compile needs a source location on every node; the new ones take the name's
+        env = ast.copy_location(ast.Name(_ENV, ast.Load()), node)
+        key = ast.copy_location(ast.Constant(name), node)
+        return ast.copy_location(ast.Subscript(env, key, ast.Load()), node)
     raise FormulaError(f"unsupported {type(node).__name__} in formula {_quote(formula)}")
 
 
-def formula_names(parsed) -> set[str]:
-    kind = parsed[0]
-    if kind == "name":
-        return {parsed[1]}
-    if kind == "num":
-        return set()
-    if kind == "neg":
-        return formula_names(parsed[1])
-    return formula_names(parsed[1]) | formula_names(parsed[2])
-
-
 def eval_formula(parsed, env: dict, where: str) -> float:
-    kind = parsed[0]
-    if kind == "num":
-        return parsed[1]
-    if kind == "name":
-        try:
-            return env[parsed[1]]
-        except KeyError:
-            raise MissingEventsError([parsed[1]]) from None
-    if kind == "neg":
-        return -eval_formula(parsed[1], env, where)
-    left = eval_formula(parsed[1], env, where)
-    right = eval_formula(parsed[2], env, where)
-    if kind == "+":
-        return left + right
-    if kind == "-":
-        return left - right
-    if kind == "*":
-        return left * right
-    if right == 0.0:
-        raise FormulaError(f"{where}: division by zero")
-    return left / right
+    """Evaluate a parse_formula result over env (name -> value)."""
+    try:
+        return eval(parsed[0], {"__builtins__": {}, _ENV: env})
+    except KeyError as exc:
+        raise MissingEventsError(exc.args) from None
+    except ZeroDivisionError:
+        raise FormulaError(f"{where}: division by zero") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,8 @@ class MetricTree:
     a formula may name events, META_NAMES and metrics evaluated before it."""
 
     roots: tuple[MetricNode, ...]
-    # derived from roots, so left out of equality: name -> parsed formula in
-    # evaluation order, and the events the formulas need
+    # derived from roots, so left out of equality: name -> parse_formula's
+    # (code, names) in evaluation order, and the events the formulas need
     _parsed: dict = field(init=False, compare=False, repr=False)
     _events: frozenset = field(init=False, compare=False, repr=False)
 
@@ -362,7 +354,7 @@ class MetricTree:
                 raise EventError(f"duplicate metric name {node.name!r}")
             later.discard(node.name)
             parsed[node.name] = parse_formula(node.formula)
-            for ref in formula_names(parsed[node.name]):
+            for ref in parsed[node.name][1]:
                 if ref in later or ref == node.name:
                     raise FormulaError(
                         f"{node.name}: formula names {ref!r}, which is not evaluated before it"

@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
 
 from . import generators
-from .dataio import checksum_payload, load_dataset, payload_size, read_input, save_dataset
+from .dataio import (
+    checksum_hex,
+    checksum_payload,
+    load_dataset,
+    payload_size,
+    read_input,
+    resolve_path,
+    save_dataset,
+)
 from .datasets import ALL_KINDS, Dataset
 from .errors import (
     FormatError,
@@ -130,36 +138,23 @@ _RE_NODE = re.compile(
 )
 _RE_OUTPUT = re.compile(rf'^output\s+(?P<id>{_ID})\s*@\s*"(?P<path>[^"]*)"\s*$')
 
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+# A quoted value runs to the next '"' (there are no escapes), or to the end of
+# the text when unterminated; '#', ',' and '=' inside it are literal.
+_QUOTED = r'"[^"]*"?'
 
 
-def _split_args(text: str) -> list[str]:
-    parts = []
-    cur = []
-    in_quote = False
-    for ch in text:
-        if ch == '"':
-            in_quote = not in_quote
-            cur.append(ch)
-        elif ch == "," and not in_quote:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail or parts:
-        parts.append(tail)
-    return parts
+def _outside_quotes(stop: str) -> str:
+    """Pattern for the text up to the first `stop` character outside quotes:
+    a run of plain characters, then repeatedly one quoted value and the run
+    after it. Every character is read once and no match can fail, so a scan
+    is linear in the line length."""
+    plain = f'[^"{stop}]*'
+    return f"{plain}(?:{_QUOTED}{plain})*"
+
+
+_RE_CODE = re.compile(_outside_quotes("#"))  # the line before its comment
+_RE_ARG = re.compile(rf"(?:^|,)({_outside_quotes(',')})")  # one comma-separated argument
+_RE_KEY_VALUE = re.compile(rf"({_outside_quotes('=')})(=?)(.*)", re.S)  # split at the first =
 
 
 def _parse_value(raw: str):
@@ -179,18 +174,12 @@ def _parse_value(raw: str):
 def _parse_arglist(args: str, lineno: int, allow_operands: bool):
     operands: list[str] = []
     params: dict[str, object] = {}
-    for part in _split_args(args):
+    parts = _RE_ARG.findall(args) if args.strip() else []
+    for part in map(str.strip, parts):
         if not part:
             raise SpecError([Diagnostic(f"empty argument in ({args})", line=lineno)])
-        eq = -1
-        in_quote = False
-        for i, ch in enumerate(part):
-            if ch == '"':
-                in_quote = not in_quote
-            elif ch == "=" and not in_quote:
-                eq = i
-                break
-        if eq == -1:
+        key, eq, value = _RE_KEY_VALUE.match(part).groups()
+        if not eq:
             if not allow_operands:
                 raise SpecError([Diagnostic(f"expected key=value, got {part!r}", line=lineno)])
             if not re.fullmatch(_ID, part):
@@ -201,12 +190,12 @@ def _parse_arglist(args: str, lineno: int, allow_operands: bool):
                 )
             operands.append(part)
         else:
-            key = part[:eq].strip()
+            key = key.strip()
             if not re.fullmatch(_ID, key):
                 raise SpecError([Diagnostic(f"bad parameter name {key!r}", key, lineno)])
             if key in params:
                 raise SpecError([Diagnostic(f"duplicate parameter {key!r}", key, lineno)])
-            params[key] = _parse_value(part[eq + 1 :].strip())
+            params[key] = _parse_value(value.strip())
     return operands, params
 
 
@@ -222,7 +211,7 @@ def parse_spec(text: str) -> WorkloadSpec:
     outputs: list[OutputDecl] = []
 
     for lineno, raw_line in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(raw_line)
+        line = _RE_CODE.match(raw_line).group().strip()
         if not line:
             continue
         if line.count('"') % 2:
@@ -390,19 +379,13 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
 # execution
 
 
-def _resolve(path: str, base_dir: Optional[str]) -> str:
-    if base_dir is not None and not os.path.isabs(path):
-        return os.path.join(base_dir, path)
-    return path
-
-
 def _materialize_inputs(s: WorkloadSpec, base_dir: Optional[str]) -> dict[str, object]:
     env: dict[str, object] = {}
     for decl in s.inputs:
         if decl.genspec is not None:
             env[decl.dataset_id] = generators.materialize(decl.genspec, base_dir).payload
         else:
-            ds = load_dataset(_resolve(decl.path, base_dir))
+            ds = load_dataset(resolve_path(decl.path, base_dir))
             if ds.kind != decl.kind:
                 raise WorkloadRuntimeError(
                     f"input {decl.dataset_id!r}: file {decl.path!r} holds a {ds.kind} "
@@ -435,8 +418,9 @@ def execute(
     and parameter coercion happen once, before the first repeat; each
     repeat's invocation loop alone runs inside a fresh `window()`, and its
     output checksums follow it. Kernels are pure and all randomness is
-    seeded, so results are bit-identical across repeats; outputs are written
-    once, after the last repeat.
+    seeded, so results must be bit-identical across repeats: an output whose
+    checksum differs from repeat 0's raises WorkloadRuntimeError. Outputs are
+    written once, after the last repeat.
     """
     if repeat < 1:
         raise InvariantError(f"repeat must be >= 1, got {repeat}")
@@ -478,6 +462,13 @@ def execute(
                     if last_use.get(op) == idx and op not in output_ids and op in env:
                         del env[op]
         checks = {oid: checksum_payload(env[oid]) for oid in sorted(output_ids) if oid in env}
+        for oid, value in checks.items():
+            if reports and value != reports[0].output_checksums[oid]:
+                raise WorkloadRuntimeError(
+                    f"output {oid!r} is not deterministic: repeat {r} checksum "
+                    f"{checksum_hex(value)}, repeat 0 "
+                    f"{checksum_hex(reports[0].output_checksums[oid])}"
+                )
         reports.append(
             RunReport(
                 workload=s.name,
@@ -519,7 +510,7 @@ def report_document(reports: list[RunReport], counters: Optional[dict] = None) -
                 ],
                 "total_ns": rep.total_ns,
                 "family_fractions": rep.family_fractions,
-                "output_checksums": {k: f"{v:016x}" for k, v in rep.output_checksums.items()},
+                "output_checksums": {k: checksum_hex(v) for k, v in rep.output_checksums.items()},
             }
             for rep in reports
         ],

@@ -1,12 +1,14 @@
 import json
 import os
+import re
+import shlex
 import sys
 
 import pytest
 
 import motifbench
 from motifbench import generators, topdown, workload
-from motifbench.cli import main
+from motifbench.cli import build_parser, main
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
 
@@ -667,3 +669,19 @@ def test_crlf_input_reads_as_lf(tmp_path, content, read):
     lf.write_bytes(content.encode())
     crlf.write_bytes(content.replace("\n", "\r\n").encode())
     assert read(str(crlf)) == read(str(lf))
+
+
+def test_readme_commands_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("motifbench ")]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+    subcommands = {argv[1] for argv in commands}
+    assert subcommands == {"generate", "validate", "run", "list-motifs", "analyze", "cluster"}

@@ -74,6 +74,12 @@ def test_table_roundtrip_with_quoting(tmp_path):
     assert roundtrip(tmp_path, t) == t
 
 
+def test_table_roundtrip_with_carriage_returns(tmp_path):
+    t = Table([("s", "string"), ("n", "integer"), ("last", "string")],
+              [("\r", 1, "x"), ("a\rb", 2, "\r"), ("plain", 3, "y")])
+    assert roundtrip(tmp_path, t) == t
+
+
 def test_tensor_roundtrip(tmp_path):
     t = Tensor((2, 3, 4), [float(i) for i in range(24)])
     assert roundtrip(tmp_path, t) == t

@@ -80,16 +80,28 @@ def test_formula_missing_name():
 def test_formula_syntax_errors():
     for bad in ("1 +", "(a", "a b", "2 ** 3", "", "+a", "a % b", "a < b", "f(a)", "a[0]",
                 "(a, b)", "'a'", "1j", "007", "True", "None", "if", "a.", "a..b", "a\x00",
-                "\ud800", "1" * 5000):
+                "\ud800", "1" * 5000, "__import__('os').system", "().__class__", "lambda: 1"):
         with pytest.raises(FormulaError):
             parse_formula(bad)
 
 
 def test_formula_python_numerals_comments_and_dotted_names():
-    env = {"UOPS_RETIRED.ALL": 2.0, "meta.width": 4.0}
-    assert parse_formula(" 0x10 + 1_000  # note ") == ("+", ("num", 16.0), ("num", 1000.0))
-    assert parse_formula("-a") == ("neg", ("name", "a"))
+    env = {"UOPS_RETIRED.ALL": 2.0, "meta.width": 4.0, "a": 3.0}
+    assert repr(eval_formula(parse_formula(" 0x10 + 1_000  # note "), env, "t")) == "1016.0"
+    assert eval_formula(parse_formula("-a"), env, "t") == -3.0
     assert eval_formula(parse_formula("UOPS_RETIRED.ALL * meta.width"), env, "t") == 8.0
+
+
+@pytest.mark.parametrize("name", ["abs", "__builtins__", "__debug__"])
+def test_formula_names_resolve_only_in_the_sample(name):
+    tree = MetricTree((MetricNode("A", f"{name} / meta.cycles"),))
+    with pytest.raises(MissingEventsError) as err:
+        evaluate_tree(EventSample({"x": 1.0}, cycles=10.0), tree)
+    assert err.value.names == [name]
+    with pytest.raises(MissingEventsError) as err:
+        eval_formula(parse_formula(f"1 + {name}"), {}, "t")
+    assert err.value.names == [name]
+    assert evaluate_tree(EventSample({name: 5.0}, cycles=10.0), tree).children[0].fraction == 0.5
 
 
 @pytest.mark.parametrize("formula", [
@@ -100,7 +112,8 @@ def test_formula_nested_too_deep(formula):
     with pytest.raises(FormulaError) as err:
         parse_formula(formula)
     assert len(str(err.value)) < 300
-    assert parse_formula(" * ".join(["a"] * topdown.MAX_FORMULA_DEPTH))[0] == "*"
+    deepest = parse_formula(" * ".join(["a"] * topdown.MAX_FORMULA_DEPTH))
+    assert eval_formula(deepest, {"a": 2.0}, "t") == 2.0 ** topdown.MAX_FORMULA_DEPTH
 
 
 @settings(max_examples=300, deadline=None)

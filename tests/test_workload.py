@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from motifbench.dataio import checksum_payload, load_dataset, save_dataset
 from motifbench.datasets import Dataset, Matrix, TextCorpus
 from motifbench.errors import SpecError
 from motifbench.generators import Uniform, gen_matrix
+from motifbench.kernels import REGISTRY
 from motifbench.kernels.matrixops import mat_elementwise
 from motifbench.kernels.sampling import downsample
 from motifbench.kernels.sorting import sort_records
@@ -196,6 +198,24 @@ def test_execute_family_fractions_sum_to_one(tmp_path, monkeypatch):
     total = sum(reports[0].family_fractions.values())
     assert abs(total - 1.0) < 1e-9
     assert reports[0].total_ns >= max(r.wall_ns for r in reports[0].invocations)
+
+
+def test_execute_repeat_that_differs_names_the_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def drifting(ops, params):
+        calls.append(None)
+        return TextCorpus([f"call {len(calls)}"])
+
+    kspec = dataclasses.replace(REGISTRY["sort.sort"], fn=drifting)
+    monkeypatch.setitem(REGISTRY, "sort.sort", kspec)
+    spec = parse_spec(GOOD_SPEC.format(out="out/x.matrix"))
+    with pytest.raises(WorkloadRuntimeError) as err:
+        execute(spec, repeat=3)
+    assert "output 's' is not deterministic: repeat 1" in str(err.value)
+    assert len(calls) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_execute_file_input_and_relative_path(tmp_path):
