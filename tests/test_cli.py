@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -519,6 +521,53 @@ def test_list_motifs_output_pinned(capsys):
 
 def test_unknown_subcommand_exit_2():
     assert run_cli("frobnicate") == 2
+
+
+# Every command whose text the CLI must keep: each parser's help, the
+# registry listing and three usage errors. The transcript is pinned in
+# cli_text_pinned.txt; argparse lays out help and usage text differently
+# across Python versions, so the text is compared only on the version it was
+# recorded with, and the exit codes everywhere.
+PINNED_TEXT_COMMANDS = [
+    "--help",
+    "generate --help",
+    *(f"generate {kind} --help" for kind in ("text", "graph", "matrix", "tensor", "table")),
+    *(f"{command} --help" for command in ("run", "analyze", "cluster", "validate", "list-motifs")),
+    "list-motifs",
+    "run",
+    "frobnicate",
+    "cluster --metrics m.csv --linkage bogus",
+]
+PINNED_TEXT_PYTHON = (3, 11)
+PINNED_TEXT = os.path.join(os.path.dirname(__file__), "cli_text_pinned.txt")
+
+
+def cli_transcript() -> str:
+    """`$ motifbench ARGS`, `[exit N]`, stdout, then stderr under
+    `[stderr]`, for each pinned command in turn."""
+    parts = []
+    for command in PINNED_TEXT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command.split())
+        parts.append(f"$ motifbench {command}\n[exit {code}]\n{out.getvalue()}")
+        if err.getvalue():
+            parts.append(f"[stderr]\n{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_cli_text_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = cli_transcript()
+    with open(PINNED_TEXT, encoding="utf-8") as fh:
+        pinned = fh.read()
+
+    def exits(text):
+        return re.findall(r"^\$ (.*)\n\[exit (\d+)\]$", text, re.M)
+
+    assert exits(got) == exits(pinned)
+    if sys.version_info[:2] == PINNED_TEXT_PYTHON:
+        assert got == pinned
 
 
 def test_quiet_suppresses_summary(tmp_path, capsys, monkeypatch):

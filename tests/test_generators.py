@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from motifbench.dataio import checksum_payload
+from motifbench.dataio import checksum_hex, checksum_payload
 from motifbench.datasets import TextCorpus
 from motifbench.errors import InvariantError
 from motifbench.generators import (
@@ -20,6 +20,8 @@ from motifbench.generators import (
     make_genspec,
     materialize,
 )
+
+from .test_pinned import GOLDEN_PLATFORM, _platform_fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +304,37 @@ def test_genspec_uniform_graph_rejects_rmat_probabilities(key):
     spec = make_genspec("graph", {"vertices": 8, "edges": 4, "model": "rmat",
                                   **dict.fromkeys("abcd", 0.25)})
     assert spec.param_dict()[key] == 0.25
+
+
+# ---------------------------------------------------------------------------
+# pinned streams
+
+# Output checksums of every generator kind at fixed seeds, recorded before
+# any rewrite of the draw loops; a rewrite must reproduce them bit for bit.
+# Gaussian draws go through the platform libm, so that one is checked only
+# on the platform it was recorded on.
+GENERATOR_GOLDENS = {
+    "text": ("text", {"bytes": 4000, "seed": 11}, "6b8715d5db253f2a"),
+    "graph-uniform": ("graph", {"vertices": 100, "edges": 400, "seed": 3}, "a16b3de3d6f2c18a"),
+    "graph-rmat": ("graph", {"vertices": 256, "edges": 1024, "model": "rmat", "seed": 5},
+                   "107ad5c22fe2b638"),
+    "matrix-uniform": ("matrix", {"rows": 12, "cols": 10, "lo": -2.0, "hi": 3.0, "seed": 7},
+                       "0cfc39957f916ea5"),
+    "matrix-gaussian": ("matrix", {"rows": 12, "cols": 10, "dist": "gaussian", "mu": 1.0,
+                                   "sigma": 2.0, "seed": 8}, "ba4861600ddd50a4"),
+    "tensor": ("tensor", {"shape": "2x3x4x5", "seed": 9}, "30e2539022f89e95"),
+    "table-order": ("table", {"orders": 40, "items": 120, "which": "order", "seed": 13},
+                    "33b4c9044815e154"),
+    "table-item": ("table", {"orders": 40, "items": 120, "which": "item", "seed": 13},
+                   "2aa0058182174c69"),
+}
+LIBM_GENERATORS = {"matrix-gaussian"}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_GOLDENS))
+def test_generator_output_pinned(name):
+    if name in LIBM_GENERATORS and _platform_fingerprint() != GOLDEN_PLATFORM:
+        pytest.skip(f"{name} goes through libm; goldens recorded on {GOLDEN_PLATFORM}")
+    kind, params, expected = GENERATOR_GOLDENS[name]
+    payload = materialize(make_genspec(kind, params)).payload
+    assert checksum_hex(checksum_payload(payload)) == expected
