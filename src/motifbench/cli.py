@@ -13,6 +13,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -30,18 +31,27 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _flag_type(convert, accept, rule: str):
+    """An argparse type that converts the text and keeps the value if
+    `accept` holds for it. Every failure is an ArgumentTypeError stating
+    `rule`: for any other exception argparse prints the type function's name."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
 
 
-def _variance_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+_positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_positive_float = _flag_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_variance_fraction = _flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _say(args, message: str):
@@ -337,7 +347,11 @@ def cmd_list_motifs(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: building it costs about 20
+    times a parse, and every parse_args call returns a fresh Namespace.
+    Callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="motifbench",
         description="Compose motif DAG workloads over generated datasets and "
@@ -394,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--counters",
                      help="file:a.csv,b.csv,... (one per repeat) or cmd:TEMPLATE "
                      "with {pid}/{duration} placeholders")
-    run.add_argument("--duration", type=float, default=1.0,
+    run.add_argument("--duration", type=_positive_float, default=1.0,
                      help="seconds substituted for {duration} in cmd collectors")
     run.set_defaults(func=cmd_run)
 

@@ -649,6 +649,68 @@ def test_flag_range_validation_exits_2(tmp_path):
     assert run_cli("analyze", "--events", "e.csv", "--width", "0") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--spec", "x.spec", "--repeat", "x"), "--repeat: must be an integer >= 1, got 'x'"),
+    (("run", "--spec", "x.spec", "--repeat", "0"), "--repeat: must be an integer >= 1, got '0'"),
+    (("analyze", "--events", "e.csv", "--width", "1.5"),
+     "--width: must be an integer >= 1, got '1.5'"),
+    (("cluster", "--metrics", "m.csv", "--variance", "abc"),
+     "--variance: must be a number in (0, 1], got 'abc'"),
+    (("cluster", "--metrics", "m.csv", "--variance", "nan"),
+     "--variance: must be a number in (0, 1], got 'nan'"),
+])
+def test_flag_type_errors_state_the_rule(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {message}")
+    assert "_positive" not in err and "_variance" not in err
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-1", "0", "1e400", "x"])
+def test_run_duration_must_be_positive_finite(capsys, duration):
+    # `{duration}` goes verbatim into a collector command line.
+    assert run_cli("run", "--spec", "x.spec", f"--duration={duration}") == 2
+    err = capsys.readouterr().err
+    assert f"argument --duration: must be a finite number > 0, got '{duration}'" in err
+
+
+def test_main_calls_do_not_share_state(tmp_path, capsys):
+    # The parser is built once per process; each call must still see only
+    # its own flags.
+    assert build_parser() is build_parser()
+    dump = tmp_path / "d.csv"
+    write_sample(golden_sample(0.3, width=4), str(dump))
+    out = tmp_path / "out"
+    analyze = ("analyze", "--events", str(dump))
+    cluster = ("cluster", "--metrics", _metrics_csv(tmp_path), "-o", str(out))
+
+    for quiet in (("--quiet", *analyze), (*analyze, "--quiet")):
+        assert run_cli(*quiet) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(*analyze) == 0
+        assert capsys.readouterr().out.startswith("label: ")
+
+    assert run_cli("--csv", *analyze, "-o", str(out)) == 0
+    assert out.read_text().startswith("metric,value\n")
+    assert run_cli(*analyze, "-o", str(out)) == 0
+    assert json.loads(out.read_text())["width"] == 4
+
+    assert run_cli(*analyze, "--width", "6", "-o", str(out)) == 0
+    assert json.loads(out.read_text())["width"] == 6
+    assert run_cli(*analyze, "-o", str(out)) == 0
+    assert json.loads(out.read_text())["width"] == 4
+
+    assert run_cli(*cluster, "--cut", "3") == 0
+    assert json.loads(out.read_text())["cut"]["clusters"] == 3
+    assert run_cli(*cluster) == 0
+    assert "cut" not in json.loads(out.read_text())
+
+    assert run_cli(*analyze) == 0
+    assert run_cli(*cluster, "--linkage", "bogus") == 2
+    assert run_cli(*analyze) == 0
+    assert "label: " in capsys.readouterr().out
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run_cli("run", "--spec", motifbench.shipped_spec_path("index"), "--quiet")
