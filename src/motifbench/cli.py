@@ -357,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compose motif DAG workloads over generated datasets and "
         "analyze their pipeline behavior.",
     )
-    parser.add_argument("--quiet", action="store_true", help="suppress human summaries")
-    parser.add_argument("--csv", action="store_true",
-                        help="write flattened CSV instead of JSON where supported")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it.
     globals_parent = argparse.ArgumentParser(add_help=False)
-    globals_parent.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
-    globals_parent.add_argument("--csv", action="store_true", default=argparse.SUPPRESS)
+    for flag, text in (("--quiet", "suppress human summaries"),
+                       ("--csv", "write flattened CSV instead of JSON where supported")):
+        parser.add_argument(flag, action="store_true", help=text)
+        globals_parent.add_argument(flag, action="store_true", default=argparse.SUPPRESS,
+                                    help=text)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a dataset file")

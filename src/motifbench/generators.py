@@ -24,7 +24,9 @@ names are errors; omitted ones take the schema defaults.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 from .dataio import load_dataset, resolve_path
 from .datasets import (
@@ -37,7 +39,7 @@ from .datasets import (
 )
 from .errors import InvariantError
 from .params import SEED, ParamSpec, coerce
-from .rng import SplitMix64
+from .rng import BULK_BLOCK, SplitMix64
 
 RMAT_DEFAULT = (0.57, 0.19, 0.19, 0.05)
 
@@ -93,8 +95,10 @@ class Uniform:
         if self.hi < self.lo:
             raise InvariantError(f"uniform needs hi >= lo, got [{self.lo}, {self.hi}]")
 
-    def draw(self, rng: SplitMix64) -> float:
-        return rng.uniform(self.lo, self.hi)
+    def draws(self, rng: SplitMix64, n: int) -> list[float]:
+        """n values of rng.uniform(lo, hi), from one bulk draw."""
+        lo, span = self.lo, self.hi - self.lo
+        return [lo + span * ((z >> 11) * (1.0 / (1 << 53))) for z in rng.u64s(n)]
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,9 @@ class Gaussian:
         if self.sigma <= 0:
             raise InvariantError(f"gaussian needs sigma > 0, got {self.sigma}")
 
-    def draw(self, rng: SplitMix64) -> float:
-        return rng.gauss(self.mu, self.sigma)
+    def draws(self, rng: SplitMix64, n: int) -> list[float]:
+        # Scalar: rejecting u1 == 0 makes the number of draws data-dependent.
+        return [rng.gauss(self.mu, self.sigma) for _ in range(n)]
 
 
 # Per-distribution parameters, in positional order for `--dist name:v1,v2`.
@@ -233,29 +238,40 @@ def gen_graph(
         edge_list = [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
     elif model == "rmat":
         _check_rmat(vertices, probs)
-        a, b, c, d = probs
-        levels = vertices.bit_length() - 1
-        ab, abc = a + b, a + b + c
-        edge_list = []
-        for _ in range(edges):
-            u = v = 0
-            for _ in range(levels):
-                u <<= 1
-                v <<= 1
-                r = rng.random()
-                if r < a:
-                    pass
-                elif r < ab:
-                    v |= 1
-                elif r < abc:
-                    u |= 1
-                else:
-                    u |= 1
-                    v |= 1
-            edge_list.append((u, v))
+        edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, probs)
     else:
         raise InvariantError(f"unknown graph model {model!r}")
     return Graph(vertices, edge_list, directed=True)
+
+
+# Quadrant code -> the bit each endpoint gains at one level: 0 keeps both
+# bits 0, 1 sets v, 2 sets u, 3 sets both.
+_RMAT_U_BIT = bytes.maketrans(bytes(range(4)), b"0011")
+_RMAT_V_BIT = bytes.maketrans(bytes(range(4)), b"0101")
+
+
+def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
+    """`edges` RMAT edges over 2**levels vertices, one draw per level, the
+    first draw picking the top bit of each endpoint.
+
+    A draw z falls in quadrant a, b, c or d by the first cumulative sum
+    a, a+b, a+b+c that exceeds random() = (z >> 11) * 2**-53. Since that
+    product is exact, r < p holds exactly when z < ceil(p * 2**53) << 11,
+    so the quadrant is the number of such integer cuts at or below z.
+    """
+    if levels == 0:
+        return [(0, 0)] * edges
+    a, b, c, _ = probs
+    cuts = [math.ceil(p * (1 << 53)) << 11 for p in (a, a + b, a + b + c)]
+    per_block = max(1, BULK_BLOCK // levels)
+    out = []
+    for start in range(0, edges, per_block):
+        n = min(per_block, edges - start) * levels
+        codes = bytes(map(bisect_right, repeat(cuts), rng.u64s(n)))
+        u_bits, v_bits = codes.translate(_RMAT_U_BIT), codes.translate(_RMAT_V_BIT)
+        out += [(int(u_bits[i : i + levels], 2), int(v_bits[i : i + levels], 2))
+                for i in range(0, n, levels)]
+    return out
 
 
 def _check_rmat(vertices: int, probs: tuple) -> None:
@@ -279,7 +295,7 @@ def gen_matrix(rows: int, cols: int, dist, rng_seed: int) -> Matrix:
     if rows <= 0 or cols <= 0:
         raise InvariantError(f"matrix dimensions must be positive, got {rows}x{cols}")
     rng = SplitMix64(rng_seed)
-    return Matrix(rows, cols, [dist.draw(rng) for _ in range(rows * cols)])
+    return Matrix(rows, cols, dist.draws(rng, rows * cols))
 
 
 def gen_tensor(shape, dist, rng_seed: int) -> Tensor:
@@ -290,7 +306,7 @@ def gen_tensor(shape, dist, rng_seed: int) -> Tensor:
     for d in dims:
         size *= d
     rng = SplitMix64(rng_seed)
-    return Tensor(dims, [dist.draw(rng) for _ in range(size)])
+    return Tensor(dims, dist.draws(rng, size))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,49 @@ The state transition is the splitmix64 finalizer over a Weyl sequence, computed
 in plain integer arithmetic, so a given seed produces the same stream on any
 platform and Python build. Floating-point draws are derived from the top 53
 bits, gaussians via Box-Muller, keeping those bit-identical too.
+
+`u64s(n)` draws a block of values with one big-integer operation per mixing
+step instead of n method calls. It packs up to BULK_BLOCK consecutive states
+into one Python int, state k in the k-th 128-bit lane (bits 128k..128k+127),
+built as (steps + s * ones) & mask from the constants
+steps = sum((k + 1) * GAMMA << 128k), ones = sum(1 << 128k) and
+mask = MASK64 * ones. Each splitmix64 step then acts on every lane at once.
+This is bit-exact because no lane ever reads or writes a neighbour's bits:
+the first sum stays below 2**77 in every lane, and every lane holds a value
+below 2**64 after each `& mask`; the bits a right shift moves in from the
+lane above are masked off before a multiply, or land in the high word that
+is dropped at the end; and a 64x64-bit product needs at most 128 bits, so it
+never carries out of its lane. The low 64-bit word of each lane, read
+little-endian, is the draw.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+BULK_BLOCK = 2048  # lanes per big-integer block: 32 KB per operand
+
+
+def _lanes_int(low_words) -> int:
+    """Pack 64-bit words into the low halves of consecutive 128-bit lanes."""
+    lanes = array("Q", bytes(16 * len(low_words)))
+    lanes[::2] = low_words
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+_ONES = _lanes_int(array("Q", [1]) * BULK_BLOCK)
+_LANE_MASK = _MASK64 * _ONES
+# Lane k holds the state after k + 1 steps from s: s + (k + 1) * GAMMA.
+_STEPS = _lanes_int(array("Q", range(BULK_BLOCK))) * _GAMMA + _GAMMA * _ONES
 
 
 class SplitMix64:
@@ -22,7 +55,9 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -30,6 +65,33 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def u64s(self, n: int) -> array:
+        """The next n values of next_u64(), as array('Q'), in one bulk draw;
+        the state ends where n next_u64() calls would leave it."""
+        if n < 0:
+            raise ValueError(f"u64s() needs n >= 0, got {n}")
+        out = array("Q")
+        s = self._state
+        for start in range(0, n, BULK_BLOCK):
+            m = min(BULK_BLOCK, n - start)
+            steps, ones, mask = _STEPS, _ONES, _LANE_MASK
+            if m < BULK_BLOCK:
+                keep = (1 << (128 * m)) - 1
+                steps, ones, mask = steps & keep, ones & keep, mask & keep
+            z = (steps + s * ones) & mask
+            z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+            z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+            # Bits shifted in from the lane above land in the high word,
+            # which is dropped below, so this shift needs no mask.
+            z ^= z >> 31
+            words = array("Q", z.to_bytes(16 * m, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += words[::2]
+            s = (s + m * _GAMMA) & _MASK64
+        self._state = s
+        return out
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""

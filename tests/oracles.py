@@ -203,3 +203,29 @@ def dense_pagerank(vertex_count: int, edges, damping: float, iters: int) -> list
         redistributed = damping * score[dangling].sum() / n
         score = (1 - damping) / n + damping * (m @ score) + redistributed
     return score.tolist()
+
+
+def scalar_rmat_edges(rng, vertices: int, edges: int, probs) -> list[tuple[int, int]]:
+    """Per-level RMAT: one rng.random() per level per edge, compared as a
+    float against the cumulative probabilities, the top bit first."""
+    a, b, c, _ = probs
+    levels = vertices.bit_length() - 1
+    ab, abc = a + b, a + b + c
+    edge_list = []
+    for _ in range(edges):
+        u = v = 0
+        for _ in range(levels):
+            u <<= 1
+            v <<= 1
+            r = rng.random()
+            if r < a:
+                pass
+            elif r < ab:
+                v |= 1
+            elif r < abc:
+                u |= 1
+            else:
+                u |= 1
+                v |= 1
+        edge_list.append((u, v))
+    return edge_list

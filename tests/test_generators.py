@@ -11,6 +11,7 @@ from motifbench.generators import (
     Gaussian,
     GenSpec,
     Uniform,
+    _rmat_edges,
     gen_graph,
     gen_matrix,
     gen_table,
@@ -20,7 +21,9 @@ from motifbench.generators import (
     make_genspec,
     materialize,
 )
+from motifbench.rng import SplitMix64
 
+from .oracles import scalar_rmat_edges
 from .test_pinned import GOLDEN_PLATFORM, _platform_fingerprint
 
 
@@ -122,8 +125,70 @@ def test_graph_rmat_rejects_bad_probs():
         gen_graph(8, 4, model="rmat", probs=(0.5, 0.5, 0.5, 0.5), rng_seed=0)
 
 
+@pytest.mark.parametrize("vertices,edges,probs", [
+    (1, 5, (0.57, 0.19, 0.19, 0.05)),  # zero levels: no draws
+    (64, 300, (1.0, 0.0, 0.0, 0.0)),
+    (64, 300, (0.0, 0.0, 0.0, 1.0)),
+    (64, 300, (0.6, 0.0, 0.3, 0.1)),  # b = 0: two equal cuts
+    (256, 500, (0.5, 0.25, 0.125, 0.125)),  # p * 2**53 is an integer
+    (256, 500, (0.5, 0.25, 0.25 + 1e-10, 0.0)),  # a + b + c > 1
+    (4096, 1000, (0.57, 0.19, 0.19, 0.05)),  # several blocks, the last one short
+    (32, 2000, (0.45, 0.15, 0.15, 0.25)),
+])
+def test_graph_rmat_matches_scalar_loop(vertices, edges, probs):
+    bulk, scalar = SplitMix64(77), SplitMix64(77)
+    assert _rmat_edges(bulk, vertices.bit_length() - 1, edges, probs) == \
+        scalar_rmat_edges(scalar, vertices, edges, probs)
+    assert bulk._state == scalar._state
+    g = gen_graph(vertices, edges, model="rmat", probs=probs, rng_seed=77)
+    assert list(g.edges) == scalar_rmat_edges(SplitMix64(77), vertices, edges, probs)
+
+
+class _ScriptedDraws(SplitMix64):
+    """Serves fixed 64-bit draws, to both the bulk and the scalar path."""
+
+    __slots__ = ("_draws",)
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self._draws = iter(draws)
+
+    def next_u64(self):
+        return next(self._draws)
+
+    def u64s(self, n):
+        return [next(self._draws) for _ in range(n)]
+
+
+@pytest.mark.parametrize("probs", [(0.57, 0.19, 0.19, 0.05), (0.5, 0.25, 0.125, 0.125),
+                                   (0.6, 0.0, 0.3, 0.1)])
+def test_graph_rmat_quadrant_cuts_exact_at_boundaries(probs):
+    # Draws on and beside every point where random() crosses a cumulative
+    # probability decide the same quadrant on both paths.
+    a, b, c, _ = probs
+    draws = [0, 2**64 - 1]
+    for p in (a, a + b, a + b + c):
+        edge = math.ceil(p * 2**53) << 11
+        draws += [z for z in (edge - 2049, edge - 2048, edge - 1, edge, edge + 1, edge + 2047)
+                  if 0 <= z < 2**64]
+    assert _rmat_edges(_ScriptedDraws(draws), 1, len(draws), probs) == \
+        scalar_rmat_edges(_ScriptedDraws(draws), 2, len(draws), probs)
+
+
+def test_graph_seed_outside_64_bits_rejected():
+    with pytest.raises(ValueError):
+        gen_graph(8, 4, model="rmat", rng_seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # matrix / tensor
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-2.5, 3.0), (0.0, 255.0), (4.0, 4.0)])
+def test_uniform_draws_equal_scalar_uniform(lo, hi):
+    scalar = SplitMix64(19)
+    assert Uniform(lo, hi).draws(SplitMix64(19), 5000) == \
+        [scalar.uniform(lo, hi) for _ in range(5000)]
 
 
 def test_matrix_uniform_degenerate_zero():

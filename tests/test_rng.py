@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from motifbench.rng import SplitMix64
+from motifbench.rng import BULK_BLOCK, SplitMix64, _GAMMA, _MASK64
 
 
 def test_same_seed_same_stream():
@@ -52,3 +53,26 @@ def test_uniform_bounds():
     for _ in range(1000):
         v = rng.uniform(-1.5, 2.5)
         assert -1.5 <= v < 2.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       n=st.sampled_from(sorted({0, 1, BULK_BLOCK - 1, BULK_BLOCK, BULK_BLOCK + 1,
+                                 3 * BULK_BLOCK + 5, 4095, 4096, 4097, 3 * 4096 + 5})))
+def test_u64s_equals_scalar_draws(seed, n):
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert list(bulk.u64s(n)) == [scalar.next_u64() for _ in range(n)]
+    assert bulk._state == scalar._state
+    # The draw count a tracer reads back from the first and last state.
+    assert ((bulk._state - seed) * pow(_GAMMA, -1, 2**64)) & _MASK64 == n
+
+
+def test_u64s_rejects_negative_count():
+    with pytest.raises(ValueError):
+        SplitMix64(1).u64s(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ValueError):
+        SplitMix64(seed)
