@@ -385,6 +385,7 @@ def _load_graph(path: str, header: str, rest: bytes) -> Graph:
         vertex_count = int(fields[2])
     except ValueError:
         raise FormatError(f"malformed graph header {header!r}", path=path, line=1) from None
+    _wrap_invariant(path, 1, Graph, vertex_count, ())  # the header's count, on its line
     edges = []
     for i, line in enumerate(_decode(rest, path, 2).split("\n")):
         if line.strip() == "":

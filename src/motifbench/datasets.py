@@ -198,9 +198,10 @@ class Graph:
     directed: bool
 
     def __init__(self, vertex_count: int, edges, directed: bool = True):
+        # the canonical encoding stores the count as an unsigned 64-bit integer
         _require(
-            isinstance(vertex_count, int) and vertex_count > 0,
-            f"vertex_count must be a positive count, got {vertex_count!r}",
+            isinstance(vertex_count, int) and 0 < vertex_count < 2**64,
+            f"vertex_count must be a positive count below 2**64, got {vertex_count!r}",
         )
         norm = []
         for k, (u, v) in enumerate(edges):

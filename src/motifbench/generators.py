@@ -38,6 +38,7 @@ from .datasets import (
     TextCorpus,
 )
 from .errors import InvariantError
+from .floatsum import left_sum
 from .params import SEED, ParamSpec, coerce
 from .rng import BULK_BLOCK, SplitMix64
 
@@ -279,8 +280,9 @@ def _check_rmat(vertices: int, probs: tuple) -> None:
         raise InvariantError(f"rmat needs a power-of-two vertex count, got {vertices}")
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise InvariantError(f"rmat probabilities must be in [0, 1], got {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise InvariantError(f"rmat probabilities must sum to 1, got {sum(probs)}")
+    total = left_sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise InvariantError(f"rmat probabilities must sum to 1, got {total}")
 
 
 def _rmat_probs(p: dict) -> tuple:

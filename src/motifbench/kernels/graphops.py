@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 from ..datasets import Graph
 from ..errors import KernelError
+from ..floatsum import left_sum
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -55,10 +57,11 @@ def pagerank(
     for u, v in g.edges:
         out_edges[u].append(v)
     outdeg = [len(targets) for targets in out_edges]
+    dangling_vertices = [u for u in range(n) if outdeg[u] == 0]
 
     score = [1.0 / n] * n
     for _ in range(max_iters):
-        dangling = sum(score[u] for u in range(n) if outdeg[u] == 0)
+        dangling = left_sum(map(score.__getitem__, dangling_vertices))
         base = (1.0 - damping) / n + damping * dangling / n
         nxt = [base] * n
         for u in range(n):
@@ -67,7 +70,7 @@ def pagerank(
             share = damping * score[u] / outdeg[u]
             for v in out_edges[u]:
                 nxt[v] += share
-        delta = sum(abs(a - b) for a, b in zip(nxt, score))
+        delta = left_sum(map(abs, map(operator.sub, nxt, score)))
         score = nxt
         if delta < tol:
             break

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from ..datasets import Matrix, Table, Tensor, TextCorpus
 from ..errors import KernelError
+from ..floatsum import left_sum
 from ..rng import SplitMix64
 
 
@@ -48,7 +49,7 @@ def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:
                         for u in range(window)
                         for v in range(window)
                     ]
-                    out.append(max(vals) if mode == "max" else sum(vals) / area)
+                    out.append(max(vals) if mode == "max" else left_sum(vals) / area)
     return Tensor((batch, oh, ow, c), out)
 
 

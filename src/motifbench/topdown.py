@@ -47,6 +47,7 @@ from typing import Optional
 
 from .dataio import open_output, read_input
 from .errors import EventError, FormulaError, MissingEventsError
+from .floatsum import left_sum
 
 DEFAULT_ISSUE_WIDTH = 4
 
@@ -296,8 +297,8 @@ def average_samples(samples: list[EventSample]) -> EventSample:
         if s.width != samples[0].width:
             raise EventError("samples disagree on issue width")
     n = len(samples)
-    events = {name: sum(s.events[name] for s in samples) / n for name in names}
-    cycles = sum(s.cycles for s in samples) / n
+    events = {name: left_sum(s.events[name] for s in samples) / n for name in names}
+    cycles = left_sum(s.cycles for s in samples) / n
     events["cycles"] = cycles
     label = samples[0].label
     return EventSample(events=events, width=samples[0].width, cycles=cycles,
@@ -569,8 +570,8 @@ def evaluate_tree(sample: EventSample, tree: MetricTree) -> BreakdownNode:
         env[node.name] = value
         children = tuple(eval_node(c) for c in node.children)
         if children:
-            child_sum = sum(b.fraction for b, c in zip(children, node.children)
-                            if c.expected_fraction)
+            child_sum = left_sum(b.fraction for b, c in zip(children, node.children)
+                                 if c.expected_fraction)
             if node.expected_fraction and child_sum > value + CHILD_SUM_TOLERANCE:
                 raise EventError(
                     f"children of {node.name} sum to {child_sum:.6f}, "
@@ -579,7 +580,7 @@ def evaluate_tree(sample: EventSample, tree: MetricTree) -> BreakdownNode:
         return BreakdownNode(node.name, value, negative, children)
 
     evaluated = tuple(eval_node(root) for root in tree.roots)
-    top_sum = sum(n.fraction for n in evaluated)
+    top_sum = left_sum(n.fraction for n in evaluated)
     if len(evaluated) > 1 and top_sum > 1.0 + CHILD_SUM_TOLERANCE:
         raise EventError(f"level-1 fractions sum to {top_sum:.6f} > 1")
     return BreakdownNode("pipeline", 1.0, False, evaluated)

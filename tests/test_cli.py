@@ -765,6 +765,18 @@ def test_input_not_utf8_exits_1_naming_path_and_line(tmp_path, capsys, case):
     assert err[0].startswith(f"error: {path}:{line}: not valid UTF-8 (")
 
 
+def test_run_graph_vertex_count_beyond_64_bits_exits_1(tmp_path, capsys):
+    path = tmp_path / "g"
+    path.write_text("#graph v1 18446744073709551616 1\n")
+    spec = tmp_path / "in.spec"
+    spec.write_text(f'workload "w"\ninput g : graph @ "{path}"\n'
+                    "node c = graph.connected_components(g)\n")
+    assert run_cli("run", "--spec", str(spec)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}:1: vertex_count must be")
+
+
 @pytest.mark.parametrize("content, read", [
     ('workload "w"\ninput a = generate.text(bytes=64, seed=1)\n'
      "node c = statistic.count(a)  # tally\n", workload.parse_spec_file),

@@ -110,6 +110,33 @@ def test_graph_endpoint_out_of_range_on_load(tmp_path):
     assert "endpoint out of range" in str(err.value)
 
 
+# Every count in a header is stored as an unsigned 64-bit integer by the
+# canonical encoding. A graph's vertex count is the only one not bounded by
+# the data that follows it, so a count of 2**64 or more must fail on load.
+@pytest.mark.parametrize("content", [
+    b"#graph v1 18446744073709551616 1\n",
+    b"#graph v1 999999999999999999995 1\n0 1\n4 2\n3 3\n1 0\n",
+    b"#graph v1 0 1\n",
+    b"#matrix v1 18446744073709551616 1 text\n1.0\n",
+    b"#matrix v1 18446744073709551616 1\n" + bytes(8),
+    b"#tensor v1 18446744073709551616\n" + bytes(8),
+], ids=["graph-2**64", "graph-huge-with-edges", "graph-zero", "text-matrix-rows",
+        "matrix-rows", "tensor-dim"])
+def test_header_count_outside_64_bits_is_format_error(tmp_path, content):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    with pytest.raises(FormatError) as err:
+        load_dataset(str(path))
+    if content.startswith(b"#graph"):
+        assert str(err.value).startswith(f"{path}:1: vertex_count must be")
+
+
+def test_graph_vertex_count_bounded_by_64_bits():
+    checksum_payload(Graph(2**64 - 1, [(0, 2**64 - 2)]))
+    with pytest.raises(InvariantError):
+        Graph(2**64, [])
+
+
 def test_table_arity_mismatch_on_load(tmp_path):
     path = tmp_path / "bad.table"
     path.write_text("#table v1\na:integer,b:integer\n1,2\n3\n")

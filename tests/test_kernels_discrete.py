@@ -4,10 +4,11 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from motifbench.datasets import KeyValueSet, Matrix, Table, TextCorpus
 from motifbench.errors import KernelError
-from motifbench.kernels.logic import md5_corpus, md5_hex
+from motifbench.kernels.logic import LANE_BLOCK, md5_corpus, md5_digests, md5_hex
 from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_union
 from motifbench.kernels.sorting import sort_records
 from motifbench.kernels.statistic import aggregate, count_records, wordcount
@@ -254,6 +255,40 @@ def test_md5_matches_library_oracle_on_random_inputs():
     for _ in range(200):
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 300)))
         assert md5_hex(data) == hashlib.md5(data).hexdigest()
+
+
+# Record lengths within 2 bytes of the MD5 padding boundaries (see
+# test_pinned.test_md5_block_boundary_lengths), so one call mixes records of
+# one, two and three blocks.
+md5_record = st.sampled_from([0, 55, 56, 63, 64, 119, 120, 128]).flatmap(
+    lambda n: st.integers(max(0, n - 2), n + 2)).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+
+
+@given(records=st.lists(md5_record, max_size=40))
+@example(records=[])
+# one long record among many short ones
+@example(records=[bytes([i]) * (i % 60) for i in range(30)] + [b"\xa5" * 5000]
+         + [bytes([i]) * (i % 60) for i in range(30, 60)])
+def test_md5_digests_match_hashlib_in_input_order(records):
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
+
+
+def test_md5_digests_past_one_lane_block():
+    # all one MD5 block long, so the second lane block holds one record
+    records = [i.to_bytes(2, "little") * (i % 28) for i in range(LANE_BLOCK + 1)]
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
+
+
+def test_md5_lane_carry_stays_in_its_lane():
+    # Pick the first message word so that step 1 computes f = 0xFFFFFFFF in
+    # every lane. Then the rotation leaves the lane above's low bits, all
+    # ones, in each lane's guard bits, and adding b to an unmasked rotation
+    # would carry into the next lane.
+    a, b, c, d = 0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476
+    word = (0xFFFFFFFF - (d ^ (b & (c ^ d))) - a - 0xD76AA478) % 2**32
+    records = [word.to_bytes(4, "little") + bytes([i]) for i in range(3)]
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
 
 
 def test_md5_corpus_digest_per_record():

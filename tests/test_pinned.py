@@ -8,13 +8,20 @@ the platform they were recorded on.
 """
 
 import hashlib
+import importlib
+import math
 import platform
+import pkgutil
+import struct
 
 import pytest
 
+import motifbench
 from motifbench import shipped_spec_path
 from motifbench.dataio import canonical_bytes, save_dataset
 from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
+from motifbench.generators import gen_graph
+from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.logic import md5_bytes, md5_corpus
 from motifbench.workload import execute, parse_spec_file
 
@@ -125,6 +132,70 @@ def test_shipped_spec_output_checksums(name, tmp_path, monkeypatch):
     (report,) = execute(spec)
     got = {k: f"{v:016x}" for k, v in report.output_checksums.items()}
     assert got == SPEC_GOLDENS[name]
+
+
+def _sum_312(values, start=0):
+    """CPython 3.12's builtin sum() over ints and floats, transcribed: exact
+    int adds until the first float, then Neumaier-compensated float adds."""
+    it = iter(values)
+    total = start
+    for x in it:
+        total = total + x
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    c = 0.0
+    for x in it:
+        if isinstance(x, float):
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total += x
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_sum_312_transcription_compensates():
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert sum(values) == 0.0
+    assert _sum_312(values) == 2.0
+    assert _sum_312([1, 2, 3]) == 6
+
+
+@pytest.fixture
+def sum_of_python_312(monkeypatch):
+    """Every motifbench module sees 3.12's compensated sum() as `sum`."""
+    names = [m.name for m in pkgutil.walk_packages(motifbench.__path__, "motifbench.")]
+    for name in ["motifbench"] + [n for n in names if not n.endswith("__main__")]:
+        monkeypatch.setattr(importlib.import_module(name), "sum", _sum_312, raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_GOLDENS))
+def test_shipped_spec_output_checksums_under_python_312_sum(name, tmp_path, monkeypatch,
+                                                            sum_of_python_312):
+    test_shipped_spec_output_checksums(name, tmp_path, monkeypatch)
+
+
+# sha256 prefix of the little-endian binary64 PageRank scores of a graph the
+# size of perfbench's dag-graph workload, recorded under Python 3.11's sum().
+DAG_GRAPH_PAGERANK = "b5e6c35b9016b6ec"
+
+
+def _dag_graph_pagerank_digest() -> str:
+    g = gen_graph(4096, 16384, model="rmat", probs=(0.57, 0.19, 0.19, 0.05), rng_seed=1)
+    scores = pagerank(g, 0.85, 16, 0.0)
+    return hashlib.sha256(struct.pack(f"<{len(scores)}d", *scores)).hexdigest()[:16]
+
+
+def test_dag_graph_sized_pagerank_pinned():
+    assert _dag_graph_pagerank_digest() == DAG_GRAPH_PAGERANK
+
+
+def test_dag_graph_sized_pagerank_under_python_312_sum(sum_of_python_312):
+    assert _dag_graph_pagerank_digest() == DAG_GRAPH_PAGERANK
 
 
 # (id, in_bytes, out_bytes) per invocation. A later repeat reuses the input

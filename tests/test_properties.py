@@ -8,7 +8,7 @@ its checksum.
 
 import math
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from motifbench import SHIPPED_SPECS, shipped_spec_path
 from motifbench.dataio import checksum_payload, load_dataset, read_input, save_dataset
@@ -127,6 +127,8 @@ def test_load_of_mutated_files_raises_only_format_error(tmp_path_factory):
 
     @settings(max_examples=600, deadline=None)
     @given(blob=st.sampled_from(_saved_files(tmp_path_factory)).flatmap(mutations))
+    # a vertex count beyond the 64 bits of the canonical encoding
+    @example(blob=b"#graph v1 999999999999999999995 1\n0 1\n4 2\n3 3\n1 0\n")
     def check(blob):
         path.write_bytes(blob)
         try:
