@@ -7,14 +7,17 @@ byte-exactly against hashlib.
 
 `md5_digests` hashes many records at once, the way `rng.SplitMix64.u64s`
 draws many values: each of the 64 MD5 steps is one big-integer operation
-over a lane block of up to LANE_BLOCK records packed into one Python int,
-record k in the k-th 64-bit lane (bits 64k..64k+63), its 32-bit word in the
-low half and 32 guard bits above it. A lane block's constants are built
-once, ones = sum(1 << 64k) and mask = 0xFFFFFFFF * ones, and each step's
-sine constant is spread across the lanes as `k * ones` when the step runs:
-keeping all 64 spread constants holds 64 more block-sized ints, which took
-the peak allocation of hashing a 1,768-line corpus from 0.6 to 1.1 MB and
-was no faster.
+over a lane block of records packed into one Python int, record k in the
+k-th 64-bit lane (bits 64k..64k+63), its 32-bit word in the low half and 32
+guard bits above it. A lane block holds LANE_BLOCK records, 8 KB per
+operand, or fewer where LANE_BYTES would not hold that many at the padded
+length of its longest record, so the copy of its padded messages stays
+within 1 MB (or one record) however long the lines are. Its constants are
+built once, ones = sum(1 << 64k) and mask = 0xFFFFFFFF * ones, and each
+step's sine constant is spread across the lanes as `k * ones` when the step
+runs: keeping all 64 spread constants holds 64 more block-sized ints, which
+took the peak allocation of hashing a 1,768-line corpus from 0.6 to 1.1 MB
+and was no faster.
 
 This is bit-exact because no lane ever reads or writes a neighbour's bits.
 The state and message words hold values below 2**32 in every lane. A step
@@ -25,18 +28,25 @@ guard bits, so the rotated value is masked *before* `b` is added to it:
 otherwise a carry out of `b + rotated` could run through those bits into
 the next lane.
 
-Records of different lengths share lane blocks by their count of 64-byte
-MD5 blocks: records are grouped by block count and each group is cut into
-lane blocks, so every lane is live for every MD5 block of its lane block and
-the work is the total number of record-blocks, not records times the
-longest record. A lane block's padded messages are concatenated, and the
-word g of MD5 block j of every record is one strided slice of 4-byte units,
-copied into the low halves of a zeroed buffer of 64-bit lanes and read as
-one int. Those copies only move bytes; lane ints are built and taken apart
-with int.from_bytes/to_bytes in little-endian order, MD5's word order, so
-they need no byteswap on big-endian hosts. The one native-order write is
-the array('Q') of message bit lengths, which is byteswapped there first,
-as `rng._lanes_int` does with its words.
+Records of different lengths share lane blocks by sorting: records are
+cut into lane blocks longest first, so within a lane block the lanes still
+live at MD5 block j, those whose record pads to more than j blocks, are a
+low-order prefix. Before block j the lanes that ended at block j - 1, the
+high ones, have their digests copied out of the state ints, and the state
+is masked down to the live prefix. Every step then works only on live
+lanes, so the work is the total number of record-blocks, not records times
+the longest record, and lanes stay wide whatever the spread of lengths.
+A lane block's padded messages are joined back to back, each record
+followed by its padding, without a padded copy of each record. Block j of
+every live record, 64 bytes each, is joined into one buffer; word g of each
+is one strided slice of its 4-byte units, copied into the low halves of a
+zeroed buffer of 64-bit lanes and read as one int.
+
+Those copies only move bytes, so no lane needs a byteswap on big-endian
+hosts: message words, lanes and digests are built and taken apart with
+int.from_bytes/to_bytes in little-endian order, MD5's word order, and so is
+each record's bit length. `rng._lanes_int` byteswaps because it writes
+native-order array('Q') words; nothing here does.
 
 The rounds stay pure Python on purpose: the kernel measures the motif's own
 work, and a C library call would measure only the call.
@@ -45,8 +55,7 @@ work, and a C library call would measure only the call.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+from itertools import accumulate
 
 from ..datasets import Tensor, TextCorpus
 from ..errors import KernelError
@@ -54,11 +63,14 @@ from ..errors import KernelError
 _MASK32 = 0xFFFFFFFF
 
 LANE_BLOCK = 1024  # records per lane block: 8 KB per operand
+LANE_BYTES = 1 << 20  # padded message bytes per lane block, unless one record is longer
 
 # K[i] = floor(abs(sin(i + 1)) * 2^32)
 _K = [int(abs(math.sin(i + 1)) * 4294967296) & _MASK32 for i in range(64)]
 _IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
 _LANE_ONE = (1).to_bytes(8, "little")
+# 0x80 and the zeros that follow a record of length n, by n % 64
+_PADDING = [b"\x80" + bytes((55 - n) % 64) for n in range(64)]
 
 
 def _round_table(r: int, shifts: tuple[int, int, int, int], word) -> tuple:
@@ -73,29 +85,50 @@ _ROUND3 = _round_table(2, (4, 11, 16, 23), lambda i: (3 * i + 5) % 16)
 _ROUND4 = _round_table(3, (6, 10, 15, 21), lambda i: (7 * i) % 16)
 
 
-def _md5_lanes(records: list, blocks: int) -> bytes:
-    """MD5 digests of byte strings that all pad to `blocks` MD5 blocks, run
-    as one lane block; returned as 16 bytes per record, in order."""
-    size = 64 * blocks
-    message = bytearray().join([(r + b"\x80").ljust(size, b"\0") for r in records])
-    bit_lengths = array("Q", [len(r) << 3 for r in records])
-    if sys.byteorder == "big":
-        bit_lengths.byteswap()
-    memoryview(message).cast("Q")[size // 8 - 1::size // 8] = bit_lengths
-    words = memoryview(message).cast("I")
-    lanes = len(records)
-    # One message word per 64-bit lane; only the low halves are ever written.
-    lane_bytes = bytearray(8 * lanes)
+def _message_words(message: bytes, starts: list, at: int) -> list[int]:
+    """The 16 words of the 64-byte blocks at message[s + at] for every start s,
+    as lane ints: int g holds word g of block k in the low half of lane k."""
+    words = memoryview(b"".join([message[s + at:s + at + 64] for s in starts])).cast("I")
+    lane_bytes = bytearray(8 * len(starts))
     low_halves = memoryview(lane_bytes).cast("I")[::2]
-    ones = int.from_bytes(_LANE_ONE * lanes, "little")
+    m = []
+    for g in range(16):
+        low_halves[:] = words[g::16]
+        m.append(int.from_bytes(lane_bytes, "little"))
+    return m
+
+
+def _md5_lanes(records: list) -> bytes:
+    """MD5 digests of byte strings sorted longest first, run as one lane
+    block; returned as 16 bytes per record, in order."""
+    blocks = [(len(r) + 8) // 64 + 1 for r in records]
+    # The padded messages back to back: each record, 0x80, zeros and its bit
+    # length, joined without copying a record on its own.
+    message = b"".join([piece for r in records for piece in (
+        r, _PADDING[len(r) & 63], (len(r) << 3).to_bytes(8, "little"))])
+    starts = list(accumulate([64 * n for n in blocks], initial=0))
+    out = bytearray(16 * len(records))
+    digest_words = memoryview(out).cast("I")
+    live = len(records)
+    ones = int.from_bytes(_LANE_ONE * live, "little")
     M = _MASK32 * ones
     a0, b0, c0, d0 = (v * ones for v in _IV)
-    stride = size // 4
-    for j in range(0, stride, 16):
-        m = []
-        for g in range(j, j + 16):
-            low_halves[:] = words[g::stride]
-            m.append(int.from_bytes(lane_bytes, "little"))
+    for j in range(blocks[0] + 1):
+        if blocks[live - 1] == j:
+            # The lanes whose last block was j - 1 are the high ones: copy
+            # their digests out and drop them from the state.
+            done = live
+            while live and blocks[live - 1] == j:
+                live -= 1
+            for w, lane_int in enumerate((a0, b0, c0, d0)):
+                ended = (lane_int >> 64 * live).to_bytes(8 * (done - live), "little")
+                digest_words[4 * live + w:4 * done:4] = memoryview(ended).cast("I")[::2]
+            if not live:
+                return bytes(out)
+            ones = int.from_bytes(_LANE_ONE * live, "little")
+            M = _MASK32 * ones
+            a0, b0, c0, d0 = a0 & M, b0 & M, c0 & M, d0 & M
+        m = _message_words(message, starts[:live], 64 * j)
         a, b, c, d = a0, b0, c0, d0
         for k, g, s, t in _ROUND1:
             f = ((d ^ (b & (c ^ d))) + a + k * ones + m[g]) & M
@@ -114,28 +147,26 @@ def _md5_lanes(records: list, blocks: int) -> bytes:
         c0 = (c0 + c) & M
         d0 = (d0 + d) & M
 
-    out = bytearray(16 * lanes)
-    digest_words = memoryview(out).cast("I")
-    for w, lane_int in enumerate((a0, b0, c0, d0)):
-        digest_words[w::4] = memoryview(lane_int.to_bytes(8 * lanes, "little")).cast("I")[::2]
-    return bytes(out)
-
 
 def md5_digests(records) -> list[bytes]:
     """16-byte MD5 digests of byte strings (or any bytes-like objects), in
     input order."""
     records = [bytes(r) for r in records]
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(records):
-        # MD5 blocks after padding: the record, 0x80 and the 8-byte bit length
-        groups.setdefault((len(r) + 8) // 64 + 1, []).append(i)
+    lengths = [len(r) for r in records]
+    # Longest first, so the lanes still live at any MD5 block are a prefix.
+    order = sorted(range(len(records)), key=lengths.__getitem__, reverse=True)
     out = [b""] * len(records)
-    for blocks, members in groups.items():
-        for start in range(0, len(members), LANE_BLOCK):
-            lane_block = members[start:start + LANE_BLOCK]
-            digests = _md5_lanes([records[i] for i in lane_block], blocks)
-            for i, at in zip(lane_block, range(0, len(digests), 16)):
-                out[i] = digests[at:at + 16]
+    start = 0
+    while start < len(order):
+        # LANE_BLOCK records, or fewer when LANE_BYTES would not hold that
+        # many at the padded length of the longest, which comes first
+        width = LANE_BYTES // (lengths[order[start]] + 72)
+        stop = start + min(max(width, 1), LANE_BLOCK)
+        lane_block = order[start:stop]
+        digests = _md5_lanes([records[i] for i in lane_block])
+        for i, at in zip(lane_block, range(0, len(digests), 16)):
+            out[i] = digests[at:at + 16]
+        start = stop
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from motifbench.datasets import KeyValueSet, Matrix, Table, TextCorpus
 from motifbench.errors import KernelError
+from motifbench.kernels import logic
 from motifbench.kernels.logic import LANE_BLOCK, md5_corpus, md5_digests, md5_hex
 from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_union
 from motifbench.kernels.sorting import sort_records
@@ -277,6 +278,26 @@ def test_md5_digests_match_hashlib_in_input_order(records):
 def test_md5_digests_past_one_lane_block():
     # all one MD5 block long, so the second lane block holds one record
     records = [i.to_bytes(2, "little") * (i % 28) for i in range(LANE_BLOCK + 1)]
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
+
+
+def test_md5_digests_lanes_end_at_every_block():
+    # Two records of each length 0, 7, ..., 994 in one lane block, shuffled:
+    # lanes end after every MD5 block from 1 to 16, several at a time.
+    rng = random.Random(7)
+    records = [bytes(rng.randrange(256) for _ in range(n)) for n in range(0, 1000, 7)] * 2
+    rng.shuffle(records)
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
+
+
+def test_md5_digests_lane_blocks_close_on_either_cap(monkeypatch):
+    # Small caps, so lane blocks close on the record cap, on the byte cap,
+    # and hold a single record longer than the byte cap.
+    monkeypatch.setattr(logic, "LANE_BLOCK", 5)
+    monkeypatch.setattr(logic, "LANE_BYTES", 300)
+    rng = random.Random(8)
+    records = [bytes(rng.randrange(256) for _ in range(rng.choice([0, 10, 60, 200, 700])))
+               for _ in range(60)]
     assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
 
 
