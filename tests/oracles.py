@@ -131,8 +131,57 @@ def naive_dft2d(grid, inverse=False):
     return out
 
 
+def scalar_fft(values, inverse=False):
+    """Iterative radix-2 Cooley-Tukey, one butterfly at a time, with the
+    twiddle advanced by w *= w_span; transform.fft must match it bit for bit."""
+    n = len(values)
+    data = [complex(v) for v in values]
+    j = 0
+    for i in range(1, n):
+        bit = n >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        if i < j:
+            data[i], data[j] = data[j], data[i]
+    sign = 1.0 if inverse else -1.0
+    span = 2
+    while span <= n:
+        ang = sign * 2.0 * math.pi / span
+        w_span = complex(math.cos(ang), math.sin(ang))
+        half = span >> 1
+        for start in range(0, n, span):
+            w = 1.0 + 0.0j
+            for k in range(start, start + half):
+                u = data[k]
+                v = data[k + half] * w
+                data[k] = u + v
+                data[k + half] = u - v
+                w *= w_span
+        span <<= 1
+    if inverse:
+        inv_n = 1.0 / n
+        data = [v * inv_n for v in data]
+    return data
+
+
+def scalar_fft2d(grid, inverse=False):
+    """scalar_fft over every row, then over every column."""
+    rows, cols = len(grid), len(grid[0])
+    stage1 = [scalar_fft(row, inverse) for row in grid]
+    out = [[0j] * cols for _ in range(rows)]
+    for j in range(cols):
+        col = scalar_fft([stage1[i][j] for i in range(rows)], inverse)
+        for i in range(rows):
+            out[i][j] = col[i]
+    return out
+
+
 def naive_convolution(x_shape, x_data, k_shape, k_data, stride, pad_top, pad_left, oh, ow):
-    """Seven plain loops over the output volume; zero outside the input."""
+    """Seven plain loops over the output volume; taps outside the input are
+    skipped. Each output adds its products in (u, v, ci) order from 0.0, so
+    transform.convolution must match it bit for bit."""
     batch, h, w, cin = x_shape
     kh, kw, _, cout = k_shape
     out = []
@@ -153,6 +202,48 @@ def naive_convolution(x_shape, x_data, k_shape, k_data, stride, pad_top, pad_lef
                                 acc += xv * kv
                     out.append(acc)
     return out
+
+
+def window_pool(shape, data, window, stride, mode):
+    """One window list per output cell and channel, taps in (u, v) order;
+    max() of it, or its left-to-right sum from 0 divided by the area."""
+    batch, h, w, c = shape
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    out = []
+    for b in range(batch):
+        for i in range(oh):
+            for j in range(ow):
+                for ch in range(c):
+                    vals = [
+                        data[((b * h + (i * stride + u)) * w + (j * stride + v)) * c + ch]
+                        for u in range(window)
+                        for v in range(window)
+                    ]
+                    if mode == "max":
+                        out.append(max(vals))
+                    else:
+                        acc = 0
+                        for x in vals:
+                            acc = acc + x
+                        out.append(acc / (window * window))
+    return out
+
+
+def scalar_gauss(rng, mu, sigma):
+    """One Box-Muller draw from two rng.random() values, drawing u1 again
+    while it is 0.0; no cached spare."""
+    u1 = rng.random()
+    while u1 <= 0.0:
+        u1 = rng.random()
+    u2 = rng.random()
+    r = math.sqrt(-2.0 * math.log(u1))
+    return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+
+
+def scalar_gaussian_draws(rng, mu, sigma, n):
+    """n Box-Muller draws, one scalar_gauss() call each."""
+    return [scalar_gauss(rng, mu, sigma) for _ in range(n)]
 
 
 class UnionFind:
