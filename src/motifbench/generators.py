@@ -114,8 +114,8 @@ class Gaussian:
             raise InvariantError(f"gaussian needs sigma > 0, got {self.sigma}")
 
     def draws(self, rng: SplitMix64, n: int) -> list[float]:
-        # Scalar: rejecting u1 == 0 makes the number of draws data-dependent.
-        return [rng.gauss(self.mu, self.sigma) for _ in range(n)]
+        """n Box-Muller draws from rng, in bulk (see SplitMix64.gausses)."""
+        return rng.gausses(n, self.mu, self.sigma)
 
 
 # Per-distribution parameters, in positional order for `--dist name:v1,v2`.
@@ -304,11 +304,7 @@ def gen_tensor(shape, dist, rng_seed: int) -> Tensor:
     dims = tuple(int(d) for d in shape)
     if not dims or any(d <= 0 for d in dims):
         raise InvariantError(f"tensor shape must be positive, got {dims}")
-    size = 1
-    for d in dims:
-        size *= d
-    rng = SplitMix64(rng_seed)
-    return Tensor(dims, dist.draws(rng, size))
+    return Tensor(dims, dist.draws(SplitMix64(rng_seed), math.prod(dims)))
 
 
 # ---------------------------------------------------------------------------

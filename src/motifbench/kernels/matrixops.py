@@ -5,6 +5,7 @@ layer, and the sigmoid/tanh activations this catalog tags as matrix work.
 from __future__ import annotations
 
 import math
+from operator import add, mul, sub
 
 from ..datasets import Matrix, Tensor
 from ..errors import KernelError
@@ -29,11 +30,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(n, m, out)
 
 
-_ELEMENTWISE = {
-    "add": lambda x, y: x + y,
-    "subtract": lambda x, y: x - y,
-    "hadamard": lambda x, y: x * y,
-}
+_ELEMENTWISE = {"add": add, "subtract": sub, "hadamard": mul}
 
 
 def mat_elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
@@ -46,7 +43,7 @@ def mat_elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
         f = _ELEMENTWISE[op]
     except KeyError:
         raise KernelError(f"unknown elementwise op {op!r}") from None
-    return Matrix(a.rows, a.cols, [f(x, y) for x, y in zip(a.data, b.data)])
+    return Matrix(a.rows, a.cols, map(f, a.data, b.data))
 
 
 def fully_connected(x: Tensor, w: Matrix, bias: Tensor) -> Tensor:
@@ -55,10 +52,7 @@ def fully_connected(x: Tensor, w: Matrix, bias: Tensor) -> Tensor:
     x is [batch, ...features]; trailing dimensions are flattened to the layer
     input width, so a pooled conv volume feeds the dense head directly.
     """
-    batch = x.shape[0]
-    feat = 1
-    for d in x.shape[1:]:
-        feat *= d
+    batch, feat = x.shape[0], math.prod(x.shape[1:])
     if feat != w.rows:
         raise KernelError(
             f"input features {feat} (shape {x.shape}) != weight rows {w.rows}"
@@ -67,10 +61,9 @@ def fully_connected(x: Tensor, w: Matrix, bias: Tensor) -> Tensor:
         raise KernelError(
             f"bias shape {bias.shape} != weight output width ({w.cols},)"
         )
+    wcols = [w.data[o :: w.cols] for o in range(w.cols)]
     out = []
     for b in range(batch):
         xrow = x.data[b * feat : (b + 1) * feat]
-        for o in range(w.cols):
-            acc = math.fsum(xrow[i] * w.data[i * w.cols + o] for i in range(feat))
-            out.append(acc + bias.data[o])
+        out += [math.fsum(map(mul, xrow, wcol)) + bo for wcol, bo in zip(wcols, bias.data)]
     return Tensor((batch, w.cols), out)

@@ -5,6 +5,9 @@ stream, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
+
 from ..datasets import Matrix, Table, Tensor, TextCorpus
 from ..errors import KernelError
 from ..floatsum import left_sum
@@ -39,17 +42,16 @@ def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
     area = window * window
-    out = []
-    for b in range(batch):
-        for i in range(oh):
-            for j in range(ow):
-                for ch in range(c):
-                    vals = [
-                        x.data[((b * h + (i * stride + u)) * w + (j * stride + v)) * c + ch]
-                        for u in range(window)
-                        for v in range(window)
-                    ]
-                    out.append(max(vals) if mode == "max" else left_sum(vals) / area)
+    # One list per tap (u, v), in a window scan's u-then-v order, across every
+    # output cell and channel; max() keeps the first of equal maxima, as a scan would.
+    corners = [((b * h + i * stride) * w + j * stride) * c + ch
+               for b in range(batch) for i in range(oh) for j in range(ow) for ch in range(c)]
+    taps = [list(map(x.data.__getitem__, map(add, corners, repeat((u * w + v) * c))))
+            for u in range(window) for v in range(window)]
+    if mode == "avg":
+        out = [left_sum(vals) / area for vals in zip(*taps)]
+    else:  # max() of one bare float would raise
+        out = taps[0] if area == 1 else list(map(max, *taps))
     return Tensor((batch, oh, ow, c), out)
 
 

@@ -2,61 +2,84 @@
 convolution.
 
 The FFT is the iterative Cooley-Tukey form (bit-reversal permutation, then
-butterflies of doubling span), restricted to power-of-two lengths. Matrix
-wrappers pack complex planes as real matrices with interleaved re,im columns
-so spectra can flow through the dataset pipeline.
+butterflies of doubling span), restricted to power-of-two lengths. It runs
+over all rows of a flat list at once, one slice operation per twiddle per
+stage, with each butterfly's operations in the scalar loop's order, so the
+bits match that loop's. Matrix wrappers pack complex planes as real matrices
+with interleaved re,im columns so spectra can flow through the dataset pipeline.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import add, attrgetter, mul, sub
 
 from ..datasets import Matrix, Tensor
 from ..errors import KernelError
+from ..floatsum import left_sum
+
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def fft(values, inverse: bool = False) -> list[complex]:
-    """DFT (or inverse DFT with 1/n scaling) of a power-of-two-length sequence."""
-    n = len(values)
+@lru_cache(maxsize=32)
+def _bit_reversal(n: int) -> tuple[int, ...]:
+    rev = [0]
+    while len(rev) < n:
+        rev = [2 * r for r in rev] + [2 * r + 1 for r in rev]
+    return tuple(rev)
+
+
+@lru_cache(maxsize=64)
+def _twiddles(span: int, inverse: bool) -> tuple[complex, ...]:
+    """w**o for o < span/2, w = exp(+-2 pi i / span), as the running product
+    1+0j, (1+0j)*w, ... Powers taken from cos/sin of o times the angle, or a
+    table without the first multiply by 1+0j (which can flip the sign of a
+    zero), give other bits."""
+    ang = (1.0 if inverse else -1.0) * 2.0 * math.pi / span
+    w_span = complex(math.cos(ang), math.sin(ang))
+    return tuple(accumulate(repeat(w_span, (span >> 1) - 1), mul, initial=1.0 + 0.0j))
+
+
+def _fft_rows(d: list[complex], n: int, inverse: bool) -> list[complex]:
+    """FFT (or inverse FFT with 1/n scaling) of every consecutive length-n row
+    of the flat list d."""
     if not _is_pow2(n):
         raise KernelError(f"fft length must be a power of two, got {n}")
-    data = [complex(v) for v in values]
-
-    # bit-reversal permutation
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            data[i], data[j] = data[j], data[i]
-
-    sign = 1.0 if inverse else -1.0
+    out = [0j] * len(d)
+    for t, p in enumerate(_bit_reversal(n)):
+        out[t::n] = d[p::n]
     span = 2
     while span <= n:
-        ang = sign * 2.0 * math.pi / span
-        w_span = complex(math.cos(ang), math.sin(ang))
         half = span >> 1
-        for start in range(0, n, span):
-            w = 1.0 + 0.0j
-            for k in range(start, start + half):
-                u = data[k]
-                v = data[k + half] * w
-                data[k] = u + v
-                data[k + half] = u - v
-                w *= w_span
+        for o, w in enumerate(_twiddles(span, inverse)):
+            top = out[o::span]
+            v = list(map(mul, out[o + half :: span], repeat(w)))
+            out[o::span] = map(add, top, v)
+            out[o + half :: span] = map(sub, top, v)
         span <<= 1
-
     if inverse:
-        inv_n = 1.0 / n
-        data = [v * inv_n for v in data]
-    return data
+        out = list(map(mul, out, repeat(1.0 / n)))
+    return out
+
+
+def _fft2d_rows(d: list[complex], rows: int, cols: int, inverse: bool) -> list[complex]:
+    """2-D FFT of the row-major rows x cols plane d: rows, then columns."""
+    if not (_is_pow2(rows) and _is_pow2(cols)):
+        raise KernelError(f"fft2d dims must be powers of two, got {rows}x{cols}")
+    d = _fft_rows(d, cols, inverse)
+    d = _fft_rows(list(chain.from_iterable(d[j::cols] for j in range(cols))), rows, inverse)
+    return list(chain.from_iterable(d[i::rows] for i in range(rows)))
+
+
+def fft(values, inverse: bool = False) -> list[complex]:
+    """DFT (or inverse DFT with 1/n scaling) of a power-of-two-length sequence."""
+    return _fft_rows(list(map(complex, values)), len(values), inverse)
 
 
 def fft2d(grid: list[list[complex]], inverse: bool = False) -> list[list[complex]]:
@@ -68,15 +91,8 @@ def fft2d(grid: list[list[complex]], inverse: bool = False) -> list[list[complex
     cols = len(grid[0])
     if any(len(r) != cols for r in grid):
         raise KernelError("fft2d needs a rectangular grid")
-    if not (_is_pow2(rows) and _is_pow2(cols)):
-        raise KernelError(f"fft2d dims must be powers of two, got {rows}x{cols}")
-    stage1 = [fft(row, inverse) for row in grid]
-    out = [[0j] * cols for _ in range(rows)]
-    for j in range(cols):
-        col = fft([stage1[i][j] for i in range(rows)], inverse)
-        for i in range(rows):
-            out[i][j] = col[i]
-    return out
+    flat = _fft2d_rows([complex(v) for row in grid for v in row], rows, cols, inverse)
+    return [flat[i : i + cols] for i in range(0, len(flat), cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,53 +100,40 @@ def fft2d(grid: list[list[complex]], inverse: bool = False) -> list[list[complex
 # columns re0, im0, re1, im1, ...
 
 
-def _unpack_complex(m: Matrix) -> list[list[complex]]:
+def _unpack_complex(m: Matrix) -> list[complex]:
     if m.cols % 2 != 0:
         raise KernelError(f"interleaved complex matrix needs even cols, got {m.cols}")
-    half = m.cols // 2
-    return [
-        [complex(m.at(i, 2 * j), m.at(i, 2 * j + 1)) for j in range(half)]
-        for i in range(m.rows)
-    ]
+    return list(map(complex, m.data[0::2], m.data[1::2]))
 
 
-def _pack_complex(grid: list[list[complex]]) -> Matrix:
-    data = []
-    for row in grid:
-        for z in row:
-            data.append(z.real)
-            data.append(z.imag)
-    return Matrix(len(grid), 2 * len(grid[0]), data)
+def _pack_complex(rows: int, d: list[complex]) -> Matrix:
+    data = [0.0] * (2 * len(d))
+    data[0::2] = map(_real, d)
+    data[1::2] = map(_imag, d)
+    return Matrix(rows, len(data) // rows, data)
 
 
 def matrix_fft(m: Matrix) -> Matrix:
     """Row-wise FFT of a real matrix -> interleaved complex matrix."""
-    return _pack_complex([fft(m.row(i)) for i in range(m.rows)])
+    return _pack_complex(m.rows, _fft_rows(list(map(complex, m.data)), m.cols, False))
 
 
 def matrix_ifft(m: Matrix) -> Matrix:
     """Row-wise inverse FFT of an interleaved complex matrix -> real matrix
     (imaginary part of the reconstruction is dropped)."""
-    grid = _unpack_complex(m)
-    out = [fft(row, inverse=True) for row in grid]
-    return Matrix(m.rows, m.cols // 2, [z.real for row in out for z in row])
+    out = _fft_rows(_unpack_complex(m), m.cols // 2, True)
+    return Matrix(m.rows, m.cols // 2, map(_real, out))
 
 
 def matrix_fft2d(m: Matrix) -> Matrix:
     """2-D FFT of a real plane -> interleaved complex matrix."""
-    if not (_is_pow2(m.rows) and _is_pow2(m.cols)):
-        raise KernelError(f"fft2d dims must be powers of two, got {m.rows}x{m.cols}")
-    grid = [[complex(v) for v in m.row(i)] for i in range(m.rows)]
-    return _pack_complex(fft2d(grid))
+    return _pack_complex(m.rows, _fft2d_rows(list(map(complex, m.data)), m.rows, m.cols, False))
 
 
 def matrix_ifft2d(m: Matrix) -> Matrix:
     """Inverse 2-D FFT of an interleaved complex matrix -> real plane."""
-    grid = _unpack_complex(m)
-    if not _is_pow2(len(grid)):
-        raise KernelError(f"fft2d dims must be powers of two, got {m.rows}x{m.cols // 2}")
-    out = fft2d(grid, inverse=True)
-    return Matrix(m.rows, m.cols // 2, [z.real for row in out for z in row])
+    out = _fft2d_rows(_unpack_complex(m), m.rows, m.cols // 2, True)
+    return Matrix(m.rows, m.cols // 2, map(_real, out))
 
 
 # ---------------------------------------------------------------------------
@@ -159,39 +162,32 @@ def convolution(x: Tensor, k: Tensor, stride: int = 1, padding: str = "valid") -
             raise KernelError(f"kernel {kh}x{kw} larger than input {h}x{w}")
         oh = (h - kh) // stride + 1
         ow = (w - kw) // stride + 1
-        pad_top = pad_left = 0
     elif padding == "same":
         oh = -(-h // stride)
         ow = -(-w // stride)
-        pad_top = max((oh - 1) * stride + kh - h, 0) // 2
-        pad_left = max((ow - 1) * stride + kw - w, 0) // 2
     else:
         raise KernelError(f"unknown padding {padding!r}")
+    pad_h = max((oh - 1) * stride + kh - h, 0)
+    pad_w = max((ow - 1) * stride + kw - w, 0)
+    hp, row = h + pad_h, (w + pad_w) * cin  # padded height, values per padded row
+    xd = x.data
+    if pad_h or pad_w:  # a zero-padded copy, half of each pad (rounded down) before
+        xd = [0.0] * (batch * hp * row)
+        for r in range(batch * h):
+            at = (r // h * hp + r % h + pad_h // 2) * row + pad_w // 2 * cin
+            xd[at : at + w * cin] = x.data[r * w * cin : (r + 1) * w * cin]
 
-    out = [0.0] * (batch * oh * ow * cout)
-    xd, kd = x.data, k.data
-    pos = 0
-    for b in range(batch):
-        for i in range(oh):
-            for j in range(ow):
-                base_i = i * stride - pad_top
-                base_j = j * stride - pad_left
-                acc = [0.0] * cout
-                for u in range(kh):
-                    si = base_i + u
-                    if si < 0 or si >= h:
-                        continue
-                    for v in range(kw):
-                        sj = base_j + v
-                        if sj < 0 or sj >= w:
-                            continue
-                        xoff = ((b * h + si) * w + sj) * cin
-                        koff = (u * kw + v) * cin * cout
-                        for ci in range(cin):
-                            xv = xd[xoff + ci]
-                            kbase = koff + ci * cout
-                            for co in range(cout):
-                                acc[co] += xv * kd[kbase + co]
-                out[pos : pos + cout] = acc
-                pos += cout
+    # Each output channel folds its products in (u, v, ci) order from 0, and
+    # k.data[co::cout] lists that channel's weights in the same order. A padding
+    # product is +-0.0, which leaves a finite fold unchanged: the fold starts
+    # at +0.0 and never holds -0.0 (x + y is -0.0 only when both are), so
+    # skipping out-of-range taps would give the same bits.
+    kcols = [k.data[co::cout] for co in range(cout)]
+    out = []
+    for top in [(b * hp + i * stride) * row for b in range(batch) for i in range(oh)]:
+        for left in range(top, top + ow * stride * cin, stride * cin):
+            xs = []
+            for s in range(left, left + kh * row, row):
+                xs += xd[s : s + kw * cin]
+            out += [left_sum(map(mul, xs, kc)) for kc in kcols]
     return Tensor((batch, oh, ow, cout), out)

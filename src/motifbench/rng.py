@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from itertools import repeat
+from operator import add, mul, rshift
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -112,11 +114,22 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Box-Muller transform; two uniform draws per sample, no cached spare."""
-        u1 = self.random()
-        while u1 <= 0.0:
-            u1 = self.random()
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+    def gausses(self, n: int, mu: float, sigma: float) -> list[float]:
+        """n Box-Muller draws mu + sigma * sqrt(-2 ln u1) * cos(2 pi u2), in that
+        order of operations, each from two random() values drawn in bulk by
+        u64s(). A u1 of 0.0 is rejected and the next draw taken in its place,
+        as drawing one pair at a time would; the state ends where that would."""
+        out = []
+        while len(out) < n:
+            start = self._state
+            m = min(n - len(out), BULK_BLOCK // 2)
+            u = list(map(mul, map(rshift, self.u64s(2 * m), repeat(11)), repeat(1.0 / (1 << 53))))
+            u1, u2 = u[0::2], u[1::2]
+            cut = u1.index(0.0) if 0.0 in u1 else m
+            del u1[cut:], u2[cut:]
+            r = map(math.sqrt, map(mul, repeat(-2.0), map(math.log, u1)))
+            c = map(math.cos, map(mul, repeat(2.0 * math.pi), u2))
+            out += map(add, repeat(mu), map(mul, map(mul, repeat(sigma), r), c))
+            if cut < m:
+                self._state = (start + (2 * cut + 1) * _GAMMA) & _MASK64
+        return out
