@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import Union
 
 from .errors import InvariantError
@@ -32,10 +33,20 @@ def _require(cond: bool, message: str):
         raise InvariantError(message)
 
 
-def _check_finite_values(values, what: str):
-    for v in values:
-        if not math.isfinite(v):
-            raise InvariantError(f"{what} must be finite, got {v!r}")
+def _real_values(data, what: str) -> tuple[float, ...]:
+    """`data` as a tuple of finite floats: an int becomes a float, any other
+    type (bool, str, ...) is rejected. Only naming a bad value scans in Python."""
+    values = tuple(data)
+    types = set(map(type, values))
+    if types - {float}:
+        if types - {float, int}:
+            bad = next(v for v in values if type(v) not in (float, int))
+            raise InvariantError(f"{what} must be numbers, got {bad!r}")
+        values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        bad = next(filterfalse(math.isfinite, values))
+        raise InvariantError(f"{what} must be finite, got {bad!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -69,9 +80,10 @@ class Table:
     rows: tuple[tuple, ...]
 
     def __init__(self, schema, rows):
-        norm_schema = tuple((str(n), str(k)) for n, k in schema)
+        norm_schema = tuple((n, k) for n, k in schema)
         seen = set()
         for name, kind in norm_schema:
+            _require(isinstance(name, str), f"column name {name!r} is not a string")
             _require(kind in TABLE_KINDS, f"unknown column kind {kind!r} for column {name!r}")
             _require(name not in seen, f"duplicate column name {name!r}")
             # Names appear unquoted in the table header line.
@@ -135,12 +147,11 @@ class Matrix:
     def __init__(self, rows: int, cols: int, data):
         _require(isinstance(rows, int) and rows > 0, f"rows must be a positive count, got {rows!r}")
         _require(isinstance(cols, int) and cols > 0, f"cols must be a positive count, got {cols!r}")
-        values = tuple(float(v) for v in data)
+        values = _real_values(data, "matrix values")
         _require(
             len(values) == rows * cols,
             f"data length {len(values)} != rows*cols = {rows * cols}",
         )
-        _check_finite_values(values, "matrix values")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", values)
@@ -160,16 +171,14 @@ class Tensor:
     data: tuple[float, ...]
 
     def __init__(self, shape, data):
-        dims = tuple(int(d) for d in shape)
-        _require(len(dims) > 0, "tensor rank must be >= 1")
-        for d in dims:
-            _require(d > 0, f"tensor dimensions must be positive, got {dims}")
-        size = 1
-        for d in dims:
-            size *= d
-        values = tuple(float(v) for v in data)
+        dims = tuple(shape)
+        _require(
+            set(map(type, dims)) == {int} and min(dims) > 0,
+            f"tensor shape must be one or more positive integers, got {dims!r}",
+        )
+        size = math.prod(dims)
+        values = _real_values(data, "tensor values")
         _require(len(values) == size, f"data length {len(values)} != product(shape) = {size}")
-        _check_finite_values(values, "tensor values")
         object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "data", values)
 
@@ -203,16 +212,17 @@ class Graph:
             isinstance(vertex_count, int) and 0 < vertex_count < 2**64,
             f"vertex_count must be a positive count below 2**64, got {vertex_count!r}",
         )
-        norm = []
-        for k, (u, v) in enumerate(edges):
-            u, v = int(u), int(v)
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InvariantError(
-                    f"edge {k} endpoint out of range: ({u}, {v}) with vertex_count {vertex_count}"
-                )
-            norm.append((u, v))
+        norm = tuple(map(tuple, edges))
+        ends = list(chain.from_iterable(norm))
+        if not (set(map(len, norm)) <= {2} and set(map(type, ends)) <= {int}
+                and 0 <= min(ends, default=0) and max(ends, default=0) < vertex_count):
+            for k, e in enumerate(norm):  # name the first bad edge
+                ok = len(e) == 2 and set(map(type, e)) == {int}
+                _require(ok and 0 <= min(e) <= max(e) < vertex_count,
+                         f"edge {k} endpoint out of range or not an integer: {e!r} "
+                         f"with vertex_count {vertex_count}")
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "directed", bool(directed))
 
 

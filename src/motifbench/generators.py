@@ -16,9 +16,10 @@ they are identical only on the same platform.
 make_genspec validates key=value parameters against one schema per kind,
 with the ParamSpec/coerce checks kernels use (see params): counts are
 integers >= 1, the seed lies in [0, 2**64), a graph takes the RMAT
-probabilities a/b/c/d only with model=rmat, and a matrix or tensor takes
-lo/hi only with dist=uniform and mu/sigma only with dist=gaussian. Unknown
-names are errors; omitted ones take the schema defaults.
+probabilities a/b/c/d (each in [0, 1], summing to 1) only with model=rmat,
+and a matrix or tensor takes lo/hi only with dist=uniform and mu/sigma only
+with dist=gaussian. Unknown names are errors; omitted ones take the schema
+defaults. The gen_* functions trust the values make_genspec has checked.
 """
 
 from __future__ import annotations
@@ -172,8 +173,6 @@ def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextC
     """Corpus sampled from the seed's bigram model (unigram fallback for
     unseen contexts); vocabulary is a subset of the seed's; UTF-8 size lands
     within +/-5% of target_bytes."""
-    if target_bytes <= 0:
-        raise InvariantError(f"target_bytes must be > 0, got {target_bytes}")
     unigrams, successors, lengths = _fit_bigram(seed_corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
@@ -230,15 +229,10 @@ def gen_graph(
     real web graphs; it needs a power-of-two vertex count. 'uniform' draws
     endpoints independently.
     """
-    if vertices <= 0:
-        raise InvariantError(f"vertices must be > 0, got {vertices}")
-    if edges <= 0:
-        raise InvariantError(f"edges must be > 0, got {edges}")
     rng = SplitMix64(rng_seed)
     if model == "uniform":
         edge_list = [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
     elif model == "rmat":
-        _check_rmat(vertices, probs)
         edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, probs)
     else:
         raise InvariantError(f"unknown graph model {model!r}")
@@ -275,16 +269,6 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
     return out
 
 
-def _check_rmat(vertices: int, probs: tuple) -> None:
-    if vertices & (vertices - 1):
-        raise InvariantError(f"rmat needs a power-of-two vertex count, got {vertices}")
-    if any(not 0.0 <= p <= 1.0 for p in probs):
-        raise InvariantError(f"rmat probabilities must be in [0, 1], got {probs}")
-    total = left_sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"rmat probabilities must sum to 1, got {total}")
-
-
 def _rmat_probs(p: dict) -> tuple:
     return tuple(p.get(k, default) for k, default in zip("abcd", RMAT_DEFAULT))
 
@@ -294,17 +278,11 @@ def _rmat_probs(p: dict) -> tuple:
 
 
 def gen_matrix(rows: int, cols: int, dist, rng_seed: int) -> Matrix:
-    if rows <= 0 or cols <= 0:
-        raise InvariantError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    rng = SplitMix64(rng_seed)
-    return Matrix(rows, cols, dist.draws(rng, rows * cols))
+    return Matrix(rows, cols, dist.draws(SplitMix64(rng_seed), rows * cols))
 
 
-def gen_tensor(shape, dist, rng_seed: int) -> Tensor:
-    dims = tuple(int(d) for d in shape)
-    if not dims or any(d <= 0 for d in dims):
-        raise InvariantError(f"tensor shape must be positive, got {dims}")
-    return Tensor(dims, dist.draws(SplitMix64(rng_seed), math.prod(dims)))
+def gen_tensor(shape: tuple[int, ...], dist, rng_seed: int) -> Tensor:
+    return Tensor(shape, dist.draws(SplitMix64(rng_seed), math.prod(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +305,6 @@ _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:
     """ORDER/ITEM pair; every ITEM.order_id resolves to an ORDER row and
     goods_amount is exactly goods_number * goods_price."""
-    if order_rows <= 0 or item_rows <= 0:
-        raise InvariantError(
-            f"row counts must be > 0, got orders={order_rows}, items={item_rows}"
-        )
     rng = SplitMix64(rng_seed)
     orders = []
     for oid in range(1, order_rows + 1):
@@ -394,7 +368,9 @@ _SCHEMAS = {
         "seed": SEED,
     },
 }
-_RMAT_PARAMS = {k: ParamSpec("float", default=v) for k, v in zip("abcd", RMAT_DEFAULT)}
+_RMAT_PARAMS = {
+    k: ParamSpec("float", default=v, lo=0.0, hi=1.0) for k, v in zip("abcd", RMAT_DEFAULT)
+}
 
 
 def make_genspec(kind: str, raw_params: dict) -> GenSpec:
@@ -410,7 +386,11 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
     p = coerce(schema, raw_params, f"generate.{kind}", InvariantError)
 
     if kind == "graph" and p["model"] == "rmat":
-        _check_rmat(p["vertices"], _rmat_probs(p))
+        if p["vertices"] & (p["vertices"] - 1):
+            raise InvariantError(f"rmat needs a power-of-two vertex count, got {p['vertices']}")
+        total = left_sum(_rmat_probs(p))
+        if abs(total - 1.0) > 1e-9:
+            raise InvariantError(f"rmat probabilities must sum to 1, got {total}")
     elif kind == "tensor":
         p["shape"] = "x".join(str(d) for d in parse_shape(p["shape"]))
     if "dist" in p:

@@ -7,7 +7,8 @@ schema; the workload composer and the CLI both drive kernels purely through
 this table.
 
 Kernels are pure functions of (operands, params): rerunning one on the same
-inputs yields a checksum-identical payload.
+inputs yields a checksum-identical payload. A kernel trusts its params, which
+KernelSpec.coerce_params checks against the schema, and checks only operands.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..datasets import (
     Table,
 )
 from ..errors import KernelError
-from ..params import SEED, ParamSpec, coerce
+from ..params import ABOVE_ZERO, BELOW_ONE, SEED, ParamSpec, coerce
 from . import graphops, logic, matrixops, sampling, sets, sorting, statistic, transform
 
 FAMILIES = ("matrix", "sampling", "transform", "graph", "logic", "set", "sort", "statistic")
@@ -57,13 +58,6 @@ class KernelSpec:
         if self.check is not None:
             self.check(out)
         return out
-
-
-def _open_range(motif, params, key, lo, hi=None):
-    """Open-interval check for bounds a ParamSpec's closed range cannot state."""
-    v = params[key]
-    if v <= lo or (hi is not None and v >= hi):
-        raise KernelError(f"{motif}: parameter {key!r}={v} out of range")
 
 
 REGISTRY: dict[str, KernelSpec] = {}
@@ -125,6 +119,11 @@ _POOL_PARAMS = {
 }
 
 
+def _check_grep(p):
+    if not p["pattern"]:
+        raise KernelError("set.grep: parameter 'pattern' must be non-empty")
+
+
 def _check_aggregate(p):
     if p["agg"] in ("sum", "avg") and not p["target"]:
         raise KernelError(f"statistic.aggregate: {p['agg']} needs target=<column>")
@@ -142,6 +141,7 @@ _KERNELS = [
         "set", "grep", 1, (_TXT,), KIND_TEXT,
         lambda ops, p: sets.grep(ops[0], p["pattern"]),
         {"pattern": ParamSpec("str", required=True)},
+        check=_check_grep,
     ),
     KernelSpec("set", "union", 2, (_KVS, _KVS), KIND_KV,
                lambda ops, p: sets.set_op(ops[0], ops[1], "union")),
@@ -180,8 +180,10 @@ _KERNELS = [
     KernelSpec(
         "statistic", "batch_norm", 1, (_TEN,), KIND_TENSOR,
         lambda ops, p: statistic.batch_norm(ops[0], p["axis"], p["epsilon"]),
-        {"axis": ParamSpec("int", default=0, lo=0), "epsilon": ParamSpec("float", default=1e-5)},
-        check=lambda p: _open_range("statistic.batch_norm", p, "epsilon", 0.0),
+        {
+            "axis": ParamSpec("int", default=0, lo=0),
+            "epsilon": ParamSpec("float", default=1e-5, lo=ABOVE_ZERO),
+        },
     ),
     KernelSpec(
         "statistic", "cosine_norm", 1, (_TEN,), KIND_TENSOR,
@@ -258,11 +260,10 @@ _KERNELS = [
     KernelSpec(
         "graph", "pagerank", 1, (_GRA,), KIND_MATRIX, _pagerank_matrix,
         {
-            "damping": ParamSpec("float", default=0.85),
+            "damping": ParamSpec("float", default=0.85, lo=ABOVE_ZERO, hi=BELOW_ONE),
             "max_iters": ParamSpec("int", default=100, lo=1),
             "tol": ParamSpec("float", default=1e-10, lo=0.0),
         },
-        check=lambda p: _open_range("graph.pagerank", p, "damping", 0.0, 1.0),
     ),
 ]
 

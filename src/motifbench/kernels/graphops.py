@@ -48,10 +48,6 @@ def pagerank(
     """
     if not g.directed:
         raise KernelError("pagerank needs a directed graph")
-    if not 0.0 < damping < 1.0:
-        raise KernelError(f"damping must be in (0, 1), got {damping}")
-    if max_iters < 1:
-        raise KernelError(f"max_iters must be >= 1, got {max_iters}")
     n = g.vertex_count
     out_edges: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:

@@ -17,8 +17,6 @@ from ..rng import SplitMix64
 def random_sample(data, fraction: float, seed: int = 0):
     """Keep each record independently with probability `fraction`; relative
     order preserved; deterministic per (input, fraction, seed)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise KernelError(f"fraction must be in [0, 1], got {fraction}")
     rng = SplitMix64(seed)
     if isinstance(data, TextCorpus):
         return TextCorpus([line for line in data.documents if rng.random() < fraction])
@@ -32,10 +30,6 @@ def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:
     output spatial size is floor((dim - window) / stride) + 1."""
     if x.rank != 4:
         raise KernelError(f"pool needs a [batch, h, w, c] tensor, got shape {x.shape}")
-    if window < 1 or stride < 1:
-        raise KernelError(f"window and stride must be >= 1, got {window}, {stride}")
-    if mode not in ("max", "avg"):
-        raise KernelError(f"unknown pooling mode {mode!r}")
     batch, h, w, c = x.shape
     if window > h or window > w:
         raise KernelError(f"window {window} larger than spatial dims {h}x{w}")
@@ -57,8 +51,6 @@ def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:
 
 def downsample(m: Matrix, factor: int) -> Matrix:
     """Keep every factor-th row and column starting at (0, 0)."""
-    if factor < 1:
-        raise KernelError(f"factor must be >= 1, got {factor}")
     rows = (m.rows + factor - 1) // factor
     cols = (m.cols + factor - 1) // factor
     out = [m.at(i * factor, j * factor) for i in range(rows) for j in range(cols)]
@@ -68,8 +60,6 @@ def downsample(m: Matrix, factor: int) -> Matrix:
 def dropout(x: Tensor, p: float, seed: int = 0) -> Tensor:
     """Inverted dropout: zero each element with probability p, scale survivors
     by 1/(1-p); p=1 zeroes everything without scaling."""
-    if not 0.0 <= p <= 1.0:
-        raise KernelError(f"p must be in [0, 1], got {p}")
     if p == 1.0:
         return Tensor(x.shape, [0.0] * len(x.data))
     rng = SplitMix64(seed)

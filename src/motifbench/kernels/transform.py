@@ -151,8 +151,6 @@ def convolution(x: Tensor, k: Tensor, stride: int = 1, padding: str = "valid") -
         raise KernelError(f"convolution input must be [batch, h, w, c], got {x.shape}")
     if k.rank != 4:
         raise KernelError(f"convolution kernel must be [kh, kw, c_in, c_out], got {k.shape}")
-    if stride < 1:
-        raise KernelError(f"stride must be >= 1, got {stride}")
     batch, h, w, cin = x.shape
     kh, kw, kcin, cout = k.shape
     if kcin != cin:

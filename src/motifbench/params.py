@@ -23,6 +23,11 @@ class ParamSpec:
     hi: Optional[float] = None
 
 
+# Closed bounds that state open ones on a float: v > 0.0 holds exactly when
+# v >= ABOVE_ZERO, and v < 1.0 exactly when v <= BELOW_ONE.
+ABOVE_ZERO = math.nextafter(0.0, 1.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
 # Seeds become SplitMix64's 64-bit state; a value outside [0, 2**64) would
 # silently alias another seed.
 SEED = ParamSpec("int", default=0, lo=0, hi=2**64 - 1)

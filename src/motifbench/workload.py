@@ -77,7 +77,7 @@ class MotifInvocation:
     result_id: str
     motif: str
     operands: tuple[str, ...]
-    params: tuple[tuple[str, object], ...]
+    params: tuple[tuple[str, str], ...]  # parameter text, coerced by the kernel's schema
     line: int
 
     def param_dict(self) -> dict:
@@ -157,23 +157,17 @@ _RE_ARG = re.compile(rf"(?:^|,)({_outside_quotes(',')})")  # one comma-separated
 _RE_KEY_VALUE = re.compile(rf"({_outside_quotes('=')})(=?)(.*)", re.S)  # split at the first =
 
 
-def _parse_value(raw: str):
+def _parse_value(raw: str) -> str:
+    """The value's text without its quotes: the parameter's schema converts it
+    by the parameter's kind (params.coerce), so a str keeps its spelling."""
     if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
         return raw[1:-1]
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
     return raw
 
 
 def _parse_arglist(args: str, lineno: int, allow_operands: bool):
     operands: list[str] = []
-    params: dict[str, object] = {}
+    params: dict[str, str] = {}
     parts = _RE_ARG.findall(args) if args.strip() else []
     for part in map(str.strip, parts):
         if not part:

@@ -326,6 +326,49 @@ def test_validate_non_finite_float_exit_3(tmp_path, capsys, line):
     assert "line 3:" in err and "must be finite" in err
 
 
+_TEXT = "input t = generate.text(bytes=64, seed=1)\n"
+_GRAPH = "input g = generate.graph(vertices=8, edges=4, seed=1)\n"
+_MATRIX = "input m = generate.matrix(rows=4, cols=4, seed=1)\n"
+_TENSOR = "input x = generate.tensor(shape=1x4x4x1, seed=1)\n"
+_TABLE = "input tb = generate.table(orders=4, items=8, seed=1)\n"
+
+
+# One value for each check that kernels and generators leave to their schema:
+# the spec is rejected before any input is generated or kernel runs.
+@pytest.mark.parametrize("lines, needle", [
+    (_GRAPH + "node r = graph.pagerank(g, damping=1.0)", "'damping'"),
+    (_GRAPH + "node r = graph.pagerank(g, max_iters=0)", "'max_iters'"),
+    (_TEXT + "node s = sampling.random_sample(t, fraction=1.5)", "'fraction'"),
+    (_TENSOR + "node p = sampling.max_pool(x, window=0)", "'window'"),
+    (_TENSOR + "node p = sampling.avg_pool(x, window=2, stride=0)", "'stride'"),
+    (_MATRIX + "node d = sampling.downsample(m, factor=0)", "'factor'"),
+    (_TENSOR + "node d = sampling.dropout(x, p=1.5)", "'p'"),
+    (_TENSOR + "node n = statistic.batch_norm(x, epsilon=0)", "'epsilon'"),
+    (_TABLE + "node a = statistic.aggregate(tb, group=buyer_id, agg=median)", "'agg'"),
+    (_TABLE + "node a = statistic.aggregate(tb, group=buyer_id, agg=sum)", "target="),
+    (_TENSOR + "node c = transform.convolution(x, x, stride=0)", "'stride'"),
+    (_TABLE + "node f = set.filter(tb, column=buyer_id, cmp=like, value=1)", "'cmp'"),
+    (_TEXT + 'node g = set.grep(t, pattern="")', "'pattern' must be non-empty"),
+    ("input t = generate.text(bytes=0)", "'bytes'"),
+    ("input g = generate.graph(vertices=0, edges=4)", "'vertices'"),
+    ("input g = generate.graph(vertices=8, edges=0)", "'edges'"),
+    ("input g = generate.graph(vertices=100, edges=4, model=rmat)", "power-of-two"),
+    ("input g = generate.graph(vertices=8, edges=4, model=rmat, a=1.5)", "'a'"),
+    ("input m = generate.matrix(rows=0, cols=4)", "'rows'"),
+    ("input m = generate.matrix(rows=4, cols=0)", "'cols'"),
+    ("input x = generate.tensor(shape=2x0)", "must be positive"),
+    ("input tb = generate.table(orders=0, items=8)", "'orders'"),
+    ("input tb = generate.table(orders=4, items=0)", "'items'"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_value_the_schema_rejects_exits_3(tmp_path, capsys, command, lines, needle):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(f'workload "w"\n{lines}\n')
+    assert run_cli(command, "--spec", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert f"line {lines.count(chr(10)) + 2}:" in err and needle in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -52,6 +52,11 @@ def test_table_real_accepts_ints_and_stores_floats():
     assert isinstance(t.rows[0][0], float)
 
 
+def test_table_rejects_a_column_name_that_is_not_a_string():
+    with pytest.raises(InvariantError, match="column name 5 is not a string"):
+        Table([(5, "integer")], [])
+
+
 def test_table_duplicate_column_rejected():
     with pytest.raises(InvariantError):
         Table([("a", "integer"), ("a", "real")], [])
@@ -66,6 +71,12 @@ def test_matrix_shape_and_finiteness():
         Matrix(2, 2, [1, 2, 3, math.nan])
     with pytest.raises(InvariantError):
         Matrix(0, 2, [])
+
+
+@pytest.mark.parametrize("value", ["1.5", True, None])
+def test_matrix_rejects_values_that_are_not_numbers(value):
+    with pytest.raises(InvariantError, match="matrix values must be numbers"):
+        Matrix(1, 2, [0.5, value])
 
 
 def test_tensor_shape_product():
@@ -87,6 +98,18 @@ def test_graph_endpoint_range():
     assert "out of range" in str(err.value)
     with pytest.raises(InvariantError):
         Graph(0, [])
+
+
+@pytest.mark.parametrize("shape", [(2.7,), ("2",), (True,), ()])
+def test_tensor_rejects_a_shape_that_is_not_positive_integers(shape):
+    with pytest.raises(InvariantError, match="tensor shape"):
+        Tensor(shape, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("edges", [[(1.5, 2)], [(0, 1), (True, 2)], [(0, "1")], [(0, 1, 2)]])
+def test_graph_rejects_an_edge_that_is_not_two_integers(edges):
+    with pytest.raises(InvariantError, match=f"edge {len(edges) - 1} "):
+        Graph(3, edges)
 
 
 def test_graph_duplicate_edges_kept():

@@ -116,13 +116,16 @@ def test_graph_rmat_skew():
 
 
 def test_graph_rmat_rejects_non_power_of_two():
-    with pytest.raises(InvariantError):
-        gen_graph(100, 10, model="rmat", rng_seed=0)
+    with pytest.raises(InvariantError, match="power-of-two vertex count"):
+        make_genspec("graph", {"vertices": 100, "edges": 10, "model": "rmat"})
 
 
 def test_graph_rmat_rejects_bad_probs():
-    with pytest.raises(InvariantError):
-        gen_graph(8, 4, model="rmat", probs=(0.5, 0.5, 0.5, 0.5), rng_seed=0)
+    with pytest.raises(InvariantError, match="must sum to 1"):
+        make_genspec("graph", {"vertices": 8, "edges": 4, "model": "rmat",
+                               **dict.fromkeys("abcd", "0.5")})
+    with pytest.raises(InvariantError, match="'a'=1.5 out of range"):
+        make_genspec("graph", {"vertices": 8, "edges": 4, "model": "rmat", "a": "1.5"})
 
 
 @pytest.mark.parametrize("vertices,edges,probs", [

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from motifbench.datasets import KeyValueSet, Matrix, Table, TextCorpus
 from motifbench.errors import KernelError
-from motifbench.kernels import logic
+from motifbench.kernels import get_kernel, logic
 from motifbench.kernels.logic import LANE_BLOCK, md5_corpus, md5_digests, md5_hex
 from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_union
 from motifbench.kernels.sorting import sort_records
@@ -79,8 +79,8 @@ def test_grep_absent_pattern():
 
 
 def test_grep_empty_pattern_rejected():
-    with pytest.raises(KernelError):
-        grep(TextCorpus(["a"]), "")
+    with pytest.raises(KernelError, match="'pattern' must be non-empty"):
+        get_kernel("set.grep").coerce_params({"pattern": ""})
 
 
 def test_grep_matches_scan_oracle():

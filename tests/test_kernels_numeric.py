@@ -5,6 +5,7 @@ import pytest
 
 from motifbench.datasets import Matrix, Table, Tensor, TextCorpus
 from motifbench.errors import KernelError
+from motifbench.kernels import get_kernel
 from motifbench.kernels.logic import elementwise_activation
 from motifbench.kernels.matrixops import fully_connected, mat_elementwise, matmul
 from motifbench.kernels.sampling import downsample, dropout, pool, random_sample
@@ -221,8 +222,8 @@ def test_random_sample_deterministic_and_order_preserving():
 
 
 def test_random_sample_fraction_range():
-    with pytest.raises(KernelError):
-        random_sample(TextCorpus(["x"]), 1.5, seed=0)
+    with pytest.raises(KernelError, match="'fraction'=1.5 out of range"):
+        get_kernel("sampling.random_sample").coerce_params({"fraction": "1.5"})
 
 
 def test_pool_max_and_avg_2x2():
@@ -278,8 +279,8 @@ def test_downsample_matches_index_oracle():
 
 
 def test_downsample_bad_factor():
-    with pytest.raises(KernelError):
-        downsample(Matrix(1, 1, [0]), 0)
+    with pytest.raises(KernelError, match="'factor'=0 out of range"):
+        get_kernel("sampling.downsample").coerce_params({"factor": "0"})
 
 
 def test_dropout_edges():

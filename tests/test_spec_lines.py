@@ -31,8 +31,8 @@ CASES = [
      ([('g', ('t',), (('pattern', 'a,b # not a comment'),))], [], [])),
     ('node g = set.grep(t, pattern="(x)")',
      ([('g', ('t',), (('pattern', '(x)'),))], [], [])),
-    ('node g = set.grep(t, pattern="")',
-     ([('g', ('t',), (('pattern', ''),))], [], [])),
+    ('node f = set.filter(tb, column=x, cmp=eq, value="")',
+     ([('f', ('tb',), (('cmp', 'eq'), ('column', 'x'), ('value', '')))], [], [])),
     ('node g = set.grep(t,\tpattern = "a\tb" )',
      ([('g', ('t',), (('pattern', 'a\tb'),))], [], [])),
     ('node g = set.grep(t, pattern="x")  # comment "with a quote',
@@ -73,8 +73,8 @@ CASES = [
      ([('g', ('t',), (('pattern', '"a"b'),))], [], [])),
     ('node g = set.grep(t, pattern="a""b")',
      ([('g', ('t',), (('pattern', 'a""b'),))], [], [])),
-    ('node g = set.grep(t, pattern=)',
-     ([('g', ('t',), (('pattern', ''),))], [], [])),
+    ('node f = set.filter(tb, column=x, cmp=eq, value=)',
+     ([('f', ('tb',), (('cmp', 'eq'), ('column', 'x'), ('value', '')))], [], [])),
     ('node g = set.grep(t, =x)',
      "line 4: bad parameter name ''"),
     ('node g = set.grep("t", pattern="x")',
@@ -88,7 +88,7 @@ CASES = [
     ('node f = set.filter(tb, column="qty", cmp=ge, value="1,000")',
      ([('f', ('tb',), (('cmp', 'ge'), ('column', 'qty'), ('value', '1,000')))], [], [])),
     ('node f = set.filter(tb, column=qty, cmp="ge", value=1e3)',
-     ([('f', ('tb',), (('cmp', 'ge'), ('column', 'qty'), ('value', 1000.0)))], [], [])),
+     ([('f', ('tb',), (('cmp', 'ge'), ('column', 'qty'), ('value', '1e3')))], [], [])),
     ('input x = generate.text(bytes=64, corpus="c,#=.txt", seed=7)',
      ([], [('x', None, (('bytes', 64), ('corpus', 'c,#=.txt')))], [])),
     ('input x = generate.matrix(rows=2, cols=2, seed=1,, )',
@@ -107,6 +107,20 @@ CASES = [
      ([], [], [])),
     ('   # only a comment',
      ([], [], [])),
+    # A value is text until its parameter's schema converts it, so a str
+    # parameter keeps its spelling and an int parameter rejects a float's.
+    ('node g = set.grep(t, pattern=1_000)',
+     ([('g', ('t',), (('pattern', '1_000'),))], [], [])),
+    ('node g = set.grep(t, pattern=007)',
+     ([('g', ('t',), (('pattern', '007'),))], [], [])),
+    ('node g = set.grep(t, pattern=1e3)',
+     ([('g', ('t',), (('pattern', '1e3'),))], [], [])),
+    ('node g = set.grep(t, pattern=Infinity)',
+     ([('g', ('t',), (('pattern', 'Infinity'),))], [], [])),
+    ('input x = generate.matrix(rows=1e3, cols=2, seed=1)',
+     "line 4: generate.matrix: parameter 'rows' must be an integer, got '1e3'"),
+    ('node g = set.grep(t, pattern="")',
+     "line 4: set.grep: parameter 'pattern' must be non-empty"),
 ]
 
 

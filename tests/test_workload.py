@@ -41,7 +41,7 @@ def test_parse_good_spec():
     assert spec.name == "tiny"
     assert len(spec.inputs) == 1 and len(spec.invocations) == 1
     assert spec.invocations[0].motif == "sort.sort"
-    assert spec.invocations[0].param_dict() == {"key": 0}
+    assert spec.invocations[0].param_dict() == {"key": "0"}
 
 
 def test_parse_undefined_id_with_line():
