@@ -371,18 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="gen_kind", required=True)
 
     g_text = gensub.add_parser("text", parents=[globals_parent], help="bigram-model text corpus")
-    g_text.add_argument("--bytes", type=int, required=True, help="target size in bytes (+/-5%%)")
+    g_text.add_argument("--bytes", required=True, help="target size in bytes (+/-5%%)")
     g_text.add_argument("--seed-corpus", help="seed corpus file (default: built-in corpus)")
 
     g_graph = gensub.add_parser("graph", parents=[globals_parent], help="random graph")
-    g_graph.add_argument("--vertices", type=int, required=True)
-    g_graph.add_argument("--edges", type=int, required=True)
+    g_graph.add_argument("--vertices", required=True)
+    g_graph.add_argument("--edges", required=True)
     g_graph.add_argument("--model", default="uniform",
                          help="uniform | rmat | rmat:a,b,c,d (default uniform)")
 
     g_matrix = gensub.add_parser("matrix", parents=[globals_parent], help="random dense matrix")
-    g_matrix.add_argument("--rows", type=int, required=True)
-    g_matrix.add_argument("--cols", type=int, required=True)
+    g_matrix.add_argument("--rows", required=True)
+    g_matrix.add_argument("--cols", required=True)
     g_matrix.add_argument("--dist", default="uniform:0,1",
                           help="uniform:lo,hi | gaussian:mu,sigma")
     g_matrix.add_argument("--text", action="store_true", help="CSV body instead of binary")
@@ -392,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     g_tensor.add_argument("--dist", default="uniform:0,1")
 
     g_table = gensub.add_parser("table", parents=[globals_parent], help="ORDER/ITEM table pair")
-    g_table.add_argument("--orders", type=int, required=True)
-    g_table.add_argument("--items", type=int, required=True)
+    g_table.add_argument("--orders", required=True)
+    g_table.add_argument("--items", required=True)
 
     for g in (g_text, g_graph, g_matrix, g_tensor, g_table):
-        g.add_argument("--rng-seed", type=int, default=0)
+        g.add_argument("--rng-seed", default=0)
         g.add_argument("-o", "--output", required=True,
                        help="output file (directory for table)")
         g.set_defaults(func=cmd_generate)

@@ -2,18 +2,22 @@
 
 Eight families of units of computation: matrix, sampling, transform, graph,
 logic, set, sort, statistic. Every kernel registers under ``family.name`` with
-its arity, accepted payload kinds per operand, result kind, and parameter
-schema; the workload composer and the CLI both drive kernels purely through
-this table.
+its arity, accepted payload kinds per operand, result kind, parameter schema
+and the kernel function itself; the workload composer and the CLI both drive
+kernels purely through this table.
 
-Kernels are pure functions of (operands, params): rerunning one on the same
-inputs yields a checksum-identical payload. A kernel trusts its params, which
-KernelSpec.coerce_params checks against the schema, and checks only operands.
+Kernels are pure functions, called as fn(*operands, **params) where params is
+the dict KernelSpec.coerce_params returns: every schema key, defaults filled
+in. So a kernel's argument names are its schema's names, and a variant that a
+registry entry fixes is bound with functools.partial. Rerunning a kernel on
+the same inputs yields a checksum-identical payload. A kernel trusts its
+params, which coerce_params checks against the schema, and checks only operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 from ..datasets import (
@@ -44,7 +48,7 @@ class KernelSpec:
     arity: int
     input_kinds: tuple[frozenset, ...]
     output_kind: str  # concrete kind, or SAME_AS_INPUT
-    fn: Callable[[list, dict], Payload]
+    fn: Callable[..., Payload]  # called as fn(*operands, **coerced params)
     params: dict[str, ParamSpec] = field(default_factory=dict)
     check: Optional[Callable[[dict], None]] = None  # checks the schema cannot state
 
@@ -86,7 +90,7 @@ def kernels_by_family() -> dict[str, list[KernelSpec]]:
 
 
 # ---------------------------------------------------------------------------
-# adapters and result packaging
+# result packaging
 
 _ANY = frozenset(ALL_KINDS)
 _TXT = frozenset({KIND_TEXT})
@@ -97,20 +101,23 @@ _GRA = frozenset({KIND_GRAPH})
 _KVS = frozenset({KIND_KV})
 
 
-def _components_table(ops, p):
-    labels = graphops.connected_components(ops[0])
+def _components_table(g):
+    labels = graphops.connected_components(g)
     schema = [("vertex", "integer"), ("component", "integer")]
     return Table(schema, list(enumerate(labels)))
 
 
-def _pagerank_matrix(ops, p):
-    scores = graphops.pagerank(ops[0], p["damping"], p["max_iters"], p["tol"])
+def _pagerank_matrix(g, damping, max_iters, tol):
+    scores = graphops.pagerank(g, damping, max_iters, tol)
     return Matrix(len(scores), 1, scores)
 
 
-def _project(ops, p):
-    columns = [c.strip() for c in p["columns"].split(",") if c.strip()]
-    return sets.project(ops[0], columns)
+def _column_names(columns: str) -> list[str]:
+    return [c.strip() for c in columns.split(",") if c.strip()]
+
+
+def _project(t, columns):
+    return sets.project(t, _column_names(columns))
 
 
 _POOL_PARAMS = {
@@ -124,6 +131,11 @@ def _check_grep(p):
         raise KernelError("set.grep: parameter 'pattern' must be non-empty")
 
 
+def _check_project(p):
+    if not _column_names(p["columns"]):
+        raise KernelError("set.project: parameter 'columns' must name at least one column")
+
+
 def _check_aggregate(p):
     if p["agg"] in ("sum", "avg") and not p["target"]:
         raise KernelError(f"statistic.aggregate: {p['agg']} needs target=<column>")
@@ -133,43 +145,39 @@ _KERNELS = [
     # sort
     KernelSpec(
         "sort", "sort", 1, (frozenset({KIND_TEXT, KIND_TABLE, KIND_MATRIX}),), SAME_AS_INPUT,
-        lambda ops, p: sorting.sort_records(ops[0], key=p["key"]),
+        sorting.sort_records,
         {"key": ParamSpec("int", default=0)},
     ),
     # set
     KernelSpec(
-        "set", "grep", 1, (_TXT,), KIND_TEXT,
-        lambda ops, p: sets.grep(ops[0], p["pattern"]),
+        "set", "grep", 1, (_TXT,), KIND_TEXT, sets.grep,
         {"pattern": ParamSpec("str", required=True)},
         check=_check_grep,
     ),
     KernelSpec("set", "union", 2, (_KVS, _KVS), KIND_KV,
-               lambda ops, p: sets.set_op(ops[0], ops[1], "union")),
+               partial(sets.set_op, op="union")),
     KernelSpec("set", "intersect", 2, (_KVS, _KVS), KIND_KV,
-               lambda ops, p: sets.set_op(ops[0], ops[1], "intersect")),
+               partial(sets.set_op, op="intersect")),
     KernelSpec("set", "difference", 2, (_KVS, _KVS), KIND_KV,
-               lambda ops, p: sets.set_op(ops[0], ops[1], "difference")),
+               partial(sets.set_op, op="difference")),
     KernelSpec(
         "set", "project", 1, (_TBL,), KIND_TABLE, _project,
         {"columns": ParamSpec("str", required=True)},
+        check=_check_project,
     ),
     KernelSpec(
-        "set", "filter", 1, (_TBL,), KIND_TABLE,
-        lambda ops, p: sets.filter_rows(ops[0], p["column"], p["cmp"], p["value"]),
+        "set", "filter", 1, (_TBL,), KIND_TABLE, sets.filter_rows,
         {
             "column": ParamSpec("str", required=True),
             "cmp": ParamSpec("str", required=True, choices=("lt", "le", "gt", "ge", "eq", "ne")),
             "value": ParamSpec("str", required=True),
         },
     ),
-    KernelSpec("set", "table_union", 2, (_TBL, _TBL), KIND_TABLE,
-               lambda ops, p: sets.table_union(ops[0], ops[1])),
+    KernelSpec("set", "table_union", 2, (_TBL, _TBL), KIND_TABLE, sets.table_union),
     # statistic
-    KernelSpec("statistic", "wordcount", 1, (_TXT,), KIND_KV,
-               lambda ops, p: statistic.wordcount(ops[0])),
+    KernelSpec("statistic", "wordcount", 1, (_TXT,), KIND_KV, statistic.wordcount),
     KernelSpec(
-        "statistic", "aggregate", 1, (_TBL,), KIND_TABLE,
-        lambda ops, p: statistic.aggregate(ops[0], p["group"], p["agg"], p["target"]),
+        "statistic", "aggregate", 1, (_TBL,), KIND_TABLE, statistic.aggregate,
         {
             "group": ParamSpec("str", required=True),
             "agg": ParamSpec("str", required=True, choices=("count", "sum", "avg")),
@@ -178,78 +186,60 @@ _KERNELS = [
         check=_check_aggregate,
     ),
     KernelSpec(
-        "statistic", "batch_norm", 1, (_TEN,), KIND_TENSOR,
-        lambda ops, p: statistic.batch_norm(ops[0], p["axis"], p["epsilon"]),
+        "statistic", "batch_norm", 1, (_TEN,), KIND_TENSOR, statistic.batch_norm,
         {
             "axis": ParamSpec("int", default=0, lo=0),
             "epsilon": ParamSpec("float", default=1e-5, lo=ABOVE_ZERO),
         },
     ),
     KernelSpec(
-        "statistic", "cosine_norm", 1, (_TEN,), KIND_TENSOR,
-        lambda ops, p: statistic.cosine_norm(ops[0], p["axis"]),
+        "statistic", "cosine_norm", 1, (_TEN,), KIND_TENSOR, statistic.cosine_norm,
         {"axis": ParamSpec("int", default=0, lo=0)},
     ),
-    KernelSpec("statistic", "count", 1, (_ANY,), KIND_KV,
-               lambda ops, p: statistic.count_records(ops[0])),
+    KernelSpec("statistic", "count", 1, (_ANY,), KIND_KV, statistic.count_records),
     # logic
-    KernelSpec("logic", "md5", 1, (_TXT,), KIND_TEXT,
-               lambda ops, p: logic.md5_corpus(ops[0])),
+    KernelSpec("logic", "md5", 1, (_TXT,), KIND_TEXT, logic.md5_corpus),
     KernelSpec("logic", "relu", 1, (_TEN,), KIND_TENSOR,
-               lambda ops, p: logic.elementwise_activation(ops[0], "relu")),
+               partial(logic.elementwise_activation, fn="relu")),
     # matrix
     KernelSpec("matrix", "sigmoid", 1, (_TEN,), KIND_TENSOR,
-               lambda ops, p: logic.elementwise_activation(ops[0], "sigmoid")),
+               partial(logic.elementwise_activation, fn="sigmoid")),
     KernelSpec("matrix", "tanh", 1, (_TEN,), KIND_TENSOR,
-               lambda ops, p: logic.elementwise_activation(ops[0], "tanh")),
-    KernelSpec("matrix", "multiply", 2, (_MAT, _MAT), KIND_MATRIX,
-               lambda ops, p: matrixops.matmul(ops[0], ops[1])),
+               partial(logic.elementwise_activation, fn="tanh")),
+    KernelSpec("matrix", "multiply", 2, (_MAT, _MAT), KIND_MATRIX, matrixops.matmul),
     KernelSpec("matrix", "add", 2, (_MAT, _MAT), KIND_MATRIX,
-               lambda ops, p: matrixops.mat_elementwise(ops[0], ops[1], "add")),
+               partial(matrixops.mat_elementwise, op="add")),
     KernelSpec("matrix", "subtract", 2, (_MAT, _MAT), KIND_MATRIX,
-               lambda ops, p: matrixops.mat_elementwise(ops[0], ops[1], "subtract")),
+               partial(matrixops.mat_elementwise, op="subtract")),
     KernelSpec("matrix", "hadamard", 2, (_MAT, _MAT), KIND_MATRIX,
-               lambda ops, p: matrixops.mat_elementwise(ops[0], ops[1], "hadamard")),
+               partial(matrixops.mat_elementwise, op="hadamard")),
     KernelSpec("matrix", "fully_connected", 3, (_TEN, _MAT, _TEN), KIND_TENSOR,
-               lambda ops, p: matrixops.fully_connected(ops[0], ops[1], ops[2])),
+               matrixops.fully_connected),
     # sampling
     KernelSpec(
         "sampling", "random_sample", 1, (frozenset({KIND_TEXT, KIND_TABLE}),), SAME_AS_INPUT,
-        lambda ops, p: sampling.random_sample(ops[0], p["fraction"], p["seed"]),
+        sampling.random_sample,
         {"fraction": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
+    KernelSpec("sampling", "max_pool", 1, (_TEN,), KIND_TENSOR,
+               partial(sampling.pool, mode="max"), _POOL_PARAMS),
+    KernelSpec("sampling", "avg_pool", 1, (_TEN,), KIND_TENSOR,
+               partial(sampling.pool, mode="avg"), _POOL_PARAMS),
     KernelSpec(
-        "sampling", "max_pool", 1, (_TEN,), KIND_TENSOR,
-        lambda ops, p: sampling.pool(ops[0], p["window"], p["stride"], "max"),
-        _POOL_PARAMS,
-    ),
-    KernelSpec(
-        "sampling", "avg_pool", 1, (_TEN,), KIND_TENSOR,
-        lambda ops, p: sampling.pool(ops[0], p["window"], p["stride"], "avg"),
-        _POOL_PARAMS,
-    ),
-    KernelSpec(
-        "sampling", "downsample", 1, (_MAT,), KIND_MATRIX,
-        lambda ops, p: sampling.downsample(ops[0], p["factor"]),
+        "sampling", "downsample", 1, (_MAT,), KIND_MATRIX, sampling.downsample,
         {"factor": ParamSpec("int", required=True, lo=1)},
     ),
     KernelSpec(
-        "sampling", "dropout", 1, (_TEN,), KIND_TENSOR,
-        lambda ops, p: sampling.dropout(ops[0], p["p"], p["seed"]),
+        "sampling", "dropout", 1, (_TEN,), KIND_TENSOR, sampling.dropout,
         {"p": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
     # transform
-    KernelSpec("transform", "fft", 1, (_MAT,), KIND_MATRIX,
-               lambda ops, p: transform.matrix_fft(ops[0])),
-    KernelSpec("transform", "ifft", 1, (_MAT,), KIND_MATRIX,
-               lambda ops, p: transform.matrix_ifft(ops[0])),
-    KernelSpec("transform", "fft2d", 1, (_MAT,), KIND_MATRIX,
-               lambda ops, p: transform.matrix_fft2d(ops[0])),
-    KernelSpec("transform", "ifft2d", 1, (_MAT,), KIND_MATRIX,
-               lambda ops, p: transform.matrix_ifft2d(ops[0])),
+    KernelSpec("transform", "fft", 1, (_MAT,), KIND_MATRIX, transform.matrix_fft),
+    KernelSpec("transform", "ifft", 1, (_MAT,), KIND_MATRIX, transform.matrix_ifft),
+    KernelSpec("transform", "fft2d", 1, (_MAT,), KIND_MATRIX, transform.matrix_fft2d),
+    KernelSpec("transform", "ifft2d", 1, (_MAT,), KIND_MATRIX, transform.matrix_ifft2d),
     KernelSpec(
-        "transform", "convolution", 2, (_TEN, _TEN), KIND_TENSOR,
-        lambda ops, p: transform.convolution(ops[0], ops[1], p["stride"], p["padding"]),
+        "transform", "convolution", 2, (_TEN, _TEN), KIND_TENSOR, transform.convolution,
         {
             "stride": ParamSpec("int", default=1, lo=1),
             "padding": ParamSpec("str", default="valid", choices=("valid", "same")),

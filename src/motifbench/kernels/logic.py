@@ -58,7 +58,6 @@ import math
 from itertools import accumulate
 
 from ..datasets import Tensor, TextCorpus
-from ..errors import KernelError
 
 _MASK32 = 0xFFFFFFFF
 
@@ -202,8 +201,5 @@ _ACTIVATIONS = {
 
 def elementwise_activation(x: Tensor, fn: str) -> Tensor:
     """Pointwise relu/sigmoid/tanh; shape preserved."""
-    try:
-        f = _ACTIVATIONS[fn]
-    except KeyError:
-        raise KernelError(f"unknown activation {fn!r}") from None
+    f = _ACTIVATIONS[fn]
     return Tensor(x.shape, [f(v) for v in x.data])

@@ -39,11 +39,7 @@ def mat_elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
         raise KernelError(
             f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
         )
-    try:
-        f = _ELEMENTWISE[op]
-    except KeyError:
-        raise KernelError(f"unknown elementwise op {op!r}") from None
-    return Matrix(a.rows, a.cols, map(f, a.data, b.data))
+    return Matrix(a.rows, a.cols, map(_ELEMENTWISE[op], a.data, b.data))
 
 
 def fully_connected(x: Tensor, w: Matrix, bias: Tensor) -> Tensor:

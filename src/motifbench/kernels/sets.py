@@ -42,8 +42,6 @@ def project(t: Table, columns: list[str]) -> Table:
         idx = [t.column_index(c) for c in columns]
     except KeyError as exc:
         raise KernelError(f"unknown column {exc.args[0]!r}") from None
-    if not idx:
-        raise KernelError("project needs at least one column")
     schema = [t.schema[i] for i in idx]
     rows = [tuple(row[i] for i in idx) for row in t.rows]
     return Table(schema, rows)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..datasets import Matrix, Table, TextCorpus
 from ..errors import KernelError
 
@@ -24,9 +26,6 @@ def sort_records(data, key: int = 0):
     if isinstance(data, Matrix):
         if not 0 <= key < data.cols:
             raise KernelError(f"key {key} out of range for matrix with {data.cols} columns")
-        rows = sorted(range(data.rows), key=lambda i: (data.at(i, key), i))
-        out = []
-        for i in rows:
-            out.extend(data.row(i))
-        return Matrix(data.rows, data.cols, out)
+        rows = sorted(range(data.rows), key=data.data[key::data.cols].__getitem__)
+        return Matrix(data.rows, data.cols, chain.from_iterable(map(data.row, rows)))
     raise KernelError(f"sort does not accept {type(data).__name__}")

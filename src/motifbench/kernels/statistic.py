@@ -27,16 +27,16 @@ def wordcount(corpus: TextCorpus) -> KeyValueSet:
     return KeyValueSet({token: str(n) for token, n in counts.items()})
 
 
-def aggregate(t: Table, group_col: str, agg: str, target_col: str | None = None) -> Table:
+def aggregate(t: Table, group: str, agg: str, target: str | None = None) -> Table:
     """One row per distinct group key, in first-appearance order.
 
     count needs no target; sum/avg need a numeric target column and accumulate
     with exact extended-precision summation.
     """
     try:
-        gi = t.column_index(group_col)
+        gi = t.column_index(group)
     except KeyError:
-        raise KernelError(f"unknown column {group_col!r}") from None
+        raise KernelError(f"unknown column {group!r}") from None
     group_kind = t.schema[gi][1]
 
     if agg == "count":
@@ -48,16 +48,16 @@ def aggregate(t: Table, group_col: str, agg: str, target_col: str | None = None)
                 order.append(key)
                 counts[key] = 0
             counts[key] += 1
-        schema = [(group_col, group_kind), ("count", "integer")]
+        schema = [(group, group_kind), ("count", "integer")]
         return Table(schema, [(k, counts[k]) for k in order])
 
     try:
-        ti = t.column_index(target_col)
+        ti = t.column_index(target)
     except KeyError:
-        raise KernelError(f"unknown column {target_col!r}") from None
+        raise KernelError(f"unknown column {target!r}") from None
     target_kind = t.schema[ti][1]
     if target_kind not in ("integer", "real"):
-        raise KernelError(f"{agg} target {target_col!r} must be numeric, is {target_kind}")
+        raise KernelError(f"{agg} target {target!r} must be numeric, is {target_kind}")
 
     order = []
     values: dict[object, list[float]] = {}
@@ -70,12 +70,12 @@ def aggregate(t: Table, group_col: str, agg: str, target_col: str | None = None)
 
     if agg == "sum":
         if target_kind == "integer":
-            schema = [(group_col, group_kind), (f"sum_{target_col}", "integer")]
+            schema = [(group, group_kind), (f"sum_{target}", "integer")]
             return Table(schema, [(k, sum(values[k])) for k in order])
-        schema = [(group_col, group_kind), (f"sum_{target_col}", "real")]
+        schema = [(group, group_kind), (f"sum_{target}", "real")]
         return Table(schema, [(k, math.fsum(values[k])) for k in order])
 
-    schema = [(group_col, group_kind), (f"avg_{target_col}", "real")]
+    schema = [(group, group_kind), (f"avg_{target}", "real")]
     return Table(schema, [(k, math.fsum(values[k]) / len(values[k])) for k in order])
 
 

@@ -440,7 +440,7 @@ def execute(
                 ops = [env[o] for o in inv.operands]
                 t0 = time.perf_counter_ns()
                 try:
-                    result = fn(ops, params)
+                    result = fn(*ops, **params)
                 except MotifBenchError as exc:
                     raise WorkloadRuntimeError(
                         f"invocation {inv.result_id!r} ({inv.motif}) failed: {exc}"

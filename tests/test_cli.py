@@ -61,6 +61,22 @@ def test_generate_largest_seed_accepted(tmp_path):
                    "--rng-seed", str(2**64 - 1), "-o", str(tmp_path / "m")) == 0
 
 
+# Count flags reach the generator's schema as text, so its rule and message
+# apply, as for the same value in a spec.
+@pytest.mark.parametrize("argv, key", [
+    (("matrix", "--cols", "2", "--rows", "1e3"), "rows"),
+    (("matrix", "--rows", "2", "--cols", "2", "--rng-seed", "1.0"), "seed"),
+    (("text", "--bytes", "1e3"), "bytes"),
+    (("graph", "--vertices", "8", "--edges", "4.5"), "edges"),
+    (("table", "--orders", "4", "--items", "x"), "items"),
+])
+def test_generate_count_flag_not_an_integer_exit_2(tmp_path, capsys, argv, key):
+    assert run_cli("generate", *argv, "-o", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"parameter {key!r} must be an integer, got {argv[-1]!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("dist", ["uniform:1,2,3", "gaussian:0,1,2", "uniform:a,1", "poisson:3"])
 def test_generate_bad_dist_is_usage_error(tmp_path, capsys, dist):
     code = run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
@@ -349,6 +365,7 @@ _TABLE = "input tb = generate.table(orders=4, items=8, seed=1)\n"
     (_TENSOR + "node c = transform.convolution(x, x, stride=0)", "'stride'"),
     (_TABLE + "node f = set.filter(tb, column=buyer_id, cmp=like, value=1)", "'cmp'"),
     (_TEXT + 'node g = set.grep(t, pattern="")', "'pattern' must be non-empty"),
+    (_TABLE + 'node p = set.project(tb, columns=",")', "'columns' must name at least one"),
     ("input t = generate.text(bytes=0)", "'bytes'"),
     ("input g = generate.graph(vertices=0, edges=4)", "'vertices'"),
     ("input g = generate.graph(vertices=8, edges=0)", "'edges'"),

@@ -57,6 +57,12 @@ def test_sort_matrix_rows_by_column():
     m = Matrix(3, 2, [5, 0, 1, 1, 3, 2])
     out = sort_records(m, key=0)
     assert out.data == (1.0, 1.0, 3.0, 2.0, 5.0, 0.0)
+    # Keys in column 1 with ties, 0.0 == -0.0 among them: tied rows keep
+    # their order, and each zero keeps its sign.
+    m = Matrix(5, 2, [0, 0.0, 1, -0.0, 2, 1.0, 3, 0.0, 4, -1.0])
+    out = sort_records(m, key=1)
+    assert list(map(repr, out.data)) == [
+        "4.0", "-1.0", "0.0", "0.0", "1.0", "-0.0", "3.0", "0.0", "2.0", "1.0"]
 
 
 def test_sort_key_out_of_range():

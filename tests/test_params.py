@@ -1,4 +1,5 @@
-"""Every parameter bound holds in its schema.
+"""Every parameter bound holds in its schema, and every kernel takes its
+schema's names.
 
 Kernels and generators trust the values their schema hands them, so a bound
 dropped from a schema would let a bad value through to the code. These tests
@@ -8,6 +9,7 @@ and a value just past each lo or hi, and a string outside each choices, is
 rejected by coerce_params or make_genspec.
 """
 
+import inspect
 import math
 
 import pytest
@@ -109,3 +111,11 @@ def test_every_schema_states_its_pinned_bounds():
         if bounds:
             stated[where] = bounds
     assert stated == BOUNDS
+
+
+@pytest.mark.parametrize("motif", sorted(REGISTRY))
+def test_kernel_binds_its_operands_and_schema_names(motif):
+    # execute calls fn(*operands, **coerced params) and catches only typed
+    # errors: a schema name the kernel does not take would be a TypeError.
+    spec = REGISTRY[motif]
+    inspect.signature(spec.fn).bind(*range(spec.arity), **dict.fromkeys(spec.params))

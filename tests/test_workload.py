@@ -204,7 +204,7 @@ def test_execute_repeat_that_differs_names_the_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     calls = []
 
-    def drifting(ops, params):
+    def drifting(data, key):
         calls.append(None)
         return TextCorpus([f"call {len(calls)}"])
 
