@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from motifbench.errors import InvariantError
+
 
 def stable_mergesort(records: list, key):
     """Bottom-up mergesort; stable by taking from the left run on ties."""
@@ -320,3 +322,69 @@ def scalar_rmat_edges(rng, vertices: int, edges: int, probs) -> list[tuple[int, 
                 v |= 1
         edge_list.append((u, v))
     return edge_list
+
+
+# Payload value checks, one value at a time: the constructors' per-value loops
+# as they were before the whole-column checks. Each returns what the
+# constructor stores, or raises InvariantError naming the first bad value.
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise InvariantError(message)
+
+
+def scalar_corpus_documents(documents) -> tuple:
+    docs = tuple(documents)
+    for i, line in enumerate(docs):
+        _require(isinstance(line, str), f"document {i} is not a string")
+        if "\n" in line or "\r" in line:
+            raise InvariantError(f"document {i} contains a line terminator")
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvariantError(f"document {i} is not valid UTF-8: {exc}") from None
+    return docs
+
+
+def scalar_table_rows(schema, rows) -> tuple:
+    """The rows of a table over a valid `schema`."""
+    norm_rows = []
+    for r, row in enumerate(rows):
+        row = tuple(row)
+        _require(len(row) == len(schema),
+                 f"row {r} has arity {len(row)}, schema has {len(schema)}")
+        out = []
+        for (name, kind), value in zip(schema, row):
+            if kind == "integer":
+                _require(isinstance(value, int) and not isinstance(value, bool)
+                         and -2**63 <= value < 2**63,
+                         f"row {r} column {name!r}: expected a 64-bit integer, got {value!r}")
+                out.append(value)
+            elif kind == "real":
+                _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                         f"row {r} column {name!r}: expected real, got {value!r}")
+                fv = float(value)
+                _require(math.isfinite(fv), f"row {r} column {name!r}: non-finite value")
+                out.append(fv)
+            else:
+                _require(isinstance(value, str),
+                         f"row {r} column {name!r}: expected string, got {value!r}")
+                out.append(value)
+        norm_rows.append(tuple(out))
+    return tuple(norm_rows)
+
+
+def scalar_kv_entries(entries) -> dict:
+    items = list(entries.items()) if isinstance(entries, dict) else list(entries)
+    norm = {}
+    for key, value in items:
+        _require(isinstance(key, str), f"key {key!r} is not a string")
+        _require(isinstance(value, str), f"value for key {key!r} is not a string")
+        _require(key not in norm, f"duplicate key {key!r}")
+        for bad in ("\t", "\n", "\r"):
+            _require(bad not in key, f"key {key!r} contains {bad!r}")
+        for bad in ("\n", "\r"):
+            _require(bad not in value, f"value for {key!r} contains {bad!r}")
+        norm[key] = value
+    return norm

@@ -7,6 +7,7 @@ its checksum.
 """
 
 import math
+import re
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from motifbench.datasets import (
 from motifbench.errors import FormatError, InvariantError, SpecError
 from motifbench.workload import parse_spec
 
+from .oracles import scalar_corpus_documents, scalar_kv_entries, scalar_table_rows
 from .test_pinned import PAYLOADS
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -59,7 +61,8 @@ def tables(draw):
     name = st.text(st.characters(blacklist_characters=":,\n\r", blacklist_categories=("Cs",)),
                    min_size=1, max_size=6)
     names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
-    kinds = draw(st.lists(st.sampled_from(TABLE_KINDS), min_size=len(names), max_size=len(names)))
+    kinds = draw(st.lists(st.sampled_from(list(TABLE_KINDS)),
+                          min_size=len(names), max_size=len(names)))
     cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": finite,
             "string": st.text(max_size=8)}
     rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=5))
@@ -138,6 +141,90 @@ def test_load_of_mutated_files_raises_only_format_error(tmp_path_factory):
         checksum_payload(payload)
 
     check()
+
+
+# Values a payload column may refuse: beyond 64 bits, non-finite, not a
+# string, a line terminator, a tab, a lone surrogate; plus some it accepts.
+BAD_VALUES = [True, False, 2**63, -2**63 - 1, math.inf, -math.inf, math.nan, None, 7, -0.0,
+              2.5, b"x", "a\nb", "ab\r", "a\tb", "\ud800", ""]
+small_key = st.text("abc", min_size=1, max_size=3)
+
+
+@st.composite
+def corpus_cases(draw):
+    docs = draw(st.lists(line, max_size=6))
+    docs.insert(draw(st.integers(0, len(docs))), draw(st.sampled_from(BAD_VALUES)))
+    return docs
+
+
+@st.composite
+def table_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(list(TABLE_KINDS)), min_size=1, max_size=3))
+    schema = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    cell = {"integer": st.integers(-2**63, 2**63 - 1),
+            "real": finite | st.integers(-2**70, 2**70), "string": line}
+    rows = [list(row) for row in
+            draw(st.lists(st.tuples(*(cell[k] for k in kinds)), min_size=1, max_size=5))]
+    r = draw(st.integers(0, len(rows) - 1))
+    where = draw(st.sampled_from(["none", "arity", "cell"]))
+    if where == "arity":  # one cell short or one too many
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + [0]
+    elif where == "cell":
+        rows[r][draw(st.integers(0, len(kinds) - 1))] = draw(st.sampled_from(BAD_VALUES))
+    return schema, [tuple(row) for row in rows]
+
+
+@st.composite
+def kv_cases(draw):
+    items = list(draw(st.dictionaries(small_key, line, min_size=1, max_size=5)).items())
+    i = draw(st.integers(0, len(items) - 1))
+    key, value = items[i]
+    where = draw(st.sampled_from(["none", "key", "value", "duplicate"]))
+    if where == "none":
+        return items
+    if where == "duplicate":
+        items.insert(draw(st.integers(0, len(items))), (key, draw(line)))
+        return items
+    bad = draw(st.sampled_from(BAD_VALUES))
+    items[i] = (bad, value) if where == "key" else (key, bad)
+    return dict(items) if draw(st.booleans()) else items
+
+
+def _outcome(build, named):
+    """What a constructor stores, as a repr (values and their types), or the
+    position its InvariantError names."""
+    try:
+        return "stores", repr(build())
+    except InvariantError as exc:
+        return "rejects", named(str(exc))
+
+
+def _index_named(message):
+    return re.match(r"(?:row|document) (\d+)", message).group(1)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.one_of(corpus_cases().map(lambda c: ("corpus", c)),
+                      table_cases().map(lambda c: ("table", c)),
+                      kv_cases().map(lambda c: ("kv", c))))
+def test_one_bad_value_is_found_as_the_scalar_check_finds_it(case):
+    kind, data = case
+    if kind == "corpus":
+        got = _outcome(lambda: TextCorpus(data).documents, _index_named)
+        want = _outcome(lambda: scalar_corpus_documents(data), _index_named)
+    elif kind == "table":
+        schema, rows = data
+        got = _outcome(lambda: Table(schema, rows).rows, _index_named)
+        want = _outcome(lambda: scalar_table_rows(schema, rows), _index_named)
+    else:
+        keys = [k for k, _ in (data.items() if isinstance(data, dict) else data)]
+
+        def named(message):
+            return {repr(k) for k in keys if repr(k) in message}
+
+        got = _outcome(lambda: KeyValueSet(data).entries, named)
+        want = _outcome(lambda: scalar_kv_entries(data), named)
+    assert got == want
 
 
 SPEC_TEXTS = [read_input(shipped_spec_path(name)) for name in SHIPPED_SPECS]
