@@ -26,10 +26,12 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 import os
 import struct
 
 from .datasets import (
+    TABLE_KINDS,
     Dataset,
     Graph,
     KeyValueSet,
@@ -139,11 +141,6 @@ def checksum_hex(value: int) -> str:
 # save
 
 
-def _format_real(v: float) -> str:
-    # repr round-trips binary64 exactly through float()
-    return repr(v)
-
-
 @contextlib.contextmanager
 def open_output(path: str, binary: bool = False):
     """Open `path` for writing so that it only ever holds a complete file.
@@ -200,13 +197,12 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
             writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
             kinds = [k for _, k in payload.schema]
             for row in payload.rows:
-                writer.writerow(
-                    [_format_real(v) if k == "real" else str(v) for k, v in zip(kinds, row)]
-                )
+                # repr round-trips binary64 exactly through float()
+                writer.writerow([repr(v) if k == "real" else str(v) for k, v in zip(kinds, row)])
         elif isinstance(payload, Matrix) and text_matrix:
             fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
             for i in range(payload.rows):
-                fh.write(",".join(_format_real(v) for v in payload.row(i)) + "\n")
+                fh.write(",".join(map(repr, payload.row(i))) + "\n")
         elif isinstance(payload, Matrix):
             fh.write(f"#matrix v1 {payload.rows} {payload.cols}\n".encode("ascii"))
             _write_packed(fh, "d", payload.data)
@@ -260,11 +256,16 @@ def resolve_path(path: str, base_dir: str | None) -> str:
 
 
 def csv_records(text: str, path: str, line: int = 1):
-    """Yield the records of CSV `text`, whose first line is line `line` of
-    `path`; a record the csv module cannot parse raises FormatError."""
+    """Yield (line number, record) for each record of CSV `text`, whose
+    first line is line `line` of `path`; a quoted field may span lines, so a
+    record's number is that of its first line. A record the csv module
+    cannot parse raises FormatError."""
     reader = csv.reader(io.StringIO(text))
+    first = line
     try:
-        yield from reader
+        for record in reader:
+            yield first, record
+            first = line + reader.line_num
     except csv.Error as exc:
         line += reader.line_num - 1
         raise FormatError(f"bad CSV record ({exc})", path=path, line=line) from None
@@ -291,13 +292,12 @@ def _load_table(path: str, text: str) -> Table:
         schema.append((name, kind))
     if not schema:
         raise FormatError("empty table schema", path=path, line=2)
-    body = "\n".join(lines[2:])
+    _wrap_invariant(path, 2, Table, schema, ())  # the schema, on its line
+    parsers = [(kind, TABLE_KINDS[kind].parse) for _, kind in schema]
     rows = []
-    kinds = [k for _, k in schema]
-    for offset, record in enumerate(csv_records(body, path, 3)):
+    for lineno, record in csv_records("\n".join(lines[2:]), path, 3):
         if not record:
             continue
-        lineno = offset + 3
         if len(record) != len(schema):
             raise FormatError(
                 f"row arity {len(record)} != schema arity {len(schema)}",
@@ -305,14 +305,9 @@ def _load_table(path: str, text: str) -> Table:
                 line=lineno,
             )
         row = []
-        for kind, cell in zip(kinds, record):
+        for (kind, parse), cell in zip(parsers, record):
             try:
-                if kind == "integer":
-                    row.append(int(cell))
-                elif kind == "real":
-                    row.append(float(cell))
-                else:
-                    row.append(cell)
+                row.append(parse(cell))
             except ValueError:
                 raise FormatError(
                     f"cell {cell!r} is not a valid {kind}", path=path, line=lineno
@@ -370,10 +365,7 @@ def _load_tensor(path: str, header: str, rest: bytes) -> Tensor:
         raise FormatError(f"malformed tensor header {header!r}", path=path, line=1) from None
     if not dims or any(d <= 0 for d in dims):
         raise FormatError(f"bad tensor shape {dims}", path=path, line=1)
-    size = 1
-    for d in dims:
-        size *= d
-    values = _read_doubles(path, rest, size, "tensor")
+    values = _read_doubles(path, rest, math.prod(dims), "tensor")
     return _wrap_invariant(path, None, Tensor, dims, values)
 
 

@@ -5,18 +5,22 @@ matrices, dense tensors, graphs, and key-value sets. Every constructor
 validates its invariants and raises InvariantError instead of silently
 normalizing; payloads are immutable after construction and safe to share
 across threads.
+
+Constructors check whole columns with C-level passes (the set of types,
+min/max, math.isfinite over all values, one join scanned for reserved
+characters); only after a check fails does a Python scan name the bad value.
+TABLE_KINDS holds each table column kind's column check and text parser.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, filterfalse
-from typing import Union
+from itertools import chain
+from operator import is_not
+from typing import Callable, NamedTuple, Union
 
 from .errors import InvariantError
-
-TABLE_KINDS = ("integer", "real", "string")
 
 # Payload kind tags, used by the kernel registry and workload type-checker.
 KIND_TEXT = "text"
@@ -28,25 +32,71 @@ KIND_KV = "kv"
 ALL_KINDS = (KIND_TEXT, KIND_TABLE, KIND_MATRIX, KIND_TENSOR, KIND_GRAPH, KIND_KV)
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise InvariantError(message)
+def _first_bad(values, ok) -> int:
+    """Index of the first of `values` that fails `ok`."""
+    return next(i for i, v in enumerate(values) if not ok(v))
 
 
-def _real_values(data, what: str) -> tuple[float, ...]:
-    """`data` as a tuple of finite floats: an int becomes a float, any other
-    type (bool, str, ...) is rejected. Only naming a bad value scans in Python."""
-    values = tuple(data)
-    types = set(map(type, values))
-    if types - {float}:
-        if types - {float, int}:
-            bad = next(v for v in values if type(v) not in (float, int))
-            raise InvariantError(f"{what} must be numbers, got {bad!r}")
-        values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
-        bad = next(filterfalse(math.isfinite, values))
-        raise InvariantError(f"{what} must be finite, got {bad!r}")
+def _first_repeat(values):
+    seen = set()
+    return next(v for v in values if v in seen or seen.add(v))
+
+
+# The least int that float() rounds to infinity (binary64 rounds half to even).
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _integers(col: tuple, subject: Callable[[int], str]) -> tuple:
+    """`col` if every value is an int in the signed 64-bit range of the
+    canonical encoding; `subject(i)` names position i in an error."""
+    if set(map(type, col)) <= {int} and -2**63 <= min(col, default=0) \
+            and max(col, default=0) < 2**63:
+        return col
+    i = _first_bad(col, lambda v: type(v) is int and -2**63 <= v < 2**63)
+    raise InvariantError(f"{subject(i)}: expected a 64-bit integer, got {col[i]!r}")
+
+
+def _reals(col: tuple, subject: Callable[[int], str]) -> tuple:
+    """`col` as a tuple of finite floats: an int becomes a float, any other
+    type (bool, str, ...) is rejected."""
+    types = set(map(type, col))
+    if types - {float, int}:
+        i = _first_bad(col, lambda v: type(v) in (float, int))
+        raise InvariantError(f"{subject(i)} must be numbers, got {col[i]!r}")
+    try:
+        values = tuple(map(float, col)) if int in types else col
+        ok = all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        i = _first_bad(col, lambda v: abs(v) < _FLOAT_LIMIT)
+        raise InvariantError(f"{subject(i)} must be finite, got {col[i]!r}")
     return values
+
+
+def _strings(col: tuple, subject: Callable[[int], str], reserved: str = "") -> tuple:
+    """`col` if every value is a str holding none of the `reserved` characters."""
+    if set(map(type, col)) - {str}:
+        i = _first_bad(col, lambda v: type(v) is str)
+        raise InvariantError(f"{subject(i)} is not a string, got {col[i]!r}")
+    text = "".join(col) if reserved else ""
+    for ch in reserved:
+        if ch in text:
+            i = _first_bad(col, lambda v: ch not in v)
+            raise InvariantError(f"{subject(i)} contains {ch!r}")
+    return col
+
+
+class ColumnKind(NamedTuple):
+    check: Callable[[tuple, Callable[[int], str]], tuple]  # a column -> the column stored
+    parse: Callable[[str], object]  # a text cell -> its value; ValueError if it has none
+
+
+TABLE_KINDS = {
+    "integer": ColumnKind(_integers, int),
+    "real": ColumnKind(_reals, float),
+    "string": ColumnKind(_strings, str),
+}
 
 
 @dataclass(frozen=True)
@@ -57,15 +107,15 @@ class TextCorpus:
     documents: tuple[str, ...]
 
     def __init__(self, documents):
-        docs = tuple(documents)
-        for i, line in enumerate(docs):
-            _require(isinstance(line, str), f"document {i} is not a string")
-            if "\n" in line or "\r" in line:
-                raise InvariantError(f"document {i} contains a line terminator")
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise InvariantError(f"document {i} is not valid UTF-8: {exc}") from None
+        docs = _strings(tuple(documents), lambda i: f"document {i}", "\n\r")
+        try:
+            "".join(docs).encode("utf-8")
+        except UnicodeEncodeError:
+            for i, line in enumerate(docs):  # name the line that cannot be encoded
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise InvariantError(f"document {i} is not valid UTF-8: {exc}") from None
         object.__setattr__(self, "documents", docs)
 
     def __len__(self) -> int:
@@ -81,50 +131,28 @@ class Table:
 
     def __init__(self, schema, rows):
         norm_schema = tuple((n, k) for n, k in schema)
-        seen = set()
-        for name, kind in norm_schema:
-            _require(isinstance(name, str), f"column name {name!r} is not a string")
-            _require(kind in TABLE_KINDS, f"unknown column kind {kind!r} for column {name!r}")
-            _require(name not in seen, f"duplicate column name {name!r}")
-            # Names appear unquoted in the table header line.
-            for bad in (":", ",", "\n", "\r"):
-                _require(bad not in name, f"column name {name!r} contains {bad!r}")
-            _require(name != "", "empty column name")
-            seen.add(name)
-        norm_rows = []
-        for r, row in enumerate(rows):
-            row = tuple(row)
-            _require(
-                len(row) == len(norm_schema),
-                f"row {r} has arity {len(row)}, schema has {len(norm_schema)}",
-            )
-            out = []
-            for (name, kind), value in zip(norm_schema, row):
-                if kind == "integer":
-                    # the canonical encoding stores signed 64-bit integers
-                    _require(
-                        isinstance(value, int) and not isinstance(value, bool)
-                        and -2**63 <= value < 2**63,
-                        f"row {r} column {name!r}: expected a 64-bit integer, got {value!r}",
-                    )
-                    out.append(value)
-                elif kind == "real":
-                    _require(
-                        isinstance(value, (int, float)) and not isinstance(value, bool),
-                        f"row {r} column {name!r}: expected real, got {value!r}",
-                    )
-                    fv = float(value)
-                    _require(math.isfinite(fv), f"row {r} column {name!r}: non-finite value")
-                    out.append(fv)
-                else:
-                    _require(
-                        isinstance(value, str),
-                        f"row {r} column {name!r}: expected string, got {value!r}",
-                    )
-                    out.append(value)
-            norm_rows.append(tuple(out))
+        names, kinds = tuple(zip(*norm_schema)) or ((), ())
+        # Names appear unquoted in the table header line.
+        _strings(names, lambda i: f"column name {names[i]!r}", ":,\n\r")
+        if "" in names:
+            raise InvariantError("empty column name")
+        if len(set(names)) < len(names):
+            raise InvariantError(f"duplicate column name {_first_repeat(names)!r}")
+        if not (set(map(type, kinds)) <= {str} and set(kinds) <= TABLE_KINDS.keys()):
+            i = _first_bad(kinds, lambda k: type(k) is str and k in TABLE_KINDS)
+            raise InvariantError(f"unknown column kind {kinds[i]!r} for column {names[i]!r}")
+        rows = tuple(map(tuple, rows))
+        arity = len(norm_schema)
+        if set(map(len, rows)) - {arity}:
+            r = _first_bad(rows, lambda row: len(row) == arity)
+            raise InvariantError(f"row {r} has arity {len(rows[r])}, schema has {arity}")
+        cols = tuple(zip(*rows)) or ((),) * arity
+        stored = tuple(TABLE_KINDS[kind].check(col, lambda r: f"row {r} column {name!r}")
+                       for name, kind, col in zip(names, kinds, cols))
+        if any(map(is_not, stored, cols)):  # a real column held ints, now floats
+            rows = tuple(zip(*stored))
         object.__setattr__(self, "schema", norm_schema)
-        object.__setattr__(self, "rows", tuple(norm_rows))
+        object.__setattr__(self, "rows", rows)
 
     def column_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.schema):
@@ -145,13 +173,12 @@ class Matrix:
     data: tuple[float, ...]
 
     def __init__(self, rows: int, cols: int, data):
-        _require(isinstance(rows, int) and rows > 0, f"rows must be a positive count, got {rows!r}")
-        _require(isinstance(cols, int) and cols > 0, f"cols must be a positive count, got {cols!r}")
-        values = _real_values(data, "matrix values")
-        _require(
-            len(values) == rows * cols,
-            f"data length {len(values)} != rows*cols = {rows * cols}",
-        )
+        for what, count in (("rows", rows), ("cols", cols)):
+            if not (isinstance(count, int) and count > 0):
+                raise InvariantError(f"{what} must be a positive count, got {count!r}")
+        values = _reals(tuple(data), lambda i: "matrix values")
+        if len(values) != rows * cols:
+            raise InvariantError(f"data length {len(values)} != rows*cols = {rows * cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", values)
@@ -172,13 +199,13 @@ class Tensor:
 
     def __init__(self, shape, data):
         dims = tuple(shape)
-        _require(
-            set(map(type, dims)) == {int} and min(dims) > 0,
-            f"tensor shape must be one or more positive integers, got {dims!r}",
-        )
+        if not (set(map(type, dims)) == {int} and min(dims) > 0):
+            raise InvariantError(
+                f"tensor shape must be one or more positive integers, got {dims!r}")
         size = math.prod(dims)
-        values = _real_values(data, "tensor values")
-        _require(len(values) == size, f"data length {len(values)} != product(shape) = {size}")
+        values = _reals(tuple(data), lambda i: "tensor values")
+        if len(values) != size:
+            raise InvariantError(f"data length {len(values)} != product(shape) = {size}")
         object.__setattr__(self, "shape", dims)
         object.__setattr__(self, "data", values)
 
@@ -208,19 +235,17 @@ class Graph:
 
     def __init__(self, vertex_count: int, edges, directed: bool = True):
         # the canonical encoding stores the count as an unsigned 64-bit integer
-        _require(
-            isinstance(vertex_count, int) and 0 < vertex_count < 2**64,
-            f"vertex_count must be a positive count below 2**64, got {vertex_count!r}",
-        )
+        if not (isinstance(vertex_count, int) and 0 < vertex_count < 2**64):
+            raise InvariantError(
+                f"vertex_count must be a positive count below 2**64, got {vertex_count!r}")
         norm = tuple(map(tuple, edges))
         ends = list(chain.from_iterable(norm))
         if not (set(map(len, norm)) <= {2} and set(map(type, ends)) <= {int}
                 and 0 <= min(ends, default=0) and max(ends, default=0) < vertex_count):
-            for k, e in enumerate(norm):  # name the first bad edge
-                ok = len(e) == 2 and set(map(type, e)) == {int}
-                _require(ok and 0 <= min(e) <= max(e) < vertex_count,
-                         f"edge {k} endpoint out of range or not an integer: {e!r} "
-                         f"with vertex_count {vertex_count}")
+            k = _first_bad(norm, lambda e: len(e) == 2 and set(map(type, e)) == {int}
+                           and 0 <= min(e) <= max(e) < vertex_count)
+            raise InvariantError(f"edge {k} endpoint out of range or not an integer: "
+                                 f"{norm[k]!r} with vertex_count {vertex_count}")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "directed", bool(directed))
@@ -233,19 +258,15 @@ class KeyValueSet:
     entries: dict[str, str]
 
     def __init__(self, entries):
-        items = list(entries.items()) if isinstance(entries, dict) else list(entries)
-        norm = {}
-        for key, value in items:
-            _require(isinstance(key, str), f"key {key!r} is not a string")
-            _require(isinstance(value, str), f"value for key {key!r} is not a string")
-            _require(key not in norm, f"duplicate key {key!r}")
-            # Keys appear unquoted before the tab separator in the kv format;
-            # values follow it, so only line terminators break them.
-            for bad in ("\t", "\n", "\r"):
-                _require(bad not in key, f"key {key!r} contains {bad!r}")
-            for bad in ("\n", "\r"):
-                _require(bad not in value, f"value for {key!r} contains {bad!r}")
-            norm[key] = value
+        pairs = tuple(map(tuple, entries.items() if isinstance(entries, dict) else entries))
+        keys, values = tuple(zip(*pairs)) or ((), ())
+        # Keys appear unquoted before the tab separator in the kv format;
+        # values follow it, so only line terminators break them.
+        _strings(keys, lambda i: f"key {keys[i]!r}", "\t\n\r")
+        _strings(values, lambda i: f"value for key {keys[i]!r}", "\n\r")
+        norm = dict(pairs)  # refuses a pair of any other length
+        if len(norm) < len(pairs):
+            raise InvariantError(f"duplicate key {_first_repeat(keys)!r}")
         object.__setattr__(self, "entries", norm)
 
     def __len__(self) -> int:

@@ -34,12 +34,7 @@ def connected_components(g: Graph) -> list[int]:
     return labels
 
 
-def pagerank(
-    g: Graph,
-    damping: float = 0.85,
-    max_iters: int = 100,
-    tol: float = 1e-10,
-) -> list[float]:
+def pagerank(g: Graph, damping: float, max_iters: int, tol: float) -> list[float]:
     """Power iteration with uniform teleport.
 
     Dangling-node mass is redistributed uniformly each iteration; parallel

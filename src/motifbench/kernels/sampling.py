@@ -14,7 +14,7 @@ from ..floatsum import left_sum
 from ..rng import SplitMix64
 
 
-def random_sample(data, fraction: float, seed: int = 0):
+def random_sample(data, fraction: float, seed: int):
     """Keep each record independently with probability `fraction`; relative
     order preserved; deterministic per (input, fraction, seed)."""
     rng = SplitMix64(seed)
@@ -57,7 +57,7 @@ def downsample(m: Matrix, factor: int) -> Matrix:
     return Matrix(rows, cols, out)
 
 
-def dropout(x: Tensor, p: float, seed: int = 0) -> Tensor:
+def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     """Inverted dropout: zero each element with probability p, scale survivors
     by 1/(1-p); p=1 zeroes everything without scaling."""
     if p == 1.0:

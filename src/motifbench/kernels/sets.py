@@ -4,7 +4,7 @@ and the relational operators (which this catalog files under set computation).
 
 from __future__ import annotations
 
-from ..datasets import KeyValueSet, Table, TextCorpus
+from ..datasets import TABLE_KINDS, KeyValueSet, Table, TextCorpus
 from ..errors import KernelError
 
 _COMPARATORS = {
@@ -31,9 +31,7 @@ def set_op(a: KeyValueSet, b: KeyValueSet, op: str) -> KeyValueSet:
         return KeyValueSet(merged)
     if op == "intersect":
         return KeyValueSet({k: v for k, v in a.entries.items() if k in b.entries})
-    if op == "difference":
-        return KeyValueSet({k: v for k, v in a.entries.items() if k not in b.entries})
-    raise KernelError(f"unknown set op {op!r}")
+    return KeyValueSet({k: v for k, v in a.entries.items() if k not in b.entries})
 
 
 def project(t: Table, columns: list[str]) -> Table:
@@ -47,17 +45,6 @@ def project(t: Table, columns: list[str]) -> Table:
     return Table(schema, rows)
 
 
-def _coerce_literal(kind: str, value):
-    try:
-        if kind == "integer":
-            return int(value)
-        if kind == "real":
-            return float(value)
-        return str(value)
-    except (TypeError, ValueError):
-        raise KernelError(f"literal {value!r} is not a valid {kind}") from None
-
-
 def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
     """Rows whose cell in `column` satisfies `cmp` against the literal;
     surviving row order preserved. `select` is this same operator."""
@@ -65,7 +52,11 @@ def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
         i = t.column_index(column)
     except KeyError:
         raise KernelError(f"unknown column {column!r}") from None
-    lit = _coerce_literal(t.schema[i][1], value)
+    kind = t.schema[i][1]
+    try:
+        lit = TABLE_KINDS[kind].parse(value)
+    except ValueError:
+        raise KernelError(f"literal {value!r} is not a valid {kind}") from None
     pred = _COMPARATORS[cmp]
     return Table(t.schema, [row for row in t.rows if pred(row[i], lit)])
 

@@ -8,7 +8,7 @@ from ..datasets import Matrix, Table, TextCorpus
 from ..errors import KernelError
 
 
-def sort_records(data, key: int = 0):
+def sort_records(data, key: int):
     """Stable non-decreasing sort of a corpus's lines, a table's rows, or a
     matrix's rows.
 

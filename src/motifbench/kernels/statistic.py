@@ -27,7 +27,7 @@ def wordcount(corpus: TextCorpus) -> KeyValueSet:
     return KeyValueSet({token: str(n) for token, n in counts.items()})
 
 
-def aggregate(t: Table, group: str, agg: str, target: str | None = None) -> Table:
+def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     """One row per distinct group key, in first-appearance order.
 
     count needs no target; sum/avg need a numeric target column and accumulate
@@ -112,7 +112,7 @@ def _fibers(x: Tensor, axis: int):
         yield [base + k * step for k in range(n)]
 
 
-def batch_norm(x: Tensor, axis: int = 0, epsilon: float = 1e-5) -> Tensor:
+def batch_norm(x: Tensor, axis: int, epsilon: float) -> Tensor:
     """Standardize every 1-D fiber along `axis` to mean 0, variance 1
     (population variance, epsilon-guarded)."""
     if not 0 <= axis < x.rank:
@@ -128,7 +128,7 @@ def batch_norm(x: Tensor, axis: int = 0, epsilon: float = 1e-5) -> Tensor:
     return Tensor(x.shape, out)
 
 
-def cosine_norm(x: Tensor, axis: int = 0) -> Tensor:
+def cosine_norm(x: Tensor, axis: int) -> Tensor:
     """Scale every 1-D fiber along `axis` to unit L2 norm."""
     if not 0 <= axis < x.rank:
         raise KernelError(f"axis {axis} out of range for rank-{x.rank} tensor")

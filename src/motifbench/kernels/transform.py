@@ -140,7 +140,7 @@ def matrix_ifft2d(m: Matrix) -> Matrix:
 # convolution
 
 
-def convolution(x: Tensor, k: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
+def convolution(x: Tensor, k: Tensor, stride: int, padding: str) -> Tensor:
     """Direct cross-correlation of [batch, h, w, c_in] with [kh, kw, c_in, c_out].
 
     valid: no padding, output dim floor((dim - kdim) / stride) + 1.
@@ -160,11 +160,9 @@ def convolution(x: Tensor, k: Tensor, stride: int = 1, padding: str = "valid") -
             raise KernelError(f"kernel {kh}x{kw} larger than input {h}x{w}")
         oh = (h - kh) // stride + 1
         ow = (w - kw) // stride + 1
-    elif padding == "same":
+    else:  # same
         oh = -(-h // stride)
         ow = -(-w // stride)
-    else:
-        raise KernelError(f"unknown padding {padding!r}")
     pad_h = max((oh - 1) * stride + kh - h, 0)
     pad_w = max((ow - 1) * stride + kw - w, 0)
     hp, row = h + pad_h, (w + pad_w) * cin  # padded height, values per padded row

@@ -329,7 +329,7 @@ def append_vector_csv(path: str, vector: MetricVector):
     if not os.path.exists(path):
         write_vectors_csv(path, [vector])
         return
-    header = next(csv_records(read_input(path), path), [])
+    _, header = next(csv_records(read_input(path), path), (1, []))
     if header != ["label", *vector.names]:
         raise InvariantError(f"{path}: metric ordering does not match existing header")
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -340,14 +340,14 @@ def append_vector_csv(path: str, vector: MetricVector):
 def read_vectors_csv(path: str) -> list[MetricVector]:
     reader = csv_records(read_input(path), path)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise InvariantError(f"{path}: empty metrics file") from None
     if not header or header[0] != "label":
         raise InvariantError(f"{path}: first column must be 'label'")
     names = tuple(header[1:])
     vectors = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row:
             continue
         if len(row) != len(names) + 1:

@@ -83,7 +83,8 @@ def test_criterion_1_kernel_oracle_suite():
     for _ in range(CASES):
         lines = ["".join(rng.choice("abcxyz ") for _ in range(rng.randint(0, 20)))
                  for _ in range(rng.randint(0, 60))]
-        assert list(sort_records(TextCorpus([l.replace(" ", "_") for l in lines])).documents) == [
+        sorted_corpus = sort_records(TextCorpus([l.replace(" ", "_") for l in lines]), key=0)
+        assert list(sorted_corpus.documents) == [
             l.replace(" ", "_") for l in stable_mergesort(lines, key=lambda s: s)
         ]
 

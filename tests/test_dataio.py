@@ -146,6 +146,18 @@ def test_table_arity_mismatch_on_load(tmp_path):
 
 
 @pytest.mark.parametrize("body, message", [
+    ('"a\nb",zz\n', ":3: cell 'zz' is not a valid integer"),
+    ('"a\nb\nc",1\nx,zz\n', ":6: cell 'zz' is not a valid integer"),
+    ('"a\nb\nc",1\nx\n', ":6: row arity 1"),
+], ids=["on-its-first-line", "after-it", "arity-after-it"])
+def test_table_error_line_counts_the_lines_of_a_quoted_cell(tmp_path, body, message):
+    path = tmp_path / "bad.table"
+    path.write_text("#table v1\ns:string,n:integer\n" + body)
+    with pytest.raises(FormatError, match=message):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("body, message", [
     ('"' + "x" * 200_000 + '"\n', ":3: bad CSV record"),
     ("1\n" + "9" * 20 + "\n", "expected a 64-bit integer"),
 ], ids=["beyond-csv-field-limit", "beyond-64-bits"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -77,6 +78,20 @@ def test_matrix_shape_and_finiteness():
 def test_matrix_rejects_values_that_are_not_numbers(value):
     with pytest.raises(InvariantError, match="matrix values must be numbers"):
         Matrix(1, 2, [0.5, value])
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: Matrix(1, 1, [v]),
+    lambda v: Tensor((1,), [v]),
+    lambda v: Table([("x", "real")], [(v,)]),
+], ids=["matrix", "tensor", "table"])
+def test_int_beyond_the_float_range_is_rejected(build):
+    with pytest.raises(InvariantError, match="must be finite, got 1000"):
+        build(10**400)
+    # binary64 rounds half to even: this int is the least that rounds to inf
+    with pytest.raises(InvariantError, match=f"must be finite, got {2**1024 - 2**970}"):
+        build(2**1024 - 2**970)
+    assert str(sys.float_info.max) in repr(build(2**1024 - 2**970 - 1))
 
 
 def test_tensor_shape_product():

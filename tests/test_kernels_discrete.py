@@ -26,17 +26,17 @@ def rand_lines(rng, n, alphabet=string.ascii_lowercase, k=8):
 
 
 def test_sort_lines_basic():
-    assert sort_records(TextCorpus(["3", "1", "2"])).documents == ("1", "2", "3")
+    assert sort_records(TextCorpus(["3", "1", "2"]), key=0).documents == ("1", "2", "3")
 
 
 def test_sort_empty_corpus():
-    assert sort_records(TextCorpus([])).documents == ()
+    assert sort_records(TextCorpus([]), key=0).documents == ()
 
 
 def test_sort_matches_mergesort_oracle():
     rng = random.Random(42)
     lines = rand_lines(rng, 10_000)
-    got = sort_records(TextCorpus(lines)).documents
+    got = sort_records(TextCorpus(lines), key=0).documents
     want = tuple(stable_mergesort(lines, key=lambda s: s))
     assert got == want
 
@@ -203,7 +203,7 @@ def test_aggregate_avg_small():
 
 def test_aggregate_count_empty():
     t = Table([("g", "string"), ("v", "integer")], [])
-    assert aggregate(t, "g", "count").rows == ()
+    assert aggregate(t, "g", "count", None).rows == ()
 
 
 def test_aggregate_matches_hash_tally_oracle():
@@ -222,7 +222,7 @@ def test_aggregate_matches_hash_tally_oracle():
 
 def test_aggregate_group_order_is_first_appearance():
     t = Table([("g", "string"), ("v", "integer")], [("b", 1), ("a", 1), ("b", 2)])
-    assert [r[0] for r in aggregate(t, "g", "count").rows] == ["b", "a"]
+    assert [r[0] for r in aggregate(t, "g", "count", None).rows] == ["b", "a"]
 
 
 def test_aggregate_rejects_non_numeric_target():

@@ -116,7 +116,7 @@ def test_convolution_1x1_identity_kernel():
     rng = random.Random(83)
     x = Tensor((1, 4, 4, 1), [rng.uniform(-1, 1) for _ in range(16)])
     k = Tensor((1, 1, 1, 1), [1.0])
-    out = convolution(x, k)
+    out = convolution(x, k, stride=1, padding="valid")
     assert out.shape == x.shape and out.data == x.data
 
 
@@ -124,7 +124,7 @@ def test_convolution_all_ones_kernel_on_constant_image():
     c = 0.5
     x = Tensor((1, 5, 5, 1), [c] * 25)
     k = Tensor((3, 3, 1, 1), [1.0] * 9)
-    out = convolution(x, k, padding="valid")
+    out = convolution(x, k, stride=1, padding="valid")
     assert out.shape == (1, 3, 3, 1)
     assert all(abs(v - 9 * c) < 1e-12 for v in out.data)
 
@@ -147,13 +147,14 @@ def test_convolution_matches_naive_oracle_valid_and_same():
 
 def test_convolution_channel_mismatch():
     with pytest.raises(KernelError):
-        convolution(Tensor((1, 4, 4, 2), [0.0] * 32), Tensor((3, 3, 1, 1), [0.0] * 9))
+        convolution(Tensor((1, 4, 4, 2), [0.0] * 32), Tensor((3, 3, 1, 1), [0.0] * 9),
+                    stride=1, padding="valid")
 
 
 def test_convolution_same_output_shape():
     x = Tensor((1, 5, 5, 1), [0.0] * 25)
     k = Tensor((3, 3, 1, 2), [0.0] * 18)
-    assert convolution(x, k, padding="same").shape == (1, 5, 5, 2)
+    assert convolution(x, k, stride=1, padding="same").shape == (1, 5, 5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +190,11 @@ def test_components_match_union_find_oracle():
 
 
 def test_pagerank_single_vertex():
-    assert pagerank(Graph(1, [])) == [1.0]
+    assert pagerank(Graph(1, []), damping=0.85, max_iters=100, tol=1e-10) == [1.0]
 
 
 def test_pagerank_two_cycle_symmetric():
-    scores = pagerank(Graph(2, [(0, 1), (1, 0)]))
+    scores = pagerank(Graph(2, [(0, 1), (1, 0)]), damping=0.85, max_iters=100, tol=1e-10)
     assert scores[0] == pytest.approx(0.5, abs=1e-12)
     assert scores[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -217,4 +218,4 @@ def test_pagerank_rejects_bad_damping_and_undirected():
     with pytest.raises(KernelError, match="'damping'=1.0 out of range"):
         get_kernel("graph.pagerank").coerce_params({"damping": "1.0"})
     with pytest.raises(KernelError):
-        pagerank(Graph(2, [(0, 1)], directed=False))
+        pagerank(Graph(2, [(0, 1)], directed=False), damping=0.85, max_iters=100, tol=1e-10)

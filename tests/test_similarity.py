@@ -284,3 +284,6 @@ def test_read_vectors_csv_rejects_malformed(tmp_path):
     path.write_text("label,m0\n" + "w" * 200_000 + ",1\n")  # beyond the csv field limit
     with pytest.raises(FormatError, match=":2: bad CSV record"):
         read_vectors_csv(str(path))
+    path.write_text('label,m0\n"two\nlines",1\nw2,notanumber\n')  # a label over lines 2-3
+    with pytest.raises(InvariantError, match=":4: non-numeric"):
+        read_vectors_csv(str(path))
