@@ -1,9 +1,10 @@
-"""Property tests for the readers and the spec parser.
+"""Property tests for the payload constructors, the readers and the spec parser.
 
 Whatever bytes a dataset file holds, load_dataset returns a payload that can
 be checksummed or raises FormatError; whatever a spec file says, parse_spec
-returns a spec or raises SpecError; and a payload saved and loaded back keeps
-its checksum.
+returns a spec or raises SpecError; a payload saved and loaded back keeps
+its checksum; and a corpus, table or key-value set with one bad value is
+refused or stored just as the scalar loops in tests/oracles.py do.
 """
 
 import math
