@@ -8,7 +8,8 @@ across threads.
 
 Constructors check whole columns with C-level passes (the set of types,
 min/max, math.isfinite over all values, one join scanned for reserved
-characters); only after a check fails does a Python scan name the bad value.
+characters and encoded as UTF-8); only after a check fails does a Python
+scan name the bad value.
 TABLE_KINDS holds each table column kind's column check and text parser.
 """
 
@@ -75,15 +76,24 @@ def _reals(col: tuple, subject: Callable[[int], str]) -> tuple:
 
 
 def _strings(col: tuple, subject: Callable[[int], str], reserved: str = "") -> tuple:
-    """`col` if every value is a str holding none of the `reserved` characters."""
+    """`col` if every value is a str holding none of the `reserved` characters
+    that encodes as UTF-8 (no lone surrogates)."""
     if set(map(type, col)) - {str}:
         i = _first_bad(col, lambda v: type(v) is str)
         raise InvariantError(f"{subject(i)} is not a string, got {col[i]!r}")
-    text = "".join(col) if reserved else ""
+    text = "".join(col)
     for ch in reserved:
         if ch in text:
             i = _first_bad(col, lambda v: ch not in v)
             raise InvariantError(f"{subject(i)} contains {ch!r}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        for i, value in enumerate(col):  # name the value that cannot be encoded
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise InvariantError(f"{subject(i)} is not valid UTF-8: {exc}") from None
     return col
 
 
@@ -108,14 +118,6 @@ class TextCorpus:
 
     def __init__(self, documents):
         docs = _strings(tuple(documents), lambda i: f"document {i}", "\n\r")
-        try:
-            "".join(docs).encode("utf-8")
-        except UnicodeEncodeError:
-            for i, line in enumerate(docs):  # name the line that cannot be encoded
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise InvariantError(f"document {i} is not valid UTF-8: {exc}") from None
         object.__setattr__(self, "documents", docs)
 
     def __len__(self) -> int:
@@ -174,7 +176,7 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, data):
         for what, count in (("rows", rows), ("cols", cols)):
-            if not (isinstance(count, int) and count > 0):
+            if not (type(count) is int and count > 0):
                 raise InvariantError(f"{what} must be a positive count, got {count!r}")
         values = _reals(tuple(data), lambda i: "matrix values")
         if len(values) != rows * cols:
@@ -235,7 +237,7 @@ class Graph:
 
     def __init__(self, vertex_count: int, edges, directed: bool = True):
         # the canonical encoding stores the count as an unsigned 64-bit integer
-        if not (isinstance(vertex_count, int) and 0 < vertex_count < 2**64):
+        if not (type(vertex_count) is int and 0 < vertex_count < 2**64):
             raise InvariantError(
                 f"vertex_count must be a positive count below 2**64, got {vertex_count!r}")
         norm = tuple(map(tuple, edges))

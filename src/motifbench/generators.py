@@ -17,9 +17,11 @@ make_genspec validates key=value parameters against one schema per kind,
 with the ParamSpec/coerce checks kernels use (see params): counts are
 integers >= 1, the seed lies in [0, 2**64), a graph takes the RMAT
 probabilities a/b/c/d (each in [0, 1], summing to 1) only with model=rmat,
-and a matrix or tensor takes lo/hi only with dist=uniform and mu/sigma only
-with dist=gaussian. Unknown names are errors; omitted ones take the schema
-defaults. The gen_* functions trust the values make_genspec has checked.
+and a matrix or tensor takes lo/hi (hi >= lo) only with dist=uniform and
+mu/sigma (sigma > 0) only with dist=gaussian. Unknown names are errors;
+omitted ones take the schema defaults. A tensor's shape is parsed once, into
+the tuple the GenSpec holds. The distributions and the gen_* functions trust
+the values make_genspec has checked.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .datasets import (
 )
 from .errors import InvariantError
 from .floatsum import left_sum
-from .params import SEED, ParamSpec, coerce
+from .params import ABOVE_ZERO, SEED, ParamSpec, coerce
 from .rng import BULK_BLOCK, SplitMix64
 
 RMAT_DEFAULT = (0.57, 0.19, 0.19, 0.05)
@@ -90,13 +92,6 @@ class Uniform:
     lo: float = 0.0
     hi: float = 1.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvariantError("uniform bounds must be finite")
-        # hi == lo is legal and degenerates to a constant
-        if self.hi < self.lo:
-            raise InvariantError(f"uniform needs hi >= lo, got [{self.lo}, {self.hi}]")
-
     def draws(self, rng: SplitMix64, n: int) -> list[float]:
         """n values of rng.uniform(lo, hi), from one bulk draw."""
         lo, span = self.lo, self.hi - self.lo
@@ -108,12 +103,6 @@ class Gaussian:
     mu: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise InvariantError("gaussian parameters must be finite")
-        if self.sigma <= 0:
-            raise InvariantError(f"gaussian needs sigma > 0, got {self.sigma}")
-
     def draws(self, rng: SplitMix64, n: int) -> list[float]:
         """n Box-Muller draws from rng, in bulk (see SplitMix64.gausses)."""
         return rng.gausses(n, self.mu, self.sigma)
@@ -122,7 +111,10 @@ class Gaussian:
 # Per-distribution parameters, in positional order for `--dist name:v1,v2`.
 DISTRIBUTIONS = {
     "uniform": {"lo": ParamSpec("float", default=0.0), "hi": ParamSpec("float", default=1.0)},
-    "gaussian": {"mu": ParamSpec("float", default=0.0), "sigma": ParamSpec("float", default=1.0)},
+    "gaussian": {
+        "mu": ParamSpec("float", default=0.0),
+        "sigma": ParamSpec("float", default=1.0, lo=ABOVE_ZERO),
+    },
 }
 
 
@@ -232,10 +224,8 @@ def gen_graph(
     rng = SplitMix64(rng_seed)
     if model == "uniform":
         edge_list = [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
-    elif model == "rmat":
+    else:  # rmat
         edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, probs)
-    else:
-        raise InvariantError(f"unknown graph model {model!r}")
     return Graph(vertices, edge_list, directed=True)
 
 
@@ -330,7 +320,7 @@ def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Ta
 class GenSpec:
     kind: str
     rng_seed: int
-    params: tuple[tuple[str, object], ...]
+    params: tuple[tuple[str, object], ...]  # checked values; a tensor's shape as a tuple
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -392,9 +382,10 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
         if abs(total - 1.0) > 1e-9:
             raise InvariantError(f"rmat probabilities must sum to 1, got {total}")
     elif kind == "tensor":
-        p["shape"] = "x".join(str(d) for d in parse_shape(p["shape"]))
-    if "dist" in p:
-        make_dist(p)  # raises on bad bounds
+        p["shape"] = parse_shape(p["shape"])
+    # hi == lo is legal and degenerates to a constant
+    if p.get("dist") == "uniform" and p["hi"] < p["lo"]:
+        raise InvariantError(f"uniform needs hi >= lo, got [{p['lo']}, {p['hi']}]")
     seed = p.pop("seed")
     return GenSpec(kind, seed, tuple(sorted((k, v) for k, v in p.items() if v is not None)))
 
@@ -417,10 +408,8 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
     elif spec.kind == "matrix":
         payload = gen_matrix(p["rows"], p["cols"], make_dist(p), spec.rng_seed)
     elif spec.kind == "tensor":
-        payload = gen_tensor(parse_shape(p["shape"]), make_dist(p), spec.rng_seed)
-    elif spec.kind == "table":
+        payload = gen_tensor(p["shape"], make_dist(p), spec.rng_seed)
+    else:  # table
         order, item = gen_table(p["orders"], p["items"], spec.rng_seed)
         payload = order if p["which"] == "order" else item
-    else:
-        raise InvariantError(f"unknown generator kind {spec.kind!r}")
     return Dataset(payload)

@@ -169,15 +169,6 @@ def md5_digests(records) -> list[bytes]:
     return out
 
 
-def md5_bytes(data: bytes) -> bytes:
-    """16-byte MD5 digest of a byte string (or any bytes-like object)."""
-    return md5_digests([data])[0]
-
-
-def md5_hex(data: bytes) -> str:
-    return md5_bytes(data).hex()
-
-
 def md5_corpus(corpus: TextCorpus) -> TextCorpus:
     """Per-record digests: one 32-char hex line per input line (UTF-8 bytes)."""
     digests = md5_digests([line.encode("utf-8") for line in corpus.documents])

@@ -92,10 +92,8 @@ def count_records(payload: Payload) -> KeyValueSet:
         n = payload.shape[0]
     elif isinstance(payload, Graph):
         n = len(payload.edges)
-    elif isinstance(payload, KeyValueSet):
+    else:  # KeyValueSet
         n = len(payload.entries)
-    else:
-        raise KernelError(f"count does not accept {type(payload).__name__}")
     return KeyValueSet({"count": str(n)})
 
 

@@ -77,24 +77,6 @@ def _fft2d_rows(d: list[complex], rows: int, cols: int, inverse: bool) -> list[c
     return list(chain.from_iterable(d[i::rows] for i in range(rows)))
 
 
-def fft(values, inverse: bool = False) -> list[complex]:
-    """DFT (or inverse DFT with 1/n scaling) of a power-of-two-length sequence."""
-    return _fft_rows(list(map(complex, values)), len(values), inverse)
-
-
-def fft2d(grid: list[list[complex]], inverse: bool = False) -> list[list[complex]]:
-    """Row-wise then column-wise FFT of a rectangular grid; both dimensions
-    must be powers of two."""
-    rows = len(grid)
-    if rows == 0:
-        raise KernelError("fft2d needs a non-empty grid")
-    cols = len(grid[0])
-    if any(len(r) != cols for r in grid):
-        raise KernelError("fft2d needs a rectangular grid")
-    flat = _fft2d_rows([complex(v) for row in grid for v in row], rows, cols, inverse)
-    return [flat[i : i + cols] for i in range(0, len(flat), cols)]
-
-
 # ---------------------------------------------------------------------------
 # Matrix packing: a complex r x c plane travels as a real r x 2c matrix with
 # columns re0, im0, re1, im1, ...

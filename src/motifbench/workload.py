@@ -28,6 +28,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, ContextManager, Optional
 
 from . import generators
@@ -74,14 +75,20 @@ class InputDecl:
 
 @dataclass(frozen=True)
 class MotifInvocation:
+    """One `node` line. `params` holds each parameter's text as written.
+    `kernel_params` is that text coerced by the kernel's schema, once:
+    validate_spec computes it, and execute passes the same dict to the kernel."""
+
     result_id: str
     motif: str
     operands: tuple[str, ...]
-    params: tuple[tuple[str, str], ...]  # parameter text, coerced by the kernel's schema
+    params: tuple[tuple[str, str], ...]
     line: int
 
-    def param_dict(self) -> dict:
-        return dict(self.params)
+    @cached_property
+    def kernel_params(self) -> dict:
+        """Every schema key with its checked value; raises KernelError."""
+        return get_kernel(self.motif).coerce_params(dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -338,7 +345,7 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
                     )
                     ok = False
         try:
-            kspec.coerce_params(inv.param_dict())
+            inv.kernel_params  # coerced here once; execute runs this dict
         except KernelError as exc:
             diags.append(Diagnostic(str(exc), inv.motif, inv.line))
             ok = False
@@ -408,20 +415,17 @@ def execute(
 ) -> list[RunReport]:
     """Run the DAG `repeat` times; returns reports in repeat order.
 
-    `s` comes from parse_spec, which has validated it. Input materialization
-    and parameter coercion happen once, before the first repeat; each
-    repeat's invocation loop alone runs inside a fresh `window()`, and its
-    output checksums follow it. Kernels are pure and all randomness is
-    seeded, so results must be bit-identical across repeats: an output whose
-    checksum differs from repeat 0's raises WorkloadRuntimeError. Outputs are
-    written once, after the last repeat.
+    `s` comes from parse_spec, which has validated it and so coerced each
+    invocation's kernel_params. Input materialization happens once, before
+    the first repeat; each repeat's invocation loop alone runs inside a fresh
+    `window()`, and its output checksums follow it. Kernels are pure and all
+    randomness is seeded, so results must be bit-identical across repeats: an
+    output whose checksum differs from repeat 0's raises WorkloadRuntimeError.
+    Outputs are written once, after the last repeat.
     """
     if repeat < 1:
         raise InvariantError(f"repeat must be >= 1, got {repeat}")
-    calls = []
-    for inv in s.invocations:
-        kspec = get_kernel(inv.motif)
-        calls.append((inv, kspec.fn, kspec.coerce_params(inv.param_dict())))
+    calls = [(inv, get_kernel(inv.motif).fn, inv.kernel_params) for inv in s.invocations]
     base_env = _materialize_inputs(s, base_dir)
     base_sizes = {oid: payload_size(payload) for oid, payload in base_env.items()}
     output_ids = {o.dataset_id for o in s.outputs}

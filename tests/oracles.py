@@ -334,16 +334,20 @@ def _require(cond: bool, message: str):
         raise InvariantError(message)
 
 
+def _require_utf8(value: str, subject: str):
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvariantError(f"{subject} is not valid UTF-8: {exc}") from None
+
+
 def scalar_corpus_documents(documents) -> tuple:
     docs = tuple(documents)
     for i, line in enumerate(docs):
         _require(isinstance(line, str), f"document {i} is not a string")
         if "\n" in line or "\r" in line:
             raise InvariantError(f"document {i} contains a line terminator")
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise InvariantError(f"document {i} is not valid UTF-8: {exc}") from None
+        _require_utf8(line, f"document {i}")
     return docs
 
 
@@ -370,6 +374,7 @@ def scalar_table_rows(schema, rows) -> tuple:
             else:
                 _require(isinstance(value, str),
                          f"row {r} column {name!r}: expected string, got {value!r}")
+                _require_utf8(value, f"row {r} column {name!r}")
                 out.append(value)
         norm_rows.append(tuple(out))
     return tuple(norm_rows)
@@ -386,5 +391,7 @@ def scalar_kv_entries(entries) -> dict:
             _require(bad not in key, f"key {key!r} contains {bad!r}")
         for bad in ("\n", "\r"):
             _require(bad not in value, f"value for {key!r} contains {bad!r}")
+        _require_utf8(key, f"key {key!r}")
+        _require_utf8(value, f"value for key {key!r}")
         norm[key] = value
     return norm

@@ -29,7 +29,7 @@ from motifbench.generators import (
     gen_text,
 )
 from motifbench.kernels.graphops import connected_components, pagerank
-from motifbench.kernels.logic import elementwise_activation, md5_bytes
+from motifbench.kernels.logic import elementwise_activation, md5_digests
 from motifbench.kernels.matrixops import fully_connected, mat_elementwise, matmul
 from motifbench.kernels.sampling import downsample, dropout, pool, random_sample
 from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_union
@@ -41,7 +41,13 @@ from motifbench.kernels.statistic import (
     count_records,
     wordcount,
 )
-from motifbench.kernels.transform import convolution, fft, fft2d, matrix_fft2d, matrix_ifft2d
+from motifbench.kernels.transform import (
+    _fft2d_rows,
+    _fft_rows,
+    convolution,
+    matrix_fft2d,
+    matrix_ifft2d,
+)
 from motifbench.similarity import cut_dendrogram, hcluster, pca, standardize
 from motifbench.topdown import (
     MetricVector,
@@ -129,7 +135,7 @@ def test_criterion_1_kernel_oracle_suite():
         size = 1 << rng.randint(0, 7)
         seq = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
         for inverse in (False, True):
-            got_f = fft(seq, inverse=inverse)
+            got_f = _fft_rows(seq, size, inverse)
             want_f = naive_dft(seq, inverse=inverse)
             assert max(abs(x - y) for x, y in zip(got_f, want_f)) < 1e-9
 
@@ -233,21 +239,21 @@ def test_criterion_1_kernel_oracle_suite():
         gr, gc = 1 << rng.randint(1, 3), 1 << rng.randint(1, 3)
         grid = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(gc)]
                 for _ in range(gr)]
-        got_g = fft2d(grid)
+        got_g = _fft2d_rows([z for row in grid for z in row], gr, gc, False)
         want_g = naive_dft2d(grid)
-        assert max(abs(got_g[i][j] - want_g[i][j])
+        assert max(abs(got_g[i * gc + j] - want_g[i][j])
                    for i in range(gr) for j in range(gc)) < 1e-9
 
     # one large instance per numeric kernel at the stated scale
     big_rng = random.Random(7)
     n = 256
     seq = [complex(big_rng.uniform(-1, 1), big_rng.uniform(-1, 1)) for _ in range(n)]
-    assert max(abs(x - y) for x, y in zip(fft(seq), naive_dft(seq))) < 1e-9
+    assert max(abs(x - y) for x, y in zip(_fft_rows(seq, n, False), naive_dft(seq))) < 1e-9
 
     grid = [[complex(big_rng.uniform(-1, 1)) for _ in range(16)] for _ in range(16)]
-    got2 = fft2d(grid)
+    got2 = _fft2d_rows([z for row in grid for z in row], 16, 16, False)
     want2 = naive_dft2d(grid)
-    assert max(abs(got2[i][j] - want2[i][j]) for i in range(16) for j in range(16)) < 1e-9
+    assert max(abs(got2[i * 16 + j] - want2[i][j]) for i in range(16) for j in range(16)) < 1e-9
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"kernel oracle suite took {elapsed:.1f}s"
@@ -269,13 +275,12 @@ def test_criterion_2_md5_reference():
             "d174ab98d277d9f5a5611c2c9f419d9f",
         b"1234567890" * 8: "57edf4a22be3c955ac49da2e2107b67a",
     }
-    for data, hexdigest in vectors.items():
-        assert md5_bytes(data).hex() == hexdigest
+    assert [d.hex() for d in md5_digests(vectors)] == list(vectors.values())
 
     rng = random.Random(1321)
     for _ in range(1000):
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 260)))
-        assert md5_bytes(data) == hashlib.md5(data).digest()
+        assert md5_digests([data]) == [hashlib.md5(data).digest()]
     _done(2, "MD5 matches the reference oracle on standard vectors + 1000 random inputs")
 
 

@@ -11,6 +11,7 @@ import pytest
 import motifbench
 from motifbench import generators, topdown, workload
 from motifbench.cli import build_parser, main
+from motifbench.kernels import KernelSpec
 from motifbench.similarity import read_vectors_csv
 from motifbench.topdown import write_sample
 
@@ -77,7 +78,8 @@ def test_generate_count_flag_not_an_integer_exit_2(tmp_path, capsys, argv, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("dist", ["uniform:1,2,3", "gaussian:0,1,2", "uniform:a,1", "poisson:3"])
+@pytest.mark.parametrize("dist", ["uniform:1,2,3", "gaussian:0,1,2", "uniform:a,1", "poisson:3",
+                                  "gaussian:0,0", "uniform:1,0"])
 def test_generate_bad_dist_is_usage_error(tmp_path, capsys, dist):
     code = run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
                    "--dist", dist, "-o", str(tmp_path / "m"))
@@ -286,6 +288,22 @@ def test_run_validates_spec_once(tmp_path, monkeypatch):
     assert calls == ["index"]
 
 
+def test_run_coerces_each_invocations_params_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = KernelSpec.coerce_params
+
+    def counting(self, raw):
+        calls.append(self.motif)
+        return real(self, raw)
+
+    monkeypatch.setattr(KernelSpec, "coerce_params", counting)
+    code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("sift-like"),
+                   "--repeat", "2")
+    assert code == 0
+    assert len(calls) == 6  # one per invocation: validation's dict is the one run
+
+
 def test_run_counters_cmd_kernel_failure_waits_for_collector(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     spec = tmp_path / "bad.spec"
@@ -373,6 +391,7 @@ _TABLE = "input tb = generate.table(orders=4, items=8, seed=1)\n"
     ("input g = generate.graph(vertices=8, edges=4, model=rmat, a=1.5)", "'a'"),
     ("input m = generate.matrix(rows=0, cols=4)", "'rows'"),
     ("input m = generate.matrix(rows=4, cols=0)", "'cols'"),
+    ("input m = generate.matrix(rows=4, cols=4, dist=gaussian, sigma=0)", "'sigma'"),
     ("input x = generate.tensor(shape=2x0)", "must be positive"),
     ("input tb = generate.table(orders=0, items=8)", "'orders'"),
     ("input tb = generate.table(orders=4, items=0)", "'items'"),

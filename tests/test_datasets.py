@@ -33,6 +33,19 @@ def test_text_corpus_rejects_unencodable():
         TextCorpus(["bad \ud800 surrogate"])
 
 
+# The canonical encoding writes every string as UTF-8, which has no lone
+# surrogates: each string a payload holds is refused as TextCorpus refuses it.
+@pytest.mark.parametrize("build", [
+    lambda: Table([("s", "string")], [("ok",), ("bad \ud800",)]),
+    lambda: Table([("\udfff", "string")], []),
+    lambda: KeyValueSet({"ok": "1", "\ud800": "2"}),
+    lambda: KeyValueSet({"a": "\ud800"}),
+], ids=["table cell", "column name", "kv key", "kv value"])
+def test_table_and_kv_reject_lone_surrogates(build):
+    with pytest.raises(InvariantError, match="is not valid UTF-8: 'utf-8' codec can't encode"):
+        build()
+
+
 def test_table_arity_checked():
     with pytest.raises(InvariantError):
         Table([("a", "integer"), ("b", "integer")], [(1,)])
@@ -113,6 +126,16 @@ def test_graph_endpoint_range():
     assert "out of range" in str(err.value)
     with pytest.raises(InvariantError):
         Graph(0, [])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(True, 1, [1.0]),
+    lambda: Matrix(1, True, [1.0]),
+    lambda: Graph(True, []),
+], ids=["matrix rows", "matrix cols", "graph vertex_count"])
+def test_counts_reject_bools(build):
+    with pytest.raises(InvariantError, match="must be a positive count.*got True"):
+        build()
 
 
 @pytest.mark.parametrize("shape", [(2.7,), ("2",), (True,), ()])

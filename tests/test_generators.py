@@ -220,11 +220,15 @@ def test_matrix_uniform_bounds():
 
 
 def test_dist_validation():
-    with pytest.raises(InvariantError):
-        Uniform(1, 0)  # hi < lo
-    with pytest.raises(InvariantError):
-        Gaussian(0, 0)  # sigma must be positive
-    Uniform(2, 2)  # equal bounds degenerate but legal
+    def matrix(**dist):
+        return make_genspec("matrix", {"rows": 1, "cols": 1, **dist})
+
+    with pytest.raises(InvariantError, match=r"uniform needs hi >= lo, got \[1.0, 0.0\]"):
+        matrix(dist="uniform", lo=1, hi=0)
+    with pytest.raises(InvariantError, match="parameter 'sigma'=0.0 out of range"):
+        matrix(dist="gaussian", sigma=0)
+    # equal bounds degenerate but legal
+    assert make_dist(matrix(dist="uniform", lo=2, hi=2).param_dict()) == Uniform(2, 2)
 
 
 def test_parse_dist():
@@ -295,6 +299,10 @@ def test_genspec_matrix_materialize_matches_direct():
     ds = materialize(spec)
     direct = gen_matrix(4, 5, Uniform(0, 1), rng_seed=7)
     assert ds.payload == direct
+
+
+def test_genspec_tensor_holds_its_parsed_shape():
+    assert make_genspec("tensor", {"shape": "2x3"}).param_dict()["shape"] == (2, 3)
 
 
 def test_genspec_rejects_unknown_params():

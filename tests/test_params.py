@@ -48,6 +48,7 @@ BOUNDS = {
     "generate.tensor": {"dist": _DIST, "seed": _SEED},
     "generate.text": {"bytes": _COUNT, "seed": _SEED},
     "generate.graph/rmat": dict.fromkeys("abcd", _UNIT),
+    "generate.matrix/gaussian": {"sigma": (ABOVE_ZERO, None)},
 }
 
 

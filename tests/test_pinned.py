@@ -22,7 +22,7 @@ from motifbench.dataio import canonical_bytes, save_dataset
 from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
 from motifbench.generators import gen_graph
 from motifbench.kernels.graphops import pagerank
-from motifbench.kernels.logic import md5_bytes, md5_corpus
+from motifbench.kernels.logic import md5_corpus, md5_digests
 from motifbench.workload import execute, parse_spec_file
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def test_shipped_spec_record_sizes_on_a_later_repeat(name, tmp_path, monkeypatch
 @pytest.mark.parametrize("n", [55, 56, 63, 64, 119, 120, 128])
 def test_md5_block_boundary_lengths(n):
     data = bytes((7 * i + 3) & 0xFF for i in range(n))
-    assert md5_bytes(data) == hashlib.md5(data).digest()
-    assert md5_bytes(b"\xff" * n) == hashlib.md5(b"\xff" * n).digest()
+    assert md5_digests([data]) == [hashlib.md5(data).digest()]
+    assert md5_digests([b"\xff" * n]) == [hashlib.md5(b"\xff" * n).digest()]
 
 
 def test_md5_corpus_multibyte_utf8():
@@ -250,4 +250,4 @@ def test_md5_corpus_multibyte_utf8():
 @pytest.mark.parametrize("wrap", [bytearray, memoryview])
 def test_md5_accepts_buffer_inputs(wrap):
     data = b"message digest" * 9
-    assert md5_bytes(wrap(data)) == hashlib.md5(data).digest()
+    assert md5_digests([wrap(data)]) == [hashlib.md5(data).digest()]

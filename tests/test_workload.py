@@ -41,7 +41,8 @@ def test_parse_good_spec():
     assert spec.name == "tiny"
     assert len(spec.inputs) == 1 and len(spec.invocations) == 1
     assert spec.invocations[0].motif == "sort.sort"
-    assert spec.invocations[0].param_dict() == {"key": "0"}
+    assert spec.invocations[0].params == (("key", "0"),)
+    assert spec.invocations[0].kernel_params == {"key": 0}
 
 
 def test_parse_undefined_id_with_line():
@@ -337,7 +338,7 @@ def test_quoted_param_with_comma_and_hash():
         "input t = generate.text(bytes=200, seed=1)\n"
         'node g = set.grep(t, pattern="a,b # not a comment")\n'
     )
-    assert spec.invocations[0].param_dict() == {"pattern": "a,b # not a comment"}
+    assert dict(spec.invocations[0].params) == {"pattern": "a,b # not a comment"}
 
 
 def test_parse_unterminated_quote_rejected_with_line():
