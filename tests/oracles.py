@@ -12,6 +12,7 @@ import cmath
 import math
 
 from motifbench.errors import InvariantError
+from motifbench.similarity import Dendrogram, MergeStep, euclidean
 
 
 def stable_mergesort(records: list, key):
@@ -395,3 +396,52 @@ def scalar_kv_entries(entries) -> dict:
         _require_utf8(value, f"value for key {key!r}")
         norm[key] = value
     return norm
+
+
+def set_scan_hcluster(points: list, linkage: str = "average") -> Dendrogram:
+    """Lance-Williams agglomeration over a set of active cluster ids, each
+    merge found by a strict-< scan of every sorted (x, y) pair. hcluster must
+    return the same Dendrogram: same pairs, same ties, same float distances."""
+    n = len(points)
+    dist: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = euclidean(points[i], points[j])
+    sizes = {i: 1 for i in range(n)}
+    active = set(range(n))
+    merges: list[MergeStep] = []
+    next_id = n
+
+    def d_of(x: int, y: int) -> float:
+        return dist[(x, y) if x < y else (y, x)]
+
+    while len(active) > 1:
+        best = None
+        # Ascending (x, y) scan plus strict < keeps the smallest id pair on ties.
+        for x in sorted(active):
+            for y in sorted(active):
+                if y <= x:
+                    continue
+                v = d_of(x, y)
+                if best is None or v < best[0]:
+                    best = (v, x, y)
+        v, a, b = best
+        new_id = next_id
+        next_id += 1
+        for other in active:
+            if other in (a, b):
+                continue
+            da, db = d_of(a, other), d_of(b, other)
+            if linkage == "single":
+                nd = min(da, db)
+            elif linkage == "complete":
+                nd = max(da, db)
+            else:
+                nd = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
+            dist[(min(other, new_id), max(other, new_id))] = nd
+        active.discard(a)
+        active.discard(b)
+        active.add(new_id)
+        sizes[new_id] = sizes[a] + sizes[b]
+        merges.append(MergeStep(a, b, v, new_id, sizes[new_id]))
+    return Dendrogram(n, tuple(merges))

@@ -21,6 +21,8 @@ from motifbench.similarity import (
 )
 from motifbench.topdown import MetricVector
 
+from .oracles import set_scan_hcluster
+
 
 def vec(label, values, names=None):
     names = names or tuple(f"m{i}" for i in range(len(values)))
@@ -201,6 +203,20 @@ def test_hcluster_matches_brute_force_oracle():
             for step, (a, b, dist, new_id) in zip(got.merges, want):
                 assert (step.a, step.b, step.new_id) == (a, b, new_id)
                 assert step.distance == pytest.approx(dist, abs=1e-10)
+
+
+@pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+def test_hcluster_equals_set_scan_oracle(linkage):
+    """Whole Dendrograms compared, float distances included. Points on a
+    small integer grid repeat distances, so most merges are ties."""
+    rng = random.Random(35)
+    for trial in range(40):
+        n = rng.randint(2, 24)
+        if trial % 2:
+            points = [[float(rng.randint(0, 3)) for _ in range(2)] for _ in range(n)]
+        else:
+            points = [[rng.uniform(-4, 4) for _ in range(3)] for _ in range(n)]
+        assert hcluster(points, linkage=linkage) == set_scan_hcluster(points, linkage)
 
 
 def test_cut_recovers_constructed_groups():
