@@ -18,6 +18,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import combinations
 
 from .dataio import csv_records, open_output, read_input
 from .errors import InvariantError
@@ -186,10 +187,10 @@ class Dendrogram:
 def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering under Euclidean distance.
 
-    Cluster ids: leaves are 0..n-1, merges mint n, n+1, ... Ties break on the
-    smallest (a, b) id pair, so the merge sequence is deterministic. Inter-
-    cluster distances follow the Lance-Williams updates for the chosen
-    linkage.
+    Cluster ids: leaves are 0..n-1, merges mint n, n+1, ... Each merge joins
+    the closest pair of active clusters; ties break on the smallest (a, b) id
+    pair, so the merge sequence is deterministic. Inter-cluster distances
+    follow the Lance-Williams updates for the chosen linkage.
     """
     if linkage not in LINKAGES:
         raise InvariantError(f"unknown linkage {linkage!r}")
@@ -197,47 +198,33 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     if n < 2:
         raise InvariantError(f"hcluster needs >= 2 points, got {n}")
 
-    dist: dict[tuple[int, int], float] = {}
+    dist: dict[tuple[int, int], float] = {}  # keyed by (smaller id, larger id)
     for i in range(n):
         for j in range(i + 1, n):
             dist[(i, j)] = euclidean(points[i], points[j])
-    sizes = {i: 1 for i in range(n)}
-    active = set(range(n))
+    sizes = [1] * n  # indexed by cluster id
+    active = list(range(n))  # ascending: each minted id is the largest yet
     merges: list[MergeStep] = []
-    next_id = n
-
-    def d_of(x: int, y: int) -> float:
-        return dist[(x, y) if x < y else (y, x)]
-
     while len(active) > 1:
-        best = None
-        # Ascending (x, y) scan plus strict < keeps the smallest id pair on ties.
-        for x in sorted(active):
-            for y in sorted(active):
-                if y <= x:
-                    continue
-                v = d_of(x, y)
-                if best is None or v < best[0]:
-                    best = (v, x, y)
-        v, a, b = best
-        new_id = next_id
-        next_id += 1
+        # combinations of an ascending list come in ascending (a, b) order and
+        # min keeps the first of equal keys, so the smallest pair wins a tie.
+        a, b = min(combinations(active, 2), key=dist.__getitem__)
+        new_id = len(sizes)
+        active.remove(a)
+        active.remove(b)
         for other in active:
-            if other in (a, b):
-                continue
-            da, db = d_of(a, other), d_of(b, other)
+            da = dist[min(a, other), max(a, other)]
+            db = dist[min(b, other), max(b, other)]
             if linkage == "single":
                 nd = min(da, db)
             elif linkage == "complete":
                 nd = max(da, db)
             else:
                 nd = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
-            dist[(min(other, new_id), max(other, new_id))] = nd
-        active.discard(a)
-        active.discard(b)
-        active.add(new_id)
-        sizes[new_id] = sizes[a] + sizes[b]
-        merges.append(MergeStep(a, b, v, new_id, sizes[new_id]))
+            dist[other, new_id] = nd
+        active.append(new_id)
+        sizes.append(sizes[a] + sizes[b])
+        merges.append(MergeStep(a, b, dist[a, b], new_id, sizes[new_id]))
     return Dendrogram(n, tuple(merges))
 
 

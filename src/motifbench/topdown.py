@@ -179,7 +179,8 @@ def eval_formula(parsed, env: dict, where: str) -> float:
 
 @dataclass
 class EventSample:
-    """Named event counts plus collection metadata."""
+    """Named event counts plus collection metadata. events always names the
+    cycle count: construction sets events["cycles"] to cycles."""
 
     events: dict[str, float]
     width: int = DEFAULT_ISSUE_WIDTH
@@ -191,6 +192,7 @@ class EventSample:
             raise EventError(f"issue width must be >= 1, got {self.width}")
         if not self.cycles > 0:
             raise EventError(f"cycles must be present and > 0, got {self.cycles}")
+        self.events = {**self.events, "cycles": self.cycles}
         for name, count in self.events.items():
             if not math.isfinite(count):
                 raise EventError(f"event {name!r} has non-finite count {count!r}")
@@ -199,7 +201,7 @@ class EventSample:
 
 
 def parse_sample(text: str, path: str = "<sample>",
-                 width: Optional[int] = None, label: Optional[str] = None,
+                 width: Optional[int] = None,
                  mapping: Optional[dict[str, str]] = None) -> EventSample:
     """Parse an event dump: CSV lines 'event_name,count', metadata lines
     '#meta key=value' (keys width, cycles, label). A 'cycles' event row also
@@ -240,15 +242,12 @@ def parse_sample(text: str, path: str = "<sample>",
     cycles = events.get("cycles", 0.0)
     try:
         if "cycles" in meta:
-            # explicit metadata beats a counter row; keep the two views consistent
-            cycles = float(meta["cycles"])
-            events["cycles"] = cycles
+            cycles = float(meta["cycles"])  # explicit metadata beats a counter row
         if width is None:
             width = int(meta.get("width", DEFAULT_ISSUE_WIDTH))
     except ValueError as exc:
         raise EventError(f"{path}: bad metadata value: {exc}") from None
-    if label is None:
-        label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
+    label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
     return EventSample(events=events, width=width, cycles=cycles, label=label)
 
 
@@ -298,10 +297,8 @@ def average_samples(samples: list[EventSample]) -> EventSample:
             raise EventError("samples disagree on issue width")
     n = len(samples)
     events = {name: left_sum(s.events[name] for s in samples) / n for name in names}
-    cycles = left_sum(s.cycles for s in samples) / n
-    events["cycles"] = cycles
     label = samples[0].label
-    return EventSample(events=events, width=samples[0].width, cycles=cycles,
+    return EventSample(events=events, width=samples[0].width, cycles=events["cycles"],
                        label=f"avg({label})" if label else "avg")
 
 
@@ -543,17 +540,13 @@ def evaluate_tree(sample: EventSample, tree: MetricTree) -> BreakdownNode:
     division by zero, and EventError when a fraction leaves [-0.05, 1.05] or
     children overshoot their parent beyond the 0.02 tolerance.
     """
-    if not sample.cycles > 0:
-        raise EventError(f"cycles must be > 0, got {sample.cycles}")
     missing = tree.required_events() - set(sample.events)
-    missing.discard("cycles")
     if missing:
         raise MissingEventsError(missing)
 
     env: dict[str, float] = dict(sample.events)
     env["meta.width"] = float(sample.width)
     env["meta.cycles"] = float(sample.cycles)
-    env.setdefault("cycles", float(sample.cycles))
 
     def eval_node(node: MetricNode) -> BreakdownNode:
         value = eval_formula(tree._parsed[node.name], env, node.name)
@@ -603,8 +596,6 @@ def ipc(sample: EventSample) -> float:
     """Retired instructions per cycle."""
     if "instructions_retired" not in sample.events:
         raise MissingEventsError(["instructions_retired"])
-    if not sample.cycles > 0:
-        raise EventError("cycles must be > 0")
     return sample.events["instructions_retired"] / sample.cycles
 
 

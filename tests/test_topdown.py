@@ -164,6 +164,18 @@ def test_sample_rejects_negative_and_nonfinite():
         EventSample({"x": math.inf}, cycles=10)
     with pytest.raises(EventError):
         EventSample({"x": 1}, width=0, cycles=10)
+    # the cycle count is an event too, so a non-finite one is refused however it arrives
+    with pytest.raises(EventError, match="'cycles' has non-finite"):
+        EventSample({"x": 1}, cycles=math.inf)
+    with pytest.raises(EventError, match="'cycles' has non-finite"):
+        parse_sample("#meta cycles=inf\nuops_retired,1\n")
+
+
+def test_sample_events_carry_its_cycle_count():
+    sample = EventSample({"a": 5.0}, cycles=10.0)
+    assert sample.events["cycles"] == sample.cycles
+    tree = MetricTree((MetricNode("A", "a / cycles"),))
+    assert evaluate_tree(sample, tree).children[0].fraction == 0.5
 
 
 def test_write_then_load_roundtrip(tmp_path):
