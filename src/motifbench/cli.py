@@ -156,12 +156,7 @@ def _sample_json(sample: topdown.EventSample) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = workload.parse_spec_file(args.spec)
-    except SpecError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.spec}: {diag}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = workload.parse_spec_file(args.spec)
     base_dir = os.path.dirname(os.path.abspath(args.spec))
 
     mode, _, counter_arg = (args.counters or "").partition(":")
@@ -322,12 +317,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = workload.parse_spec_file(args.spec)
-    except SpecError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.spec}: {diag}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = workload.parse_spec_file(args.spec)
     _say(args, f"{args.spec}: ok ({spec.name}: {len(spec.invocations)} invocations)")
     return EXIT_OK
 
@@ -455,9 +445,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except SpecError as exc:
+    except SpecError as exc:  # raised only by parsing the --spec of run and validate
         for diag in exc.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
+            print(f"{args.spec}: {diag}", file=sys.stderr)
         return EXIT_VALIDATION
     except (MotifBenchError, OSError) as exc:
         _fail(str(exc))

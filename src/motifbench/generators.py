@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .dataio import load_dataset, resolve_path
 from .datasets import (
@@ -151,14 +151,11 @@ def _fit_bigram(seed_corpus: TextCorpus):
     return unigrams, successors, lengths
 
 
-def _weighted_pick(rng: SplitMix64, words: list[str], weights: list[int], total: int) -> str:
-    x = rng.below(total)
-    acc = 0
-    for w, c in zip(words, weights):
-        acc += c
-        if x < acc:
-            return w
-    return words[-1]
+def _cumulative(counts: dict[str, int]) -> tuple[list[str], list[int]]:
+    """Sorted words and their running count totals, so that a draw x in
+    [0, cum[-1]) picks words[bisect_right(cum, x)] with odds count / total."""
+    words = sorted(counts)
+    return words, list(accumulate(counts[w] for w in words))
 
 
 def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextCorpus:
@@ -168,13 +165,8 @@ def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextC
     unigrams, successors, lengths = _fit_bigram(seed_corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
-    uni_words = sorted(unigrams)
-    uni_weights = [unigrams[w] for w in uni_words]
-    uni_total = sum(uni_weights)
-    succ_tables = {
-        w: (sorted(d), [d[k] for k in sorted(d)], sum(d.values()))
-        for w, d in successors.items()
-    }
+    uni_table = _cumulative(unigrams)
+    succ_tables = {w: _cumulative(d) for w, d in successors.items()}
 
     rng = SplitMix64(rng_seed)
     hi_cap = target_bytes + max(1, target_bytes // 20)
@@ -182,13 +174,10 @@ def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextC
     total = 0
     while total < target_bytes:
         n_tokens = lengths[rng.below(len(lengths))]
-        words = [_weighted_pick(rng, uni_words, uni_weights, uni_total)]
-        for _ in range(n_tokens - 1):
-            table = succ_tables.get(words[-1])
-            if table:
-                words.append(_weighted_pick(rng, *table))
-            else:
-                words.append(_weighted_pick(rng, uni_words, uni_weights, uni_total))
+        words: list[str] = []
+        for _ in range(n_tokens):
+            vocab, cum = succ_tables.get(words[-1], uni_table) if words else uni_table
+            words.append(vocab[bisect_right(cum, rng.below(cum[-1]))])
         size = len(" ".join(words).encode("utf-8")) + 1
         if total + size > hi_cap:
             while len(words) > 1 and total + len(" ".join(words).encode("utf-8")) + 1 > hi_cap:

@@ -2,9 +2,9 @@
 
 Eight families of units of computation: matrix, sampling, transform, graph,
 logic, set, sort, statistic. Every kernel registers under ``family.name`` with
-its arity, accepted payload kinds per operand, result kind, parameter schema
-and the kernel function itself; the workload composer and the CLI both drive
-kernels purely through this table.
+the payload kinds each operand accepts (one entry per operand, so their count
+is its arity), result kind, parameter schema and the kernel function itself;
+the workload composer and the CLI both drive kernels purely through this table.
 
 Kernels are pure functions, called as fn(*operands, **params) where params is
 the dict KernelSpec.coerce_params returns: every schema key, defaults filled
@@ -45,7 +45,6 @@ SAME_AS_INPUT = "same"
 class KernelSpec:
     family: str
     name: str
-    arity: int
     input_kinds: tuple[frozenset, ...]
     output_kind: str  # concrete kind, or SAME_AS_INPUT
     fn: Callable[..., Payload]  # called as fn(*operands, **coerced params)
@@ -55,6 +54,10 @@ class KernelSpec:
     @property
     def motif(self) -> str:
         return f"{self.family}.{self.name}"
+
+    @property
+    def arity(self) -> int:
+        return len(self.input_kinds)
 
     def coerce_params(self, raw: dict) -> dict:
         """Validate against the schema and fill defaults; raises KernelError."""
@@ -144,40 +147,40 @@ def _check_aggregate(p):
 _KERNELS = [
     # sort
     KernelSpec(
-        "sort", "sort", 1, (frozenset({KIND_TEXT, KIND_TABLE, KIND_MATRIX}),), SAME_AS_INPUT,
+        "sort", "sort", (frozenset({KIND_TEXT, KIND_TABLE, KIND_MATRIX}),), SAME_AS_INPUT,
         sorting.sort_records,
         {"key": ParamSpec("int", default=0)},
     ),
     # set
     KernelSpec(
-        "set", "grep", 1, (_TXT,), KIND_TEXT, sets.grep,
+        "set", "grep", (_TXT,), KIND_TEXT, sets.grep,
         {"pattern": ParamSpec("str", required=True)},
         check=_check_grep,
     ),
-    KernelSpec("set", "union", 2, (_KVS, _KVS), KIND_KV,
+    KernelSpec("set", "union", (_KVS, _KVS), KIND_KV,
                partial(sets.set_op, op="union")),
-    KernelSpec("set", "intersect", 2, (_KVS, _KVS), KIND_KV,
+    KernelSpec("set", "intersect", (_KVS, _KVS), KIND_KV,
                partial(sets.set_op, op="intersect")),
-    KernelSpec("set", "difference", 2, (_KVS, _KVS), KIND_KV,
+    KernelSpec("set", "difference", (_KVS, _KVS), KIND_KV,
                partial(sets.set_op, op="difference")),
     KernelSpec(
-        "set", "project", 1, (_TBL,), KIND_TABLE, _project,
+        "set", "project", (_TBL,), KIND_TABLE, _project,
         {"columns": ParamSpec("str", required=True)},
         check=_check_project,
     ),
     KernelSpec(
-        "set", "filter", 1, (_TBL,), KIND_TABLE, sets.filter_rows,
+        "set", "filter", (_TBL,), KIND_TABLE, sets.filter_rows,
         {
             "column": ParamSpec("str", required=True),
             "cmp": ParamSpec("str", required=True, choices=("lt", "le", "gt", "ge", "eq", "ne")),
             "value": ParamSpec("str", required=True),
         },
     ),
-    KernelSpec("set", "table_union", 2, (_TBL, _TBL), KIND_TABLE, sets.table_union),
+    KernelSpec("set", "table_union", (_TBL, _TBL), KIND_TABLE, sets.table_union),
     # statistic
-    KernelSpec("statistic", "wordcount", 1, (_TXT,), KIND_KV, statistic.wordcount),
+    KernelSpec("statistic", "wordcount", (_TXT,), KIND_KV, statistic.wordcount),
     KernelSpec(
-        "statistic", "aggregate", 1, (_TBL,), KIND_TABLE, statistic.aggregate,
+        "statistic", "aggregate", (_TBL,), KIND_TABLE, statistic.aggregate,
         {
             "group": ParamSpec("str", required=True),
             "agg": ParamSpec("str", required=True, choices=("count", "sum", "avg")),
@@ -186,69 +189,69 @@ _KERNELS = [
         check=_check_aggregate,
     ),
     KernelSpec(
-        "statistic", "batch_norm", 1, (_TEN,), KIND_TENSOR, statistic.batch_norm,
+        "statistic", "batch_norm", (_TEN,), KIND_TENSOR, statistic.batch_norm,
         {
             "axis": ParamSpec("int", default=0, lo=0),
             "epsilon": ParamSpec("float", default=1e-5, lo=ABOVE_ZERO),
         },
     ),
     KernelSpec(
-        "statistic", "cosine_norm", 1, (_TEN,), KIND_TENSOR, statistic.cosine_norm,
+        "statistic", "cosine_norm", (_TEN,), KIND_TENSOR, statistic.cosine_norm,
         {"axis": ParamSpec("int", default=0, lo=0)},
     ),
-    KernelSpec("statistic", "count", 1, (_ANY,), KIND_KV, statistic.count_records),
+    KernelSpec("statistic", "count", (_ANY,), KIND_KV, statistic.count_records),
     # logic
-    KernelSpec("logic", "md5", 1, (_TXT,), KIND_TEXT, logic.md5_corpus),
-    KernelSpec("logic", "relu", 1, (_TEN,), KIND_TENSOR,
+    KernelSpec("logic", "md5", (_TXT,), KIND_TEXT, logic.md5_corpus),
+    KernelSpec("logic", "relu", (_TEN,), KIND_TENSOR,
                partial(logic.elementwise_activation, fn="relu")),
     # matrix
-    KernelSpec("matrix", "sigmoid", 1, (_TEN,), KIND_TENSOR,
+    KernelSpec("matrix", "sigmoid", (_TEN,), KIND_TENSOR,
                partial(logic.elementwise_activation, fn="sigmoid")),
-    KernelSpec("matrix", "tanh", 1, (_TEN,), KIND_TENSOR,
+    KernelSpec("matrix", "tanh", (_TEN,), KIND_TENSOR,
                partial(logic.elementwise_activation, fn="tanh")),
-    KernelSpec("matrix", "multiply", 2, (_MAT, _MAT), KIND_MATRIX, matrixops.matmul),
-    KernelSpec("matrix", "add", 2, (_MAT, _MAT), KIND_MATRIX,
+    KernelSpec("matrix", "multiply", (_MAT, _MAT), KIND_MATRIX, matrixops.matmul),
+    KernelSpec("matrix", "add", (_MAT, _MAT), KIND_MATRIX,
                partial(matrixops.mat_elementwise, op="add")),
-    KernelSpec("matrix", "subtract", 2, (_MAT, _MAT), KIND_MATRIX,
+    KernelSpec("matrix", "subtract", (_MAT, _MAT), KIND_MATRIX,
                partial(matrixops.mat_elementwise, op="subtract")),
-    KernelSpec("matrix", "hadamard", 2, (_MAT, _MAT), KIND_MATRIX,
+    KernelSpec("matrix", "hadamard", (_MAT, _MAT), KIND_MATRIX,
                partial(matrixops.mat_elementwise, op="hadamard")),
-    KernelSpec("matrix", "fully_connected", 3, (_TEN, _MAT, _TEN), KIND_TENSOR,
+    KernelSpec("matrix", "fully_connected", (_TEN, _MAT, _TEN), KIND_TENSOR,
                matrixops.fully_connected),
     # sampling
     KernelSpec(
-        "sampling", "random_sample", 1, (frozenset({KIND_TEXT, KIND_TABLE}),), SAME_AS_INPUT,
+        "sampling", "random_sample", (frozenset({KIND_TEXT, KIND_TABLE}),), SAME_AS_INPUT,
         sampling.random_sample,
         {"fraction": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
-    KernelSpec("sampling", "max_pool", 1, (_TEN,), KIND_TENSOR,
+    KernelSpec("sampling", "max_pool", (_TEN,), KIND_TENSOR,
                partial(sampling.pool, mode="max"), _POOL_PARAMS),
-    KernelSpec("sampling", "avg_pool", 1, (_TEN,), KIND_TENSOR,
+    KernelSpec("sampling", "avg_pool", (_TEN,), KIND_TENSOR,
                partial(sampling.pool, mode="avg"), _POOL_PARAMS),
     KernelSpec(
-        "sampling", "downsample", 1, (_MAT,), KIND_MATRIX, sampling.downsample,
+        "sampling", "downsample", (_MAT,), KIND_MATRIX, sampling.downsample,
         {"factor": ParamSpec("int", required=True, lo=1)},
     ),
     KernelSpec(
-        "sampling", "dropout", 1, (_TEN,), KIND_TENSOR, sampling.dropout,
+        "sampling", "dropout", (_TEN,), KIND_TENSOR, sampling.dropout,
         {"p": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
     # transform
-    KernelSpec("transform", "fft", 1, (_MAT,), KIND_MATRIX, transform.matrix_fft),
-    KernelSpec("transform", "ifft", 1, (_MAT,), KIND_MATRIX, transform.matrix_ifft),
-    KernelSpec("transform", "fft2d", 1, (_MAT,), KIND_MATRIX, transform.matrix_fft2d),
-    KernelSpec("transform", "ifft2d", 1, (_MAT,), KIND_MATRIX, transform.matrix_ifft2d),
+    KernelSpec("transform", "fft", (_MAT,), KIND_MATRIX, transform.matrix_fft),
+    KernelSpec("transform", "ifft", (_MAT,), KIND_MATRIX, transform.matrix_ifft),
+    KernelSpec("transform", "fft2d", (_MAT,), KIND_MATRIX, transform.matrix_fft2d),
+    KernelSpec("transform", "ifft2d", (_MAT,), KIND_MATRIX, transform.matrix_ifft2d),
     KernelSpec(
-        "transform", "convolution", 2, (_TEN, _TEN), KIND_TENSOR, transform.convolution,
+        "transform", "convolution", (_TEN, _TEN), KIND_TENSOR, transform.convolution,
         {
             "stride": ParamSpec("int", default=1, lo=1),
             "padding": ParamSpec("str", default="valid", choices=("valid", "same")),
         },
     ),
     # graph
-    KernelSpec("graph", "connected_components", 1, (_GRA,), KIND_TABLE, _components_table),
+    KernelSpec("graph", "connected_components", (_GRA,), KIND_TABLE, _components_table),
     KernelSpec(
-        "graph", "pagerank", 1, (_GRA,), KIND_MATRIX, _pagerank_matrix,
+        "graph", "pagerank", (_GRA,), KIND_MATRIX, _pagerank_matrix,
         {
             "damping": ParamSpec("float", default=0.85, lo=ABOVE_ZERO, hi=BELOW_ONE),
             "max_iters": ParamSpec("int", default=100, lo=1),

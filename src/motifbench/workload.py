@@ -55,7 +55,6 @@ from .kernels import REGISTRY, SAME_AS_INPUT, get_kernel
 @dataclass(frozen=True)
 class Diagnostic:
     message: str
-    subject: str = ""
     line: Optional[int] = None
 
     def __str__(self) -> str:
@@ -184,18 +183,18 @@ def _parse_arglist(args: str, lineno: int, allow_operands: bool):
             if not allow_operands:
                 raise SpecError([Diagnostic(f"expected key=value, got {part!r}", line=lineno)])
             if not re.fullmatch(_ID, part):
-                raise SpecError([Diagnostic(f"bad operand id {part!r}", part, lineno)])
+                raise SpecError([Diagnostic(f"bad operand id {part!r}", lineno)])
             if params:
                 raise SpecError(
-                    [Diagnostic(f"operand {part!r} appears after keyword parameters", part, lineno)]
+                    [Diagnostic(f"operand {part!r} appears after keyword parameters", lineno)]
                 )
             operands.append(part)
         else:
             key = key.strip()
             if not re.fullmatch(_ID, key):
-                raise SpecError([Diagnostic(f"bad parameter name {key!r}", key, lineno)])
+                raise SpecError([Diagnostic(f"bad parameter name {key!r}", lineno)])
             if key in params:
-                raise SpecError([Diagnostic(f"duplicate parameter {key!r}", key, lineno)])
+                raise SpecError([Diagnostic(f"duplicate parameter {key!r}", lineno)])
             params[key] = _parse_value(value.strip())
     return operands, params
 
@@ -235,7 +234,7 @@ def parse_spec(text: str) -> WorkloadSpec:
             try:
                 spec = generators.make_genspec(m.group("kind"), params)
             except InvariantError as exc:
-                raise SpecError([Diagnostic(str(exc), m.group("id"), lineno)]) from None
+                raise SpecError([Diagnostic(str(exc), lineno)]) from None
             inputs.append(InputDecl(m.group("id"), lineno, spec.kind, genspec=spec))
             continue
         m = _RE_NODE.match(line)
@@ -284,7 +283,7 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
     for st in statements:
         sid = st.dataset_id if isinstance(st, InputDecl) else st.result_id
         if sid in definer:
-            diags.append(Diagnostic(f"duplicate dataset id {sid!r}", sid, st.line))
+            diags.append(Diagnostic(f"duplicate dataset id {sid!r}", st.line))
         else:
             definer[sid] = st
 
@@ -293,14 +292,12 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         if isinstance(st, InputDecl):
             if definer[st.dataset_id] is st:
                 if st.kind not in ALL_KINDS:
-                    diags.append(
-                        Diagnostic(f"unknown payload kind {st.kind!r}", st.dataset_id, st.line)
-                    )
+                    diags.append(Diagnostic(f"unknown payload kind {st.kind!r}", st.line))
                 kinds[st.dataset_id] = st.kind
             continue
         inv = st
         if inv.motif not in REGISTRY:
-            diags.append(Diagnostic(f"unknown motif {inv.motif!r}", inv.motif, inv.line))
+            diags.append(Diagnostic(f"unknown motif {inv.motif!r}", inv.line))
             continue
         kspec = REGISTRY[inv.motif]
         ok = True
@@ -316,18 +313,16 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
                     Diagnostic(
                         f"cycle detected: {inv.result_id!r} consumes {op!r}, "
                         "which is not defined earlier",
-                        op,
                         inv.line,
                     )
                 )
             else:
-                diags.append(Diagnostic(f"undefined dataset id {op!r}", op, inv.line))
+                diags.append(Diagnostic(f"undefined dataset id {op!r}", inv.line))
             ok = False
         if len(inv.operands) != kspec.arity:
             diags.append(
                 Diagnostic(
                     f"{inv.motif} takes {kspec.arity} operand(s), got {len(inv.operands)}",
-                    inv.motif,
                     inv.line,
                 )
             )
@@ -339,7 +334,6 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
                         Diagnostic(
                             f"{inv.motif} cannot take {op_kind} payload {op!r} "
                             f"(accepts {', '.join(sorted(accepted))})",
-                            op,
                             inv.line,
                         )
                     )
@@ -347,7 +341,7 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         try:
             inv.kernel_params  # coerced here once; execute runs this dict
         except KernelError as exc:
-            diags.append(Diagnostic(str(exc), inv.motif, inv.line))
+            diags.append(Diagnostic(str(exc), inv.line))
             ok = False
         if definer[inv.result_id] is inv:
             same = kspec.output_kind == SAME_AS_INPUT
@@ -356,18 +350,15 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
     writers: dict[str, int] = {}  # normalized output path -> first line writing it
     for out in s.outputs:
         if out.dataset_id not in kinds:
-            diags.append(
-                Diagnostic(f"undefined dataset id {out.dataset_id!r}", out.dataset_id, out.line)
-            )
+            diags.append(Diagnostic(f"undefined dataset id {out.dataset_id!r}", out.line))
         if not out.path:
-            diags.append(Diagnostic("empty output path", out.dataset_id, out.line))
+            diags.append(Diagnostic("empty output path", out.line))
             continue
         key = os.path.normpath(out.path)
         if key in writers:
             diags.append(
                 Diagnostic(
                     f"output path {out.path!r} is already written on line {writers[key]}",
-                    out.dataset_id,
                     out.line,
                 )
             )
