@@ -445,3 +445,44 @@ def set_scan_hcluster(points: list, linkage: str = "average") -> Dendrogram:
         sizes[new_id] = sizes[a] + sizes[b]
         merges.append(MergeStep(a, b, v, new_id, sizes[new_id]))
     return Dendrogram(n, tuple(merges))
+
+
+# The stopping rule cyclic_jacobi_eigh runs with, fixed here so that a test
+# patching similarity's sweep cap leaves the oracle as it is.
+JACOBI_EPS = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def cyclic_jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (columns) of a symmetric matrix by cyclic
+    Jacobi rotations: every (p, q) of every sweep rotated through whole rows
+    and columns, until the absolute off-diagonal norm is below JACOBI_EPS."""
+    d = len(a)
+    m = [row[:] for row in a]
+    vecs = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(math.fsum(m[i][j] ** 2 for i in range(d) for j in range(d) if i != j))
+        if off < JACOBI_EPS:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = m[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (m[q][q] - m[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for k in range(d):
+                    mkp, mkq = m[k][p], m[k][q]
+                    m[k][p] = c * mkp - s * mkq
+                    m[k][q] = s * mkp + c * mkq
+                for k in range(d):
+                    mpk, mqk = m[p][k], m[q][k]
+                    m[p][k] = c * mpk - s * mqk
+                    m[q][k] = s * mpk + c * mqk
+                for k in range(d):
+                    vkp, vkq = vecs[k][p], vecs[k][q]
+                    vecs[k][p] = c * vkp - s * vkq
+                    vecs[k][q] = s * vkp + c * vkq
+    return [m[i][i] for i in range(d)], vecs

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from motifbench import similarity
 from motifbench.errors import FormatError, InvariantError
 from motifbench.similarity import (
     Dendrogram,
@@ -21,7 +22,7 @@ from motifbench.similarity import (
 )
 from motifbench.topdown import MetricVector
 
-from .oracles import set_scan_hcluster
+from .oracles import cyclic_jacobi_eigh, set_scan_hcluster
 
 
 def vec(label, values, names=None):
@@ -153,6 +154,61 @@ def test_pca_explained_sorted_and_bounded():
     assert all(a >= b for a, b in zip(result.explained, result.explained[1:]))
     assert all(r >= 0 for r in result.explained)
     assert sum(result.explained) <= 1 + 1e-9
+
+
+def characterize_like(seed):
+    """64 profiles x 35 metrics in 4 archetypes, as characterize's cluster
+    input: 20 leaf metrics, and 15 parents that each sum two or three of them,
+    so the covariance is rank-deficient with many eigenvalues near zero."""
+    rng = random.Random(seed)
+    centers = [[rng.uniform(0.0, 1.0) for _ in range(20)] for _ in range(4)]
+    parents = [rng.sample(range(20), rng.choice((2, 3))) for _ in range(15)]
+    rows = []
+    for i in range(64):
+        leaves = [x * (1.0 + rng.uniform(-0.03, 0.03)) for x in centers[i % 4]]
+        rows.append(leaves + [math.fsum(leaves[j] for j in group) for group in parents])
+    return [vec(f"w{i}", row) for i, row in enumerate(rows)]
+
+
+def covariance(matrix):
+    """The sample covariance pca diagonalizes."""
+    n, d = len(matrix), len(matrix[0])
+    means = [math.fsum(row[j] for row in matrix) / n for j in range(d)]
+    centered = [[row[j] - means[j] for j in range(d)] for row in matrix]
+    return [[math.fsum(r[j] * r[k] for r in centered) / (n - 1) for k in range(d)]
+            for j in range(d)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeypatch):
+    labels, matrix = standardize(characterize_like(seed))
+    cov = covariance(matrix)
+    d = len(cov)
+    tol = 1e-12 * math.sqrt(math.fsum(x * x for row in cov for x in row))
+    vals, vecs = similarity._jacobi_eigh(cov)
+    want_vals, want_vecs = cyclic_jacobi_eigh(cov)
+    order = sorted(range(d), key=vals.__getitem__, reverse=True)
+    want_order = sorted(range(d), key=want_vals.__getitem__, reverse=True)
+    got = [vals[i] for i in order]
+    assert max(abs(a - b) for a, b in zip(got, (want_vals[i] for i in want_order))) <= tol
+    numpy_vals = sorted(np.linalg.eigvalsh(np.array(cov)), reverse=True)
+    assert max(abs(a - b) for a, b in zip(got, numpy_vals)) <= tol
+    for i, j in zip(order[:3], want_order[:3]):
+        cos = math.fsum(vecs[r][i] * want_vecs[r][j] for r in range(d))
+        assert 1.0 - abs(cos) <= 1e-12
+    for i in range(d):
+        for j in range(d):
+            dot = math.fsum(vecs[r][i] * vecs[r][j] for r in range(d))
+            assert abs(dot - (1.0 if i == j else 0.0)) <= 1e-13
+
+    def clusters():
+        tree = hcluster([list(p) for p in pca(matrix).projected])
+        return [(m.a, m.b, m.new_id) for m in tree.merges], cut_dendrogram(tree, 4)
+
+    got_tree = clusters()
+    monkeypatch.setattr(similarity, "_jacobi_eigh", cyclic_jacobi_eigh)
+    assert got_tree == clusters()
+    assert got_tree[1] == [0, 1, 2, 3] * 16
 
 
 def test_pca_threshold_validation():
