@@ -1,5 +1,5 @@
-"""Pinned outputs: canonical encodings, saved file bytes, shipped-spec
-checksums, MD5 edge cases.
+"""Pinned outputs: canonical encodings, saved file bytes, report JSON bytes,
+shipped-spec checksums, MD5 edge cases.
 
 These values were recorded before the MD5 kernel, the canonical encoder and
 the dataset writer were rewritten; each rewrite must stay bit-exact. Outputs that pass
@@ -18,12 +18,16 @@ import pytest
 
 import motifbench
 from motifbench import shipped_spec_path
+from motifbench.cli import main
 from motifbench.dataio import canonical_bytes, save_dataset
 from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
 from motifbench.generators import gen_graph
 from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.logic import md5_corpus, md5_digests
+from motifbench.topdown import write_sample
 from motifbench.workload import execute, parse_spec_file
+
+from .topdown_samples import golden_sample
 
 # ---------------------------------------------------------------------------
 # canonical_bytes
@@ -99,6 +103,18 @@ def test_saved_bytes_pinned_across_pack_chunks(payload, expected, tmp_path):
     path = tmp_path / "big"
     save_dataset(Dataset(payload), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# report JSON bytes
+
+
+def test_analyze_report_bytes_pinned(tmp_path):
+    dump, out = tmp_path / "golden.csv", tmp_path / "breakdown.json"
+    write_sample(golden_sample(0.229), str(dump))
+    assert main(["--quiet", "analyze", "--events", str(dump), "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9936f9c3bbc007d33136138cbba2bcadbd9a5c1d280ffe2393993f7191d3d6b8"
 
 
 # ---------------------------------------------------------------------------
