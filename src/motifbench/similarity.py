@@ -6,10 +6,17 @@ merge clusters bottom-up under Euclidean distance. A short linkage distance
 between two workloads means their metric profiles are close; the Dendrogram
 merge list records every join and its distance.
 
-The covariance eigendecomposition is cyclic Jacobi: each sweep rotates away
-every off-diagonal entry (p, q) in turn, row by row, and sweeps repeat until
-the off-diagonal Frobenius norm drops below 1e-12. Rotations keep the
-component matrix orthonormal by construction.
+The covariance eigendecomposition is cyclic Jacobi in its textbook form
+(Press et al., Numerical Recipes, 11.1; Golub and Van Loan, 8.5): each sweep
+visits every off-diagonal entry (p, q) row by row, sets the (p, q) block in
+closed form and rotates rows and columns p and q in one pass. With off the
+off-diagonal Frobenius norm at the start of a sweep, the first three sweeps
+skip entries with |a_pq| <= 0.2 * off / d**2; later sweeps zero, without a
+rotation, an entry too small to change either diagonal entry it couples.
+Sweeps stop once off <= JACOBI_EPS * ||A||_F, relative to the matrix's own
+Frobenius norm; a matrix not there after JACOBI_MAX_SWEEPS sweeps raises
+InvariantError. Rotations keep the component matrix orthonormal by
+construction.
 """
 
 from __future__ import annotations
@@ -74,36 +81,47 @@ class PcaResult:
 
 def _jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
     """Eigenvalues and eigenvectors (columns) of a symmetric matrix by cyclic
-    Jacobi rotations."""
+    Jacobi rotations, as in Press et al., Numerical Recipes, section 11.1."""
     d = len(a)
     m = [row[:] for row in a]
-    vecs = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(math.fsum(m[i][j] ** 2 for i in range(d) for j in range(d) if i != j))
-        if off < JACOBI_EPS:
-            break
+    v = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # row i: vector i
+    tol = JACOBI_EPS * math.sqrt(math.fsum(x * x for row in m for x in row))
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(2.0 * math.fsum(m[p][q] ** 2 for p in range(d) for q in range(p + 1, d)))
+        if off <= tol:
+            return [m[i][i] for i in range(d)], [list(col) for col in zip(*v)]
+        thresh = 0.2 * off / (d * d) if sweep < 3 else 0.0
         for p in range(d - 1):
+            mp, vp = m[p], v[p]
             for q in range(p + 1, d):
-                apq = m[p][q]
-                if apq == 0.0:
+                mq, vq = m[q], v[q]
+                app, aqq, apq = mp[p], mq[q], mp[q]
+                g = 100.0 * abs(apq)
+                if sweep >= 3 and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                    mp[q] = mq[p] = 0.0  # a rotation would move neither diagonal entry
                     continue
-                theta = (m[q][q] - m[p][p]) / (2.0 * apq)
+                if abs(apq) <= thresh:
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for k in range(d):
-                    mkp, mkq = m[k][p], m[k][q]
-                    m[k][p] = c * mkp - s * mkq
-                    m[k][q] = s * mkp + c * mkq
-                for k in range(d):
-                    mpk, mqk = m[p][k], m[q][k]
-                    m[p][k] = c * mpk - s * mqk
-                    m[q][k] = s * mpk + c * mqk
-                for k in range(d):
-                    vkp, vkq = vecs[k][p], vecs[k][q]
-                    vecs[k][p] = c * vkp - s * vkq
-                    vecs[k][q] = s * vkp + c * vkq
-    return [m[i][i] for i in range(d)], vecs
+                tau = s / (1.0 + c)
+                # Rows and columns p and q for every k; the four entries of
+                # the (p, q) block that this also writes are set just after.
+                for k, mk in enumerate(m):
+                    g, h = mk[p], mk[q]
+                    mk[p] = mp[k] = g - s * (h + g * tau)
+                    mk[q] = mq[k] = h + s * (g - h * tau)
+                    g, h = vp[k], vq[k]
+                    vp[k] = g - s * (h + g * tau)
+                    vq[k] = h + s * (g - h * tau)
+                mp[p], mq[q] = app - t * apq, aqq + t * apq
+                mp[q] = mq[p] = 0.0
+    raise InvariantError(
+        f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+        f"(off-diagonal norm {off:.3g}, tolerance {tol:.3g})"
+    )
 
 
 def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult:

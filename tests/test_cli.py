@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import motifbench
-from motifbench import generators, topdown, workload
+from motifbench import generators, similarity, topdown, workload
 from motifbench.cli import build_parser, main
 from motifbench.kernels import KernelSpec
 from motifbench.similarity import read_vectors_csv
@@ -523,6 +523,14 @@ def test_cluster_malformed_csv_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,m0\nw1,xyz\n")
     assert run_cli("cluster", "--metrics", str(bad)) == 1
+
+
+def test_cluster_exit_1_when_pca_does_not_converge(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 1)
+    out = tmp_path / "d.json"
+    assert run_cli("cluster", "--metrics", _metrics_csv(tmp_path), "-o", str(out)) == 1
+    assert "did not converge in 1 sweeps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cluster_no_standardize(tmp_path):

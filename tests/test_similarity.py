@@ -211,6 +211,26 @@ def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeyp
     assert got_tree[1] == [0, 1, 2, 3] * 16
 
 
+def test_jacobi_raises_when_the_sweep_cap_is_reached(monkeypatch):
+    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(InvariantError, match="did not converge in 1 sweeps"):
+        similarity._jacobi_eigh([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+    assert similarity._jacobi_eigh([[2.0, 0.0], [0.0, 3.0]]) == ([2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_jacobi_stop_is_relative_to_the_matrix_norm(monkeypatch):
+    """An absolute 1e-12 stop is out of reach for a covariance of norm 2e9;
+    the relative one converges in as many sweeps as the unscaled matrix."""
+    _, matrix = standardize(characterize_like(1))
+    cov = covariance(matrix)
+    scaled = [[x * 1e8 for x in row] for row in cov]
+    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 15)
+    vals = sorted(similarity._jacobi_eigh(scaled)[0])
+    want = sorted(similarity._jacobi_eigh(cov)[0])
+    norm = math.sqrt(math.fsum(x * x for row in scaled for x in row))
+    assert max(abs(a - 1e8 * b) for a, b in zip(vals, want)) <= 1e-12 * norm
+
+
 def test_pca_threshold_validation():
     with pytest.raises(InvariantError):
         pca([[1.0], [2.0]], variance_threshold=0.0)
