@@ -255,12 +255,13 @@ def resolve_path(path: str, base_dir: str | None) -> str:
     return path
 
 
-def csv_records(text: str, path: str, line: int = 1):
-    """Yield (line number, record) for each record of CSV `text`, whose
-    first line is line `line` of `path`; a quoted field may span lines, so a
-    record's number is that of its first line. A record the csv module
+def csv_records(text, path: str, line: int = 1):
+    """Yield (line number, record) for each record of CSV `text`, a string
+    or an iterable of lines (pulled only as far as the records taken need),
+    whose first line is line `line` of `path`; a quoted field may span lines,
+    so a record's number is that of its first line. A record the csv module
     cannot parse raises FormatError."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
     first = line
     try:
         for record in reader:

@@ -22,12 +22,13 @@ construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dataio import csv_records, open_output, read_input
+from .dataio import _decode, csv_records, open_output, read_input
 from .errors import InvariantError
 from .topdown import MetricVector
 
@@ -329,17 +330,21 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
 
 def append_vector_csv(path: str, vector: MetricVector):
     """Create the CSV with a header on first use; append rows afterwards,
-    refusing mismatched metric orderings. A row is appended in place: copying
-    the file to replace it atomically would make N appends cost O(N^2)."""
+    refusing mismatched metric orderings. Only the header record is read and
+    decoded, and a row is appended in place: reading the rows, or copying
+    the file to replace it atomically, would make N appends cost O(N^2)."""
     if not os.path.exists(path):
         write_vectors_csv(path, [vector])
         return
-    _, header = next(csv_records(read_input(path), path), (1, []))
-    if header != ["label", *vector.names]:
-        raise InvariantError(f"{path}: metric ordering does not match existing header")
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([vector.label, *(repr(x) for x in vector.values)])
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        lines = (_decode(line, path, n) for n, line in enumerate(fh, 1))
+        _, header = next(csv_records(lines, path), (1, []))
+        if header != ["label", *vector.names]:
+            raise InvariantError(f"{path}: metric ordering does not match existing header")
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n").writerow([vector.label, *(repr(x) for x in vector.values)])
+        fh.write(row.getvalue().encode("utf-8"))
 
 
 def read_vectors_csv(path: str) -> list[MetricVector]:

@@ -365,6 +365,41 @@ def test_append_vector_csv_checks_header_of_header_only_file(tmp_path):
     assert [v.values for v in read_vectors_csv(str(path))] == [(1.0, 2.0)]
 
 
+def test_append_vector_csv_reads_only_the_header(tmp_path, monkeypatch):
+    """64 appends of characterize-sized rows decode the header once per
+    append after the first, and never read the whole file."""
+    path = tmp_path / "m.csv"
+    decoded, decode = [], similarity._decode
+
+    def counting_decode(blob, *args):
+        decoded.append(len(blob))
+        return decode(blob, *args)
+
+    monkeypatch.setattr(similarity, "_decode", counting_decode)
+    monkeypatch.setattr(similarity, "read_input", None)  # any whole-file read fails
+    for i in range(64):
+        append_vector_csv(str(path), vec(f"w{i}", [i / 7 + j for j in range(35)]))
+    blob = path.read_bytes()
+    assert blob.count(b"\n") == 65
+    assert decoded == [blob.index(b"\n") + 1] * 63
+
+
+def test_append_vector_csv_decodes_and_parses_only_the_header(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"label,a\nw\xff,1\n")  # bad bytes after the header are not read
+    append_vector_csv(str(path), vec("w2", [2], names=("a",)))
+    assert path.read_bytes() == b"label,a\nw\xff,1\nw2,2.0\n"
+    path.write_bytes(b'label,"a\nb"\nw1,1.0\n')  # a header record over two lines
+    append_vector_csv(str(path), vec("w2", [2], names=("a\nb",)))
+    assert [v.label for v in read_vectors_csv(str(path))] == ["w1", "w2"]
+    path.write_bytes(b"label,a\xff\nw1,1.0\n")
+    with pytest.raises(FormatError, match=":1: not valid UTF-8"):
+        append_vector_csv(str(path), vec("w2", [2], names=("a",)))
+    path.write_bytes(b"label," + b"a" * 200_000 + b"\n")  # beyond the csv field limit
+    with pytest.raises(FormatError, match=":1: bad CSV record"):
+        append_vector_csv(str(path), vec("w2", [2], names=("a",)))
+
+
 def test_read_vectors_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,m0\nw1,notanumber\n")
