@@ -65,8 +65,7 @@ def _fail(message: str) -> None:
 
 def _write_json(path: str, doc: dict):
     with open_output(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list, rows):

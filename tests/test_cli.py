@@ -708,12 +708,14 @@ def test_writes_create_missing_parent_directories(tmp_path):
     assert (out / "c" / "c.csv").read_text().startswith("a,b,distance")
 
 
-@pytest.mark.parametrize("argv", [
-    ("analyze", "--events", "{dump}", "-o", "{out}"),
-    ("--csv", "cluster", "--metrics", "{metrics}", "-o", "{out}"),
+# A JSON document is one write; a CSV file is a write per row.
+@pytest.mark.parametrize("argv, fail_at", [
+    (("analyze", "--events", "{dump}", "-o", "{out}"), 1),
+    (("--csv", "cluster", "--metrics", "{metrics}", "-o", "{out}"), 3),
 ], ids=["json", "csv"])
 @pytest.mark.parametrize("existing", [True, False], ids=["over-old-file", "fresh-path"])
-def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv, existing):
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv, fail_at,
+                                             existing):
     dump = tmp_path / "d.csv"
     write_sample(ideal_sample(), str(dump))
     metrics = _metrics_csv(tmp_path)
@@ -721,7 +723,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv
     if existing:
         out.parent.mkdir()
         out.write_bytes(b"old bytes\n")
-    fail_on_write(monkeypatch, 3)
+    fail_on_write(monkeypatch, fail_at)
     argv = [a.format(dump=dump, metrics=metrics, out=out) for a in argv]
     assert run_cli(*argv) == 1
     assert "No space left" in capsys.readouterr().err
