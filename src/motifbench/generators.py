@@ -281,16 +281,24 @@ ITEM_SCHEMA = (
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:
-    """ORDER/ITEM pair; every ITEM.order_id resolves to an ORDER row and
-    goods_amount is exactly goods_number * goods_price."""
-    rng = SplitMix64(rng_seed)
-    orders = []
-    for oid in range(1, order_rows + 1):
+def _order_draws(rng: SplitMix64, order_rows: int) -> list[tuple[int, int, int]]:
+    """Each ORDER row's (buyer, month index, day), in draw order."""
+    draws = []
+    for _ in range(order_rows):
         buyer = 1 + rng.below(max(1, order_rows))
         month = rng.below(12)
-        day = 1 + rng.below(_DAYS_IN_MONTH[month])
-        orders.append((oid, buyer, f"2023-{month + 1:02d}-{day:02d}"))
+        draws.append((buyer, month, 1 + rng.below(_DAYS_IN_MONTH[month])))
+    return draws
+
+
+def _order_table(draws: list[tuple[int, int, int]]) -> Table:
+    rows = [(oid, buyer, f"2023-{month + 1:02d}-{day:02d}")
+            for oid, (buyer, month, day) in enumerate(draws, 1)]
+    return Table(ORDER_SCHEMA, rows)
+
+
+def _item_table(rng: SplitMix64, order_rows: int, item_rows: int) -> Table:
+    """ITEM rows, drawn after the ORDER draws of the same stream."""
     items = []
     for iid in range(1, item_rows + 1):
         order_id = 1 + rng.below(order_rows)
@@ -298,7 +306,15 @@ def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Ta
         number = 1 + rng.below(10)
         price = (1 + rng.below(99999)) / 100.0
         items.append((iid, order_id, goods_id, number, price, number * price))
-    return Table(ORDER_SCHEMA, orders), Table(ITEM_SCHEMA, items)
+    return Table(ITEM_SCHEMA, items)
+
+
+def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:
+    """ORDER/ITEM pair; every ITEM.order_id resolves to an ORDER row and
+    goods_amount is exactly goods_number * goods_price."""
+    rng = SplitMix64(rng_seed)
+    order = _order_table(_order_draws(rng, order_rows))
+    return order, _item_table(rng, order_rows, item_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +414,11 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         payload = gen_matrix(p["rows"], p["cols"], make_dist(p), spec.rng_seed)
     elif spec.kind == "tensor":
         payload = gen_tensor(p["shape"], make_dist(p), spec.rng_seed)
-    else:  # table
-        order, item = gen_table(p["orders"], p["items"], spec.rng_seed)
-        payload = order if p["which"] == "order" else item
+    else:  # table: only the one asked for, from the stream gen_table draws
+        rng = SplitMix64(spec.rng_seed)
+        draws = _order_draws(rng, p["orders"])
+        if p["which"] == "order":
+            payload = _order_table(draws)
+        else:
+            payload = _item_table(rng, p["orders"], p["items"])
     return Dataset(payload)

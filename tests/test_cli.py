@@ -113,6 +113,7 @@ def test_generate_table_writes_pair_with_integrity(tmp_path, capsys):
     order_ids = {r[0] for r in order.rows}
     oid = item.column_index("order_id")
     assert all(r[oid] in order_ids for r in item.rows)
+    assert (order, item) == generators.gen_table(100, 300, 1)
 
 
 def test_generate_text_size(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from motifbench import generators
 from motifbench.dataio import checksum_hex, checksum_payload
 from motifbench.datasets import TextCorpus
 from motifbench.errors import InvariantError
@@ -321,6 +322,37 @@ def test_genspec_table_which():
     assert ds.payload.schema[0][0] == "item_id"
     with pytest.raises(InvariantError):
         make_genspec("table", {"orders": 3, "items": 9, "which": "both"})
+
+
+def _draw_counts(monkeypatch):
+    """Draws made by each SplitMix64 that generators creates, read back from
+    its first and last state as a tracer reads them."""
+    made = []
+
+    class Recorded(SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append((self, seed))
+
+    monkeypatch.setattr(generators, "SplitMix64", Recorded)
+    inverse = pow(0x9E3779B97F4A7C15, -1, 2**64)
+    return lambda: [(rng._state - seed) * inverse % 2**64 for rng, seed in made]
+
+
+@pytest.mark.parametrize("orders, items, seed", [(1, 1, 0), (3, 9, 1), (40, 120, 13),
+                                                 (250, 60, 2**64 - 1), (7, 2000, 99)])
+def test_materialize_table_builds_only_the_table_asked_for(orders, items, seed, monkeypatch):
+    draws = _draw_counts(monkeypatch)
+    order, item = gen_table(orders, items, seed)
+    gen_table(orders, 0, seed)  # the ORDER draws alone
+    pair_draws, order_draws = draws()
+    for which, want, want_draws in (("order", order, order_draws), ("item", item, pair_draws)):
+        spec = make_genspec("table", {"orders": orders, "items": items, "which": which,
+                                      "seed": seed})
+        assert materialize(spec).payload == want
+        assert draws()[-1] == want_draws
 
 
 def test_genspec_text_uses_seed_corpus_file(tmp_path):
