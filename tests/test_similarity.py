@@ -181,7 +181,7 @@ def covariance(matrix):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeypatch):
-    labels, matrix = standardize(characterize_like(seed))
+    _, matrix = standardize(characterize_like(seed))
     cov = covariance(matrix)
     d = len(cov)
     tol = 1e-12 * math.sqrt(math.fsum(x * x for row in cov for x in row))
@@ -220,7 +220,7 @@ def test_jacobi_raises_when_the_sweep_cap_is_reached(monkeypatch):
 
 def test_jacobi_stop_is_relative_to_the_matrix_norm(monkeypatch):
     """An absolute 1e-12 stop is out of reach for a covariance of norm 2e9;
-    the relative one converges in as many sweeps as the unscaled matrix."""
+    the relative one converges inside a cap of 15 sweeps, as unscaled."""
     _, matrix = standardize(characterize_like(1))
     cov = covariance(matrix)
     scaled = [[x * 1e8 for x in row] for row in cov]
