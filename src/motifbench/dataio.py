@@ -29,6 +29,8 @@ import itertools
 import math
 import os
 import struct
+from array import array
+from operator import itemgetter
 
 from .datasets import (
     TABLE_KINDS,
@@ -88,14 +90,17 @@ def canonical_bytes(payload: Payload) -> bytes:
             _enc_str(out, kind)
         out.write(_U64.pack(len(payload.rows)))
         kinds = [k for _, k in payload.schema]
-        for row in payload.rows:
-            for kind, value in zip(kinds, row):
-                if kind == "integer":
-                    out.write(_I64.pack(value))
-                elif kind == "real":
-                    out.write(_F64.pack(value))
-                else:
-                    _enc_str(out, value)
+        if "string" in kinds:
+            for row in payload.rows:
+                for kind, value in zip(kinds, row):
+                    if kind == "integer":
+                        out.write(_I64.pack(value))
+                    elif kind == "real":
+                        out.write(_F64.pack(value))
+                    else:
+                        _enc_str(out, value)
+        else:
+            out.write(_numeric_rows(kinds, payload.rows))
     elif isinstance(payload, Matrix):
         out.write(b"matr\x00")
         out.write(_U64.pack(payload.rows))
@@ -124,8 +129,51 @@ def canonical_bytes(payload: Payload) -> bytes:
     return out.getvalue()
 
 
+def _numeric_rows(kinds: list[str], rows: tuple) -> bytes:
+    """The row-major body of a table with no string column: each column is
+    packed in one struct call (its format is a single repeated code, so the
+    struct cache holds a short entry) and its words are interleaved into
+    place by one strided array assignment."""
+    n, k = len(rows), len(kinds)
+    words = array("Q", bytes(8 * n * k))
+    for j, kind in enumerate(kinds):
+        # itemgetter, not zip(*rows): one iterator per row would be n
+        # GC-tracked allocations, several collections for a 4096-row table
+        col = map(itemgetter(j), rows)
+        words[j::k] = array("Q", struct.pack(f"<{n}{'q' if kind == 'integer' else 'd'}", *col))
+    return words.tobytes()
+
+
+def _utf8_len(strings) -> int:
+    return len("".join(strings).encode("utf-8"))
+
+
 def payload_size(payload: Payload) -> int:
-    return len(canonical_bytes(payload))
+    """len(canonical_bytes(payload)), worked out from the payload's shape:
+    the fixed header, 8 bytes per count and per number, and each string's
+    8-byte length prefix plus its UTF-8 bytes. No body is encoded, except
+    the strings, which are joined and encoded once per column."""
+    if isinstance(payload, TextCorpus):
+        docs = payload.documents
+        return 13 + 8 * len(docs) + _utf8_len(docs)
+    if isinstance(payload, Table):
+        rows, schema = payload.rows, payload.schema
+        size = 21 + 16 * len(schema) + _utf8_len(itertools.chain.from_iterable(schema))
+        size += 8 * len(schema) * len(rows)
+        for j, (_, kind) in enumerate(schema):
+            if kind == "string":
+                size += _utf8_len(map(itemgetter(j), rows))
+        return size
+    if isinstance(payload, Matrix):
+        return 21 + 8 * len(payload.data)
+    if isinstance(payload, Tensor):
+        return 13 + 8 * len(payload.shape) + 8 * len(payload.data)
+    if isinstance(payload, Graph):
+        return 22 + 16 * len(payload.edges)
+    if isinstance(payload, KeyValueSet):
+        entries = payload.entries
+        return 13 + 16 * len(entries) + _utf8_len(entries) + _utf8_len(entries.values())
+    raise InvariantError(f"not a dataset payload: {type(payload).__name__}")
 
 
 def checksum_payload(payload: Payload) -> int:
@@ -295,7 +343,7 @@ def _load_table(path: str, text: str) -> Table:
         raise FormatError("empty table schema", path=path, line=2)
     _wrap_invariant(path, 2, Table, schema, ())  # the schema, on its line
     parsers = [(kind, TABLE_KINDS[kind].parse) for _, kind in schema]
-    rows = []
+    rows, row_lines = [], []
     for lineno, record in csv_records("\n".join(lines[2:]), path, 3):
         if not record:
             continue
@@ -314,7 +362,20 @@ def _load_table(path: str, text: str) -> Table:
                     f"cell {cell!r} is not a valid {kind}", path=path, line=lineno
                 ) from None
         rows.append(tuple(row))
-    return _wrap_invariant(path, None, Table, schema, rows)
+        row_lines.append(lineno)
+    try:
+        return Table(schema, rows)
+    except InvariantError as exc:
+        # Table checks column by column, so the first cell that fails its
+        # column's check on its own, in that order, is the one it names.
+        for (name, kind), col in zip(schema, zip(*rows)):
+            check = TABLE_KINDS[kind].check
+            for r, cell in enumerate(col):
+                try:
+                    check((cell,), lambda _: name)
+                except InvariantError:
+                    raise FormatError(str(exc), path=path, line=row_lines[r]) from None
+        raise FormatError(str(exc), path=path) from None
 
 
 def _read_doubles(path: str, blob: bytes, count: int, what: str) -> tuple[float, ...]:

@@ -27,9 +27,11 @@ the values make_genspec has checked.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .dataio import load_dataset, resolve_path
 from .datasets import (
@@ -222,6 +224,11 @@ def gen_graph(
 # bits 0, 1 sets v, 2 sets u, 3 sets both.
 _RMAT_U_BIT = bytes.maketrans(bytes(range(4)), b"0011")
 _RMAT_V_BIT = bytes.maketrans(bytes(range(4)), b"0101")
+# Endpoint widths in bits, each with the array code of that item size.
+_ENDPOINT_WIDTHS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# Byte offset of a 64-bit word's top byte in the host's byte order.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
+_SPLIT = 255  # quadrant-table mark: a cut falls inside this top byte's range
 
 
 def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
@@ -232,19 +239,45 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
     a, a+b, a+b+c that exceeds random() = (z >> 11) * 2**-53. Since that
     product is exact, r < p holds exactly when z < ceil(p * 2**53) << 11,
     so the quadrant is the number of such integer cuts at or below z.
+
+    Every draw whose top byte's range holds no cut (at least 253 of the 256
+    bytes) has the quadrant of that byte, so one `translate` over the top
+    bytes codes a block of draws and only the draws marked _SPLIT go through
+    `bisect_right`. Each edge's u and v are then laid out as the two halves
+    of a 2w-character string of binary digits, w the narrowest array width
+    that holds `levels` bits, and one `int(..., 2)` turns the block into the
+    big-endian words of an array. Draws come in blocks of BULK_BLOCK //
+    levels edges, which bounds the memory a block takes.
     """
     if levels == 0:
         return [(0, 0)] * edges
     a, b, c, _ = probs
     cuts = [math.ceil(p * (1 << 53)) << 11 for p in (a, a + b, a + b + c)]
+    quadrant = bytearray(256)
+    for top in range(256):
+        low, high = bisect_right(cuts, top << 56), bisect_right(cuts, (top << 56) | (2**56 - 1))
+        quadrant[top] = low if low == high else _SPLIT
+    width, code = next(wc for wc in _ENDPOINT_WIDTHS if wc[0] >= levels)
+    stride = 2 * width
     per_block = max(1, BULK_BLOCK // levels)
     out = []
     for start in range(0, edges, per_block):
-        n = min(per_block, edges - start) * levels
-        codes = bytes(map(bisect_right, repeat(cuts), rng.u64s(n)))
+        count = min(per_block, edges - start)
+        draws = rng.u64s(count * levels)
+        codes = bytearray(draws.tobytes()[_TOP_BYTE::8].translate(quadrant))
+        i = codes.find(_SPLIT)
+        while i >= 0:
+            codes[i] = bisect_right(cuts, draws[i])
+            i = codes.find(_SPLIT, i + 1)
         u_bits, v_bits = codes.translate(_RMAT_U_BIT), codes.translate(_RMAT_V_BIT)
-        out += [(int(u_bits[i : i + levels], 2), int(v_bits[i : i + levels], 2))
-                for i in range(0, n, levels)]
+        digits = bytearray(b"0") * (count * stride)
+        for level in range(levels):
+            digits[width - levels + level :: stride] = u_bits[level::levels]
+            digits[stride - levels + level :: stride] = v_bits[level::levels]
+        ends = array(code, int(digits, 2).to_bytes(count * stride // 8, "big"))
+        if width > 8 and sys.byteorder == "little":
+            ends.byteswap()
+        out += zip(ends[0::2], ends[1::2])
     return out
 
 

@@ -330,7 +330,8 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
 
 def append_vector_csv(path: str, vector: MetricVector):
     """Create the CSV with a header on first use; append rows afterwards,
-    refusing mismatched metric orderings. Only the header record is read and
+    refusing mismatched metric orderings, after a newline if the file's last
+    line lacks one. Only the header record and the last byte are read and
     decoded, and a row is appended in place: reading the rows, or copying
     the file to replace it atomically, would make N appends cost O(N^2)."""
     if not os.path.exists(path):
@@ -343,6 +344,9 @@ def append_vector_csv(path: str, vector: MetricVector):
         if header != ["label", *vector.names]:
             raise InvariantError(f"{path}: metric ordering does not match existing header")
         row = io.StringIO()
+        fh.seek(-1, os.SEEK_END)  # a header was read, so the file is not empty
+        if fh.read(1) != b"\n":
+            row.write("\n")
         csv.writer(row, lineterminator="\n").writerow([vector.label, *(repr(x) for x in vector.values)])
         fh.write(row.getvalue().encode("utf-8"))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 
 from motifbench.errors import InvariantError
 from motifbench.similarity import Dendrogram, MergeStep, euclidean
@@ -323,6 +324,25 @@ def scalar_rmat_edges(rng, vertices: int, edges: int, probs) -> list[tuple[int, 
                 v |= 1
         edge_list.append((u, v))
     return edge_list
+
+
+def scalar_table_bytes(table) -> bytes:
+    """canonical_bytes of a table, encoded one cell at a time, row by row."""
+    out = [b"tabl\x00", struct.pack("<Q", len(table.schema))]
+    for text in (s for pair in table.schema for s in pair):
+        raw = text.encode("utf-8")
+        out += [struct.pack("<Q", len(raw)), raw]
+    out.append(struct.pack("<Q", len(table.rows)))
+    for row in table.rows:
+        for (_, kind), value in zip(table.schema, row):
+            if kind == "integer":
+                out.append(struct.pack("<q", value))
+            elif kind == "real":
+                out.append(struct.pack("<d", value))
+            else:
+                raw = value.encode("utf-8")
+                out += [struct.pack("<Q", len(raw)), raw]
+    return b"".join(out)
 
 
 # Payload value checks, one value at a time: the constructors' per-value loops

@@ -168,6 +168,20 @@ def test_table_cell_out_of_range_on_load(tmp_path, body, message):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("schema, body, message", [
+    ("a:integer", "1\n99999999999999999999\n",
+     ":4: row 1 column 'a': expected a 64-bit integer, got 99999999999999999999"),
+    ("s:string,x:real", "p,1.5\n\nq,nan\n", ":5: row 1 column 'x' must be finite, got nan"),
+    # the whole-table check names the first bad cell column by column
+    ("a:integer,x:real", "1,inf\n" + "9" * 20 + ",2.0\n", ":4: row 1 column 'a'"),
+], ids=["integer-beyond-64-bits", "nan-real-after-blank-line", "first-bad-column-first"])
+def test_table_cell_breaking_its_column_rule_names_its_line(tmp_path, schema, body, message):
+    path = tmp_path / "bad.table"
+    path.write_text(f"#table v1\n{schema}\n{body}")
+    with pytest.raises(FormatError, match=message):
+        load_dataset(str(path))
+
+
 def test_matrix_header_consistency_on_load(tmp_path):
     path = tmp_path / "ok.matrix"
     save_dataset(Dataset(Matrix(2, 3, range(6))), str(path))

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -22,7 +23,7 @@ from motifbench.generators import (
     make_genspec,
     materialize,
 )
-from motifbench.rng import SplitMix64
+from motifbench.rng import BULK_BLOCK, SplitMix64
 
 from .oracles import scalar_rmat_edges
 from .test_pinned import GOLDEN_PLATFORM, _platform_fingerprint
@@ -148,8 +149,22 @@ def test_graph_rmat_matches_scalar_loop(vertices, edges, probs):
     assert list(g.edges) == scalar_rmat_edges(SplitMix64(77), vertices, edges, probs)
 
 
+@pytest.mark.parametrize("levels", [1, 7, 8, 9, 12, 17, 33, 63])  # 8/16/32/64-bit endpoints
+@pytest.mark.parametrize("probs", [(0.57, 0.19, 0.19, 0.05), (0.45, 0.15, 0.15, 0.25),
+                                   (0.6, 0.0, 0.3, 0.1), (0.9, 0.05, 0.05, 0.0)])
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_graph_rmat_every_endpoint_width_matches_scalar_loop(levels, probs, seed):
+    # Two blocks of draws, the second one short, at every endpoint width.
+    edges = BULK_BLOCK // levels + 3
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert _rmat_edges(bulk, levels, edges, probs) == \
+        scalar_rmat_edges(scalar, 1 << levels, edges, probs)
+    assert bulk._state == scalar._state
+
+
 class _ScriptedDraws(SplitMix64):
-    """Serves fixed 64-bit draws, to both the bulk and the scalar path."""
+    """Serves fixed 64-bit draws, to both the bulk and the scalar path; the
+    bulk path gets an array('Q'), as SplitMix64.u64s returns."""
 
     __slots__ = ("_draws",)
 
@@ -161,7 +176,7 @@ class _ScriptedDraws(SplitMix64):
         return next(self._draws)
 
     def u64s(self, n):
-        return [next(self._draws) for _ in range(n)]
+        return array("Q", [next(self._draws) for _ in range(n)])
 
 
 @pytest.mark.parametrize("probs", [(0.57, 0.19, 0.19, 0.05), (0.5, 0.25, 0.125, 0.125),

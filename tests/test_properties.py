@@ -3,8 +3,10 @@
 Whatever bytes a dataset file holds, load_dataset returns a payload that can
 be checksummed or raises FormatError; whatever a spec file says, parse_spec
 returns a spec or raises SpecError; a payload saved and loaded back keeps
-its checksum; and a corpus, table or key-value set with one bad value is
-refused or stored just as the scalar loops in tests/oracles.py do.
+its checksum; payload_size is the length of canonical_bytes, and a table
+encodes as its cells do one at a time; and a corpus, table or key-value set
+with one bad value is refused or stored just as the scalar loops in
+tests/oracles.py do.
 """
 
 import math
@@ -13,7 +15,14 @@ import re
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from motifbench import SHIPPED_SPECS, shipped_spec_path
-from motifbench.dataio import checksum_payload, load_dataset, read_input, save_dataset
+from motifbench.dataio import (
+    canonical_bytes,
+    checksum_payload,
+    load_dataset,
+    payload_size,
+    read_input,
+    save_dataset,
+)
 from motifbench.datasets import (
     TABLE_KINDS,
     Dataset,
@@ -27,7 +36,12 @@ from motifbench.datasets import (
 from motifbench.errors import FormatError, InvariantError, SpecError
 from motifbench.workload import parse_spec
 
-from .oracles import scalar_corpus_documents, scalar_kv_entries, scalar_table_rows
+from .oracles import (
+    scalar_corpus_documents,
+    scalar_kv_entries,
+    scalar_table_bytes,
+    scalar_table_rows,
+)
 from .test_pinned import PAYLOADS
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -58,11 +72,11 @@ def graphs(draw):
 
 
 @st.composite
-def tables(draw):
+def tables(draw, column_kinds=tuple(TABLE_KINDS)):
     name = st.text(st.characters(blacklist_characters=":,\n\r", blacklist_categories=("Cs",)),
                    min_size=1, max_size=6)
     names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
-    kinds = draw(st.lists(st.sampled_from(list(TABLE_KINDS)),
+    kinds = draw(st.lists(st.sampled_from(column_kinds),
                           min_size=len(names), max_size=len(names)))
     cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": finite,
             "string": st.text(max_size=8)}
@@ -83,6 +97,32 @@ payloads = st.one_of(
     graphs(),
     st.dictionaries(kv_key, line, max_size=6).map(KeyValueSet),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=payloads)
+@example(payload=TextCorpus([]))
+@example(payload=TextCorpus(["naïve café ☕", "", "日本語"]))
+@example(payload=Table([("ü", "integer"), ("r€", "real"), ("s", "string")], []))
+@example(payload=Table([("ü", "integer"), ("r€", "real"), ("s", "string")],
+                       [(1, 2.5, "ünï ☕"), (-2**63, -0.0, "")]))
+@example(payload=Table([("n", "integer"), ("x", "real")], [(7, 0.5), (2**63 - 1, 1e300)]))
+@example(payload=Matrix(1, 1, [0.0]))
+@example(payload=Tensor((1,), [0.0]))
+@example(payload=Graph(3, []))
+@example(payload=KeyValueSet({}))
+@example(payload=KeyValueSet({"ключ": "значение ☕", "": "€"}))
+def test_payload_size_is_the_canonical_length(payload):
+    assert payload_size(payload) == len(canonical_bytes(payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables() | tables(column_kinds=("integer", "real")))
+@example(table=Table([("n", "integer"), ("x", "real")], []))
+@example(table=Table([("x", "real"), ("n", "integer"), ("m", "integer")],
+                     [(-0.0, -1, 2**63 - 1), (1e-300, -2**63, 0)]))
+def test_canonical_bytes_of_a_table_as_encoded_cell_by_cell(table):
+    assert canonical_bytes(table) == scalar_table_bytes(table)
 
 
 @settings(max_examples=150, deadline=None,

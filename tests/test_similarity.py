@@ -365,6 +365,16 @@ def test_append_vector_csv_checks_header_of_header_only_file(tmp_path):
     assert [v.values for v in read_vectors_csv(str(path))] == [(1.0, 2.0)]
 
 
+@pytest.mark.parametrize("existing", ["label,a,b", "label,a,b\nw0,1.0,2.0"],
+                         ids=["header-only", "last-row"])
+def test_append_vector_csv_after_a_last_line_without_newline(tmp_path, existing):
+    path = tmp_path / "m.csv"
+    path.write_text(existing)
+    append_vector_csv(str(path), MetricVector("w1", ("a", "b"), (3.0, 4.0)))
+    assert path.read_text() == existing + "\nw1,3.0,4.0\n"
+    assert read_vectors_csv(str(path))[-1] == MetricVector("w1", ("a", "b"), (3.0, 4.0))
+
+
 def test_append_vector_csv_reads_only_the_header(tmp_path, monkeypatch):
     """64 appends of characterize-sized rows decode the header once per
     append after the first, and never read the whole file."""
