@@ -467,8 +467,9 @@ def set_scan_hcluster(points: list, linkage: str = "average") -> Dendrogram:
     return Dendrogram(n, tuple(merges))
 
 
-# The stopping rule cyclic_jacobi_eigh runs with, fixed here so that a test
-# patching similarity's sweep cap leaves the oracle as it is.
+# The stopping rule cyclic_jacobi_eigh and textbook_jacobi_eigh run with,
+# fixed here so that a test patching similarity's iteration cap leaves the
+# oracles as they are.
 JACOBI_EPS = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
@@ -506,3 +507,48 @@ def cyclic_jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[flo
                     vecs[k][p] = c * vkp - s * vkq
                     vecs[k][q] = s * vkp + c * vkq
     return [m[i][i] for i in range(d)], vecs
+
+
+def textbook_jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (columns) of a symmetric matrix by cyclic
+    Jacobi rotations, as in Press et al., Numerical Recipes, section 11.1."""
+    d = len(a)
+    m = [row[:] for row in a]
+    v = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # row i: vector i
+    tol = JACOBI_EPS * math.sqrt(math.fsum(x * x for row in m for x in row))
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(2.0 * math.fsum(m[p][q] ** 2 for p in range(d) for q in range(p + 1, d)))
+        if off <= tol:
+            return [m[i][i] for i in range(d)], [list(col) for col in zip(*v)]
+        thresh = 0.2 * off / (d * d) if sweep < 3 else 0.0
+        for p in range(d - 1):
+            mp, vp = m[p], v[p]
+            for q in range(p + 1, d):
+                mq, vq = m[q], v[q]
+                app, aqq, apq = mp[p], mq[q], mp[q]
+                g = 100.0 * abs(apq)
+                if sweep >= 3 and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                    mp[q] = mq[p] = 0.0  # a rotation would move neither diagonal entry
+                    continue
+                if abs(apq) <= thresh:
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                # Rows and columns p and q for every k; the four entries of
+                # the (p, q) block that this also writes are set just after.
+                for k, mk in enumerate(m):
+                    g, h = mk[p], mk[q]
+                    mk[p] = mp[k] = g - s * (h + g * tau)
+                    mk[q] = mq[k] = h + s * (g - h * tau)
+                    g, h = vp[k], vq[k]
+                    vp[k] = g - s * (h + g * tau)
+                    vq[k] = h + s * (g - h * tau)
+                mp[p], mq[q] = app - t * apq, aqq + t * apq
+                mp[q] = mq[p] = 0.0
+    raise InvariantError(
+        f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+        f"(off-diagonal norm {off:.3g}, tolerance {tol:.3g})"
+    )

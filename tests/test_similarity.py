@@ -22,7 +22,7 @@ from motifbench.similarity import (
 )
 from motifbench.topdown import MetricVector
 
-from .oracles import cyclic_jacobi_eigh, set_scan_hcluster
+from .oracles import cyclic_jacobi_eigh, set_scan_hcluster, textbook_jacobi_eigh
 
 
 def vec(label, values, names=None):
@@ -209,6 +209,32 @@ def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeyp
     monkeypatch.setattr(similarity, "_jacobi_eigh", cyclic_jacobi_eigh)
     assert got_tree == clusters()
     assert got_tree[1] == [0, 1, 2, 3] * 16
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cluster_result_matches_textbook_jacobi_oracle(seed, monkeypatch):
+    """The parts of the cluster output that decide the result (cut, merge
+    order, retained components) are those the textbook Jacobi solver gives;
+    explained ratios and merge distances agree to 1e-13."""
+    _, matrix = standardize(characterize_like(seed))
+
+    def run():
+        result = pca(matrix)
+        tree = hcluster([list(p) for p in result.projected])
+        return result, tree
+
+    got, got_tree = run()
+    monkeypatch.setattr(similarity, "_jacobi_eigh", textbook_jacobi_eigh)
+    want, want_tree = run()
+    assert cut_dendrogram(got_tree, 4) == cut_dendrogram(want_tree, 4) == [0, 1, 2, 3] * 16
+    assert [(m.a, m.b, m.new_id) for m in got_tree.merges] == [
+        (m.a, m.b, m.new_id) for m in want_tree.merges
+    ]
+    assert got.retained == want.retained
+    assert max(abs(a - b) for a, b in zip(got.explained, want.explained)) <= 1e-13
+    assert max(
+        abs(a.distance - b.distance) for a, b in zip(got_tree.merges, want_tree.merges)
+    ) <= 1e-13
 
 
 def test_jacobi_raises_when_the_sweep_cap_is_reached(monkeypatch):
