@@ -6,17 +6,18 @@ merge clusters bottom-up under Euclidean distance. A short linkage distance
 between two workloads means their metric profiles are close; the Dendrogram
 merge list records every join and its distance.
 
-The covariance eigendecomposition is cyclic Jacobi in its textbook form
-(Press et al., Numerical Recipes, 11.1; Golub and Van Loan, 8.5): each sweep
-visits every off-diagonal entry (p, q) row by row, sets the (p, q) block in
-closed form and rotates rows and columns p and q in one pass. With off the
-off-diagonal Frobenius norm at the start of a sweep, the first three sweeps
-skip entries with |a_pq| <= 0.2 * off / d**2; later sweeps zero, without a
-rotation, an entry too small to change either diagonal entry it couples.
-Sweeps stop once off <= JACOBI_EPS * ||A||_F, relative to the matrix's own
-Frobenius norm; a matrix not there after JACOBI_MAX_SWEEPS sweeps raises
-InvariantError. Rotations keep the component matrix orthonormal by
-construction.
+The covariance eigendecomposition follows Press et al., Numerical Recipes,
+11.2-11.3 (tred2 and tqli; Golub and Van Loan, 8.3). Householder reflections,
+applied from the last row up as whole-row rank-2 updates, reduce the matrix
+to tridiagonal form and accumulate the orthogonal basis. Implicit QL steps
+with Wilkinson shifts then diagonalize the tridiagonal matrix; the basis is
+stored one vector per row, so each Givens rotation rewrites two rows. An
+off-diagonal entry counts as zero once |e_i| <= eps * max_j(|d_j| + |e_j|):
+machine epsilon relative to a bound on the tridiagonal matrix's norm, taken
+once after the reduction. An eigenvalue not isolated after QL_MAX_ITERATIONS
+steps raises InvariantError. The reflections and rotations keep the basis
+orthonormal by construction. PCA then fixes each component's sign so that
+its largest-magnitude entry is positive.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, mul
 
 from .dataio import _decode, csv_records, open_output, read_input
 from .errors import InvariantError
 from .topdown import MetricVector
 
-JACOBI_EPS = 1e-12
-JACOBI_MAX_SWEEPS = 100
+QL_MAX_ITERATIONS = 30  # per eigenvalue, as in Numerical Recipes' tqli
 
 LINKAGES = ("average", "single", "complete")
 
@@ -80,49 +82,81 @@ class PcaResult:
     retained: int
 
 
-def _jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues and eigenvectors (columns) of a symmetric matrix by cyclic
-    Jacobi rotations, as in Press et al., Numerical Recipes, section 11.1."""
+def _tridiagonal_eigh(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (columns) of a symmetric matrix by
+    Householder tridiagonalization and implicit QL with Wilkinson shifts, as
+    in Press et al., Numerical Recipes, sections 11.2 and 11.3."""
     d = len(a)
     m = [row[:] for row in a]
-    v = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # row i: vector i
-    tol = JACOBI_EPS * math.sqrt(math.fsum(x * x for row in m for x in row))
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * math.fsum(m[p][q] ** 2 for p in range(d) for q in range(p + 1, d)))
-        if off <= tol:
-            return [m[i][i] for i in range(d)], [list(col) for col in zip(*v)]
-        thresh = 0.2 * off / (d * d) if sweep < 3 else 0.0
-        for p in range(d - 1):
-            mp, vp = m[p], v[p]
-            for q in range(p + 1, d):
-                mq, vq = m[q], v[q]
-                app, aqq, apq = mp[p], mq[q], mp[q]
-                g = 100.0 * abs(apq)
-                if sweep >= 3 and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    mp[q] = mq[p] = 0.0  # a rotation would move neither diagonal entry
-                    continue
-                if abs(apq) <= thresh:
-                    continue
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                # Rows and columns p and q for every k; the four entries of
-                # the (p, q) block that this also writes are set just after.
-                for k, mk in enumerate(m):
-                    g, h = mk[p], mk[q]
-                    mk[p] = mp[k] = g - s * (h + g * tau)
-                    mk[q] = mq[k] = h + s * (g - h * tau)
-                    g, h = vp[k], vq[k]
-                    vp[k] = g - s * (h + g * tau)
-                    vq[k] = h + s * (g - h * tau)
-                mp[p], mq[q] = app - t * apq, aqq + t * apq
-                mp[q] = mq[p] = 0.0
-    raise InvariantError(
-        f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-        f"(off-diagonal norm {off:.3g}, tolerance {tol:.3g})"
-    )
+    z = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]  # row i: vector i
+    off = [0.0] * d  # off[i] couples diagonal entries i and i + 1
+    for i in range(d - 1, 0, -1):
+        # Reflect row i's entries left of the subdiagonal to zero: P = I - u u^T / h
+        # acts on the leading i x i block; rows j < i keep only their first i entries.
+        scale = math.fsum(map(abs, m[i][:i]))
+        if i == 1 or scale == 0.0:
+            off[i - 1] = m[i][i - 1]
+            continue
+        u = [x / scale for x in m[i][:i]]
+        h = math.fsum(map(mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        off[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        p = [math.fsum(map(mul, m[j], u)) / h for j in range(i)]
+        k = math.fsum(map(mul, u, p)) / (h + h)
+        q = [x - k * y for x, y in zip(p, u)]
+        for j in range(i):
+            qj, uj = q[j], u[j]
+            m[j] = [x - qj * y - uj * t for x, y, t in zip(m[j][:i], u, q)]
+        w = [0.0] * d  # u^T z / h, then z <- P z
+        for j in range(i):
+            uj = u[j] / h
+            w = [x + uj * y for x, y in zip(w, z[j])]
+        for j in range(i):
+            uj = u[j]
+            z[j] = [x - uj * y for x, y in zip(z[j], w)]
+    diag = [m[i][i] for i in range(d)]
+    tol = sys.float_info.epsilon * max(map(add, map(abs, diag), map(abs, off)), default=0.0)
+    for l in range(d):
+        for iteration in range(QL_MAX_ITERATIONS + 1):
+            last = l  # the first negligible coupling at or after l closes the block
+            while last < d - 1 and abs(off[last]) > tol:
+                last += 1
+            if last == l:
+                break
+            if iteration == QL_MAX_ITERATIONS:
+                raise InvariantError(
+                    f"QL eigendecomposition did not converge in {QL_MAX_ITERATIONS} "
+                    f"iterations at eigenvalue {l} (coupling {abs(off[l]):.3g}, "
+                    f"tolerance {tol:.3g})"
+                )
+            g = (diag[l + 1] - diag[l]) / (2.0 * off[l])
+            g = diag[last] - diag[l] + off[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(last - 1, l - 1, -1):
+                f, b = s * off[i], c * off[i]
+                off[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:  # the block splits at i + 1: restart on the smaller one
+                    diag[i + 1] -= p
+                    off[last] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = diag[i + 1] - p
+                r = (diag[i] - g) * s + 2.0 * c * b
+                p = s * r
+                diag[i + 1] = g + p
+                g = c * r - b
+                zi, zn = z[i], z[i + 1]
+                z[i + 1] = [s * x + c * y for x, y in zip(zi, zn)]
+                z[i] = [c * x - s * y for x, y in zip(zi, zn)]
+            else:
+                diag[l] -= p
+                off[l] = g
+                off[last] = 0.0
+    return diag, [list(col) for col in zip(*z)]
 
 
 def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult:
@@ -134,6 +168,8 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
     if n < 2:
         raise InvariantError(f"pca needs >= 2 rows, got {n}")
     d = len(matrix[0])
+    if d == 0:
+        raise InvariantError("pca needs at least one metric column")
     if any(len(row) != d for row in matrix):
         raise InvariantError("pca needs a rectangular matrix")
 
@@ -146,7 +182,7 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
             cov[j][k] = v
             cov[k][j] = v
 
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = _tridiagonal_eigh(cov)
     order = sorted(range(d), key=lambda i: eigvals[i], reverse=True)
     # Numerical noise can leave tiny negative eigenvalues on a PSD matrix.
     sorted_vals = [max(eigvals[i], 0.0) for i in order]
@@ -166,7 +202,12 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
 
     components = []
     for i in order[:k]:
-        components.append(tuple(eigvecs[r][i] for r in range(d)))
+        comp = [eigvecs[r][i] for r in range(d)]
+        # An eigenvector's sign is arbitrary: make its largest-magnitude entry
+        # (the first on a tie) positive, so components do not depend on the solver.
+        if max(comp, key=abs) < 0.0:
+            comp = [-x for x in comp]
+        components.append(tuple(comp))
     projected = []
     for row in centered:
         projected.append(tuple(math.fsum(row[j] * comp[j] for j in range(d)) for comp in components))

@@ -527,10 +527,19 @@ def test_cluster_malformed_csv_exit_1(tmp_path, capsys):
 
 
 def test_cluster_exit_1_when_pca_does_not_converge(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 1)
+    monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 0)
     out = tmp_path / "d.json"
     assert run_cli("cluster", "--metrics", _metrics_csv(tmp_path), "-o", str(out)) == 1
-    assert "did not converge in 1 sweeps" in capsys.readouterr().err
+    assert "did not converge in 0 iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_exit_1_on_metrics_without_metric_columns(tmp_path, capsys):
+    metrics = tmp_path / "labels.csv"
+    metrics.write_text("label\nw1\nw2\nw3\n")
+    out = tmp_path / "d.json"
+    assert run_cli("cluster", "--metrics", str(metrics), "-o", str(out)) == 1
+    assert "at least one metric column" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -180,12 +180,12 @@ def covariance(matrix):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeypatch):
+def test_tridiagonal_eigh_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeypatch):
     _, matrix = standardize(characterize_like(seed))
     cov = covariance(matrix)
     d = len(cov)
     tol = 1e-12 * math.sqrt(math.fsum(x * x for row in cov for x in row))
-    vals, vecs = similarity._jacobi_eigh(cov)
+    vals, vecs = similarity._tridiagonal_eigh(cov)
     want_vals, want_vecs = cyclic_jacobi_eigh(cov)
     order = sorted(range(d), key=vals.__getitem__, reverse=True)
     want_order = sorted(range(d), key=want_vals.__getitem__, reverse=True)
@@ -206,7 +206,7 @@ def test_jacobi_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeyp
         return [(m.a, m.b, m.new_id) for m in tree.merges], cut_dendrogram(tree, 4)
 
     got_tree = clusters()
-    monkeypatch.setattr(similarity, "_jacobi_eigh", cyclic_jacobi_eigh)
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", cyclic_jacobi_eigh)
     assert got_tree == clusters()
     assert got_tree[1] == [0, 1, 2, 3] * 16
 
@@ -224,7 +224,7 @@ def test_cluster_result_matches_textbook_jacobi_oracle(seed, monkeypatch):
         return result, tree
 
     got, got_tree = run()
-    monkeypatch.setattr(similarity, "_jacobi_eigh", textbook_jacobi_eigh)
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", textbook_jacobi_eigh)
     want, want_tree = run()
     assert cut_dendrogram(got_tree, 4) == cut_dendrogram(want_tree, 4) == [0, 1, 2, 3] * 16
     assert [(m.a, m.b, m.new_id) for m in got_tree.merges] == [
@@ -237,24 +237,98 @@ def test_cluster_result_matches_textbook_jacobi_oracle(seed, monkeypatch):
     ) <= 1e-13
 
 
-def test_jacobi_raises_when_the_sweep_cap_is_reached(monkeypatch):
-    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(InvariantError, match="did not converge in 1 sweeps"):
-        similarity._jacobi_eigh([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
-    assert similarity._jacobi_eigh([[2.0, 0.0], [0.0, 3.0]]) == ([2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]])
+def test_tridiagonal_eigh_raises_when_the_iteration_cap_is_reached(monkeypatch):
+    monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 1)
+    with pytest.raises(InvariantError, match="did not converge in 1 iterations"):
+        similarity._tridiagonal_eigh([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+    assert similarity._tridiagonal_eigh([[2.0, 0.0], [0.0, 3.0]]) == (
+        [2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]]
+    )
 
 
-def test_jacobi_stop_is_relative_to_the_matrix_norm(monkeypatch):
-    """An absolute 1e-12 stop is out of reach for a covariance of norm 2e9;
-    the relative one converges inside a cap of 15 sweeps, as unscaled."""
+@pytest.mark.parametrize("scale", [1e8, 1e-8])
+def test_tridiagonal_eigh_stop_is_relative_to_the_matrix_norm(scale, monkeypatch):
+    """The split test scales with the matrix: an absolute one would never
+    split a covariance of norm 2e9, and would split one of norm 2e-7 at once.
+    Scaled, the covariance converges inside the cap the unscaled one needs."""
     _, matrix = standardize(characterize_like(1))
     cov = covariance(matrix)
-    scaled = [[x * 1e8 for x in row] for row in cov]
-    monkeypatch.setattr(similarity, "JACOBI_MAX_SWEEPS", 15)
-    vals = sorted(similarity._jacobi_eigh(scaled)[0])
-    want = sorted(similarity._jacobi_eigh(cov)[0])
+    scaled = [[x * scale for x in row] for row in cov]
+    monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 4)
+    vals = sorted(similarity._tridiagonal_eigh(scaled)[0])
+    want = sorted(similarity._tridiagonal_eigh(cov)[0])
     norm = math.sqrt(math.fsum(x * x for row in scaled for x in row))
-    assert max(abs(a - 1e8 * b) for a, b in zip(vals, want)) <= 1e-12 * norm
+    assert max(abs(a - scale * b) for a, b in zip(vals, want)) <= 1e-12 * norm
+
+
+def _characterize_covariance(scale):
+    _, matrix = standardize(characterize_like(1))
+    return [[x * scale for x in row] for row in covariance(matrix)]
+
+
+EDGE_MATRICES = {
+    "1x1": lambda: [[-2.5]],
+    "2x2": lambda: [[2.0, -1.5], [-1.5, 0.5]],
+    "diagonal": lambda: [[x if i == j else 0.0 for j in range(5)]
+                         for i, x in enumerate((3.0, -1.0, 0.5, 7.0, 0.0))],
+    "zero": lambda: [[0.0] * 4 for _ in range(4)],
+    "identity": lambda: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)],
+    "block-diagonal": lambda: [
+        [2.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, 2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 3.0, 1.0, 0.5],
+        [0.0, 0.0, 1.0, 5.0, 0.25],
+        [0.0, 0.0, 0.5, 0.25, 4.0],
+    ],
+    "characterize-1e8": lambda: _characterize_covariance(1e8),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MATRICES)
+def test_tridiagonal_eigh_edge_cases_match_numpy(name):
+    a = EDGE_MATRICES[name]()
+    d = len(a)
+    vals, vecs = similarity._tridiagonal_eigh(a)
+    norm = math.sqrt(math.fsum(x * x for row in a for x in row))
+    want = np.linalg.eigvalsh(np.array(a))
+    assert max(abs(x - y) for x, y in zip(sorted(vals), want)) <= 1e-12 * norm
+    v = np.array(vecs)
+    assert np.max(np.abs(v.T @ v - np.eye(d))) <= 1e-13
+    assert np.max(np.abs(np.array(a) @ v - v * np.array(vals))) <= 1e-12 * norm
+    if name == "2x2":
+        (p, b), (_, r) = a
+        half, rad = (p + r) / 2.0, math.hypot((p - r) / 2.0, b)
+        assert sorted(vals) == pytest.approx([half - rad, half + rad], rel=1e-15)
+
+
+def test_pca_component_sign_is_deterministic(monkeypatch):
+    """Each component's largest-magnitude entry is positive, so negating the
+    solver's eigenvectors changes no bit of the result, and the textbook
+    Jacobi oracle gives the same components."""
+    _, matrix = standardize(characterize_like(1))
+    got = pca(matrix)
+    assert all(max(comp, key=abs) > 0.0 for comp in got.components)
+    solve = similarity._tridiagonal_eigh
+
+    def negated(a):
+        vals, vecs = solve(a)
+        return vals, [[-x for x in row] for row in vecs]
+
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", negated)
+    assert pca(matrix) == got
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", textbook_jacobi_eigh)
+    want = pca(matrix)
+    for comp, want_comp in zip(got.components, want.components):
+        assert max(abs(x - y) for x, y in zip(comp, want_comp)) <= 1e-10
+    # On a tie in magnitude the first entry decides.
+    s = math.sqrt(0.5)
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", lambda a: ([1.0, 2.0], [[-s, s], [s, s]]))
+    assert pca([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], 1.0).components == ((s, s), (s, -s))
+
+
+def test_pca_rejects_a_matrix_without_columns():
+    with pytest.raises(InvariantError, match="at least one metric column"):
+        pca([[], []])
 
 
 def test_pca_threshold_validation():
