@@ -93,11 +93,12 @@ def _tridiagonal_eigh(a: list[list[float]]) -> tuple[list[float], list[list[floa
     for i in range(d - 1, 0, -1):
         # Reflect row i's entries left of the subdiagonal to zero: P = I - u u^T / h
         # acts on the leading i x i block; rows j < i keep only their first i entries.
-        scale = math.fsum(map(abs, m[i][:i]))
-        if i == 1 or scale == 0.0:
-            off[i - 1] = m[i][i - 1]
+        row = m[i][:i]
+        scale = math.fsum(map(abs, row))
+        if i == 1 or scale == 0.0:  # nothing left of the subdiagonal to zero
+            off[i - 1] = row[-1]
             continue
-        u = [x / scale for x in m[i][:i]]
+        u = [x / scale for x in row]
         h = math.fsum(map(mul, u, u))
         f = u[-1]
         g = -math.copysign(math.sqrt(h), f)

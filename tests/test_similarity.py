@@ -238,12 +238,24 @@ def test_cluster_result_matches_textbook_jacobi_oracle(seed, monkeypatch):
 
 
 def test_tridiagonal_eigh_raises_when_the_iteration_cap_is_reached(monkeypatch):
+    """This 3 x 3 matrix needs three QL steps for its first eigenvalue: a cap
+    of 1 or 2 raises, naming the cap, and a cap of 3 is enough."""
+    a = [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]]
+    for cap in (1, 2):
+        monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", cap)
+        with pytest.raises(InvariantError, match=f"did not converge in {cap} iterations"):
+            similarity._tridiagonal_eigh(a)
+    monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 3)
+    similarity._tridiagonal_eigh(a)
     monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 1)
-    with pytest.raises(InvariantError, match="did not converge in 1 iterations"):
-        similarity._tridiagonal_eigh([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
     assert similarity._tridiagonal_eigh([[2.0, 0.0], [0.0, 3.0]]) == (
         [2.0, 3.0], [[1.0, 0.0], [0.0, 1.0]]
     )
+
+
+def _characterize_covariance(scale):
+    _, matrix = standardize(characterize_like(1))
+    return [[x * scale for x in row] for row in covariance(matrix)]
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e-8])
@@ -251,19 +263,12 @@ def test_tridiagonal_eigh_stop_is_relative_to_the_matrix_norm(scale, monkeypatch
     """The split test scales with the matrix: an absolute one would never
     split a covariance of norm 2e9, and would split one of norm 2e-7 at once.
     Scaled, the covariance converges inside the cap the unscaled one needs."""
-    _, matrix = standardize(characterize_like(1))
-    cov = covariance(matrix)
-    scaled = [[x * scale for x in row] for row in cov]
+    cov, scaled = _characterize_covariance(1.0), _characterize_covariance(scale)
     monkeypatch.setattr(similarity, "QL_MAX_ITERATIONS", 4)
     vals = sorted(similarity._tridiagonal_eigh(scaled)[0])
     want = sorted(similarity._tridiagonal_eigh(cov)[0])
     norm = math.sqrt(math.fsum(x * x for row in scaled for x in row))
     assert max(abs(a - scale * b) for a, b in zip(vals, want)) <= 1e-12 * norm
-
-
-def _characterize_covariance(scale):
-    _, matrix = standardize(characterize_like(1))
-    return [[x * scale for x in row] for row in covariance(matrix)]
 
 
 EDGE_MATRICES = {
