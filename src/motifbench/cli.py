@@ -63,9 +63,13 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_json(path: str, doc: dict):
+def _write_text(path: str, text: str):
     with open_output(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(text)
+
+
+def _write_json(path: str, doc: dict):
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list, rows):
@@ -250,7 +254,7 @@ def cmd_analyze(args) -> int:
             "label": sample.label,
             "width": sample.width,
             "cycles": sample.cycles,
-            "breakdown": topdown.breakdown_to_json(breakdown),
+            "breakdown": breakdown,
             "ipc": ipc_value,
             "mlp": mlp_value,
         }
@@ -260,7 +264,7 @@ def cmd_analyze(args) -> int:
             _write_csv(args.output, ["metric", "value"],
                        ([name, repr(value)] for name, value in zip(vector.names, vector.values)))
         else:
-            _write_json(args.output, doc)
+            _write_text(args.output, topdown.analysis_json(doc))
     if args.vector_out:
         similarity.append_vector_csv(args.vector_out, vector)
     return EXIT_OK

@@ -588,6 +588,15 @@ def breakdown_to_json(node: BreakdownNode) -> dict:
     }
 
 
+def analysis_json(doc: dict) -> str:
+    """The text of json.dumps(doc, indent=2) + "\\n" for a non-empty dict of
+    JSON scalars and BreakdownNode trees, each tree written as its
+    breakdown_to_json dict."""
+    doc = {key: breakdown_to_json(value) if isinstance(value, BreakdownNode) else value
+           for key, value in doc.items()}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # scalar metrics
 

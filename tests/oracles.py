@@ -418,6 +418,16 @@ def scalar_kv_entries(entries) -> dict:
     return norm
 
 
+def row_covariance(matrix: list[list[float]]) -> list[list[float]]:
+    """The sample covariance pca diagonalizes, taken row by row: each entry
+    one fsum over the rows of the centered matrix."""
+    n, d = len(matrix), len(matrix[0])
+    means = [math.fsum(row[j] for row in matrix) / n for j in range(d)]
+    centered = [[row[j] - means[j] for j in range(d)] for row in matrix]
+    return [[math.fsum(r[j] * r[k] for r in centered) / (n - 1) for k in range(d)]
+            for j in range(d)]
+
+
 def set_scan_hcluster(points: list, linkage: str = "average") -> Dendrogram:
     """Lance-Williams agglomeration over a set of active cluster ids, each
     merge found by a strict-< scan of every sorted (x, y) pair. hcluster must

@@ -22,7 +22,12 @@ from motifbench.similarity import (
 )
 from motifbench.topdown import MetricVector
 
-from .oracles import cyclic_jacobi_eigh, set_scan_hcluster, textbook_jacobi_eigh
+from .oracles import (
+    cyclic_jacobi_eigh,
+    row_covariance,
+    set_scan_hcluster,
+    textbook_jacobi_eigh,
+)
 
 
 def vec(label, values, names=None):
@@ -170,19 +175,32 @@ def characterize_like(seed):
     return [vec(f"w{i}", row) for i, row in enumerate(rows)]
 
 
-def covariance(matrix):
-    """The sample covariance pca diagonalizes."""
-    n, d = len(matrix), len(matrix[0])
-    means = [math.fsum(row[j] for row in matrix) / n for j in range(d)]
-    centered = [[row[j] - means[j] for j in range(d)] for row in matrix]
-    return [[math.fsum(r[j] * r[k] for r in centered) / (n - 1) for k in range(d)]
-            for j in range(d)]
+def test_pca_covariance_equals_row_form_oracle(monkeypatch):
+    """pca diagonalizes exactly the covariance of row_covariance, bit for
+    bit, on characterize-like metrics and on random matrices of many scales."""
+    seen = []
+
+    def capture(cov):
+        seen.append(cov)
+        return eigh(cov)
+
+    eigh = similarity._tridiagonal_eigh
+    monkeypatch.setattr(similarity, "_tridiagonal_eigh", capture)
+    rng = random.Random(27)
+    matrices = [standardize(characterize_like(seed))[1] for seed in (1, 2, 3)]
+    matrices.append([list(v.values) for v in characterize_like(1)])
+    for _ in range(40):
+        n, d, scale = rng.randint(2, 20), rng.randint(1, 12), 10.0 ** rng.randint(-150, 150)
+        matrices.append([[rng.gauss(0.0, scale) for _ in range(d)] for _ in range(n)])
+    for matrix in matrices:
+        pca(matrix, variance_threshold=1.0)
+        assert seen.pop() == row_covariance(matrix)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tridiagonal_eigh_matches_cyclic_oracle_on_rank_deficient_covariance(seed, monkeypatch):
     _, matrix = standardize(characterize_like(seed))
-    cov = covariance(matrix)
+    cov = row_covariance(matrix)
     d = len(cov)
     tol = 1e-12 * math.sqrt(math.fsum(x * x for row in cov for x in row))
     vals, vecs = similarity._tridiagonal_eigh(cov)
@@ -255,7 +273,7 @@ def test_tridiagonal_eigh_raises_when_the_iteration_cap_is_reached(monkeypatch):
 
 def _characterize_covariance(scale):
     _, matrix = standardize(characterize_like(1))
-    return [[x * scale for x in row] for row in covariance(matrix)]
+    return [[x * scale for x in row] for row in row_covariance(matrix)]
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e-8])
@@ -391,8 +409,8 @@ def test_hcluster_equals_set_scan_oracle(linkage):
     """Whole Dendrograms compared, float distances included. Points on a
     small integer grid repeat distances, so most merges are ties."""
     rng = random.Random(35)
-    for trial in range(40):
-        n = rng.randint(2, 24)
+    for trial in range(46):
+        n = rng.randint(2, 24) if trial < 40 else rng.randint(60, 100)
         if trial % 2:
             points = [[float(rng.randint(0, 3)) for _ in range(2)] for _ in range(n)]
         else:

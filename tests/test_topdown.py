@@ -11,11 +11,13 @@ from motifbench import topdown
 from motifbench.cli import main
 from motifbench.errors import EventError, FormulaError, MissingEventsError
 from motifbench.topdown import (
+    BreakdownNode,
     EventSample,
     LEVEL1_NAMES,
     MetricNode,
     MetricTree,
     average_samples,
+    breakdown_to_json,
     builtin_tree,
     evaluate_tree,
     eval_formula,
@@ -643,3 +645,80 @@ def test_meta_cycles_overrides_event_row():
     sample = parse_sample("#meta cycles=100\ncycles,200\nuops_retired,10\n")
     assert sample.cycles == 100
     assert sample.events["cycles"] == 100
+
+
+# ---------------------------------------------------------------------------
+# the analyze document's text
+
+# Names and labels: any code point, with JSON's escapes and astral characters
+# drawn often.
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\té 😀'),
+                    max_size=8)
+# Every float json.dumps writes, non-finite included, and the integer counts
+# a formula over integer events returns.
+json_number = (st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
+               | st.integers(-2**70, 2**70))
+
+
+def breakdown_node(children=st.just(())):
+    return st.builds(BreakdownNode, json_text, json_number, st.booleans(), children)
+
+
+breakdown_trees = st.recursive(
+    breakdown_node(),
+    lambda kids: breakdown_node(st.lists(kids, max_size=4).map(tuple)),
+    max_leaves=25,
+)
+
+
+@st.composite
+def chains(draw):
+    """A tree one node wide and up to 40 deep."""
+    node = draw(breakdown_node())
+    for _ in range(draw(st.integers(1, 40))):
+        node = draw(breakdown_node(st.just((node,))))
+    return node
+
+
+@st.composite
+def analysis_docs(draw, trees=breakdown_trees | chains()):
+    doc = {"label": draw(json_text), "width": draw(st.integers(1, 64)),
+           "cycles": draw(json_number), "breakdown": draw(trees),
+           "ipc": draw(json_number), "mlp": draw(json_number)}
+    if draw(st.booleans()):
+        doc["ms_uops_ratio"] = draw(json_number)
+    return doc
+
+
+def indent2_text(doc: dict) -> str:
+    """What analyze -o wrote before it wrote from the tree: the document
+    with its breakdown as breakdown_to_json's dict, through json.dumps."""
+    doc = {**doc, "breakdown": breakdown_to_json(doc["breakdown"])}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=analysis_docs())
+def test_analysis_json_is_json_dumps_indent2(doc):
+    assert topdown.analysis_json(doc) == indent2_text(doc)
+
+
+@pytest.mark.parametrize("tree", [
+    BreakdownNode("leaf", 0.25),
+    BreakdownNode("neg", -0.0, True, (BreakdownNode("", 5e-324), BreakdownNode("\"\\", -1e-300))),
+])
+def test_analysis_json_small_trees(tree):
+    doc = {"label": "ü\U0001f600", "width": 4, "cycles": 1000.0, "breakdown": tree,
+           "ipc": 1.5, "mlp": 0.0}
+    assert topdown.analysis_json(doc) == indent2_text(doc)
+
+
+def test_analysis_json_of_evaluated_samples():
+    rng = random.Random(41)
+    tree = builtin_tree()
+    for i in range(64):
+        sample = random_valid_sample(rng)
+        doc = {"label": f"w{i}", "width": sample.width, "cycles": sample.cycles,
+               "breakdown": evaluate_tree(sample, tree), "ipc": ipc(sample),
+               "mlp": mlp(sample), "ms_uops_ratio": ms_uops_ratio(sample)}
+        assert topdown.analysis_json(doc) == indent2_text(doc)
