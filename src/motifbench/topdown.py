@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dataio import open_output, read_input
+from .dataio import read_input
 from .errors import EventError, FormulaError, MissingEventsError
 from .floatsum import left_sum
 
@@ -254,18 +254,6 @@ def parse_sample(text: str, path: str = "<sample>",
 def load_sample(path: str, width: Optional[int] = None,
                 mapping: Optional[dict[str, str]] = None) -> EventSample:
     return parse_sample(read_input(path), path=path, width=width, mapping=mapping)
-
-
-def write_sample(sample: EventSample, path: str):
-    with open_output(path) as fh:
-        fh.write(f"#meta width={sample.width}\n")
-        fh.write(f"#meta cycles={sample.cycles:g}\n")
-        if sample.label:
-            fh.write(f"#meta label={sample.label}\n")
-        for name in sorted(sample.events):
-            if name == "cycles":
-                continue
-            fh.write(f"{name},{sample.events[name]:g}\n")
 
 
 def load_mapping(path: str) -> dict[str, str]:
@@ -478,20 +466,6 @@ LEVEL1_NAMES = ("Retiring", "Bad_Speculation", "Frontend_Bound", "Backend_Bound"
 # negative_ok, children:[...]} or a list of such objects (multiple roots)
 
 
-def _node_to_json(node: MetricNode) -> dict:
-    return {
-        "name": node.name,
-        "formula": node.formula,
-        "expected_fraction": node.expected_fraction,
-        "negative_ok": node.negative_ok,
-        "children": [_node_to_json(c) for c in node.children],
-    }
-
-
-def tree_to_json(tree: MetricTree) -> list[dict]:
-    return [_node_to_json(r) for r in tree.roots]
-
-
 _NODE_FIELDS = (("name", str), ("formula", str), ("expected_fraction", bool),
                 ("negative_ok", bool), ("children", list))
 
@@ -588,13 +562,52 @@ def breakdown_to_json(node: BreakdownNode) -> dict:
     }
 
 
+_json_string = json.encoder.encode_basestring_ascii
+# json.dumps's spellings of the floats whose repr is not JSON
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_number(x) -> str:
+    if type(x) is not float:
+        return json.dumps(x)
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _breakdown_text(node: BreakdownNode, pad: str, out: list):
+    """Append node's breakdown_to_json dict as json.dumps(indent=2) spells it
+    with its fields indented by pad: one f-string per node."""
+    flag = "true" if node.negative_artifact else "false"
+    out.append(f'{{\n{pad}"name": {_json_string(node.name)},\n'
+               f'{pad}"fraction": {_json_number(node.fraction)},\n'
+               f'{pad}"negative_artifact": {flag},\n{pad}"children": ')
+    if node.children:
+        out.append(f"[\n{pad}  ")
+        for i, child in enumerate(node.children):
+            if i:
+                out.append(f",\n{pad}  ")
+            _breakdown_text(child, pad + "    ", out)
+        out.append(f"\n{pad}]")
+    else:
+        out.append("[]")
+    out.append(f"\n{pad[:-2]}}}")
+
+
 def analysis_json(doc: dict) -> str:
     """The text of json.dumps(doc, indent=2) + "\\n" for a non-empty dict of
     JSON scalars and BreakdownNode trees, each tree written as its
-    breakdown_to_json dict."""
-    doc = {key: breakdown_to_json(value) if isinstance(value, BreakdownNode) else value
-           for key, value in doc.items()}
-    return json.dumps(doc, indent=2) + "\n"
+    breakdown_to_json dict. The trees are written straight from their nodes:
+    with indent, json.dumps runs its pure-Python encoder, which costs several
+    times as much."""
+    out = ["{"]
+    for i, (key, value) in enumerate(doc.items()):
+        out.append(f'{"," if i else ""}\n  {_json_string(key)}: ')
+        if isinstance(value, BreakdownNode):
+            _breakdown_text(value, "    ", out)
+        else:
+            out.append(json.dumps(value))
+    out.append("\n}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

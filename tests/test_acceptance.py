@@ -53,7 +53,6 @@ from motifbench.topdown import (
     MetricVector,
     builtin_tree,
     evaluate_tree,
-    write_sample,
 )
 from motifbench.workload import execute, parse_spec_file
 
@@ -69,7 +68,7 @@ from .oracles import (
     triple_loop_matmul,
     union_find_components,
 )
-from .topdown_samples import find_node, golden_sample, random_valid_sample
+from .topdown_samples import find_node, golden_sample, random_valid_sample, write_sample
 
 CASES = 100  # randomized instances per kernel
 

@@ -13,10 +13,9 @@ from motifbench import generators, similarity, topdown, workload
 from motifbench.cli import build_parser, main
 from motifbench.kernels import KernelSpec
 from motifbench.similarity import read_vectors_csv
-from motifbench.topdown import write_sample
 
 from .test_dataio import fail_on_write
-from .topdown_samples import golden_sample, ideal_sample
+from .topdown_samples import golden_sample, ideal_sample, write_sample
 
 
 def run_cli(*argv):

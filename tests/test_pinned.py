@@ -24,10 +24,9 @@ from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tens
 from motifbench.generators import gen_graph
 from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.logic import md5_corpus, md5_digests
-from motifbench.topdown import write_sample
 from motifbench.workload import execute, parse_spec_file
 
-from .topdown_samples import golden_sample
+from .topdown_samples import golden_sample, write_sample
 
 # ---------------------------------------------------------------------------
 # canonical_bytes

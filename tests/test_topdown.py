@@ -31,8 +31,6 @@ from motifbench.topdown import (
     parse_sample,
     to_metric_vector,
     tree_from_json,
-    tree_to_json,
-    write_sample,
 )
 
 from .topdown_samples import (
@@ -41,6 +39,8 @@ from .topdown_samples import (
     ideal_sample,
     metric_names,
     random_valid_sample,
+    tree_to_json,
+    write_sample,
     zero_events,
 )
 

@@ -1,5 +1,5 @@
-"""Constructors for event samples used across the analyzer tests, and
-lookups into metric trees and breakdowns.
+"""Constructors for event samples used across the analyzer tests, writers
+of event dumps and tree files, and lookups into metric trees and breakdowns.
 
 random_valid_sample builds integer event counts top-down from slot budgets so
 every hierarchy constraint (level-1 closure, child sums, fraction ranges)
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from motifbench.topdown import EventSample, _preorder
+from motifbench.dataio import open_output
+from motifbench.topdown import EventSample, MetricNode, MetricTree, _preorder
 
 ALL_EVENTS = (
     "instructions_retired",
@@ -166,6 +167,34 @@ def ideal_sample(width: int = 4, cycles: int = 1000) -> EventSample:
     events["instructions_retired"] = slots
     events["ms_uops"] = 0
     return EventSample(events=events, width=width, cycles=cycles, label="ideal")
+
+
+def write_sample(sample: EventSample, path: str):
+    """Write an event dump that load_sample reads back as sample."""
+    with open_output(path) as fh:
+        fh.write(f"#meta width={sample.width}\n")
+        fh.write(f"#meta cycles={sample.cycles:g}\n")
+        if sample.label:
+            fh.write(f"#meta label={sample.label}\n")
+        for name in sorted(sample.events):
+            if name == "cycles":
+                continue
+            fh.write(f"{name},{sample.events[name]:g}\n")
+
+
+def _node_to_json(node: MetricNode) -> dict:
+    return {
+        "name": node.name,
+        "formula": node.formula,
+        "expected_fraction": node.expected_fraction,
+        "negative_ok": node.negative_ok,
+        "children": [_node_to_json(c) for c in node.children],
+    }
+
+
+def tree_to_json(tree: MetricTree) -> list[dict]:
+    """A tree in the JSON form tree_from_json and --tree files take."""
+    return [_node_to_json(r) for r in tree.roots]
 
 
 def metric_names(tree) -> list[str]:
