@@ -28,8 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .dataio import _decode, csv_records, open_output, read_input
 from .errors import InvariantError
@@ -61,8 +60,14 @@ def standardize(vectors: list[MetricVector]) -> tuple[list[str], list[list[float
     out = [[0.0] * d for _ in range(n)]
     for j in range(d):
         col = cols[j]
-        mean = math.fsum(col) / n
-        var = math.fsum((x - mean) ** 2 for x in col) / (n - 1)
+        try:
+            mean = math.fsum(col) / n
+            var = math.fsum((x - mean) ** 2 for x in col) / (n - 1)
+        except OverflowError:
+            var = math.inf
+        if var == math.inf:
+            raise InvariantError(f"metric {names[j]!r}: values too large, "
+                                 "their variance overflows a float")
         if var > 0.0:
             std = math.sqrt(var)
             for i in range(n):
@@ -174,14 +179,24 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
     if any(len(row) != d for row in matrix):
         raise InvariantError("pca needs a rectangular matrix")
 
-    means = [math.fsum(row[j] for row in matrix) / n for j in range(d)]
-    centered = [[row[j] - means[j] for j in range(d)] for row in matrix]
+    # Column passes: each entry is the fsum of the same products as a pass
+    # over rows, so it has the same bits, and the products run in C.
+    cols = []
     cov = [[0.0] * d for _ in range(d)]
-    for j in range(d):
-        for k in range(j, d):
-            v = math.fsum(row[j] * row[k] for row in centered) / (n - 1)
-            cov[j][k] = v
-            cov[k][j] = v
+    try:
+        for col in zip(*matrix):
+            mean = math.fsum(col) / n
+            cols.append([x - mean for x in col])
+        for j, col in enumerate(cols):
+            for k in range(j, d):
+                cov[j][k] = cov[k][j] = math.fsum(map(mul, col, cols[k])) / (n - 1)
+        # fsum raises on a finite overflow and on inf + -inf; any other
+        # infinite product shows on the diagonal
+        finite = all(math.isfinite(cov[j][j]) for j in range(d))
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        raise InvariantError("metric values too large: their covariance overflows a float")
 
     eigvals, eigvecs = _tridiagonal_eigh(cov)
     order = sorted(range(d), key=lambda i: eigvals[i], reverse=True)
@@ -209,10 +224,9 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
         if max(comp, key=abs) < 0.0:
             comp = [-x for x in comp]
         components.append(tuple(comp))
-    projected = []
-    for row in centered:
-        projected.append(tuple(math.fsum(row[j] * comp[j] for j in range(d)) for comp in components))
-    return PcaResult(tuple(components), tuple(projected), tuple(explained), k)
+    projected = tuple(tuple(math.fsum(map(mul, row, comp)) for comp in components)
+                      for row in zip(*cols))
+    return PcaResult(tuple(components), projected, tuple(explained), k)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +234,14 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
 
 
 def euclidean(a, b) -> float:
-    return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
+    """Euclidean distance; InvariantError where it overflows a float."""
+    try:
+        dist = math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
+    except OverflowError:
+        dist = math.inf
+    if dist == math.inf:
+        raise InvariantError("points too far apart: their distance overflows a float")
+    return dist
 
 
 @dataclass(frozen=True)
@@ -252,6 +273,16 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     the closest pair of active clusters; ties break on the smallest (a, b) id
     pair, so the merge sequence is deterministic. Inter-cluster distances
     follow the Lance-Williams updates for the chosen linkage.
+
+    The closest pair comes from a nearest-neighbour cache, the generic
+    algorithm of Muellner, "Modern hierarchical, agglomerative clustering
+    algorithms" (arXiv:1109.2378), section 3. Each active a keeps its nearest
+    active b > a, the smallest b on a tie, and the merge is at the smallest
+    (distance, a), which is the smallest (a, b) among the closest pairs. A
+    merge of a and b rescans only the rows whose neighbour was a or b, or
+    that had none; the new id is the largest, so every other row takes it
+    only if it is strictly nearer. Distances and merges are those of a scan
+    of every active pair, bit for bit.
     """
     if linkage not in LINKAGES:
         raise InvariantError(f"unknown linkage {linkage!r}")
@@ -259,33 +290,41 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     if n < 2:
         raise InvariantError(f"hcluster needs >= 2 points, got {n}")
 
-    dist: dict[tuple[int, int], float] = {}  # keyed by (smaller id, larger id)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = euclidean(points[i], points[j])
+    # rows[x][y]: the distance of active clusters x < y. Both levels iterate
+    # in ascending id order: ids start ascending and each minted id is the
+    # largest yet, so min over a row keeps the smallest y of equal distances.
+    rows = {x: {y: euclidean(points[x], points[y]) for y in range(x + 1, n)} for x in range(n)}
+    by_distance = itemgetter(1)
+    # x -> (its nearest y, their distance), in ascending x; the largest
+    # active id has no neighbour and no entry
+    nearest = {x: min(rows[x].items(), key=by_distance) for x in range(n - 1)}
     sizes = [1] * n  # indexed by cluster id
-    active = list(range(n))  # ascending: each minted id is the largest yet
     merges: list[MergeStep] = []
-    while len(active) > 1:
-        # combinations of an ascending list come in ascending (a, b) order and
-        # min keeps the first of equal keys, so the smallest pair wins a tie.
-        a, b = min(combinations(active, 2), key=dist.__getitem__)
+    while nearest:
+        a = min(nearest, key=lambda x: nearest[x][1])
+        b, d_ab = nearest.pop(a)
+        nearest.pop(b, None)
         new_id = len(sizes)
-        active.remove(a)
-        active.remove(b)
-        for other in active:
-            da = dist[min(a, other), max(a, other)]
-            db = dist[min(b, other), max(b, other)]
+        row_a, row_b = rows.pop(a), rows.pop(b)
+        size_a, size_b = sizes[a], sizes[b]
+        for other, row in rows.items():
+            da = row.pop(a) if other < a else row_a[other]
+            db = row.pop(b) if other < b else row_b[other]
             if linkage == "single":
                 nd = min(da, db)
             elif linkage == "complete":
                 nd = max(da, db)
             else:
-                nd = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
-            dist[other, new_id] = nd
-        active.append(new_id)
-        sizes.append(sizes[a] + sizes[b])
-        merges.append(MergeStep(a, b, dist[a, b], new_id, sizes[new_id]))
+                nd = (size_a * da + size_b * db) / (size_a + size_b)
+            row[new_id] = nd
+            old = nearest.get(other)
+            if old is None or old[0] == a or old[0] == b:
+                nearest[other] = min(row.items(), key=by_distance)
+            elif nd < old[1]:
+                nearest[other] = (new_id, nd)
+        rows[new_id] = {}
+        sizes.append(size_a + size_b)
+        merges.append(MergeStep(a, b, d_ab, new_id, sizes[new_id]))
     return Dendrogram(n, tuple(merges))
 
 

@@ -542,6 +542,19 @@ def test_cluster_exit_1_on_metrics_without_metric_columns(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("big", ["1e200", "1.7e308"])
+@pytest.mark.parametrize("flags", [(), ("--no-standardize",)])
+def test_cluster_exit_1_when_metric_values_overflow(tmp_path, capsys, big, flags):
+    metrics = tmp_path / "big.csv"
+    metrics.write_text(f"label,m0,m1\nw1,0.5,{big}\nw2,0.25,-{big}\nw3,1,0\n")
+    out = tmp_path / "d.json"
+    assert run_cli("cluster", "--metrics", str(metrics), *flags, "-o", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "overflows a float" in err[0]
+    assert not out.exists()
+
+
 def test_cluster_no_standardize(tmp_path):
     out = tmp_path / "d.json"
     assert run_cli("cluster", "--metrics", _metrics_csv(tmp_path),

@@ -175,6 +175,31 @@ def characterize_like(seed):
     return [vec(f"w{i}", row) for i, row in enumerate(rows)]
 
 
+@pytest.mark.parametrize("big", [1e200, 1.7e308])
+def test_overflow_is_an_invariant_error(big):
+    """Finite values whose variance, covariance or distance overflows a float
+    raise InvariantError, never OverflowError or ValueError."""
+    vectors = [vec("a", [0.5, big]), vec("b", [0.25, -big]), vec("c", [1.0, 0.0])]
+    with pytest.raises(InvariantError, match="variance overflows"):
+        standardize(vectors)
+    with pytest.raises(InvariantError, match="covariance overflows"):
+        pca([list(v.values) for v in vectors])
+    # opposite infinite products in one covariance entry (fsum's inf + -inf)
+    with pytest.raises(InvariantError, match="covariance overflows"):
+        pca([[big, -big], [-big, big], [0.0, 0.0]])
+    with pytest.raises(InvariantError, match="distance overflows"):
+        euclidean([big, 0.0], [-big, 0.0])
+    with pytest.raises(InvariantError, match="distance overflows"):
+        hcluster([[big], [-big], [0.0]])
+
+
+def test_large_values_below_overflow_keep_their_bits():
+    a, b = [3e153, 0.0], [-3e153, 4e153]
+    assert euclidean(a, b) == math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
+    _, z = standardize([vec("a", [1e150]), vec("b", [-1e150]), vec("c", [0.0])])
+    assert [row[0] for row in z] == [1.0, -1.0, 0.0]
+
+
 def test_pca_covariance_equals_row_form_oracle(monkeypatch):
     """pca diagonalizes exactly the covariance of row_covariance, bit for
     bit, on characterize-like metrics and on random matrices of many scales."""
