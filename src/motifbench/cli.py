@@ -63,13 +63,9 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_text(path: str, text: str):
-    with open_output(path) as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, doc: dict):
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    with open_output(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: list, rows):
@@ -239,9 +235,7 @@ def cmd_analyze(args) -> int:
     extras = []
     if "ms_uops" in sample.events and "uops_retired" in sample.events:
         extras.append(("ms_uops_ratio", topdown.ms_uops_ratio(sample)))
-    vector = topdown.to_metric_vector(
-        breakdown, ipc_value, mlp_value, sample.label, tuple(extras)
-    )
+    vector = topdown.to_metric_vector(breakdown, ipc_value, mlp_value, sample.label, tuple(extras))
 
     _say(args, f"label: {sample.label}  (width {sample.width}, cycles {sample.cycles:g})")
     for node in breakdown.children:
@@ -249,22 +243,14 @@ def cmd_analyze(args) -> int:
     _say(args, f"  {'IPC':<16} {ipc_value:.3f}")
     _say(args, f"  {'MLP':<16} {mlp_value:.3f}")
 
-    if args.output:
-        doc = {
-            "label": sample.label,
-            "width": sample.width,
-            "cycles": sample.cycles,
-            "breakdown": breakdown,
-            "ipc": ipc_value,
-            "mlp": mlp_value,
-        }
-        for name, value in extras:
-            doc[name] = value
-        if args.csv:
-            _write_csv(args.output, ["metric", "value"],
-                       ([name, repr(value)] for name, value in zip(vector.names, vector.values)))
-        else:
-            _write_text(args.output, topdown.analysis_json(doc))
+    if args.output and args.csv:
+        _write_csv(args.output, ["metric", "value"],
+                   ([name, repr(value)] for name, value in zip(vector.names, vector.values)))
+    elif args.output:
+        doc = {"label": sample.label, "width": sample.width, "cycles": sample.cycles,
+               "breakdown": breakdown, "ipc": ipc_value, "mlp": mlp_value, **dict(extras)}
+        with open_output(args.output) as fh:
+            fh.write(topdown.analysis_json(doc))
     if args.vector_out:
         similarity.append_vector_csv(args.vector_out, vector)
     return EXIT_OK

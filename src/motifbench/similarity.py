@@ -39,6 +39,19 @@ QL_MAX_ITERATIONS = 30  # per eigenvalue, as in Numerical Recipes' tqli
 LINKAGES = ("average", "single", "complete")
 
 
+def _finite_fsum(values, what: str) -> float:
+    """math.fsum, raising InvariantError where the sum overflows a float:
+    fsum raises on a finite overflow and on inf + -inf, and returns an
+    infinity when a term overflowed."""
+    try:
+        total = math.fsum(values)
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):
+        pass
+    raise InvariantError(f"metric values too large: {what} overflows a float")
+
+
 # ---------------------------------------------------------------------------
 # standardization
 
@@ -59,15 +72,9 @@ def standardize(vectors: list[MetricVector]) -> tuple[list[str], list[list[float
     cols = list(zip(*(v.values for v in vectors)))
     out = [[0.0] * d for _ in range(n)]
     for j in range(d):
-        col = cols[j]
-        try:
-            mean = math.fsum(col) / n
-            var = math.fsum((x - mean) ** 2 for x in col) / (n - 1)
-        except OverflowError:
-            var = math.inf
-        if var == math.inf:
-            raise InvariantError(f"metric {names[j]!r}: values too large, "
-                                 "their variance overflows a float")
+        col, what = cols[j], f"the variance of metric {names[j]!r}"
+        mean = _finite_fsum(col, what) / n
+        var = _finite_fsum(((x - mean) ** 2 for x in col), what) / (n - 1)
         if var > 0.0:
             std = math.sqrt(var)
             for i in range(n):
@@ -179,24 +186,15 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
     if any(len(row) != d for row in matrix):
         raise InvariantError("pca needs a rectangular matrix")
 
-    # Column passes: each entry is the fsum of the same products as a pass
-    # over rows, so it has the same bits, and the products run in C.
+    # Column passes fsum the products a pass over rows would, so the bits are the same.
     cols = []
+    for col in zip(*matrix):
+        mean = _finite_fsum(col, "a mean") / n
+        cols.append([x - mean for x in col])
     cov = [[0.0] * d for _ in range(d)]
-    try:
-        for col in zip(*matrix):
-            mean = math.fsum(col) / n
-            cols.append([x - mean for x in col])
-        for j, col in enumerate(cols):
-            for k in range(j, d):
-                cov[j][k] = cov[k][j] = math.fsum(map(mul, col, cols[k])) / (n - 1)
-        # fsum raises on a finite overflow and on inf + -inf; any other
-        # infinite product shows on the diagonal
-        finite = all(math.isfinite(cov[j][j]) for j in range(d))
-    except (OverflowError, ValueError):
-        finite = False
-    if not finite:
-        raise InvariantError("metric values too large: their covariance overflows a float")
+    for j, col in enumerate(cols):
+        for k in range(j, d):
+            cov[j][k] = cov[k][j] = _finite_fsum(map(mul, col, cols[k]), "a covariance") / (n - 1)
 
     eigvals, eigvecs = _tridiagonal_eigh(cov)
     order = sorted(range(d), key=lambda i: eigvals[i], reverse=True)
@@ -234,14 +232,7 @@ def pca(matrix: list[list[float]], variance_threshold: float = 0.9) -> PcaResult
 
 
 def euclidean(a, b) -> float:
-    """Euclidean distance; InvariantError where it overflows a float."""
-    try:
-        dist = math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
-    except OverflowError:
-        dist = math.inf
-    if dist == math.inf:
-        raise InvariantError("points too far apart: their distance overflows a float")
-    return dist
+    return math.sqrt(_finite_fsum(((x - y) ** 2 for x, y in zip(a, b)), "a distance"))
 
 
 @dataclass(frozen=True)
@@ -274,15 +265,11 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     pair, so the merge sequence is deterministic. Inter-cluster distances
     follow the Lance-Williams updates for the chosen linkage.
 
-    The closest pair comes from a nearest-neighbour cache, the generic
-    algorithm of Muellner, "Modern hierarchical, agglomerative clustering
-    algorithms" (arXiv:1109.2378), section 3. Each active a keeps its nearest
-    active b > a, the smallest b on a tie, and the merge is at the smallest
-    (distance, a), which is the smallest (a, b) among the closest pairs. A
-    merge of a and b rescans only the rows whose neighbour was a or b, or
-    that had none; the new id is the largest, so every other row takes it
-    only if it is strictly nearer. Distances and merges are those of a scan
-    of every active pair, bit for bit.
+    A nearest-neighbour cache finds each pair (Muellner, arXiv:1109.2378,
+    section 3): each active a keeps its nearest active b > a, the smallest b
+    on a tie, and the merge is at the smallest (distance, a). Only rows whose
+    neighbour was merged, or that had none, are rescanned; the new id is the
+    largest, so other rows take it only if strictly nearer.
     """
     if linkage not in LINKAGES:
         raise InvariantError(f"unknown linkage {linkage!r}")
@@ -290,13 +277,11 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     if n < 2:
         raise InvariantError(f"hcluster needs >= 2 points, got {n}")
 
-    # rows[x][y]: the distance of active clusters x < y. Both levels iterate
-    # in ascending id order: ids start ascending and each minted id is the
-    # largest yet, so min over a row keeps the smallest y of equal distances.
+    # rows[x][y]: the distance of active x < y, both levels in ascending id
+    # order, as each minted id is the largest yet; so min keeps the smallest id
     rows = {x: {y: euclidean(points[x], points[y]) for y in range(x + 1, n)} for x in range(n)}
     by_distance = itemgetter(1)
-    # x -> (its nearest y, their distance), in ascending x; the largest
-    # active id has no neighbour and no entry
+    # x -> (nearest y, distance), for every active x but the largest
     nearest = {x: min(rows[x].items(), key=by_distance) for x in range(n - 1)}
     sizes = [1] * n  # indexed by cluster id
     merges: list[MergeStep] = []

@@ -563,51 +563,27 @@ def breakdown_to_json(node: BreakdownNode) -> dict:
 
 
 _json_string = json.encoder.encode_basestring_ascii
-# json.dumps's spellings of the floats whose repr is not JSON
-_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_number(x) -> str:
-    if type(x) is not float:
-        return json.dumps(x)
-    text = float.__repr__(x)
-    return _JSON_NONFINITE.get(text, text)
-
-
-def _breakdown_text(node: BreakdownNode, pad: str, out: list):
-    """Append node's breakdown_to_json dict as json.dumps(indent=2) spells it
-    with its fields indented by pad: one f-string per node."""
-    flag = "true" if node.negative_artifact else "false"
-    out.append(f'{{\n{pad}"name": {_json_string(node.name)},\n'
-               f'{pad}"fraction": {_json_number(node.fraction)},\n'
-               f'{pad}"negative_artifact": {flag},\n{pad}"children": ')
-    if node.children:
-        out.append(f"[\n{pad}  ")
-        for i, child in enumerate(node.children):
-            if i:
-                out.append(f",\n{pad}  ")
-            _breakdown_text(child, pad + "    ", out)
-        out.append(f"\n{pad}]")
-    else:
-        out.append("[]")
-    out.append(f"\n{pad[:-2]}}}")
+def _breakdown_text(node: BreakdownNode, pad: str) -> str:
+    """node's breakdown_to_json dict as json.dumps(indent=2) spells it with
+    its fields indented by pad: one f-string per node."""
+    f = node.fraction
+    fraction = float.__repr__(f) if type(f) is float and math.isfinite(f) else json.dumps(f)
+    children = f",\n{pad}  ".join([_breakdown_text(c, pad + "    ") for c in node.children])
+    children = f"[\n{pad}  {children}\n{pad}]" if children else "[]"
+    return (f'{{\n{pad}"name": {_json_string(node.name)},\n{pad}"fraction": {fraction},\n'
+            f'{pad}"negative_artifact": {"true" if node.negative_artifact else "false"},\n'
+            f'{pad}"children": {children}\n{pad[:-2]}}}')
 
 
 def analysis_json(doc: dict) -> str:
-    """The text of json.dumps(doc, indent=2) + "\\n" for a non-empty dict of
-    JSON scalars and BreakdownNode trees, each tree written as its
-    breakdown_to_json dict. The trees are written straight from their nodes:
-    with indent, json.dumps runs its pure-Python encoder, which costs several
-    times as much."""
-    out = ["{"]
-    for i, (key, value) in enumerate(doc.items()):
-        out.append(f'{"," if i else ""}\n  {_json_string(key)}: ')
-        if isinstance(value, BreakdownNode):
-            _breakdown_text(value, "    ", out)
-        else:
-            out.append(json.dumps(value))
-    out.append("\n}\n")
-    return "".join(out)
+    """json.dumps(doc, indent=2) + "\\n" for a non-empty dict of JSON scalars
+    and BreakdownNode trees (as breakdown_to_json dicts). Trees are written
+    from their nodes: with indent, json.dumps runs its pure-Python encoder."""
+    text = [_breakdown_text(v, "    ") if isinstance(v, BreakdownNode) else json.dumps(v)
+            for v in doc.values()]
+    return "{\n" + ",\n".join(f"  {_json_string(k)}: {t}" for k, t in zip(doc, text)) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
