@@ -40,16 +40,16 @@ LINKAGES = ("average", "single", "complete")
 
 
 def _finite_fsum(values, what: str) -> float:
-    """math.fsum, raising InvariantError where the sum overflows a float:
-    fsum raises on a finite overflow and on inf + -inf, and returns an
-    infinity when a term overflowed."""
+    """math.fsum, raising InvariantError where the sum is not finite: fsum
+    raises on a finite overflow and on inf + -inf, and returns an infinity
+    when a term overflowed."""
     try:
         total = math.fsum(values)
         if math.isfinite(total):
             return total
     except (OverflowError, ValueError):
         pass
-    raise InvariantError(f"metric values too large: {what} overflows a float")
+    raise InvariantError(f"{what} is not finite: metric values too large or NaN")
 
 
 # ---------------------------------------------------------------------------

@@ -551,7 +551,7 @@ def test_cluster_exit_1_when_metric_values_overflow(tmp_path, capsys, big, flags
     assert run_cli("cluster", "--metrics", str(metrics), *flags, "-o", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "overflows a float" in err[0]
+    assert "is not finite: metric values too large" in err[0]
     assert not out.exists()
 
 
