@@ -281,7 +281,8 @@ def hcluster(points: list, linkage: str = "average") -> Dendrogram:
     # order, as each minted id is the largest yet; so min keeps the smallest id
     rows = {x: {y: euclidean(points[x], points[y]) for y in range(x + 1, n)} for x in range(n)}
     by_distance = itemgetter(1)
-    # x -> (nearest y, distance), for every active x but the largest
+    # x -> (nearest y, distance) for every active x but the largest, in ascending
+    # x: a row gains its first neighbour only when it is the largest but one
     nearest = {x: min(rows[x].items(), key=by_distance) for x in range(n - 1)}
     sizes = [1] * n  # indexed by cluster id
     merges: list[MergeStep] = []

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import motifbench
 from motifbench import topdown
@@ -697,19 +697,17 @@ def indent2_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def small_doc(tree):
+    return {"label": "ü\U0001f600", "width": 4, "cycles": 1000.0, "breakdown": tree,
+            "ipc": 1.5, "mlp": 0.0}
+
+
 @settings(max_examples=150, deadline=None)
 @given(doc=analysis_docs())
+@example(doc=small_doc(BreakdownNode("leaf", 0.25)))
+@example(doc=small_doc(BreakdownNode("neg", -0.0, True, (BreakdownNode("", 5e-324),
+                                                         BreakdownNode("\"\\", -1e-300)))))
 def test_analysis_json_is_json_dumps_indent2(doc):
-    assert topdown.analysis_json(doc) == indent2_text(doc)
-
-
-@pytest.mark.parametrize("tree", [
-    BreakdownNode("leaf", 0.25),
-    BreakdownNode("neg", -0.0, True, (BreakdownNode("", 5e-324), BreakdownNode("\"\\", -1e-300))),
-])
-def test_analysis_json_small_trees(tree):
-    doc = {"label": "ü\U0001f600", "width": 4, "cycles": 1000.0, "breakdown": tree,
-           "ipc": 1.5, "mlp": 0.0}
     assert topdown.analysis_json(doc) == indent2_text(doc)
 
 
