@@ -12,7 +12,9 @@ import cmath
 import math
 import struct
 
-from motifbench.errors import InvariantError
+from motifbench.datasets import TABLE_KINDS, Table
+from motifbench.errors import InvariantError, KernelError
+from motifbench.rng import SplitMix64
 from motifbench.similarity import Dendrogram, MergeStep, euclidean
 
 
@@ -562,3 +564,83 @@ def textbook_jacobi_eigh(a: list[list[float]]) -> tuple[list[float], list[list[f
         f"Jacobi eigendecomposition did not converge in {JACOBI_MAX_SWEEPS} sweeps "
         f"(off-diagonal norm {off:.3g}, tolerance {tol:.3g})"
     )
+
+
+# Relational kernels in row form: each walks the table's rows and builds its
+# result from row tuples, as the kernels did before tables kept columns.
+
+_ROW_COMPARATORS = {
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+}
+
+
+def _row_index(t, name: str) -> int:
+    names = [n for n, _ in t.schema]
+    if name not in names:
+        raise KernelError(f"unknown column {name!r}")
+    return names.index(name)
+
+
+def row_project(t, columns: list[str]):
+    idx = [_row_index(t, c) for c in columns]
+    return Table([t.schema[i] for i in idx], [tuple(row[i] for i in idx) for row in t.rows])
+
+
+def row_filter(t, column: str, cmp: str, value):
+    i = _row_index(t, column)
+    kind = t.schema[i][1]
+    try:
+        lit = TABLE_KINDS[kind].parse(value)
+    except ValueError:
+        raise KernelError(f"literal {value!r} is not a valid {kind}") from None
+    pred = _ROW_COMPARATORS[cmp]
+    return Table(t.schema, [row for row in t.rows if pred(row[i], lit)])
+
+
+def row_union(a, b):
+    if a.schema != b.schema:
+        raise KernelError(f"schema mismatch on union: {a.schema} vs {b.schema}")
+    return Table(a.schema, list(a.rows) + list(b.rows))
+
+
+def row_aggregate(t, group: str, agg: str, target):
+    gi = _row_index(t, group)
+    group_kind = t.schema[gi][1]
+    order, cells = [], {}
+    ti = None if agg == "count" else _row_index(t, target)
+    for row in t.rows:
+        key = row[gi]
+        if key not in cells:
+            order.append(key)
+            cells[key] = []
+        cells[key].append(None if ti is None else row[ti])
+    if agg == "count":
+        return Table([(group, group_kind), ("count", "integer")],
+                     [(k, len(cells[k])) for k in order])
+    target_kind = t.schema[ti][1]
+    if target_kind not in ("integer", "real"):
+        raise KernelError(f"{agg} target {target!r} must be numeric, is {target_kind}")
+    if agg == "sum" and target_kind == "integer":
+        return Table([(group, group_kind), (f"sum_{target}", "integer")],
+                     [(k, sum(cells[k])) for k in order])
+    if agg == "sum":
+        return Table([(group, group_kind), (f"sum_{target}", "real")],
+                     [(k, math.fsum(cells[k])) for k in order])
+    return Table([(group, group_kind), (f"avg_{target}", "real")],
+                 [(k, math.fsum(cells[k]) / len(cells[k])) for k in order])
+
+
+def row_sort(t, key: int):
+    if not 0 <= key < len(t.schema):
+        raise KernelError(f"key {key} out of range for table with {len(t.schema)} columns")
+    return Table(t.schema, sorted(t.rows, key=lambda row: row[key]))
+
+
+def row_sample(t, fraction: float, seed: int):
+    rng = SplitMix64(seed)
+    return Table(t.schema, [row for row in t.rows if rng.random() < fraction])

@@ -220,6 +220,11 @@ def test_aggregate_matches_hash_tally_oracle():
         assert got[g] == pytest.approx(sums[g] / counts[g], rel=1e-12)
 
 
+def test_aggregate_sum_of_reals_is_rounded_once():
+    t = Table([("g", "string"), ("v", "real")], [("a", 0.1), ("a", 0.2), ("a", 0.3)])
+    assert aggregate(t, "g", "sum", "v").rows == (("a", 0.6),)  # 0.6000000000000001 left to right
+
+
 def test_aggregate_group_order_is_first_appearance():
     t = Table([("g", "string"), ("v", "integer")], [("b", 1), ("a", 1), ("b", 2)])
     assert [r[0] for r in aggregate(t, "g", "count", None).rows] == ["b", "a"]

@@ -12,6 +12,7 @@ tests/oracles.py do.
 import math
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from motifbench import SHIPPED_SPECS, shipped_spec_path
@@ -33,10 +34,17 @@ from motifbench.datasets import (
     Tensor,
     TextCorpus,
 )
-from motifbench.errors import FormatError, InvariantError, SpecError
+from motifbench.errors import FormatError, InvariantError, KernelError, SpecError
+from motifbench.kernels import REGISTRY
 from motifbench.workload import parse_spec
 
 from .oracles import (
+    row_aggregate,
+    row_filter,
+    row_project,
+    row_sample,
+    row_sort,
+    row_union,
     scalar_corpus_documents,
     scalar_kv_entries,
     scalar_table_bytes,
@@ -71,17 +79,25 @@ def graphs(draw):
     return Graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=10)), draw(st.booleans()))
 
 
+# A real column may be given ints, which it stores as floats.
+int_or_finite = finite | st.integers(-2**70, 2**70)
+
+
+def table_rows(kinds, real=finite, min_rows=0):
+    """Up to five rows whose cells suit the column `kinds`."""
+    cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": real,
+            "string": st.text(max_size=8)}
+    return st.lists(st.tuples(*(cell[k] for k in kinds)), min_size=min_rows, max_size=5)
+
+
 @st.composite
-def tables(draw, column_kinds=tuple(TABLE_KINDS)):
+def tables(draw, column_kinds=tuple(TABLE_KINDS), real=finite, min_rows=0):
     name = st.text(st.characters(blacklist_characters=":,\n\r", blacklist_categories=("Cs",)),
                    min_size=1, max_size=6)
     names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
     kinds = draw(st.lists(st.sampled_from(column_kinds),
                           min_size=len(names), max_size=len(names)))
-    cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": finite,
-            "string": st.text(max_size=8)}
-    rows = draw(st.lists(st.tuples(*(cell[k] for k in kinds)), max_size=5))
-    return Table(list(zip(names, kinds)), rows)
+    return Table(list(zip(names, kinds)), draw(table_rows(kinds, real, min_rows)))
 
 
 kv_key = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -265,6 +281,86 @@ def test_one_bad_value_is_found_as_the_scalar_check_finds_it(case):
 
         got = _outcome(lambda: KeyValueSet(data).entries, named)
         want = _outcome(lambda: scalar_kv_entries(data), named)
+    assert got == want
+
+
+def _cell_literals(table, i):
+    """Each cell of column i as a filter literal would spell it."""
+    return [repr(row[i]) if isinstance(row[i], float) else str(row[i]) for row in table.rows]
+
+
+@st.composite
+def table_kernel_cases(draw, motif):
+    """A table, the registry parameters of `motif` over it, and the arguments
+    its row-form reference takes."""
+    kinds = ("real", "integer", "string") if motif == "statistic.aggregate" else TABLE_KINDS
+    table = draw(tables(tuple(kinds), int_or_finite, draw(st.sampled_from([0, 2, 2, 2]))))
+    if motif == "statistic.aggregate":
+        # a key column with two values, so that some groups sum three or more cells
+        table = Table([("two keys", "integer"), *table.schema],
+                      [(r % 2, *row) for r, row in enumerate(table.rows)])
+    names = [n for n, _ in table.schema]
+    some_name = st.sampled_from(names * 3 + ["no such column"])
+    if motif == "set.project":
+        # the registry splits the list on commas and strips each name
+        pool = [n for n in names if n == n.strip()] or ["no such column"]
+        columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+        return table, [table], {"columns": ",".join(columns)}, (columns,)
+    if motif in ("set.filter", "set.select"):
+        column = draw(some_name)
+        literals = (_cell_literals(table, names.index(column)) if column in names else []) \
+            or ["0"]
+        value = draw(st.text(max_size=4) if draw(st.integers(0, 3)) == 3
+                     else st.sampled_from(literals))
+        cmp = draw(st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]))
+        return table, [table], {"column": column, "cmp": cmp, "value": value}, (column, cmp, value)
+    if motif == "set.table_union":
+        kinds = [k for _, k in table.schema]
+        other = draw(st.builds(Table, st.just(table.schema), table_rows(kinds, int_or_finite))
+                     | tables())
+        return table, [table, other], {}, (other,)
+    if motif == "statistic.aggregate":
+        numeric = [n for n, k in table.schema if k == "real"] or ["two keys"]
+        group = draw(some_name)
+        target = draw(some_name if draw(st.integers(0, 3)) == 3 else st.sampled_from(numeric))
+        agg = draw(st.sampled_from(["sum", "avg", "count"]))
+        return table, [table], {"group": group, "agg": agg, "target": target}, (group, agg, target)
+    if motif == "sort.sort":
+        key = draw(st.integers(-1, len(names)))
+        return table, [table], {"key": key}, (key,)
+    fraction = draw(st.sampled_from([0.5, 0.25, 1.0, 0.0]) | st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return table, [table], {"fraction": fraction, "seed": seed}, (fraction, seed)
+
+
+ROW_REFERENCES = {
+    "set.project": row_project,
+    "set.filter": row_filter,
+    "set.select": row_filter,
+    "set.table_union": row_union,
+    "statistic.aggregate": row_aggregate,
+    "sort.sort": row_sort,
+    "sampling.random_sample": row_sample,
+}
+
+
+def _table_outcome(run):
+    """A table result as its schema, rows and checksum, or the error raised."""
+    try:
+        table = run()
+    except (KernelError, InvariantError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return table.schema, table.rows, checksum_payload(table)
+
+
+@pytest.mark.parametrize("motif", sorted(ROW_REFERENCES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_kernel_equals_its_row_form_reference(motif, data):
+    table, operands, raw, args = data.draw(table_kernel_cases(motif))
+    spec = REGISTRY[motif]
+    got = _table_outcome(lambda: spec.fn(*operands, **spec.coerce_params(raw)))
+    want = _table_outcome(lambda: ROW_REFERENCES[motif](table, *args))
     assert got == want
 
 
