@@ -30,7 +30,7 @@ import math
 import os
 import struct
 from array import array
-from operator import itemgetter
+from operator import add
 
 from .datasets import (
     TABLE_KINDS,
@@ -88,19 +88,8 @@ def canonical_bytes(payload: Payload) -> bytes:
         for name, kind in payload.schema:
             _enc_str(out, name)
             _enc_str(out, kind)
-        out.write(_U64.pack(len(payload.rows)))
-        kinds = [k for _, k in payload.schema]
-        if "string" in kinds:
-            for row in payload.rows:
-                for kind, value in zip(kinds, row):
-                    if kind == "integer":
-                        out.write(_I64.pack(value))
-                    elif kind == "real":
-                        out.write(_F64.pack(value))
-                    else:
-                        _enc_str(out, value)
-        else:
-            out.write(_numeric_rows(kinds, payload.rows))
+        out.write(_U64.pack(len(payload)))
+        out.write(_table_body([k for _, k in payload.schema], payload.columns))
     elif isinstance(payload, Matrix):
         out.write(b"matr\x00")
         out.write(_U64.pack(payload.rows))
@@ -129,19 +118,25 @@ def canonical_bytes(payload: Payload) -> bytes:
     return out.getvalue()
 
 
-def _numeric_rows(kinds: list[str], rows: tuple) -> bytes:
-    """The row-major body of a table with no string column: each column is
-    packed in one struct call (its format is a single repeated code, so the
-    struct cache holds a short entry) and its words are interleaved into
-    place by one strided array assignment."""
-    n, k = len(rows), len(kinds)
-    words = array("Q", bytes(8 * n * k))
-    for j, kind in enumerate(kinds):
-        # itemgetter, not zip(*rows): one iterator per row would be n
-        # GC-tracked allocations, several collections for a 4096-row table
-        col = map(itemgetter(j), rows)
-        words[j::k] = array("Q", struct.pack(f"<{n}{'q' if kind == 'integer' else 'd'}", *col))
-    return words.tobytes()
+def _table_body(kinds: list[str], columns: tuple) -> bytes:
+    """The row-major body of a table, encoded a column at a time and put in
+    place by one strided assignment per column: with no string column, one
+    struct.pack per column (a single repeated code keeps the struct cache
+    entry short) into a word array; otherwise one bytes object per cell."""
+    n, k = len(columns[0]), len(kinds)
+    if "string" not in kinds:
+        words = array("Q", bytes(8 * n * k))
+        for j, (kind, col) in enumerate(zip(kinds, columns)):
+            words[j::k] = array("Q", struct.pack(f"<{n}{'q' if kind == 'integer' else 'd'}", *col))
+        return words.tobytes()
+    cells = [b""] * (n * k)
+    for j, (kind, col) in enumerate(zip(kinds, columns)):
+        if kind == "string":
+            raw = list(map(str.encode, col))
+            cells[j::k] = map(add, map(_U64.pack, map(len, raw)), raw)
+        else:
+            cells[j::k] = map((_I64 if kind == "integer" else _F64).pack, col)
+    return b"".join(cells)
 
 
 def _utf8_len(strings) -> int:
@@ -157,13 +152,11 @@ def payload_size(payload: Payload) -> int:
         docs = payload.documents
         return 13 + 8 * len(docs) + _utf8_len(docs)
     if isinstance(payload, Table):
-        rows, schema = payload.rows, payload.schema
+        schema = payload.schema
         size = 21 + 16 * len(schema) + _utf8_len(itertools.chain.from_iterable(schema))
-        size += 8 * len(schema) * len(rows)
-        for j, (_, kind) in enumerate(schema):
-            if kind == "string":
-                size += _utf8_len(map(itemgetter(j), rows))
-        return size
+        size += 8 * len(schema) * len(payload)
+        return size + sum(_utf8_len(col) for (_, kind), col in zip(schema, payload.columns)
+                          if kind == "string")
     if isinstance(payload, Matrix):
         return 21 + 8 * len(payload.data)
     if isinstance(payload, Tensor):
@@ -240,13 +233,14 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
             fh.write(",".join(f"{n}:{k}" for n, k in payload.schema) + "\n")
             # csv quotes a field only for the characters of its line terminator,
             # but a bare CR in a string cell would read back as a line break
-            has_cr = any("\r" in v for row in payload.rows for v in row if isinstance(v, str))
+            kinds = [k for _, k in payload.schema]
+            has_cr = any(k == "string" and "\r" in "".join(col)
+                         for k, col in zip(kinds, payload.columns))
             quoting = csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
             writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
-            kinds = [k for _, k in payload.schema]
-            for row in payload.rows:
-                # repr round-trips binary64 exactly through float()
-                writer.writerow([repr(v) if k == "real" else str(v) for k, v in zip(kinds, row)])
+            # repr round-trips binary64 exactly through float()
+            writer.writerows(zip(*(map(repr if k == "real" else str, col)
+                                   for k, col in zip(kinds, payload.columns))))
         elif isinstance(payload, Matrix) and text_matrix:
             fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
             for i in range(payload.rows):
@@ -339,8 +333,6 @@ def _load_table(path: str, text: str) -> Table:
             raise FormatError(f"bad schema entry {part!r}", path=path, line=2)
         name, _, kind = part.rpartition(":")
         schema.append((name, kind))
-    if not schema:
-        raise FormatError("empty table schema", path=path, line=2)
     _wrap_invariant(path, 2, Table, schema, ())  # the schema, on its line
     parsers = [(kind, TABLE_KINDS[kind].parse) for _, kind in schema]
     rows, row_lines = [], []

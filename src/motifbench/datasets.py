@@ -4,7 +4,8 @@ Six payload kinds cover the toolkit: text corpora, relational tables, dense
 matrices, dense tensors, graphs, and key-value sets. Every constructor
 validates its invariants and raises InvariantError instead of silently
 normalizing; payloads are immutable after construction and safe to share
-across threads.
+across threads. A table is stored as its checked columns, and its rows are
+a view derived from them.
 
 Constructors check whole columns with C-level passes (the set of types,
 min/max, math.isfinite over all values, one join scanned for reserved
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import is_not
 from typing import Callable, NamedTuple, Union
 
 from .errors import InvariantError
@@ -126,14 +126,43 @@ class TextCorpus:
 
 @dataclass(frozen=True)
 class Table:
-    """Relational table with a (name, kind) schema; kinds: integer, real, string."""
+    """Relational table with a non-empty (name, kind) schema; kinds: integer,
+    real, string. Stored as its checked columns, one tuple each in schema
+    order; `rows` is a view derived from them."""
 
     schema: tuple[tuple[str, str], ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[tuple, ...]
 
     def __init__(self, schema, rows):
+        def transposed(arity):
+            norm = tuple(map(tuple, rows))
+            if set(map(len, norm)) - {arity}:
+                r = _first_bad(norm, lambda row: len(row) == arity)
+                raise InvariantError(f"row {r} has arity {len(norm[r])}, schema has {arity}")
+            return tuple(zip(*norm)) or ((),) * arity
+
+        self._store(schema, transposed)
+
+    @classmethod
+    def from_columns(cls, schema, columns) -> Table:
+        """The table of `columns`, one iterable of cells per schema entry."""
+        def checked(arity):
+            cols = tuple(map(tuple, columns))
+            if len(cols) != arity or len(set(map(len, cols))) > 1:
+                raise InvariantError(f"schema has {arity} columns, got {len(cols)} "
+                                     f"of lengths {tuple(map(len, cols))}")
+            return cols
+
+        table = cls.__new__(cls)
+        table._store(schema, checked)
+        return table
+
+    def _store(self, schema, columns: Callable[[int], tuple]):
+        """Check `schema`, then each column that `columns(arity)` returns; keep both."""
         norm_schema = tuple((n, k) for n, k in schema)
-        names, kinds = tuple(zip(*norm_schema)) or ((), ())
+        if not norm_schema:
+            raise InvariantError("empty table schema")
+        names, kinds = zip(*norm_schema)
         # Names appear unquoted in the table header line.
         _strings(names, lambda i: f"column name {names[i]!r}", ":,\n\r")
         if "" in names:
@@ -143,18 +172,14 @@ class Table:
         if not (set(map(type, kinds)) <= {str} and set(kinds) <= TABLE_KINDS.keys()):
             i = _first_bad(kinds, lambda k: type(k) is str and k in TABLE_KINDS)
             raise InvariantError(f"unknown column kind {kinds[i]!r} for column {names[i]!r}")
-        rows = tuple(map(tuple, rows))
-        arity = len(norm_schema)
-        if set(map(len, rows)) - {arity}:
-            r = _first_bad(rows, lambda row: len(row) == arity)
-            raise InvariantError(f"row {r} has arity {len(rows[r])}, schema has {arity}")
-        cols = tuple(zip(*rows)) or ((),) * arity
         stored = tuple(TABLE_KINDS[kind].check(col, lambda r: f"row {r} column {name!r}")
-                       for name, kind, col in zip(names, kinds, cols))
-        if any(map(is_not, stored, cols)):  # a real column held ints, now floats
-            rows = tuple(zip(*stored))
+                       for name, kind, col in zip(names, kinds, columns(len(names))))
         object.__setattr__(self, "schema", norm_schema)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "columns", stored)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self.columns))
 
     def column_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.schema):
@@ -163,7 +188,7 @@ class Table:
         raise KeyError(name)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ _KVS = frozenset({KIND_KV})
 def _components_table(g):
     labels = graphops.connected_components(g)
     schema = [("vertex", "integer"), ("component", "integer")]
-    return Table(schema, list(enumerate(labels)))
+    return Table.from_columns(schema, [range(len(labels)), labels])
 
 
 def _pagerank_matrix(g, damping, max_iters, tol):

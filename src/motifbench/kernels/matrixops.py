@@ -1,5 +1,7 @@
-"""Matrix-family kernels: multiplication, elementwise combination, the dense
-layer, and the sigmoid/tanh activations this catalog tags as matrix work.
+"""Matrix-family kernels: multiplication, elementwise combination and the
+dense layer. The sigmoid/tanh activations this catalog tags as matrix work
+are logic.elementwise_activation partials, registered under the matrix
+family in the kernel registry.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ stream, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add
 
 from ..datasets import Matrix, Table, Tensor, TextCorpus
@@ -20,7 +20,8 @@ def random_sample(data, fraction: float, seed: int):
     rng = SplitMix64(seed)
     if isinstance(data, TextCorpus):
         return TextCorpus([line for line in data.documents if rng.random() < fraction])
-    return Table(data.schema, [row for row in data.rows if rng.random() < fraction])  # a Table
+    keep = [rng.random() < fraction for _ in range(len(data))]  # a Table
+    return Table.from_columns(data.schema, [compress(col, keep) for col in data.columns])
 
 
 def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:

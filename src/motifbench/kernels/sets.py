@@ -4,17 +4,13 @@ and the relational operators (which this catalog files under set computation).
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import add, eq, ge, gt, le, lt, ne
+
 from ..datasets import TABLE_KINDS, KeyValueSet, Table, TextCorpus
 from ..errors import KernelError
 
-_COMPARATORS = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+_COMPARATORS = {"lt": lt, "le": le, "gt": gt, "ge": ge, "eq": eq, "ne": ne}
 
 
 def grep(corpus: TextCorpus, pattern: str) -> TextCorpus:
@@ -40,9 +36,7 @@ def project(t: Table, columns: list[str]) -> Table:
         idx = [t.column_index(c) for c in columns]
     except KeyError as exc:
         raise KernelError(f"unknown column {exc.args[0]!r}") from None
-    schema = [t.schema[i] for i in idx]
-    rows = [tuple(row[i] for i in idx) for row in t.rows]
-    return Table(schema, rows)
+    return Table.from_columns([t.schema[i] for i in idx], [t.columns[i] for i in idx])
 
 
 def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
@@ -57,12 +51,12 @@ def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
         lit = TABLE_KINDS[kind].parse(value)
     except ValueError:
         raise KernelError(f"literal {value!r} is not a valid {kind}") from None
-    pred = _COMPARATORS[cmp]
-    return Table(t.schema, [row for row in t.rows if pred(row[i], lit)])
+    keep = list(map(_COMPARATORS[cmp], t.columns[i], repeat(lit)))
+    return Table.from_columns(t.schema, [compress(col, keep) for col in t.columns])
 
 
 def table_union(a: Table, b: Table) -> Table:
     """Bag-semantics union: concatenation; schemas must match exactly."""
     if a.schema != b.schema:
         raise KernelError(f"schema mismatch on union: {a.schema} vs {b.schema}")
-    return Table(a.schema, list(a.rows) + list(b.rows))
+    return Table.from_columns(a.schema, map(add, a.columns, b.columns))

@@ -5,16 +5,9 @@ counting, and the two normalization layers.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 
-from ..datasets import (
-    Graph,
-    KeyValueSet,
-    Matrix,
-    Payload,
-    Table,
-    Tensor,
-    TextCorpus,
-)
+from ..datasets import Graph, KeyValueSet, Matrix, Payload, Table, Tensor, TextCorpus
 from ..errors import KernelError
 
 
@@ -38,18 +31,12 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     except KeyError:
         raise KernelError(f"unknown column {group!r}") from None
     group_kind = t.schema[gi][1]
+    keys = t.columns[gi]
 
     if agg == "count":
-        order = []
-        counts: dict[object, int] = {}
-        for row in t.rows:
-            key = row[gi]
-            if key not in counts:
-                order.append(key)
-                counts[key] = 0
-            counts[key] += 1
+        counts = Counter(keys)
         schema = [(group, group_kind), ("count", "integer")]
-        return Table(schema, [(k, counts[k]) for k in order])
+        return Table.from_columns(schema, [counts, counts.values()])
 
     try:
         ti = t.column_index(target)
@@ -59,41 +46,30 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     if target_kind not in ("integer", "real"):
         raise KernelError(f"{agg} target {target!r} must be numeric, is {target_kind}")
 
-    order = []
-    values: dict[object, list[float]] = {}
-    for row in t.rows:
-        key = row[gi]
-        if key not in values:
-            order.append(key)
-            values[key] = []
-        values[key].append(row[ti])
+    values: dict[object, list] = defaultdict(list)
+    for key, value in zip(keys, t.columns[ti]):
+        values[key].append(value)
 
     if agg == "sum":
-        if target_kind == "integer":
-            schema = [(group, group_kind), (f"sum_{target}", "integer")]
-            return Table(schema, [(k, sum(values[k])) for k in order])
-        schema = [(group, group_kind), (f"sum_{target}", "real")]
-        return Table(schema, [(k, math.fsum(values[k])) for k in order])
+        total = sum if target_kind == "integer" else math.fsum
+        schema = [(group, group_kind), (f"sum_{target}", target_kind)]
+        return Table.from_columns(schema, [values, map(total, values.values())])
 
     schema = [(group, group_kind), (f"avg_{target}", "real")]
-    return Table(schema, [(k, math.fsum(values[k]) / len(values[k])) for k in order])
+    return Table.from_columns(schema, [values, [math.fsum(v) / len(v) for v in values.values()]])
 
 
 def count_records(payload: Payload) -> KeyValueSet:
     """Record count of any payload: lines, rows, matrix rows, leading tensor
     dimension, edges, or entries."""
-    if isinstance(payload, TextCorpus):
-        n = len(payload.documents)
-    elif isinstance(payload, Table):
-        n = len(payload.rows)
-    elif isinstance(payload, Matrix):
+    if isinstance(payload, Matrix):
         n = payload.rows
     elif isinstance(payload, Tensor):
         n = payload.shape[0]
     elif isinstance(payload, Graph):
         n = len(payload.edges)
-    else:  # KeyValueSet
-        n = len(payload.entries)
+    else:  # a TextCorpus, Table or KeyValueSet
+        n = len(payload)
     return KeyValueSet({"count": str(n)})
 
 

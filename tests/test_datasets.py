@@ -76,6 +76,46 @@ def test_table_duplicate_column_rejected():
         Table([("a", "integer"), ("a", "real")], [])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Table([], [(), ()]),
+    lambda: Table.from_columns([], []),
+], ids=["rows", "columns"])
+def test_table_with_no_columns_is_refused(build):
+    # it would save as a file whose empty schema line does not load back
+    with pytest.raises(InvariantError, match="empty table schema"):
+        build()
+
+
+SCHEMA = [("a", "integer"), ("b", "real")]
+
+
+def test_from_columns_stores_checked_columns():
+    t = Table.from_columns(SCHEMA, [range(3), [1, 2.5, -0.0]])
+    assert t.columns == ((0, 1, 2), (1.0, 2.5, -0.0))
+    assert isinstance(t.columns[1][0], float)
+    assert t.rows == ((0, 1.0), (1, 2.5), (2, -0.0)) and len(t) == 3
+
+
+@pytest.mark.parametrize("columns", [
+    [(1, 2)],
+    [(1, 2), (0.5, 1.5), ("x", "y")],
+    [(1, 2), (0.5,)],
+    [(1,), (0.5, 1.5)],
+], ids=["too few", "too many", "shorter", "longer"])
+def test_from_columns_refuses_a_wrong_count_or_unequal_lengths(columns):
+    with pytest.raises(InvariantError, match="schema has 2 columns"):
+        Table.from_columns(SCHEMA, columns)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cells: Table(SCHEMA, zip(range(len(cells)), cells)),
+    lambda cells: Table.from_columns(SCHEMA, [range(len(cells)), cells]),
+], ids=["rows", "columns"])
+def test_a_bad_cell_is_named_by_row_and_column(build):
+    with pytest.raises(InvariantError, match=r"^row 2 column 'b' must be finite, got inf$"):
+        build([0.5, 1, math.inf, -math.inf])
+
+
 def test_matrix_shape_and_finiteness():
     m = Matrix(2, 2, [1, 2, 3, 4])
     assert m.at(1, 0) == 3.0

@@ -4,7 +4,9 @@ Whatever bytes a dataset file holds, load_dataset returns a payload that can
 be checksummed or raises FormatError; whatever a spec file says, parse_spec
 returns a spec or raises SpecError; a payload saved and loaded back keeps
 its checksum; payload_size is the length of canonical_bytes, and a table
-encodes as its cells do one at a time; and a corpus, table or key-value set
+encodes as its cells do one at a time; a table built from its columns equals
+the table built from its rows; each table kernel returns what its row-form
+reference in tests/oracles.py returns; and a corpus, table or key-value set
 with one bad value is refused or stored just as the scalar loops in
 tests/oracles.py do.
 """
@@ -139,6 +141,18 @@ def test_payload_size_is_the_canonical_length(payload):
                      [(-0.0, -1, 2**63 - 1), (1e-300, -2**63, 0)]))
 def test_canonical_bytes_of_a_table_as_encoded_cell_by_cell(table):
     assert canonical_bytes(table) == scalar_table_bytes(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_table_from_its_columns_equals_the_table_from_its_rows(data):
+    kinds = data.draw(st.lists(st.sampled_from(list(TABLE_KINDS)), min_size=1, max_size=4))
+    schema = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    rows = data.draw(table_rows(kinds, int_or_finite))
+    by_rows = Table(schema, rows)
+    by_columns = Table.from_columns(schema, zip(*rows) if rows else [()] * len(kinds))
+    assert (by_columns.schema, by_columns.columns) == (by_rows.schema, by_rows.columns)
+    assert checksum_payload(by_columns) == checksum_payload(by_rows)
 
 
 @settings(max_examples=150, deadline=None,
