@@ -15,8 +15,6 @@ import functools
 import json
 import math
 import os
-import shlex
-import subprocess
 import sys
 
 from . import generators, similarity, topdown, workload
@@ -52,6 +50,7 @@ def _flag_type(convert, accept, rule: str):
 _positive_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _positive_float = _flag_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _variance_fraction = _flag_type(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_label = _flag_type(str, bool, "a non-empty label")
 
 
 def _say(args, message: str):
@@ -201,7 +200,12 @@ def cmd_run(args) -> int:
 def _collector(template: str, duration: float, samples: list):
     """Run the collector command across one repeat's invocations and append
     the sample parsed from its stdout. A kernel failure inside the window
-    still reaps the collector and stays the error reported."""
+    still reaps the collector and stays the error reported. subprocess and
+    shlex are imported here, by their only user, to spare every other
+    command their import."""
+    import shlex
+    import subprocess
+
     command = template.replace("{pid}", str(os.getpid()))
     argv = shlex.split(command.replace("{duration}", f"{duration:g}"))
     if not argv:
@@ -225,7 +229,7 @@ def cmd_analyze(args) -> int:
     samples = [topdown.load_sample(path, width=args.width, mapping=mapping)
                for path in args.events]
     sample = topdown.average_samples(samples)
-    if args.label:
+    if args.label is not None:
         sample.label = args.label
     tree = topdown.builtin_tree() if args.tree == "builtin" else topdown.load_tree(args.tree)
 
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tree", default="builtin", help="builtin or a tree JSON file")
     analyze.add_argument("--mapping", help="abstract,platform event-name mapping CSV")
     analyze.add_argument("--width", type=_positive_int, help="issue width override")
-    analyze.add_argument("--label", help="label override for the metric vector")
+    analyze.add_argument("--label", type=_label, help="label override for the metric vector")
     analyze.add_argument("-o", "--output", help="write breakdown JSON here")
     analyze.add_argument("--vector-out", help="append the metric vector to this CSV")
     analyze.set_defaults(func=cmd_analyze)

@@ -12,16 +12,51 @@ min/max, math.isfinite over all values, one join scanned for reserved
 characters and encoded as UTF-8); only after a check fails does a Python
 scan name the bad value.
 TABLE_KINDS holds each table column kind's column check and text parser.
+Record is the base of motifbench's validating and mutable record classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Union
 
 from .errors import InvariantError
+
+
+class Record:
+    """Equality, hash and repr over the fields named in `_fields`, in order,
+    as a frozen dataclass gives them. Assignment and deletion raise
+    AttributeError: a constructor stores its fields through `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # Payload kind tags, used by the kernel registry and workload type-checker.
 KIND_TEXT = "text"
@@ -109,29 +144,25 @@ TABLE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class TextCorpus:
+class TextCorpus(Record):
     """Ordered list of text lines. Lines must not contain line terminators,
     which guarantees the one-document-per-line file format round-trips."""
 
-    documents: tuple[str, ...]
+    __slots__ = _fields = ("documents",)
 
     def __init__(self, documents):
-        docs = _strings(tuple(documents), lambda i: f"document {i}", "\n\r")
-        object.__setattr__(self, "documents", docs)
+        self._set(documents=_strings(tuple(documents), lambda i: f"document {i}", "\n\r"))
 
     def __len__(self) -> int:
         return len(self.documents)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """Relational table with a non-empty (name, kind) schema; kinds: integer,
     real, string. Stored as its checked columns, one tuple each in schema
     order; `rows` is a view derived from them."""
 
-    schema: tuple[tuple[str, str], ...]
-    columns: tuple[tuple, ...]
+    __slots__ = _fields = ("schema", "columns")
 
     def __init__(self, schema, rows):
         def transposed(arity):
@@ -174,8 +205,7 @@ class Table:
             raise InvariantError(f"unknown column kind {kinds[i]!r} for column {names[i]!r}")
         stored = tuple(TABLE_KINDS[kind].check(col, lambda r: f"row {r} column {name!r}")
                        for name, kind, col in zip(names, kinds, columns(len(names))))
-        object.__setattr__(self, "schema", norm_schema)
-        object.__setattr__(self, "columns", stored)
+        self._set(schema=norm_schema, columns=stored)
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -191,13 +221,10 @@ class Table:
         return len(self.columns[0])
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Dense row-major real matrix."""
 
-    rows: int
-    cols: int
-    data: tuple[float, ...]
+    __slots__ = _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data):
         for what, count in (("rows", rows), ("cols", cols)):
@@ -206,9 +233,7 @@ class Matrix:
         values = _reals(tuple(data), lambda i: "matrix values")
         if len(values) != rows * cols:
             raise InvariantError(f"data length {len(values)} != rows*cols = {rows * cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", values)
+        self._set(rows=rows, cols=cols, data=values)
 
     def at(self, i: int, j: int) -> float:
         return self.data[i * self.cols + j]
@@ -217,12 +242,10 @@ class Matrix:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record):
     """Dense row-major real tensor of arbitrary rank."""
 
-    shape: tuple[int, ...]
-    data: tuple[float, ...]
+    __slots__ = _fields = ("shape", "data")
 
     def __init__(self, shape, data):
         dims = tuple(shape)
@@ -233,8 +256,7 @@ class Tensor:
         values = _reals(tuple(data), lambda i: "tensor values")
         if len(values) != size:
             raise InvariantError(f"data length {len(values)} != product(shape) = {size}")
-        object.__setattr__(self, "shape", dims)
-        object.__setattr__(self, "data", values)
+        self._set(shape=dims, data=values)
 
     @property
     def rank(self) -> int:
@@ -247,8 +269,7 @@ class Tensor:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Edge list over vertices 0..vertex_count-1.
 
     Self-loops and duplicate edges are allowed; kernels define their own
@@ -256,9 +277,7 @@ class Graph:
     multiplicity).
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    directed: bool
+    __slots__ = _fields = ("vertex_count", "edges", "directed")
 
     def __init__(self, vertex_count: int, edges, directed: bool = True):
         # the canonical encoding stores the count as an unsigned 64-bit integer
@@ -273,16 +292,13 @@ class Graph:
                            and 0 <= min(e) <= max(e) < vertex_count)
             raise InvariantError(f"edge {k} endpoint out of range or not an integer: "
                                  f"{norm[k]!r} with vertex_count {vertex_count}")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", norm)
-        object.__setattr__(self, "directed", bool(directed))
+        self._set(vertex_count=vertex_count, edges=norm, directed=bool(directed))
 
 
-@dataclass(frozen=True)
-class KeyValueSet:
+class KeyValueSet(Record):
     """String-keyed, string-valued set; keys unique by construction."""
 
-    entries: dict[str, str]
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries):
         pairs = tuple(map(tuple, entries.items() if isinstance(entries, dict) else entries))
@@ -294,7 +310,7 @@ class KeyValueSet:
         norm = dict(pairs)  # refuses a pair of any other length
         if len(norm) < len(pairs):
             raise InvariantError(f"duplicate key {_first_repeat(keys)!r}")
-        object.__setattr__(self, "entries", norm)
+        self._set(entries=norm)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -319,14 +335,14 @@ def kind_of(payload: Payload) -> str:
         raise InvariantError(f"not a dataset payload: {type(payload).__name__}") from None
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """A validated payload, as loaded from a file or generated."""
 
-    payload: Payload
+    __slots__ = _fields = ("payload",)
 
-    def __post_init__(self):
-        kind_of(self.payload)  # raises on foreign objects
+    def __init__(self, payload: Payload):
+        kind_of(payload)  # raises on foreign objects
+        self._set(payload=payload)
 
     @property
     def kind(self) -> str:

@@ -30,14 +30,15 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .dataio import load_dataset, resolve_path
 from .datasets import (
     Dataset,
     Graph,
     Matrix,
+    Record,
     Table,
     Tensor,
     TextCorpus,
@@ -89,10 +90,11 @@ DEFAULT_SEED_CORPUS = TextCorpus([
 # distributions
 
 
-@dataclass(frozen=True)
-class Uniform:
-    lo: float = 0.0
-    hi: float = 1.0
+class Uniform(Record):
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: float = 0.0, hi: float = 1.0):
+        self._set(lo=lo, hi=hi)
 
     def draws(self, rng: SplitMix64, n: int) -> list[float]:
         """n values of rng.uniform(lo, hi), from one bulk draw."""
@@ -100,10 +102,11 @@ class Uniform:
         return [lo + span * ((z >> 11) * (1.0 / (1 << 53))) for z in rng.u64s(n)]
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    mu: float = 0.0
-    sigma: float = 1.0
+class Gaussian(Record):
+    __slots__ = _fields = ("mu", "sigma")
+
+    def __init__(self, mu: float = 0.0, sigma: float = 1.0):
+        self._set(mu=mu, sigma=sigma)
 
     def draws(self, rng: SplitMix64, n: int) -> list[float]:
         """n Box-Muller draws from rng, in bulk (see SplitMix64.gausses)."""
@@ -354,8 +357,7 @@ def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Ta
 # GenSpec: declarative form used by workload inputs and the CLI
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     kind: str
     rng_seed: int
     params: tuple[tuple[str, object], ...]  # checked values; a tensor's shape as a tuple

@@ -16,9 +16,9 @@ params, which coerce_params checks against the schema, and checks only operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 from ..datasets import (
     ALL_KINDS,
@@ -41,14 +41,13 @@ FAMILIES = ("matrix", "sampling", "transform", "graph", "logic", "set", "sort", 
 SAME_AS_INPUT = "same"
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     family: str
     name: str
     input_kinds: tuple[frozenset, ...]
     output_kind: str  # concrete kind, or SAME_AS_INPUT
     fn: Callable[..., Payload]  # called as fn(*operands, **coerced params)
-    params: dict[str, ParamSpec] = field(default_factory=dict)
+    params: dict[str, ParamSpec] = MappingProxyType({})
     check: Optional[Callable[[dict], None]] = None  # checks the schema cannot state
 
     @property
@@ -264,4 +263,4 @@ for _spec in _KERNELS:
     _register(_spec)
 del _spec
 # set.select is the relational name for set.filter: one kernel, one schema.
-_register(replace(REGISTRY["set.filter"], name="select"))
+_register(REGISTRY["set.filter"]._replace(name="select"))

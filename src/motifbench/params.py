@@ -9,12 +9,10 @@ errors stay KernelError and generator errors stay InvariantError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     kind: str  # int | float | str
     required: bool = False
     default: object = None

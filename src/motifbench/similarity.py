@@ -27,10 +27,11 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from operator import add, itemgetter, mul
+from typing import NamedTuple
 
 from .dataio import _decode, csv_records, open_output, read_input
+from .datasets import Record
 from .errors import InvariantError
 from .topdown import MetricVector
 
@@ -86,8 +87,7 @@ def standardize(vectors: list[MetricVector]) -> tuple[list[str], list[list[float
 # PCA
 
 
-@dataclass(frozen=True)
-class PcaResult:
+class PcaResult(NamedTuple):
     components: tuple[tuple[float, ...], ...]  # k rows, each a unit d-vector
     projected: tuple[tuple[float, ...], ...]  # n rows, k columns
     explained: tuple[float, ...]  # all d ratios, descending
@@ -235,8 +235,7 @@ def euclidean(a, b) -> float:
     return math.sqrt(_finite_fsum(((x - y) ** 2 for x, y in zip(a, b)), "a distance"))
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     a: int
     b: int
     distance: float
@@ -244,17 +243,14 @@ class MergeStep:
     size: int
 
 
-@dataclass(frozen=True)
-class Dendrogram:
-    leaf_count: int
-    merges: tuple[MergeStep, ...]
+class Dendrogram(Record):
+    __slots__ = _fields = ("leaf_count", "merges")
 
-    def __post_init__(self):
-        if len(self.merges) != self.leaf_count - 1:
+    def __init__(self, leaf_count: int, merges: tuple[MergeStep, ...]):
+        if len(merges) != leaf_count - 1:
             raise InvariantError(
-                f"{self.leaf_count} leaves need {self.leaf_count - 1} merges, "
-                f"got {len(self.merges)}"
-            )
+                f"{leaf_count} leaves need {leaf_count - 1} merges, got {len(merges)}")
+        self._set(leaf_count=leaf_count, merges=merges)
 
 
 def hcluster(points: list, linkage: str = "average") -> Dendrogram:

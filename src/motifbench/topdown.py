@@ -42,10 +42,10 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dataio import read_input
+from .datasets import Record
 from .errors import EventError, FormulaError, MissingEventsError
 from .floatsum import left_sum
 
@@ -177,22 +177,24 @@ def eval_formula(parsed, env: dict, where: str) -> float:
 # event samples
 
 
-@dataclass
-class EventSample:
+class EventSample(Record):
     """Named event counts plus collection metadata. events always names the
-    cycle count: construction sets events["cycles"] to cycles."""
+    cycle count: construction sets events["cycles"] to cycles. A sample is
+    mutable and so unhashable."""
 
-    events: dict[str, float]
-    width: int = DEFAULT_ISSUE_WIDTH
-    cycles: float = 0.0
-    label: str = ""
+    __slots__ = _fields = ("events", "width", "cycles", "label")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise EventError(f"issue width must be >= 1, got {self.width}")
-        if not self.cycles > 0:
-            raise EventError(f"cycles must be present and > 0, got {self.cycles}")
-        self.events = {**self.events, "cycles": self.cycles}
+    def __init__(self, events: dict[str, float], width: int = DEFAULT_ISSUE_WIDTH,
+                 cycles: float = 0.0, label: str = ""):
+        if width < 1:
+            raise EventError(f"issue width must be >= 1, got {width}")
+        if not cycles > 0:
+            raise EventError(f"cycles must be present and > 0, got {cycles}")
+        self.events = {**events, "cycles": cycles}
+        self.width, self.cycles, self.label = width, cycles, label
         for name, count in self.events.items():
             if not math.isfinite(count):
                 raise EventError(f"event {name!r} has non-finite count {count!r}")
@@ -294,8 +296,7 @@ def average_samples(samples: list[EventSample]) -> EventSample:
 # metric trees
 
 
-@dataclass(frozen=True)
-class MetricNode:
+class MetricNode(NamedTuple):
     name: str
     formula: str
     expected_fraction: bool = True
@@ -316,24 +317,23 @@ def _preorder(roots):
 META_NAMES = ("meta.width", "meta.cycles")
 
 
-@dataclass(frozen=True)
-class MetricTree:
+class MetricTree(Record):
     """A validated metric hierarchy. Construction parses every formula once;
     a formula may name events, META_NAMES and metrics evaluated before it."""
 
-    roots: tuple[MetricNode, ...]
-    # derived from roots, so left out of equality: name -> parse_formula's
-    # (code, names) in evaluation order, and the events the formulas need
-    _parsed: dict = field(init=False, compare=False, repr=False)
-    _events: frozenset = field(init=False, compare=False, repr=False)
+    # _parsed and _events derive from roots, so they are left out of
+    # equality: name -> parse_formula's (code, names) in evaluation order,
+    # and the events the formulas need
+    __slots__ = ("roots", "_parsed", "_events")
+    _fields = ("roots",)
 
-    def __post_init__(self):
-        if not self.roots:
+    def __init__(self, roots: tuple[MetricNode, ...]):
+        if not roots:
             raise EventError("metric tree has no root")
         parsed: dict = {}
         events: set[str] = set()
-        later = {node.name for node, _ in _preorder(self.roots)}
-        for node, depth in _preorder(self.roots):
+        later = {node.name for node, _ in _preorder(roots)}
+        for node, depth in _preorder(roots):
             if depth > 5:
                 raise EventError(f"tree deeper than 5 levels at {node.name!r}")
             if node.name in parsed:
@@ -349,15 +349,13 @@ class MetricTree:
                     raise FormulaError(f"{node.name}: unknown metadata name {ref!r}")
                 if ref not in parsed and ref not in META_NAMES:
                     events.add(ref)
-        object.__setattr__(self, "_parsed", parsed)
-        object.__setattr__(self, "_events", frozenset(events))
+        self._set(roots=roots, _parsed=parsed, _events=frozenset(events))
 
     def required_events(self) -> set[str]:
         return set(self._events)
 
 
-@dataclass(frozen=True)
-class BreakdownNode:
+class BreakdownNode(NamedTuple):
     name: str
     fraction: float
     negative_artifact: bool = False
@@ -625,18 +623,16 @@ def ms_uops_ratio(sample: EventSample) -> float:
 # metric vectors
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    label: str
-    names: tuple[str, ...]
-    values: tuple[float, ...]
+class MetricVector(Record):
+    __slots__ = _fields = ("label", "names", "values")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
+    def __init__(self, label: str, names: tuple[str, ...], values: tuple[float, ...]):
+        if len(names) != len(values):
             raise EventError("metric vector names/values length mismatch")
-        for name, value in zip(self.names, self.values):
+        for name, value in zip(names, values):
             if not math.isfinite(value):
                 raise EventError(f"metric {name!r} has non-finite value {value!r}")
+        self._set(label=label, names=names, values=values)
 
 
 def to_metric_vector(

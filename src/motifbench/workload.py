@@ -27,9 +27,9 @@ import contextlib
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ContextManager, Optional
+from types import MappingProxyType
+from typing import Callable, ContextManager, NamedTuple, Optional
 
 from . import generators
 from .dataio import (
@@ -41,7 +41,7 @@ from .dataio import (
     resolve_path,
     save_dataset,
 )
-from .datasets import ALL_KINDS, Dataset
+from .datasets import ALL_KINDS, Dataset, Record
 from .errors import (
     FormatError,
     InvariantError,
@@ -52,8 +52,7 @@ from .errors import (
 from .kernels import REGISTRY, SAME_AS_INPUT, get_kernel
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     line: Optional[int] = None
 
@@ -63,8 +62,7 @@ class Diagnostic:
         return self.message
 
 
-@dataclass(frozen=True)
-class InputDecl:
+class InputDecl(NamedTuple):
     dataset_id: str
     line: int
     kind: str
@@ -72,17 +70,18 @@ class InputDecl:
     genspec: Optional[generators.GenSpec] = None
 
 
-@dataclass(frozen=True)
-class MotifInvocation:
+class MotifInvocation(Record):
     """One `node` line. `params` holds each parameter's text as written.
     `kernel_params` is that text coerced by the kernel's schema, once:
-    validate_spec computes it, and execute passes the same dict to the kernel."""
+    validate_spec computes it, and execute passes the same dict to the kernel.
+    It has no __slots__: cached_property keeps kernel_params in __dict__."""
 
-    result_id: str
-    motif: str
-    operands: tuple[str, ...]
-    params: tuple[tuple[str, str], ...]
-    line: int
+    _fields = ("result_id", "motif", "operands", "params", "line")
+
+    def __init__(self, result_id: str, motif: str, operands: tuple[str, ...],
+                 params: tuple[tuple[str, str], ...], line: int):
+        self._set(result_id=result_id, motif=motif, operands=operands, params=params,
+                  line=line)
 
     @cached_property
     def kernel_params(self) -> dict:
@@ -90,23 +89,20 @@ class MotifInvocation:
         return get_kernel(self.motif).coerce_params(dict(self.params))
 
 
-@dataclass(frozen=True)
-class OutputDecl:
+class OutputDecl(NamedTuple):
     dataset_id: str
     path: str
     line: int
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     name: str
     inputs: tuple[InputDecl, ...]
     invocations: tuple[MotifInvocation, ...]
     outputs: tuple[OutputDecl, ...]
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     dataset_id: str
     motif: str
     wall_ns: int
@@ -114,14 +110,13 @@ class InvocationRecord:
     out_bytes: int
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     workload: str
     repeat_index: int
     invocations: tuple[InvocationRecord, ...]
     total_ns: int
-    family_fractions: dict[str, float] = field(default_factory=dict)
-    output_checksums: dict[str, int] = field(default_factory=dict)
+    family_fractions: dict[str, float] = MappingProxyType({})
+    output_checksums: dict[str, int] = MappingProxyType({})
 
 
 class WorkloadRuntimeError(MotifBenchError):
@@ -498,7 +493,7 @@ def report_document(reports: list[RunReport], counters: Optional[dict] = None) -
                     for rec in rep.invocations
                 ],
                 "total_ns": rep.total_ns,
-                "family_fractions": rep.family_fractions,
+                "family_fractions": dict(rep.family_fractions),
                 "output_checksums": {k: checksum_hex(v) for k, v in rep.output_checksums.items()},
             }
             for rep in reports

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -919,3 +920,31 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
     subcommands = {argv[1] for argv in commands}
     assert subcommands == {"generate", "validate", "run", "list-motifs", "analyze", "cluster"}
+
+
+@pytest.mark.parametrize("label", ["", "override"])
+def test_analyze_label_must_be_non_empty(tmp_path, capsys, label):
+    dump = tmp_path / "d.csv"
+    write_sample(golden_sample(0.25, label="dump"), str(dump))
+    out = tmp_path / "b.json"
+    code = run_cli("analyze", "--events", str(dump), "--label", label, "-o", str(out))
+    captured = capsys.readouterr()
+    if label:
+        assert code == 0
+        assert json.loads(out.read_text())["label"] == label
+        return
+    assert code == 2
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --label: must be a non-empty label, got ''")
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_module_that_only_some_commands_need():
+    # Fresh interpreter without site, which may load some of these itself;
+    # the cmd: collector imports subprocess and shlex when it runs.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motifbench.__file__)))
+    unwanted = ("dataclasses", "inspect", "subprocess", "shlex", "importlib.resources")
+    code = f"import motifbench.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"

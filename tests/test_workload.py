@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -18,6 +17,7 @@ from motifbench.kernels.transform import matrix_fft2d, matrix_ifft2d
 from motifbench.workload import (
     Diagnostic,
     InvocationRecord,
+    MotifInvocation,
     RunReport,
     WorkloadRuntimeError,
     execute,
@@ -125,11 +125,9 @@ def test_validate_arity_diagnostic():
         "node c = matrix.multiply(a, b)\n"
     )
     # strip one operand via object surgery to exercise validate_spec directly
-    import dataclasses
-
-    broken = dataclasses.replace(
-        spec,
-        invocations=(dataclasses.replace(spec.invocations[0], operands=("a",)),),
+    inv = spec.invocations[0]
+    broken = spec._replace(
+        invocations=(MotifInvocation(inv.result_id, inv.motif, ("a",), inv.params, inv.line),),
     )
     diags = validate_spec(broken)
     assert any("takes 2 operand(s)" in d.message for d in diags)
@@ -209,7 +207,7 @@ def test_execute_repeat_that_differs_names_the_output(tmp_path, monkeypatch):
         calls.append(None)
         return TextCorpus([f"call {len(calls)}"])
 
-    kspec = dataclasses.replace(REGISTRY["sort.sort"], fn=drifting)
+    kspec = REGISTRY["sort.sort"]._replace(fn=drifting)
     monkeypatch.setitem(REGISTRY, "sort.sort", kspec)
     spec = parse_spec(GOOD_SPEC.format(out="out/x.matrix"))
     with pytest.raises(WorkloadRuntimeError) as err:
