@@ -25,9 +25,9 @@ from .errors import InvariantError
 
 
 class Record:
-    """Equality, hash and repr over the fields named in `_fields`, in order,
-    as a frozen dataclass gives them. Assignment and deletion raise
-    AttributeError: a constructor stores its fields through `_set`."""
+    """Equality, hash and repr over the fields named in `_fields`, in order.
+    Assignment and deletion raise AttributeError: a constructor stores its
+    fields through `_set`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
