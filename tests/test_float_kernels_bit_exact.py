@@ -1,10 +1,10 @@
 """The float kernels and the gaussian generator against their scalar
 references, compared as little-endian binary64 bytes, not within a tolerance.
 
-The batched FFT, the gather-and-fold convolution, tap-column pooling and the
-bulk Box-Muller draw each keep the floating-point operations of one output in
-the order the scalar loops in `oracles` perform them, so every output must
-carry the same bits, signed zeros included.
+The batched FFT, the gather-and-fold convolution, tap-column pooling, matrix
+multiply and the bulk Box-Muller draw each keep the floating-point operations
+of one output in the order the scalar loops in `oracles` perform them, so
+every output must carry the same bits, signed zeros included.
 """
 
 import random
@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifbench.datasets import Matrix, Tensor
+from motifbench.errors import InvariantError
 from motifbench.generators import Gaussian
+from motifbench.kernels.matrixops import matmul
 from motifbench.kernels.sampling import pool
 from motifbench.kernels.transform import (
     _fft2d_rows,
@@ -32,6 +34,7 @@ from .oracles import (
     scalar_fft,
     scalar_fft2d,
     scalar_gaussian_draws,
+    triple_loop_matmul,
     window_pool,
 )
 
@@ -157,6 +160,33 @@ def test_pool_single_tap_window(mode, stride):
     assert bits(got.data) == bits(window_pool(x.shape, x.data, 1, stride, mode))
     if stride == 1 and mode == "max":
         assert bits(got.data) == bits(x.data)
+
+
+# ---------------------------------------------------------------------------
+# matrix multiply
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 9), k=st.integers(1, 40),
+       m=st.integers(1, 9))
+def test_matmul_bit_equal_to_triple_loop(seed, n, k, m):
+    rng = random.Random(seed)
+    a = Matrix(n, k, edge_doubles(rng, n * k))
+    b = Matrix(k, m, edge_doubles(rng, k * m))
+    assert bits(matmul(a, b).data) == bits(triple_loop_matmul(n, k, a.data, m, b.data))
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (Matrix(1, 2, [1e200, 1e200]), Matrix(2, 1, [1e200, -1e200]), "got nan"),
+    (Matrix(1, 1, [1e200]), Matrix(1, 1, [-1e200]), "got -inf"),
+    (Matrix(2, 2, [1.0, 1e200, 2.0, 3.0]), Matrix(2, 2, [1.0, 2.0, 1e200, 4.0]), "got inf"),
+])
+def test_matmul_overflow_raises_on_the_first_non_finite_output(a, b, message):
+    # An overflowing product leaves an inf (or an inf - inf nan) in the
+    # output, which the result matrix rejects, naming the first such value.
+    with pytest.raises(InvariantError) as info:
+        matmul(a, b)
+    assert str(info.value) == f"matrix values must be finite, {message}"
 
 
 # ---------------------------------------------------------------------------
