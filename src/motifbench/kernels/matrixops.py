@@ -11,6 +11,7 @@ from operator import add, mul, sub
 
 from ..datasets import Matrix, Tensor
 from ..errors import KernelError
+from ..floatsum import left_sum
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -18,17 +19,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise KernelError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     n, k, m = a.rows, a.cols, b.cols
-    # Walk b by rows (contiguous) and accumulate into the output row: one pass
-    # per a-element instead of gathering a strided b-column per output cell.
-    out = [0.0] * (n * m)
+    # Gather each b column once; each output folds its row-by-column products
+    # from 0 in k order, as the triple loop adds them.
+    bcols = [b.data[j::m] for j in range(m)]
+    out = []
     for i in range(n):
         arow = a.data[i * k : (i + 1) * k]
-        obase = i * m
-        for kk in range(k):
-            aik = arow[kk]
-            brow = b.data[kk * m : (kk + 1) * m]
-            for j in range(m):
-                out[obase + j] += aik * brow[j]
+        out += [left_sum(map(mul, arow, bcol)) for bcol in bcols]
     return Matrix(n, m, out)
 
 

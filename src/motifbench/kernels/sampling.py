@@ -52,7 +52,9 @@ def downsample(m: Matrix, factor: int) -> Matrix:
     """Keep every factor-th row and column starting at (0, 0)."""
     rows = (m.rows + factor - 1) // factor
     cols = (m.cols + factor - 1) // factor
-    out = [m.at(i * factor, j * factor) for i in range(rows) for j in range(cols)]
+    out = []
+    for i in range(0, m.rows, factor):
+        out += m.data[i * m.cols : (i + 1) * m.cols : factor]
     return Matrix(rows, cols, out)
 
 

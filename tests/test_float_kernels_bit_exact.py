@@ -7,14 +7,19 @@ of one output in the order the scalar loops in `oracles` perform them, so
 every output must carry the same bits, signed zeros included.
 """
 
+import math
+import operator
 import random
 import struct
+import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifbench.datasets import Matrix, Tensor
 from motifbench.errors import InvariantError
+from motifbench.floatsum import _reduce_sum, left_sum
 from motifbench.generators import Gaussian
 from motifbench.kernels.matrixops import matmul
 from motifbench.kernels.sampling import pool
@@ -55,6 +60,45 @@ def bits(values) -> bytes:
 
 def complex_bits(values) -> bytes:
     return bits(p for z in values for p in (z.real, z.imag))
+
+
+# ---------------------------------------------------------------------------
+# the left fold every float kernel adds with
+
+FOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, math.inf, -math.inf,
+                     1e308, -1e308, 1e16, -1e16, 0, 1, -1]),
+    st.floats(allow_nan=False),
+    st.integers(-2**70, 2**70),
+)
+
+
+def folded(value):
+    return type(value), bits([value])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(FOLD_VALUES, max_size=12))
+def test_left_sum_bit_equal_to_reduce_from_zero(values):
+    want = folded(reduce(operator.add, values, 0))
+    assert folded(left_sum(values)) == want
+    assert folded(left_sum(iter(values))) == want
+    assert folded(_reduce_sum(values)) == want
+
+
+@pytest.mark.parametrize("fold", [left_sum, _reduce_sum])
+def test_left_sum_rounds_every_add_and_starts_from_int_zero(fold):
+    # A compensated sum (fsum, or sum() on 3.12+) recovers the 1.0 that the
+    # left fold loses to rounding.
+    assert fold([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert bits([fold([-0.0])]) == bits([0.0])
+    assert bits([fold([-0.0, -0.0])]) == bits([0.0])
+    assert fold([]) == 0 and type(fold([])) is int
+
+
+def test_left_sum_is_the_builtin_through_3_11():
+    assert left_sum is (sum if sys.version_info < (3, 12) else _reduce_sum)
 
 
 # ---------------------------------------------------------------------------
