@@ -7,7 +7,8 @@ adds left to right from 0 with one rounding per add on every version:
 through 3.11 it is the builtin sum(), which is exactly that fold run in C;
 from 3.12 it is reduce(operator.add, values, 0). Convolution, matrix
 multiply (one fold per output over a gathered b column), avg-pooling,
-PageRank and the top-down tree all add their floats through it.
+PageRank, the RMAT generator and the top-down tree add their floats
+through it.
 """
 
 from __future__ import annotations
