@@ -328,6 +328,93 @@ def scalar_rmat_edges(rng, vertices: int, edges: int, probs) -> list[tuple[int, 
     return edge_list
 
 
+def scalar_uniform_edges(rng, vertices: int, edges: int) -> list[tuple[int, int]]:
+    """Uniform edges, one rng.below() call per endpoint, u before v."""
+    return [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
+
+
+_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def scalar_order_item_rows(rng, order_rows: int, item_rows: int) -> tuple[list, list]:
+    """ORDER and ITEM rows, one rng.below() call per drawn cell: each order's
+    buyer, month and day, then each item's order, goods, number and price."""
+    orders = []
+    for oid in range(1, order_rows + 1):
+        buyer = 1 + rng.below(order_rows)
+        month = rng.below(12)
+        day = 1 + rng.below(_DAYS_IN_MONTH[month])
+        orders.append((oid, buyer, f"2023-{month + 1:02d}-{day:02d}"))
+    items = []
+    for iid in range(1, item_rows + 1):
+        order_id = 1 + rng.below(order_rows)
+        goods_id = 1 + rng.below(10000)
+        number = 1 + rng.below(10)
+        price = (1 + rng.below(99999)) / 100.0
+        items.append((iid, order_id, goods_id, number, price, number * price))
+    return orders, items
+
+
+def scalar_text_lines(seed_documents, target_bytes: int, rng) -> list[str]:
+    """gen_text's lines, one rng.below() call per line length and per word,
+    each word drawn by a linear scan of its context's sorted counts."""
+    counts: dict = {}
+    lengths = []
+    prev = None
+    for line in seed_documents:
+        tokens = line.split()
+        if tokens:
+            lengths.append(len(tokens))
+        for tok in tokens:
+            counts.setdefault(None, {}).setdefault(tok, 0)
+            counts[None][tok] += 1
+            if prev is not None:
+                counts.setdefault(prev, {}).setdefault(tok, 0)
+                counts[prev][tok] += 1
+            prev = tok
+
+    def pick(context):
+        table = counts.get(context, counts[None])
+        x = rng.below(sum(table.values()))
+        for word in sorted(table):
+            if x < table[word]:
+                return word
+            x -= table[word]
+
+    def size(words):
+        return len(" ".join(words).encode("utf-8")) + 1
+
+    cap = target_bytes + max(1, target_bytes // 20)
+    lines: list[str] = []
+    total = 0
+    while total < target_bytes:
+        words: list[str] = []
+        for _ in range(lengths[rng.below(len(lengths))]):
+            words.append(pick(words[-1] if words else None))
+        fits = total + size(words) <= cap
+        while len(words) > 1 and total + size(words) > cap:
+            words.pop()
+        if total + size(words) <= cap:
+            lines.append(" ".join(words))
+            total += size(words)
+        if not fits:
+            break
+    return lines
+
+
+def scalar_keep(rng, records, fraction: float) -> list:
+    """The records kept by one rng.random() < fraction test each, in order."""
+    return [r for r in records if rng.random() < fraction]
+
+
+def scalar_dropout(rng, values, p: float) -> list[float]:
+    """Inverted dropout, one rng.random() < p test per value."""
+    if p == 1.0:
+        return [0.0] * len(values)
+    scale = 1.0 / (1.0 - p)
+    return [0.0 if rng.random() < p else v * scale for v in values]
+
+
 def scalar_table_bytes(table) -> bytes:
     """canonical_bytes of a table, encoded one cell at a time, row by row."""
     out = [b"tabl\x00", struct.pack("<Q", len(table.schema))]
