@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
-from itertools import accumulate
+from itertools import repeat
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 from .dataio import load_dataset, resolve_path
@@ -46,7 +46,7 @@ from .datasets import (
 from .errors import InvariantError
 from .floatsum import left_sum
 from .params import ABOVE_ZERO, SEED, ParamSpec, coerce
-from .rng import BULK_BLOCK, SplitMix64
+from .rng import BULK_BLOCK, SplitMix64, cut_coder, random_cut
 
 RMAT_DEFAULT = (0.57, 0.19, 0.19, 0.05)
 
@@ -156,11 +156,11 @@ def _fit_bigram(seed_corpus: TextCorpus):
     return unigrams, successors, lengths
 
 
-def _cumulative(counts: dict[str, int]) -> tuple[list[str], list[int]]:
-    """Sorted words and their running count totals, so that a draw x in
-    [0, cum[-1]) picks words[bisect_right(cum, x)] with odds count / total."""
-    words = sorted(counts)
-    return words, list(accumulate(counts[w] for w in words))
+def _choices(counts: dict[str, int]) -> list[str]:
+    """Each word `count` times, the words in sorted order, so that a draw x
+    in [0, total) picks the word whose running count total first exceeds x,
+    with odds count / total. It holds one reference per seed token."""
+    return [w for w in sorted(counts) for _ in range(counts[w])]
 
 
 def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextCorpus:
@@ -170,30 +170,33 @@ def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextC
     unigrams, successors, lengths = _fit_bigram(seed_corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
-    uni_table = _cumulative(unigrams)
-    succ_tables = {w: _cumulative(d) for w, d in successors.items()}
+    uni_choices = _choices(unigrams)
+    succ_choices = {w: _choices(d) for w, d in successors.items()}
 
-    rng = SplitMix64(rng_seed)
     hi_cap = target_bytes + max(1, target_bytes // 20)
     out_lines: list[str] = []
     total = 0
-    while total < target_bytes:
-        n_tokens = lengths[rng.below(len(lengths))]
-        words: list[str] = []
-        for _ in range(n_tokens):
-            vocab, cum = succ_tables.get(words[-1], uni_table) if words else uni_table
-            words.append(vocab[bisect_right(cum, rng.below(cum[-1]))])
-        size = len(" ".join(words).encode("utf-8")) + 1
-        if total + size > hi_cap:
-            while len(words) > 1 and total + len(" ".join(words).encode("utf-8")) + 1 > hi_cap:
-                words.pop()
-            size = len(" ".join(words).encode("utf-8")) + 1
-            if total + size <= hi_cap:
-                out_lines.append(" ".join(words))
-                total += size
-            break
-        out_lines.append(" ".join(words))
-        total += size
+    # Each word's bound is the count total of its predecessor's successors.
+    with SplitMix64(rng_seed).bounded() as below:
+        while total < target_bytes:
+            words: list[str] = []
+            choices = uni_choices
+            for _ in range(lengths[below(len(lengths))]):
+                word = choices[below(len(choices))]
+                words.append(word)
+                choices = succ_choices.get(word, uni_choices)
+            line = " ".join(words)
+            size = len(line.encode("utf-8")) + 1
+            if total + size > hi_cap:  # the last line: trim it to fit, or drop it
+                while len(words) > 1 and total + size > hi_cap:
+                    words.pop()
+                    line = " ".join(words)
+                    size = len(line.encode("utf-8")) + 1
+                if total + size <= hi_cap:
+                    out_lines.append(line)
+                break
+            out_lines.append(line)
+            total += size
     return TextCorpus(out_lines)
 
 
@@ -213,11 +216,12 @@ def gen_graph(
     The 'rmat' model recursively picks quadrants of the adjacency matrix with
     probabilities (a, b, c, d), producing the skewed degree distributions of
     real web graphs; it needs a power-of-two vertex count. 'uniform' draws
-    endpoints independently.
+    endpoints independently, u before v.
     """
     rng = SplitMix64(rng_seed)
     if model == "uniform":
-        edge_list = [(rng.below(vertices), rng.below(vertices)) for _ in range(edges)]
+        ends = iter(rng.belows((vertices,), 2 * edges))
+        edge_list = list(zip(ends, ends))
     else:  # rmat
         edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, probs)
     return Graph(vertices, edge_list, directed=True)
@@ -229,9 +233,6 @@ _RMAT_U_BIT = bytes.maketrans(bytes(range(4)), b"0011")
 _RMAT_V_BIT = bytes.maketrans(bytes(range(4)), b"0101")
 # Endpoint widths in bits, each with the array code of that item size.
 _ENDPOINT_WIDTHS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
-# Byte offset of a 64-bit word's top byte in the host's byte order.
-_TOP_BYTE = 7 if sys.byteorder == "little" else 0
-_SPLIT = 255  # quadrant-table mark: a cut falls inside this top byte's range
 
 
 def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
@@ -240,13 +241,10 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
 
     A draw z falls in quadrant a, b, c or d by the first cumulative sum
     a, a+b, a+b+c that exceeds random() = (z >> 11) * 2**-53. Since that
-    product is exact, r < p holds exactly when z < ceil(p * 2**53) << 11,
-    so the quadrant is the number of such integer cuts at or below z.
-
-    Every draw whose top byte's range holds no cut (at least 253 of the 256
-    bytes) has the quadrant of that byte, so one `translate` over the top
-    bytes codes a block of draws and only the draws marked _SPLIT go through
-    `bisect_right`. Each edge's u and v are then laid out as the two halves
+    product is exact, r < p holds exactly when z < random_cut(p),
+    so the quadrant is the number of such integer cuts at or below z, which
+    `cut_coder` finds for a block of draws at a time. Each edge's u and v
+    are then laid out as the two halves
     of a 2w-character string of binary digits, w the narrowest array width
     that holds `levels` bits, and one `int(..., 2)` turns the block into the
     big-endian words of an array. Draws come in blocks of BULK_BLOCK //
@@ -255,23 +253,14 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
     if levels == 0:
         return [(0, 0)] * edges
     a, b, c, _ = probs
-    cuts = [math.ceil(p * (1 << 53)) << 11 for p in (a, a + b, a + b + c)]
-    quadrant = bytearray(256)
-    for top in range(256):
-        low, high = bisect_right(cuts, top << 56), bisect_right(cuts, (top << 56) | (2**56 - 1))
-        quadrant[top] = low if low == high else _SPLIT
+    quadrants = cut_coder([random_cut(p) for p in (a, a + b, a + b + c)])
     width, code = next(wc for wc in _ENDPOINT_WIDTHS if wc[0] >= levels)
     stride = 2 * width
     per_block = max(1, BULK_BLOCK // levels)
     out = []
     for start in range(0, edges, per_block):
         count = min(per_block, edges - start)
-        draws = rng.u64s(count * levels)
-        codes = bytearray(draws.tobytes()[_TOP_BYTE::8].translate(quadrant))
-        i = codes.find(_SPLIT)
-        while i >= 0:
-            codes[i] = bisect_right(cuts, draws[i])
-            i = codes.find(_SPLIT, i + 1)
+        codes = quadrants(rng.u64s(count * levels))
         u_bits, v_bits = codes.translate(_RMAT_U_BIT), codes.translate(_RMAT_V_BIT)
         digits = bytearray(b"0") * (count * stride)
         for level in range(levels):
@@ -317,39 +306,38 @@ ITEM_SCHEMA = (
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-def _order_draws(rng: SplitMix64, order_rows: int) -> list[tuple[int, int, int]]:
-    """Each ORDER row's (buyer, month index, day), in draw order."""
-    draws = []
+def _order_draws(below, order_rows: int) -> tuple[list[int], list[str]]:
+    """Each ORDER row's buyer and create_date, drawn in row order by a
+    bounded() below; a day's bound depends on the month drawn before it."""
+    buyers, dates = [], []
     for _ in range(order_rows):
-        buyer = 1 + rng.below(max(1, order_rows))
-        month = rng.below(12)
-        draws.append((buyer, month, 1 + rng.below(_DAYS_IN_MONTH[month])))
-    return draws
+        buyers.append(1 + below(order_rows))
+        month = below(12)
+        dates.append(f"2023-{month + 1:02d}-{1 + below(_DAYS_IN_MONTH[month]):02d}")
+    return buyers, dates
 
 
-def _order_table(draws: list[tuple[int, int, int]]) -> Table:
-    rows = [(oid, buyer, f"2023-{month + 1:02d}-{day:02d}")
-            for oid, (buyer, month, day) in enumerate(draws, 1)]
-    return Table(ORDER_SCHEMA, rows)
+def _order_table(draws: tuple[list[int], list[str]]) -> Table:
+    buyers, dates = draws
+    return Table.from_columns(ORDER_SCHEMA, (range(1, len(buyers) + 1), buyers, dates))
 
 
 def _item_table(rng: SplitMix64, order_rows: int, item_rows: int) -> Table:
-    """ITEM rows, drawn after the ORDER draws of the same stream."""
-    items = []
-    for iid in range(1, item_rows + 1):
-        order_id = 1 + rng.below(order_rows)
-        goods_id = 1 + rng.below(10000)
-        number = 1 + rng.below(10)
-        price = (1 + rng.below(99999)) / 100.0
-        items.append((iid, order_id, goods_id, number, price, number * price))
-    return Table(ITEM_SCHEMA, items)
+    """ITEM rows, drawn after the ORDER draws of the same stream: each row's
+    order, goods, number and price cents, each 1 + a draw."""
+    cells = list(map(add, rng.belows((order_rows, 10000, 10, 99999), item_rows), repeat(1)))
+    numbers = cells[2::4]
+    prices = list(map(truediv, cells[3::4], repeat(100.0)))
+    return Table.from_columns(ITEM_SCHEMA, (range(1, item_rows + 1), cells[0::4], cells[1::4],
+                                            numbers, prices, map(mul, numbers, prices)))
 
 
 def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:
     """ORDER/ITEM pair; every ITEM.order_id resolves to an ORDER row and
     goods_amount is exactly goods_number * goods_price."""
     rng = SplitMix64(rng_seed)
-    order = _order_table(_order_draws(rng, order_rows))
+    with rng.bounded() as below:
+        order = _order_table(_order_draws(below, order_rows))
     return order, _item_table(rng, order_rows, item_rows)
 
 
@@ -384,7 +372,8 @@ _DIST = ParamSpec("str", default="uniform", choices=tuple(DISTRIBUTIONS))
 _SCHEMAS = {
     "text": {"bytes": _COUNT, "corpus": ParamSpec("str"), "seed": SEED},
     "graph": {
-        "vertices": _COUNT,
+        # Graph holds vertex ids in 64 bits, and below() bounds at most 2**64.
+        "vertices": ParamSpec("int", required=True, lo=1, hi=2**64 - 1),
         "edges": _COUNT,
         "model": ParamSpec("str", default="uniform", choices=("uniform", "rmat")),
         "seed": SEED,
@@ -451,7 +440,8 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         payload = gen_tensor(p["shape"], make_dist(p), spec.rng_seed)
     else:  # table: only the one asked for, from the stream gen_table draws
         rng = SplitMix64(spec.rng_seed)
-        draws = _order_draws(rng, p["orders"])
+        with rng.bounded() as below:
+            draws = _order_draws(below, p["orders"])
         if p["which"] == "order":
             payload = _order_table(draws)
         else:

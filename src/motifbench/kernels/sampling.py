@@ -11,16 +11,24 @@ from operator import add
 from ..datasets import Matrix, Table, Tensor, TextCorpus
 from ..errors import KernelError
 from ..floatsum import left_sum
-from ..rng import SplitMix64
+from ..rng import SplitMix64, cut_coder, random_cut
+
+# Code 0 from a one-cut coder: the draw is below the cut, so random() < p.
+_BELOW_CUT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _above(p: float, seed: int, n: int) -> bytearray:
+    """Byte i is 1 when the i-th draw of SplitMix64(seed) has random() >= p."""
+    return cut_coder([random_cut(p)])(SplitMix64(seed).u64s(n))
 
 
 def random_sample(data, fraction: float, seed: int):
     """Keep each record independently with probability `fraction`; relative
-    order preserved; deterministic per (input, fraction, seed)."""
-    rng = SplitMix64(seed)
+    order preserved; deterministic per (input, fraction, seed). Record i is
+    kept when the i-th draw's random() < fraction."""
+    keep = _above(fraction, seed, len(data)).translate(_BELOW_CUT)
     if isinstance(data, TextCorpus):
-        return TextCorpus([line for line in data.documents if rng.random() < fraction])
-    keep = [rng.random() < fraction for _ in range(len(data))]  # a Table
+        return TextCorpus(compress(data.documents, keep))
     return Table.from_columns(data.schema, [compress(col, keep) for col in data.columns])
 
 
@@ -63,6 +71,6 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     by 1/(1-p); p=1 zeroes everything without scaling."""
     if p == 1.0:
         return Tensor(x.shape, [0.0] * len(x.data))
-    rng = SplitMix64(seed)
     scale = 1.0 / (1.0 - p)
-    return Tensor(x.shape, [0.0 if rng.random() < p else v * scale for v in x.data])
+    kept = _above(p, seed, len(x.data))
+    return Tensor(x.shape, [v * scale if k else 0.0 for k, v in zip(kept, x.data)])

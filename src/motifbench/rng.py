@@ -5,6 +5,18 @@ in plain integer arithmetic, so a given seed produces the same stream on any
 platform and Python build. Floating-point draws are derived from the top 53
 bits, gaussians via Box-Muller, keeping those bit-identical too.
 
+The scalar draws `next_u64`, `random`, `below` and `uniform` define the
+stream; the library itself draws only in bulk, through forms that yield the
+same values and leave the same state:
+  - `u64s(n)`, n raw draws, for the float distributions, RMAT edges,
+    `random_sample` and `dropout` (the last three test random() < p on
+    the draws themselves, with `cut_coder` and `random_cut`);
+  - `gausses`, Box-Muller pairs from `u64s` blocks;
+  - `belows(bounds, rounds)`, below(n) for n cycling through constant
+    bounds, in one loop over the draws (uniform graph edges, ITEM cells);
+  - `bounded()`, a context whose below(n) takes any sequence of bounds,
+    including bounds that depend on earlier draws (text words, ORDER rows).
+
 `u64s(n)` draws a block of values with one big-integer operation per mixing
 step instead of n method calls. It packs up to BULK_BLOCK consecutive states
 into one Python int, state k in the k-th 128-bit lane (bits 128k..128k+127),
@@ -25,6 +37,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
+from collections import deque
+from contextlib import contextmanager
 from itertools import repeat
 from operator import add, mul, rshift
 
@@ -34,6 +49,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 BULK_BLOCK = 2048  # lanes per big-integer block: 32 KB per operand
+# Byte offset of a 64-bit word's top byte in the host's byte order.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
+_SPLIT = 255  # cut-table mark: a cut falls inside this top byte's range
+_COUNT_ONE_MORE = bytes(range(1, 256)) + bytes([_SPLIT])  # and _SPLIT stays
 
 
 def _lanes_int(low_words) -> int:
@@ -49,6 +68,52 @@ _ONES = _lanes_int(array("Q", [1]) * BULK_BLOCK)
 _LANE_MASK = _MASK64 * _ONES
 # Lane k holds the state after k + 1 steps from s: s + (k + 1) * GAMMA.
 _STEPS = _lanes_int(array("Q", range(BULK_BLOCK))) * _GAMMA + _GAMMA * _ONES
+
+
+def _below_shift(n: int) -> int:
+    """The shift that takes a draw to [0, 2**bits), 2**bits the smallest power
+    of two >= n; below(n) rejects the shifted draws >= n, which keeps it
+    unbiased without bignum division. A shift of 64 means n == 1: no draw."""
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"below() needs n in [1, 2**64], got {n}")
+    return 64 - (n - 1).bit_length()
+
+
+def random_cut(p: float) -> int:
+    """The c for which random() < p holds exactly when the draw z < c.
+
+    random() is (z >> 11) * 2**-53, an exact product, and p * 2**53 is exact
+    too, so random() < p holds exactly when the integer z >> 11 is below
+    ceil(p * 2**53), that is when z < ceil(p * 2**53) << 11."""
+    return math.ceil(p * (1 << 53)) << 11
+
+
+def cut_coder(cuts: list[int]):
+    """A function that takes a block of draws, an array('Q'), to a bytearray
+    whose byte i is bisect_right(cuts, draws[i]): how many of the sorted
+    `cuts` (fewer than 255) are at or below draw i.
+
+    Every draw whose top byte's range holds no cut has the code of that
+    byte, so one `translate` over the top bytes codes the block, and only
+    the draws marked _SPLIT (a cut in their top byte's range: at most one
+    byte in 256 per cut) go through `bisect_right`."""
+    table = bytearray(256)
+    for cut in cuts:
+        top, rest = divmod(max(cut, 0), 1 << 56)
+        if top < 256:  # every draw of a byte past the cut's is at or above it
+            table[top + (rest > 0):] = table[top + (rest > 0):].translate(_COUNT_ONE_MORE)
+            if rest:
+                table[top] = _SPLIT
+
+    def code(draws: array) -> bytearray:
+        codes = bytearray(draws.tobytes()[_TOP_BYTE::8].translate(table))
+        i = codes.find(_SPLIT)
+        while i >= 0:
+            codes[i] = bisect_right(cuts, draws[i])
+            i = codes.find(_SPLIT, i + 1)
+        return codes
+
+    return code
 
 
 class SplitMix64:
@@ -100,16 +165,74 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError(f"below() needs n > 0, got {n}")
-        # Rejection sampling over the smallest covering power of two keeps
-        # the draw unbiased without bignum division.
-        bits = (n - 1).bit_length()
+        """Uniform integer in [0, n), n in [1, 2**64]."""
+        shift = _below_shift(n)
+        if shift == 64:
+            return 0
         while True:
-            v = self.next_u64() >> (64 - bits) if bits else 0
+            v = self.next_u64() >> shift
             if v < n:
                 return v
+
+    def belows(self, bounds: tuple[int, ...], rounds: int) -> list[int]:
+        """[self.below(n) for _ in range(rounds) for n in bounds], drawn in
+        bulk: one loop over u64s() blocks takes each draw below the cut of
+        the bound whose turn it is, n << shift, and shifts it. A bound of 1
+        takes no draw; the other bounds' values take at least one each, so
+        a block of as many draws as values still wanted is never overdrawn."""
+        shifts = [_below_shift(n) for n in bounds]
+        drawing = [i for i, shift in enumerate(shifts) if shift < 64]
+        out = [0] * (rounds * len(bounds))
+        if not drawing:
+            return out
+        cuts = [(bounds[i] << shifts[i], shifts[i]) for i in drawing]
+        after = [*range(1, len(cuts)), 0]
+        values: list[int] = []
+        append = values.append
+        need = rounds * len(cuts)
+        turn = 0
+        cut, shift = cuts[0]
+        while len(values) < need:
+            for z in self.u64s(min(BULK_BLOCK, need - len(values))):
+                if z < cut:
+                    append(z >> shift)
+                    turn = after[turn]
+                    cut, shift = cuts[turn]
+        for k, i in enumerate(drawing):
+            out[i :: len(bounds)] = values[k :: len(cuts)]
+        return out
+
+    @contextmanager
+    def bounded(self):
+        """Yield below(n), which returns what self.below(n) would, in the same
+        order, for any sequence of bounds; it takes its draws from u64s()
+        blocks. On exit, by exception too, the state is where the scalar
+        calls would have left it. Draw nothing else from self inside."""
+        pending: deque = deque()
+        pop = pending.popleft
+        shifts: dict[int, int] = {}
+
+        def below(n):
+            if n == 1:
+                return 0
+            try:
+                shift = shifts[n]
+            except KeyError:
+                shift = shifts[n] = _below_shift(n)
+            while True:
+                try:
+                    v = pop() >> shift
+                except IndexError:
+                    pending.extend(self.u64s(BULK_BLOCK))
+                    continue
+                if v < n:
+                    return v
+
+        try:
+            yield below
+        finally:
+            # Hand back the draws taken but not used.
+            self._state = (self._state - len(pending) * _GAMMA) & _MASK64
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

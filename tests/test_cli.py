@@ -57,6 +57,22 @@ def test_generate_seed_outside_64_bits_exit_2(tmp_path, capsys, seed):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("model", ["uniform", "rmat"])
+@pytest.mark.parametrize("vertices", [2**64, 2**65])
+def test_generate_graph_vertices_past_64_bits_exit_2(tmp_path, capsys, model, vertices):
+    # Rejected by the schema, before any draw.
+    code = run_cli("generate", "graph", "--vertices", str(vertices), "--edges", "1",
+                   "--model", model, "-o", str(tmp_path / "g"))
+    assert code == 2
+    assert "parameter 'vertices'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_generate_graph_largest_vertex_count_accepted(tmp_path):
+    assert run_cli("generate", "graph", "--vertices", str(2**64 - 1), "--edges", "3",
+                   "-o", str(tmp_path / "g")) == 0
+
+
 def test_generate_largest_seed_accepted(tmp_path):
     assert run_cli("generate", "matrix", "--rows", "2", "--cols", "2",
                    "--rng-seed", str(2**64 - 1), "-o", str(tmp_path / "m")) == 0
@@ -387,6 +403,7 @@ _TABLE = "input tb = generate.table(orders=4, items=8, seed=1)\n"
     (_TABLE + 'node p = set.project(tb, columns=",")', "'columns' must name at least one"),
     ("input t = generate.text(bytes=0)", "'bytes'"),
     ("input g = generate.graph(vertices=0, edges=4)", "'vertices'"),
+    (f"input g = generate.graph(vertices={2**64}, edges=4)", "'vertices'"),
     ("input g = generate.graph(vertices=8, edges=0)", "'edges'"),
     ("input g = generate.graph(vertices=100, edges=4, model=rmat)", "power-of-two"),
     ("input g = generate.graph(vertices=8, edges=4, model=rmat, a=1.5)", "'a'"),

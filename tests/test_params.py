@@ -40,8 +40,8 @@ BOUNDS = {
     "statistic.batch_norm": {"axis": (0, None), "epsilon": (ABOVE_ZERO, None)},
     "statistic.cosine_norm": {"axis": (0, None)},
     "transform.convolution": {"stride": _COUNT, "padding": ("valid", "same")},
-    "generate.graph": {"vertices": _COUNT, "edges": _COUNT, "model": ("uniform", "rmat"),
-                       "seed": _SEED},
+    "generate.graph": {"vertices": (1, 2**64 - 1), "edges": _COUNT,
+                       "model": ("uniform", "rmat"), "seed": _SEED},
     "generate.matrix": {"rows": _COUNT, "cols": _COUNT, "dist": _DIST, "seed": _SEED},
     "generate.table": {"orders": _COUNT, "items": _COUNT, "which": ("order", "item"),
                        "seed": _SEED},
