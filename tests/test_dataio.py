@@ -174,7 +174,12 @@ def test_table_cell_out_of_range_on_load(tmp_path, body, message):
     ("s:string,x:real", "p,1.5\n\nq,nan\n", ":5: row 1 column 'x' must be finite, got nan"),
     # the whole-table check names the first bad cell column by column
     ("a:integer,x:real", "1,inf\n" + "9" * 20 + ",2.0\n", ":4: row 1 column 'a'"),
-], ids=["integer-beyond-64-bits", "nan-real-after-blank-line", "first-bad-column-first"])
+    # records are checked in file order: the first record's fault is named,
+    # whichever of arity and cell each record breaks
+    ("a:integer,b:integer", "1,zz\n3\n", ":3: cell 'zz' is not a valid integer"),
+    ("a:integer,b:integer", "1\n2,zz\n", ":3: row arity 1 != schema arity 2"),
+], ids=["integer-beyond-64-bits", "nan-real-after-blank-line", "first-bad-column-first",
+        "bad-cell-before-short-record", "short-record-before-bad-cell"])
 def test_table_cell_breaking_its_column_rule_names_its_line(tmp_path, schema, body, message):
     path = tmp_path / "bad.table"
     path.write_text(f"#table v1\n{schema}\n{body}")
