@@ -230,7 +230,7 @@ def cmd_analyze(args) -> int:
                for path in args.events]
     sample = topdown.average_samples(samples)
     if args.label is not None:
-        sample.label = args.label
+        sample = topdown.EventSample(sample.events, sample.width, sample.cycles, args.label)
     tree = topdown.builtin_tree() if args.tree == "builtin" else topdown.load_tree(args.tree)
 
     breakdown = topdown.evaluate_tree(sample, tree)

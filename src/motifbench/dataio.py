@@ -29,6 +29,7 @@ import itertools
 import math
 import os
 import struct
+import sys
 from array import array
 from operator import add
 
@@ -61,16 +62,13 @@ def _enc_str(out: io.BytesIO, s: str):
     out.write(raw)
 
 
-# Values per struct.pack call: large enough to amortize the call, small enough
-# that the argument tuple and packed chunk stay far below the payload's size.
-_PACK_CHUNK = 8192
-
-
-def _write_packed(out, code: str, values):
-    """Write numbers as little-endian struct `code` items, in bounded chunks."""
-    it = iter(values)
-    while chunk := tuple(itertools.islice(it, _PACK_CHUNK)):
-        out.write(struct.pack(f"<{len(chunk)}{code}", *chunk))
+def _packed(code: str, values) -> array:
+    """An array whose bytes are `values` as little-endian `code` items; it is
+    written as it is, with no copy to bytes."""
+    items = array(code, values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
 
 
 def canonical_bytes(payload: Payload) -> bytes:
@@ -94,18 +92,18 @@ def canonical_bytes(payload: Payload) -> bytes:
         out.write(b"matr\x00")
         out.write(_U64.pack(payload.rows))
         out.write(_U64.pack(payload.cols))
-        _write_packed(out, "d", payload.data)
+        out.write(_packed("d", payload.data))
     elif isinstance(payload, Tensor):
         out.write(b"tens\x00")
         out.write(_U64.pack(len(payload.shape)))
-        _write_packed(out, "Q", payload.shape)
-        _write_packed(out, "d", payload.data)
+        out.write(_packed("Q", payload.shape))
+        out.write(_packed("d", payload.data))
     elif isinstance(payload, Graph):
         out.write(b"grph\x00")
         out.write(_U64.pack(payload.vertex_count))
         out.write(b"\x01" if payload.directed else b"\x00")
         out.write(_U64.pack(len(payload.edges)))
-        _write_packed(out, "Q", itertools.chain.from_iterable(payload.edges))
+        out.write(_packed("Q", itertools.chain.from_iterable(payload.edges)))
     elif isinstance(payload, KeyValueSet):
         out.write(b"kvst\x00")
         items = sorted(payload.entries.items())
@@ -121,13 +119,13 @@ def canonical_bytes(payload: Payload) -> bytes:
 def _table_body(kinds: list[str], columns: tuple) -> bytes:
     """The row-major body of a table, encoded a column at a time and put in
     place by one strided assignment per column: with no string column, one
-    struct.pack per column (a single repeated code keeps the struct cache
-    entry short) into a word array; otherwise one bytes object per cell."""
+    packed array per column into a word array; otherwise one bytes object
+    per cell."""
     n, k = len(columns[0]), len(kinds)
     if "string" not in kinds:
         words = array("Q", bytes(8 * n * k))
         for j, (kind, col) in enumerate(zip(kinds, columns)):
-            words[j::k] = array("Q", struct.pack(f"<{n}{'q' if kind == 'integer' else 'd'}", *col))
+            words[j::k] = array("Q", _packed("q" if kind == "integer" else "d", col).tobytes())
         return words.tobytes()
     cells = [b""] * (n * k)
     for j, (kind, col) in enumerate(zip(kinds, columns)):
@@ -247,11 +245,11 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
                 fh.write(",".join(map(repr, payload.row(i))) + "\n")
         elif isinstance(payload, Matrix):
             fh.write(f"#matrix v1 {payload.rows} {payload.cols}\n".encode("ascii"))
-            _write_packed(fh, "d", payload.data)
+            fh.write(_packed("d", payload.data))
         elif isinstance(payload, Tensor):
             dims = " ".join(str(v) for v in payload.shape)
             fh.write(f"#tensor v1 {dims}\n".encode("ascii"))
-            _write_packed(fh, "d", payload.data)
+            fh.write(_packed("d", payload.data))
         elif isinstance(payload, Graph):
             fh.write(f"#graph v1 {payload.vertex_count} {1 if payload.directed else 0}\n")
             for u, v in payload.edges:
@@ -333,9 +331,11 @@ def _load_table(path: str, text: str) -> Table:
             raise FormatError(f"bad schema entry {part!r}", path=path, line=2)
         name, _, kind = part.rpartition(":")
         schema.append((name, kind))
-    _wrap_invariant(path, 2, Table, schema, ())  # the schema, on its line
-    parsers = [(kind, TABLE_KINDS[kind].parse) for _, kind in schema]
-    rows, row_lines = [], []
+    _wrap_invariant(path, 2, Table, schema, [()] * len(schema))  # the schema, on its line
+    columns = [[] for _ in schema]
+    parsers = [(kind, TABLE_KINDS[kind].parse, col.append)
+               for (_, kind), col in zip(schema, columns)]
+    row_lines = []
     for lineno, record in csv_records("\n".join(lines[2:]), path, 3):
         if not record:
             continue
@@ -345,22 +345,20 @@ def _load_table(path: str, text: str) -> Table:
                 path=path,
                 line=lineno,
             )
-        row = []
-        for (kind, parse), cell in zip(parsers, record):
+        for (kind, parse, append), cell in zip(parsers, record):
             try:
-                row.append(parse(cell))
+                append(parse(cell))
             except ValueError:
                 raise FormatError(
                     f"cell {cell!r} is not a valid {kind}", path=path, line=lineno
                 ) from None
-        rows.append(tuple(row))
         row_lines.append(lineno)
     try:
-        return Table(schema, rows)
+        return Table(schema, columns)
     except InvariantError as exc:
         # Table checks column by column, so the first cell that fails its
         # column's check on its own, in that order, is the one it names.
-        for (name, kind), col in zip(schema, zip(*rows)):
+        for (name, kind), col in zip(schema, columns):
             check = TABLE_KINDS[kind].check
             for r, cell in enumerate(col):
                 try:

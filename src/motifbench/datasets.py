@@ -4,15 +4,15 @@ Six payload kinds cover the toolkit: text corpora, relational tables, dense
 matrices, dense tensors, graphs, and key-value sets. Every constructor
 validates its invariants and raises InvariantError instead of silently
 normalizing; payloads are immutable after construction and safe to share
-across threads. A table is stored as its checked columns, and its rows are
-a view derived from them.
+across threads. A table is built from its columns and stored as them, and
+its rows are a view derived from them.
 
 Constructors check whole columns with C-level passes (the set of types,
 min/max, math.isfinite over all values, one join scanned for reserved
 characters and encoded as UTF-8); only after a check fails does a Python
 scan name the bad value.
 TABLE_KINDS holds each table column kind's column check and text parser.
-Record is the base of motifbench's validating and mutable record classes.
+Record is the base of motifbench's validating record classes.
 """
 
 from __future__ import annotations
@@ -159,37 +159,13 @@ class TextCorpus(Record):
 
 class Table(Record):
     """Relational table with a non-empty (name, kind) schema; kinds: integer,
-    real, string. Stored as its checked columns, one tuple each in schema
-    order; `rows` is a view derived from them."""
+    real, string. Built from `columns`, one iterable of cells per schema
+    entry, all of one length; stored as the checked columns, one tuple each
+    in schema order. `rows` is a view derived from them."""
 
     __slots__ = _fields = ("schema", "columns")
 
-    def __init__(self, schema, rows):
-        def transposed(arity):
-            norm = tuple(map(tuple, rows))
-            if set(map(len, norm)) - {arity}:
-                r = _first_bad(norm, lambda row: len(row) == arity)
-                raise InvariantError(f"row {r} has arity {len(norm[r])}, schema has {arity}")
-            return tuple(zip(*norm)) or ((),) * arity
-
-        self._store(schema, transposed)
-
-    @classmethod
-    def from_columns(cls, schema, columns) -> Table:
-        """The table of `columns`, one iterable of cells per schema entry."""
-        def checked(arity):
-            cols = tuple(map(tuple, columns))
-            if len(cols) != arity or len(set(map(len, cols))) > 1:
-                raise InvariantError(f"schema has {arity} columns, got {len(cols)} "
-                                     f"of lengths {tuple(map(len, cols))}")
-            return cols
-
-        table = cls.__new__(cls)
-        table._store(schema, checked)
-        return table
-
-    def _store(self, schema, columns: Callable[[int], tuple]):
-        """Check `schema`, then each column that `columns(arity)` returns; keep both."""
+    def __init__(self, schema, columns):
         norm_schema = tuple((n, k) for n, k in schema)
         if not norm_schema:
             raise InvariantError("empty table schema")
@@ -203,8 +179,12 @@ class Table(Record):
         if not (set(map(type, kinds)) <= {str} and set(kinds) <= TABLE_KINDS.keys()):
             i = _first_bad(kinds, lambda k: type(k) is str and k in TABLE_KINDS)
             raise InvariantError(f"unknown column kind {kinds[i]!r} for column {names[i]!r}")
+        cols = tuple(map(tuple, columns))
+        if len(cols) != len(names) or len(set(map(len, cols))) > 1:
+            raise InvariantError(f"schema has {len(names)} columns, got {len(cols)} "
+                                 f"of lengths {tuple(map(len, cols))}")
         stored = tuple(TABLE_KINDS[kind].check(col, lambda r: f"row {r} column {name!r}")
-                       for name, kind, col in zip(names, kinds, columns(len(names))))
+                       for name, kind, col in zip(names, kinds, cols))
         self._set(schema=norm_schema, columns=stored)
 
     @property
@@ -234,9 +214,6 @@ class Matrix(Record):
         if len(values) != rows * cols:
             raise InvariantError(f"data length {len(values)} != rows*cols = {rows * cols}")
         self._set(rows=rows, cols=cols, data=values)
-
-    def at(self, i: int, j: int) -> float:
-        return self.data[i * self.cols + j]
 
     def row(self, i: int) -> tuple[float, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]

@@ -319,7 +319,7 @@ def _order_draws(below, order_rows: int) -> tuple[list[int], list[str]]:
 
 def _order_table(draws: tuple[list[int], list[str]]) -> Table:
     buyers, dates = draws
-    return Table.from_columns(ORDER_SCHEMA, (range(1, len(buyers) + 1), buyers, dates))
+    return Table(ORDER_SCHEMA, (range(1, len(buyers) + 1), buyers, dates))
 
 
 def _item_table(rng: SplitMix64, order_rows: int, item_rows: int) -> Table:
@@ -328,8 +328,8 @@ def _item_table(rng: SplitMix64, order_rows: int, item_rows: int) -> Table:
     cells = list(map(add, rng.belows((order_rows, 10000, 10, 99999), item_rows), repeat(1)))
     numbers = cells[2::4]
     prices = list(map(truediv, cells[3::4], repeat(100.0)))
-    return Table.from_columns(ITEM_SCHEMA, (range(1, item_rows + 1), cells[0::4], cells[1::4],
-                                            numbers, prices, map(mul, numbers, prices)))
+    return Table(ITEM_SCHEMA, (range(1, item_rows + 1), cells[0::4], cells[1::4],
+                               numbers, prices, map(mul, numbers, prices)))
 
 
 def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:

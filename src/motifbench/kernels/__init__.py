@@ -106,7 +106,7 @@ _KVS = frozenset({KIND_KV})
 def _components_table(g):
     labels = graphops.connected_components(g)
     schema = [("vertex", "integer"), ("component", "integer")]
-    return Table.from_columns(schema, [range(len(labels)), labels])
+    return Table(schema, [range(len(labels)), labels])
 
 
 def _pagerank_matrix(g, damping, max_iters, tol):

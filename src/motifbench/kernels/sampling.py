@@ -29,7 +29,7 @@ def random_sample(data, fraction: float, seed: int):
     keep = _above(fraction, seed, len(data)).translate(_BELOW_CUT)
     if isinstance(data, TextCorpus):
         return TextCorpus(compress(data.documents, keep))
-    return Table.from_columns(data.schema, [compress(col, keep) for col in data.columns])
+    return Table(data.schema, [compress(col, keep) for col in data.columns])
 
 
 def pool(x: Tensor, window: int, stride: int, mode: str) -> Tensor:

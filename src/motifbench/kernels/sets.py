@@ -36,7 +36,7 @@ def project(t: Table, columns: list[str]) -> Table:
         idx = [t.column_index(c) for c in columns]
     except KeyError as exc:
         raise KernelError(f"unknown column {exc.args[0]!r}") from None
-    return Table.from_columns([t.schema[i] for i in idx], [t.columns[i] for i in idx])
+    return Table([t.schema[i] for i in idx], [t.columns[i] for i in idx])
 
 
 def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
@@ -52,11 +52,11 @@ def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
     except ValueError:
         raise KernelError(f"literal {value!r} is not a valid {kind}") from None
     keep = list(map(_COMPARATORS[cmp], t.columns[i], repeat(lit)))
-    return Table.from_columns(t.schema, [compress(col, keep) for col in t.columns])
+    return Table(t.schema, [compress(col, keep) for col in t.columns])
 
 
 def table_union(a: Table, b: Table) -> Table:
     """Bag-semantics union: concatenation; schemas must match exactly."""
     if a.schema != b.schema:
         raise KernelError(f"schema mismatch on union: {a.schema} vs {b.schema}")
-    return Table.from_columns(a.schema, map(add, a.columns, b.columns))
+    return Table(a.schema, map(add, a.columns, b.columns))

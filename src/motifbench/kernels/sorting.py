@@ -23,7 +23,7 @@ def sort_records(data, key: int):
         if not 0 <= key < len(data.schema):
             raise KernelError(f"key {key} out of range for table with {len(data.schema)} columns")
         order = sorted(range(len(data)), key=data.columns[key].__getitem__)
-        return Table.from_columns(data.schema, [[c[i] for i in order] for c in data.columns])
+        return Table(data.schema, [[c[i] for i in order] for c in data.columns])
     # a Matrix, the one kind left that the registry lets through
     if not 0 <= key < data.cols:
         raise KernelError(f"key {key} out of range for matrix with {data.cols} columns")

@@ -36,7 +36,7 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     if agg == "count":
         counts = Counter(keys)
         schema = [(group, group_kind), ("count", "integer")]
-        return Table.from_columns(schema, [counts, counts.values()])
+        return Table(schema, [counts, counts.values()])
 
     try:
         ti = t.column_index(target)
@@ -53,10 +53,10 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     if agg == "sum":
         total = sum if target_kind == "integer" else math.fsum
         schema = [(group, group_kind), (f"sum_{target}", target_kind)]
-        return Table.from_columns(schema, [values, map(total, values.values())])
+        return Table(schema, [values, map(total, values.values())])
 
     schema = [(group, group_kind), (f"avg_{target}", "real")]
-    return Table.from_columns(schema, [values, [math.fsum(v) / len(v) for v in values.values()]])
+    return Table(schema, [values, [math.fsum(v) / len(v) for v in values.values()]])
 
 
 def count_records(payload: Payload) -> KeyValueSet:

@@ -392,12 +392,13 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
 
 
 def append_vector_csv(path: str, vector: MetricVector):
-    """Create the CSV with a header on first use; append rows afterwards,
-    refusing mismatched metric orderings, after a newline if the file's last
-    line lacks one. Only the header record and the last byte are read and
-    decoded, and a row is appended in place: reading the rows, or copying
-    the file to replace it atomically, would make N appends cost O(N^2)."""
-    if not os.path.exists(path):
+    """Create the CSV with a header on first use, when the file is absent or
+    empty; append rows afterwards, refusing mismatched metric orderings,
+    after a newline if the file's last line lacks one. Only the header
+    record and the last byte are read and decoded, and a row is appended in
+    place: reading the rows, or copying the file to replace it atomically,
+    would make N appends cost O(N^2)."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         write_vectors_csv(path, [vector])
         return
     with open(path, "a+b") as fh:

@@ -179,13 +179,10 @@ def eval_formula(parsed, env: dict, where: str) -> float:
 
 class EventSample(Record):
     """Named event counts plus collection metadata. events always names the
-    cycle count: construction sets events["cycles"] to cycles. A sample is
-    mutable and so unhashable."""
+    cycle count: construction sets events["cycles"] to cycles. A sample
+    holds a dict, so it is unhashable."""
 
     __slots__ = _fields = ("events", "width", "cycles", "label")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, events: dict[str, float], width: int = DEFAULT_ISSUE_WIDTH,
                  cycles: float = 0.0, label: str = ""):
@@ -193,9 +190,9 @@ class EventSample(Record):
             raise EventError(f"issue width must be >= 1, got {width}")
         if not cycles > 0:
             raise EventError(f"cycles must be present and > 0, got {cycles}")
-        self.events = {**events, "cycles": cycles}
-        self.width, self.cycles, self.label = width, cycles, label
-        for name, count in self.events.items():
+        events = {**events, "cycles": cycles}
+        self._set(events=events, width=width, cycles=cycles, label=label)
+        for name, count in events.items():
             if not math.isfinite(count):
                 raise EventError(f"event {name!r} has non-finite count {count!r}")
             if count < 0:

@@ -666,6 +666,14 @@ _ROW_COMPARATORS = {
 }
 
 
+def table_of_rows(schema, rows) -> Table:
+    """The Table of the sequence `rows`, each a tuple of one cell per schema
+    entry."""
+    for r, row in enumerate(rows):
+        assert len(row) == len(schema), f"row {r} has {len(row)} cells, schema has {len(schema)}"
+    return Table(schema, list(zip(*rows)) or [()] * len(schema))
+
+
 def _row_index(t, name: str) -> int:
     names = [n for n, _ in t.schema]
     if name not in names:
@@ -675,7 +683,8 @@ def _row_index(t, name: str) -> int:
 
 def row_project(t, columns: list[str]):
     idx = [_row_index(t, c) for c in columns]
-    return Table([t.schema[i] for i in idx], [tuple(row[i] for i in idx) for row in t.rows])
+    return table_of_rows([t.schema[i] for i in idx],
+                         [tuple(row[i] for i in idx) for row in t.rows])
 
 
 def row_filter(t, column: str, cmp: str, value):
@@ -686,13 +695,13 @@ def row_filter(t, column: str, cmp: str, value):
     except ValueError:
         raise KernelError(f"literal {value!r} is not a valid {kind}") from None
     pred = _ROW_COMPARATORS[cmp]
-    return Table(t.schema, [row for row in t.rows if pred(row[i], lit)])
+    return table_of_rows(t.schema, [row for row in t.rows if pred(row[i], lit)])
 
 
 def row_union(a, b):
     if a.schema != b.schema:
         raise KernelError(f"schema mismatch on union: {a.schema} vs {b.schema}")
-    return Table(a.schema, list(a.rows) + list(b.rows))
+    return table_of_rows(a.schema, list(a.rows) + list(b.rows))
 
 
 def row_aggregate(t, group: str, agg: str, target):
@@ -707,27 +716,27 @@ def row_aggregate(t, group: str, agg: str, target):
             cells[key] = []
         cells[key].append(None if ti is None else row[ti])
     if agg == "count":
-        return Table([(group, group_kind), ("count", "integer")],
-                     [(k, len(cells[k])) for k in order])
+        return table_of_rows([(group, group_kind), ("count", "integer")],
+                             [(k, len(cells[k])) for k in order])
     target_kind = t.schema[ti][1]
     if target_kind not in ("integer", "real"):
         raise KernelError(f"{agg} target {target!r} must be numeric, is {target_kind}")
     if agg == "sum" and target_kind == "integer":
-        return Table([(group, group_kind), (f"sum_{target}", "integer")],
-                     [(k, sum(cells[k])) for k in order])
+        return table_of_rows([(group, group_kind), (f"sum_{target}", "integer")],
+                             [(k, sum(cells[k])) for k in order])
     if agg == "sum":
-        return Table([(group, group_kind), (f"sum_{target}", "real")],
-                     [(k, math.fsum(cells[k])) for k in order])
-    return Table([(group, group_kind), (f"avg_{target}", "real")],
-                 [(k, math.fsum(cells[k]) / len(cells[k])) for k in order])
+        return table_of_rows([(group, group_kind), (f"sum_{target}", "real")],
+                             [(k, math.fsum(cells[k])) for k in order])
+    return table_of_rows([(group, group_kind), (f"avg_{target}", "real")],
+                         [(k, math.fsum(cells[k]) / len(cells[k])) for k in order])
 
 
 def row_sort(t, key: int):
     if not 0 <= key < len(t.schema):
         raise KernelError(f"key {key} out of range for table with {len(t.schema)} columns")
-    return Table(t.schema, sorted(t.rows, key=lambda row: row[key]))
+    return table_of_rows(t.schema, sorted(t.rows, key=lambda row: row[key]))
 
 
 def row_sample(t, fraction: float, seed: int):
     rng = SplitMix64(seed)
-    return Table(t.schema, [row for row in t.rows if rng.random() < fraction])
+    return table_of_rows(t.schema, [row for row in t.rows if rng.random() < fraction])

@@ -469,8 +469,11 @@ def test_analyze_missing_events_exit_1(tmp_path, capsys):
     assert "missing events" in err and "uops_issued" in err
 
 
-def test_analyze_vector_out_accumulates(tmp_path):
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+def test_analyze_vector_out_accumulates(tmp_path, existing):
     vec_csv = tmp_path / "metrics.csv"
+    if existing:  # an empty file, as `touch` leaves it, takes the header too
+        vec_csv.touch()
     for i, r in enumerate((0.2, 0.5)):
         dump = tmp_path / f"w{i}.csv"
         write_sample(golden_sample(r, label=f"w{i}"), str(dump))

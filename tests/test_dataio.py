@@ -30,6 +30,8 @@ from motifbench.datasets import (
 from motifbench.errors import FormatError, InvariantError
 from motifbench.generators import gen_graph
 
+from .oracles import table_of_rows
+
 
 def roundtrip(tmp_path, payload, **kwargs):
     path = str(tmp_path / "data.bin")
@@ -67,7 +69,7 @@ def test_corpus_header_collision_rejected(tmp_path):
 
 
 def test_table_roundtrip_with_quoting(tmp_path):
-    t = Table(
+    t = table_of_rows(
         [("name", "string"), ("n", "integer"), ("x", "real")],
         [("has,comma", 1, 0.5), ('has"quote', -2, 1e-9), ("plain", 3, 2.0)],
     )
@@ -75,8 +77,8 @@ def test_table_roundtrip_with_quoting(tmp_path):
 
 
 def test_table_roundtrip_with_carriage_returns(tmp_path):
-    t = Table([("s", "string"), ("n", "integer"), ("last", "string")],
-              [("\r", 1, "x"), ("a\rb", 2, "\r"), ("plain", 3, "y")])
+    t = table_of_rows([("s", "string"), ("n", "integer"), ("last", "string")],
+                      [("\r", 1, "x"), ("a\rb", 2, "\r"), ("plain", 3, "y")])
     assert roundtrip(tmp_path, t) == t
 
 
@@ -245,7 +247,7 @@ def test_payload_size_positive():
 
 
 def test_empty_table_roundtrip(tmp_path):
-    t = Table([("a", "integer"), ("b", "string")], [])
+    t = Table([("a", "integer"), ("b", "string")], [(), ()])
     assert roundtrip(tmp_path, t) == t
 
 

@@ -30,6 +30,7 @@ from .oracles import (
     scalar_order_item_rows,
     scalar_text_lines,
     scalar_uniform_edges,
+    table_of_rows,
 )
 
 _INVERSE_GAMMA = pow(rng_module._GAMMA, -1, 2**64)
@@ -74,7 +75,8 @@ def test_gen_table_pinned(orders, items, seed, made):
     assert _only_draws(made) == draws
     oracle = SplitMix64(seed)
     order_rows, item_rows = scalar_order_item_rows(oracle, orders, items)
-    assert order == Table(ORDER_SCHEMA, order_rows) and item == Table(ITEM_SCHEMA, item_rows)
+    assert order == table_of_rows(ORDER_SCHEMA, order_rows)
+    assert item == table_of_rows(ITEM_SCHEMA, item_rows)
     assert made[0][0]._state == oracle._state
 
 

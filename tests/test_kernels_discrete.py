@@ -14,7 +14,13 @@ from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_un
 from motifbench.kernels.sorting import sort_records
 from motifbench.kernels.statistic import aggregate, count_records, wordcount
 
-from .oracles import nested_loop_set_op, scan_grep, stable_mergesort, tally_wordcount
+from .oracles import (
+    nested_loop_set_op,
+    scan_grep,
+    stable_mergesort,
+    table_of_rows,
+    tally_wordcount,
+)
 
 
 def rand_lines(rng, n, alphabet=string.ascii_lowercase, k=8):
@@ -44,7 +50,7 @@ def test_sort_matches_mergesort_oracle():
 def test_sort_is_permutation_and_stable():
     rng = random.Random(7)
     rows = [(rng.randint(0, 5), i) for i in range(500)]
-    t = Table([("k", "integer"), ("orig", "integer")], rows)
+    t = table_of_rows([("k", "integer"), ("orig", "integer")], rows)
     out = sort_records(t, key=0)
     assert sorted(out.rows) == sorted(t.rows)  # multiset equality
     for a, b in zip(out.rows, out.rows[1:]):
@@ -126,7 +132,7 @@ def test_set_ops_match_nested_loop_oracle():
 
 
 def _people():
-    return Table(
+    return table_of_rows(
         [("name", "string"), ("age", "integer"), ("score", "real")],
         [("ann", 34, 9.5), ("bob", 21, 7.25), ("cy", 55, 9.5), ("dee", 40, 3.0)],
     )
@@ -151,7 +157,7 @@ def test_filter_always_false_keeps_schema():
 def test_filter_matches_row_scan_oracle():
     rng = random.Random(5)
     rows = [(i, rng.randint(0, 1000)) for i in range(1000)]
-    t = Table([("id", "integer"), ("v", "integer")], rows)
+    t = table_of_rows([("id", "integer"), ("v", "integer")], rows)
     values = sorted(r[1] for r in rows)
     median = values[len(values) // 2]
     got = filter_rows(t, "v", "gt", str(median)).rows
@@ -167,7 +173,7 @@ def test_table_union_bag_semantics():
 
 def test_table_union_schema_mismatch():
     with pytest.raises(KernelError):
-        table_union(_people(), Table([("x", "integer")], []))
+        table_union(_people(), Table([("x", "integer")], [()]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +202,20 @@ def test_wordcount_matches_tally_oracle_on_big_corpus():
 
 
 def test_aggregate_avg_small():
-    t = Table([("g", "string"), ("v", "integer")], [("g", 1), ("g", 3)])
+    t = table_of_rows([("g", "string"), ("v", "integer")], [("g", 1), ("g", 3)])
     out = aggregate(t, "g", "avg", "v")
     assert out.rows == (("g", 2.0),)
 
 
 def test_aggregate_count_empty():
-    t = Table([("g", "string"), ("v", "integer")], [])
+    t = table_of_rows([("g", "string"), ("v", "integer")], [])
     assert aggregate(t, "g", "count", None).rows == ()
 
 
 def test_aggregate_matches_hash_tally_oracle():
     rng = random.Random(13)
     rows = [(f"g{rng.randint(0, 50)}", rng.uniform(-100, 100)) for _ in range(10_000)]
-    t = Table([("g", "string"), ("v", "real")], rows)
+    t = table_of_rows([("g", "string"), ("v", "real")], rows)
     got = {r[0]: r[1] for r in aggregate(t, "g", "avg", "v").rows}
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -221,17 +227,17 @@ def test_aggregate_matches_hash_tally_oracle():
 
 
 def test_aggregate_sum_of_reals_is_rounded_once():
-    t = Table([("g", "string"), ("v", "real")], [("a", 0.1), ("a", 0.2), ("a", 0.3)])
+    t = table_of_rows([("g", "string"), ("v", "real")], [("a", 0.1), ("a", 0.2), ("a", 0.3)])
     assert aggregate(t, "g", "sum", "v").rows == (("a", 0.6),)  # 0.6000000000000001 left to right
 
 
 def test_aggregate_group_order_is_first_appearance():
-    t = Table([("g", "string"), ("v", "integer")], [("b", 1), ("a", 1), ("b", 2)])
+    t = table_of_rows([("g", "string"), ("v", "integer")], [("b", 1), ("a", 1), ("b", 2)])
     assert [r[0] for r in aggregate(t, "g", "count", None).rows] == ["b", "a"]
 
 
 def test_aggregate_rejects_non_numeric_target():
-    t = Table([("g", "string"), ("s", "string")], [("g", "x")])
+    t = table_of_rows([("g", "string"), ("s", "string")], [("g", "x")])
     with pytest.raises(KernelError):
         aggregate(t, "g", "sum", "s")
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from motifbench.datasets import Matrix, Table, Tensor, TextCorpus
+from motifbench.datasets import Matrix, Tensor, TextCorpus
 from motifbench.errors import KernelError
 from motifbench.kernels import get_kernel
 from motifbench.kernels.logic import elementwise_activation
@@ -11,7 +11,7 @@ from motifbench.kernels.matrixops import fully_connected, mat_elementwise, matmu
 from motifbench.kernels.sampling import downsample, dropout, pool, random_sample
 from motifbench.kernels.statistic import batch_norm, cosine_norm
 
-from .oracles import triple_loop_matmul
+from .oracles import table_of_rows, triple_loop_matmul
 
 
 def rand_matrix(rng, rows, cols, lo=-10.0, hi=10.0):
@@ -213,7 +213,7 @@ def test_random_sample_binomial_bound():
 
 
 def test_random_sample_deterministic_and_order_preserving():
-    t = Table([("i", "integer")], [(i,) for i in range(1000)])
+    t = table_of_rows([("i", "integer")], [(i,) for i in range(1000)])
     a = random_sample(t, 0.3, seed=5)
     b = random_sample(t, 0.3, seed=5)
     assert a == b
@@ -275,7 +275,7 @@ def test_downsample_matches_index_oracle():
     out = downsample(m, 3)
     for i in range(out.rows):
         for j in range(out.cols):
-            assert out.at(i, j) == m.at(3 * i, 3 * j)
+            assert out.data[i * out.cols + j] == m.data[3 * i * m.cols + 3 * j]
 
 
 def test_downsample_bad_factor():

@@ -20,12 +20,13 @@ import motifbench
 from motifbench import shipped_spec_path
 from motifbench.cli import main
 from motifbench.dataio import canonical_bytes, save_dataset
-from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Table, Tensor, TextCorpus
+from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Tensor, TextCorpus
 from motifbench.generators import gen_graph
 from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.logic import md5_corpus, md5_digests
 from motifbench.workload import execute, parse_spec_file
 
+from .oracles import table_of_rows
 from .topdown_samples import golden_sample, write_sample
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,7 @@ from .topdown_samples import golden_sample, write_sample
 
 PAYLOADS = {
     "text": TextCorpus(["the quick fox", "", "naïve café ☕"]),
-    "table": Table(
+    "table": table_of_rows(
         (("id", "integer"), ("price", "real"), ("name", "string")),
         [(1, 2.5, "a,b"), (-7, -0.0, "ünï")],
     ),

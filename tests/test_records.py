@@ -3,8 +3,8 @@
 Every record compares equal to a record of the same class with equal fields
 and unequal when one field differs; hashes match for equal hashable records,
 and a record holding a dict is unhashable; its repr names every field with
-the value's repr, so values of different types read differently; the frozen
-records refuse assignment and deletion. The validating constructors keep
+the value's repr, so values of different types read differently; every
+record refuses assignment and deletion. The validating constructors keep
 their messages.
 """
 
@@ -60,8 +60,9 @@ _RECORD = InvocationRecord("s", "sort.sort", 10, 48, 48)
 RECORDS = {
     "TextCorpus": (lambda **kw: TextCorpus(kw.get("documents", ["a b", "c"])),
                    ("documents",), ("documents", ["a b", "d"]), True),
-    "Table": (lambda **kw: Table([("id", "integer"), ("x", "real")], kw.get("rows", [(1, 2.0)])),
-              ("schema", "columns"), ("rows", [(1, 3.0)]), True),
+    "Table": (lambda **kw: Table([("id", "integer"), ("x", "real")],
+                                 kw.get("columns", [(1,), (2.0,)])),
+              ("schema", "columns"), ("columns", [(1,), (3.0,)]), True),
     "Matrix": (lambda **kw: Matrix(1, 2, kw.get("data", [1.0, 2.0])),
                ("rows", "cols", "data"), ("data", [1.0, 3.0]), True),
     "Tensor": (lambda **kw: Tensor(kw.get("shape", (2,)), [1.0, 2.0]),
@@ -146,9 +147,6 @@ RECORDS = {
                    ("output_kind", "matrix"), False),
 }
 
-MUTABLE = {"EventSample"}
-
-
 @pytest.mark.parametrize("name", RECORDS)
 def test_equal_fields_compare_equal_and_one_differing_field_unequal(name):
     make, _, (field, other), _ = RECORDS[name]
@@ -177,7 +175,7 @@ def test_repr_names_every_field_with_its_value_repr(name):
     assert repr(record) == f"{name}({want})"
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - MUTABLE))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_frozen_record_refuses_assignment_and_deletion(name):
     make, fields, _, _ = RECORDS[name]
     record = make()
@@ -190,13 +188,6 @@ def test_frozen_record_refuses_assignment_and_deletion(name):
         assert getattr(record, field) is before
     with pytest.raises(AttributeError):
         record.extra = 1
-
-
-def test_event_sample_label_stays_assignable():
-    sample = RECORDS["EventSample"][0]()
-    sample.label = "override"
-    assert sample.label == "override"
-    assert sample == RECORDS["EventSample"][0](label="override")
 
 
 def test_repr_tells_values_of_different_types_apart():
