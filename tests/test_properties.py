@@ -5,9 +5,9 @@ be checksummed or raises FormatError; whatever a spec file says, parse_spec
 returns a spec or raises SpecError; a payload saved and loaded back keeps
 its checksum; payload_size is the length of canonical_bytes, and a table
 encodes as its cells do one at a time; each table kernel returns what its
-row-form reference in tests/oracles.py returns; and a corpus, table or key-value set
-with one bad value is refused or stored just as the scalar loops in
-tests/oracles.py do.
+row-form reference in tests/oracles.py returns; and a corpus, table or
+key-value set with one bad value is refused or stored just as the scalar
+loops in tests/oracles.py do.
 """
 
 import math
