@@ -73,10 +73,12 @@ def test_table_duplicate_column_rejected():
         Table([("a", "integer"), ("a", "real")], [(), ()])
 
 
-def test_table_with_no_columns_is_refused():
-    # it would save as a file whose empty schema line does not load back
+@pytest.mark.parametrize("columns", [[], [(), ()]], ids=["none", "two"])
+def test_table_with_no_columns_is_refused(columns):
+    # it would save as a file whose empty schema line does not load back;
+    # the schema is checked before the columns are counted
     with pytest.raises(InvariantError, match="empty table schema"):
-        Table([], [])
+        Table([], columns)
 
 
 SCHEMA = [("a", "integer"), ("b", "real")]

@@ -4,10 +4,11 @@ Whatever bytes a dataset file holds, load_dataset returns a payload that can
 be checksummed or raises FormatError; whatever a spec file says, parse_spec
 returns a spec or raises SpecError; a payload saved and loaded back keeps
 its checksum; payload_size is the length of canonical_bytes, and a table
-encodes as its cells do one at a time; each table kernel returns what its
-row-form reference in tests/oracles.py returns; and a corpus, table or
-key-value set with one bad value is refused or stored just as the scalar
-loops in tests/oracles.py do.
+encodes as its cells do one at a time; a table built from its columns reads
+back, through its rows view, the rows the columns were cut from; each table
+kernel returns what its row-form reference in tests/oracles.py returns; and a
+corpus, table or key-value set with one bad value is refused or stored just
+as the scalar loops in tests/oracles.py do.
 """
 
 import math
@@ -142,6 +143,17 @@ def test_payload_size_is_the_canonical_length(payload):
                              [(-0.0, -1, 2**63 - 1), (1e-300, -2**63, 0)]))
 def test_canonical_bytes_of_a_table_as_encoded_cell_by_cell(table):
     assert canonical_bytes(table) == scalar_table_bytes(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_table_from_its_columns_equals_the_table_from_its_rows(data):
+    kinds = data.draw(st.lists(st.sampled_from(list(TABLE_KINDS)), min_size=1, max_size=4))
+    schema = [(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    rows = data.draw(table_rows(kinds, int_or_finite))
+    table = Table(schema, zip(*rows) if rows else [()] * len(kinds))
+    assert table.rows == scalar_table_rows(schema, rows) and len(table) == len(rows)
+    assert table.columns == (tuple(zip(*table.rows)) if rows else ((),) * len(kinds))
 
 
 @settings(max_examples=150, deadline=None,
