@@ -189,6 +189,47 @@ def test_table_cell_breaking_its_column_rule_names_its_line(tmp_path, schema, bo
         load_dataset(str(path))
 
 
+# The whole text of each loader error, after the file's path: the line it
+# names and the message. Blank body lines count toward the line numbers.
+LOADER_ERRORS = {
+    "matrix-header-not-integer": (
+        b"#matrix v1 2 x\n", "1: malformed matrix header '#matrix v1 2 x'"),
+    "matrix-header-field-count": (
+        b"#matrix v1 2 2 csv\n", "1: malformed matrix header '#matrix v1 2 2 csv'"),
+    "text-matrix-cell-count": (
+        b"#matrix v1 2 2 text\n1,2\n\n3\n", "4: matrix row has 1 cells, expected 2"),
+    "text-matrix-not-a-number": (
+        b"#matrix v1 2 2 text\n1,2\n3,x\n", "3: matrix cell is not a number"),
+    "matrix-dimensions": (b"#matrix v1 0 2\n", "1: bad matrix dimensions 0x2"),
+    "tensor-dimension-not-integer": (
+        b"#tensor v1 2 x\n", "1: malformed tensor header '#tensor v1 2 x'"),
+    "tensor-dimension-not-positive": (b"#tensor v1 2 0\n", "1: bad tensor shape [2, 0]"),
+    "tensor-no-dimension": (b"#tensor v1\n", "1: bad tensor shape []"),
+    "graph-header-field-count": (
+        b"#graph v1 3\n0 1\n", "1: malformed graph header '#graph v1 3'"),
+    "graph-count-not-integer": (
+        b"#graph v1 x 1\n0 1\n", "1: malformed graph header '#graph v1 x 1'"),
+    "graph-flag-2": (b"#graph v1 3 2\n0 1\n", "1: malformed graph header '#graph v1 3 2'"),
+    "edge-three-fields": (b"#graph v1 3 1\n0 1\n\n0 1 2\n", "4: bad edge line '0 1 2'"),
+    "edge-endpoint-not-integer": (b"#graph v1 3 1\n0 a\n", "2: bad edge line '0 a'"),
+    "edge-endpoint-out-of-range": (
+        b"#graph v1 3 1\n0 1\n2 3\n", "3: endpoint out of range: (2, 3) with vertex_count 3"),
+    "edge-whitespace-line-skipped": (b"#graph v1 3 1\n0 1\n \t \n1 x\n", "4: bad edge line '1 x'"),
+    "kv-no-tab": (b"#kv v1\na\t1\nb 2\n", "3: kv line missing tab separator: 'b 2'"),
+    "kv-duplicate-key": (b"#kv v1\na\t1\n\nb\t2\na\t3\n", "5: duplicate key 'a'"),
+}
+
+
+@pytest.mark.parametrize("content, where_and_message", LOADER_ERRORS.values(),
+                         ids=LOADER_ERRORS.keys())
+def test_loader_error_text_is_pinned(tmp_path, content, where_and_message):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    with pytest.raises(FormatError) as err:
+        load_dataset(str(path))
+    assert str(err.value) == f"{path}:{where_and_message}"
+
+
 def test_matrix_header_consistency_on_load(tmp_path):
     path = tmp_path / "ok.matrix"
     save_dataset(Dataset(Matrix(2, 3, range(6))), str(path))
