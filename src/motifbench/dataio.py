@@ -56,10 +56,11 @@ def _is_header(line: str) -> bool:
     return line.startswith("#") and " v1" in line[:12]
 
 
-def _enc_str(out: io.BytesIO, s: str):
-    raw = s.encode("utf-8")
-    out.write(_U64.pack(len(raw)))
-    out.write(raw)
+def _prefixed(strings):
+    """Each string's 8-byte length followed by its UTF-8 bytes, one bytes
+    object per string, made only as each is taken."""
+    raw, lengths = itertools.tee(map(str.encode, strings))
+    return map(add, map(_U64.pack, map(len, lengths)), raw)
 
 
 def _packed(code: str, values) -> array:
@@ -78,14 +79,11 @@ def canonical_bytes(payload: Payload) -> bytes:
     if isinstance(payload, TextCorpus):
         out.write(b"text\x00")
         out.write(_U64.pack(len(payload.documents)))
-        for line in payload.documents:
-            _enc_str(out, line)
+        out.writelines(_prefixed(payload.documents))
     elif isinstance(payload, Table):
         out.write(b"tabl\x00")
         out.write(_U64.pack(len(payload.schema)))
-        for name, kind in payload.schema:
-            _enc_str(out, name)
-            _enc_str(out, kind)
+        out.writelines(_prefixed(itertools.chain.from_iterable(payload.schema)))
         out.write(_U64.pack(len(payload)))
         out.write(_table_body([k for _, k in payload.schema], payload.columns))
     elif isinstance(payload, Matrix):
@@ -108,9 +106,7 @@ def canonical_bytes(payload: Payload) -> bytes:
         out.write(b"kvst\x00")
         items = sorted(payload.entries.items())
         out.write(_U64.pack(len(items)))
-        for key, value in items:
-            _enc_str(out, key)
-            _enc_str(out, value)
+        out.writelines(_prefixed(itertools.chain.from_iterable(items)))
     else:
         raise InvariantError(f"not a dataset payload: {type(payload).__name__}")
     return out.getvalue()
@@ -130,8 +126,7 @@ def _table_body(kinds: list[str], columns: tuple) -> bytes:
     cells = [b""] * (n * k)
     for j, (kind, col) in enumerate(zip(kinds, columns)):
         if kind == "string":
-            raw = list(map(str.encode, col))
-            cells[j::k] = map(add, map(_U64.pack, map(len, raw)), raw)
+            cells[j::k] = _prefixed(col)
         else:
             cells[j::k] = map((_I64 if kind == "integer" else _F64).pack, col)
     return b"".join(cells)
@@ -239,17 +234,14 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
             # repr round-trips binary64 exactly through float()
             writer.writerows(zip(*(map(repr if k == "real" else str, col)
                                    for k, col in zip(kinds, payload.columns))))
-        elif isinstance(payload, Matrix) and text_matrix:
+        elif binary:
+            dims = (payload.rows, payload.cols) if isinstance(payload, Matrix) else payload.shape
+            fh.write(f"#{d.kind} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
+            fh.write(_packed("d", payload.data))
+        elif isinstance(payload, Matrix):
             fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
             for i in range(payload.rows):
                 fh.write(",".join(map(repr, payload.row(i))) + "\n")
-        elif isinstance(payload, Matrix):
-            fh.write(f"#matrix v1 {payload.rows} {payload.cols}\n".encode("ascii"))
-            fh.write(_packed("d", payload.data))
-        elif isinstance(payload, Tensor):
-            dims = " ".join(str(v) for v in payload.shape)
-            fh.write(f"#tensor v1 {dims}\n".encode("ascii"))
-            fh.write(_packed("d", payload.data))
         elif isinstance(payload, Graph):
             fh.write(f"#graph v1 {payload.vertex_count} {1 if payload.directed else 0}\n")
             for u, v in payload.edges:
@@ -377,31 +369,42 @@ def _read_doubles(path: str, blob: bytes, count: int, what: str) -> tuple[float,
     return struct.unpack(f"<{count}d", blob)
 
 
+def _header_ints(path: str, header: str, kind: str, fields: list[str],
+                 well_formed: bool = True) -> list[int]:
+    """`fields` of a header line as integers; a field that is not one, or a
+    header that is not `well_formed`, makes the header malformed."""
+    if well_formed:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    raise FormatError(f"malformed {kind} header {header!r}", path=path, line=1)
+
+
+def _body_lines(path: str, rest: bytes):
+    """Yield (line number, line) for each non-empty line of `rest`, the text
+    that follows a file's header line."""
+    for lineno, line in enumerate(_decode(rest, path, 2).split("\n"), 2):
+        if line:
+            yield lineno, line
+
+
 def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
     fields = header.split()
-    text_mode = len(fields) == 5 and fields[4] == "text"
-    if len(fields) != 4 and not text_mode:
-        raise FormatError(f"malformed matrix header {header!r}", path=path, line=1)
-    try:
-        rows, cols = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise FormatError(f"malformed matrix header {header!r}", path=path, line=1) from None
+    text_mode = fields[4:] == ["text"]
+    rows, cols = _header_ints(path, header, "matrix", fields[2:4], len(fields) == 4 or text_mode)
     if text_mode:
         data = []
-        for i, line in enumerate(_decode(rest, path, 2).split("\n")):
-            if line == "":
-                continue
+        for lineno, line in _body_lines(path, rest):
             cells = line.split(",")
             if len(cells) != cols:
                 raise FormatError(
-                    f"matrix row has {len(cells)} cells, expected {cols}",
-                    path=path,
-                    line=i + 2,
+                    f"matrix row has {len(cells)} cells, expected {cols}", path=path, line=lineno
                 )
             try:
-                data.extend(float(c) for c in cells)
+                data.extend(map(float, cells))
             except ValueError:
-                raise FormatError("matrix cell is not a number", path=path, line=i + 2) from None
+                raise FormatError("matrix cell is not a number", path=path, line=lineno) from None
         return _wrap_invariant(path, None, Matrix, rows, cols, data)
     if rows <= 0 or cols <= 0:
         raise FormatError(f"bad matrix dimensions {rows}x{cols}", path=path, line=1)
@@ -410,11 +413,7 @@ def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
 
 
 def _load_tensor(path: str, header: str, rest: bytes) -> Tensor:
-    fields = header.split()
-    try:
-        dims = [int(f) for f in fields[2:]]
-    except ValueError:
-        raise FormatError(f"malformed tensor header {header!r}", path=path, line=1) from None
+    dims = _header_ints(path, header, "tensor", header.split()[2:])
     if not dims or any(d <= 0 for d in dims):
         raise FormatError(f"bad tensor shape {dims}", path=path, line=1)
     values = _read_doubles(path, rest, math.prod(dims), "tensor")
@@ -423,47 +422,37 @@ def _load_tensor(path: str, header: str, rest: bytes) -> Tensor:
 
 def _load_graph(path: str, header: str, rest: bytes) -> Graph:
     fields = header.split()
-    if len(fields) != 4 or fields[3] not in ("0", "1"):
-        raise FormatError(f"malformed graph header {header!r}", path=path, line=1)
-    try:
-        vertex_count = int(fields[2])
-    except ValueError:
-        raise FormatError(f"malformed graph header {header!r}", path=path, line=1) from None
+    vertex_count, directed = _header_ints(path, header, "graph", fields[2:],
+                                          len(fields) == 4 and fields[3] in ("0", "1"))
     _wrap_invariant(path, 1, Graph, vertex_count, ())  # the header's count, on its line
     edges = []
-    for i, line in enumerate(_decode(rest, path, 2).split("\n")):
-        if line.strip() == "":
-            continue
+    for lineno, line in _body_lines(path, rest):
         parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {line!r}", path=path, line=i + 2)
+        if not parts:
+            continue
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, parts)
         except ValueError:
-            raise FormatError(f"bad edge line {line!r}", path=path, line=i + 2) from None
+            raise FormatError(f"bad edge line {line!r}", path=path, line=lineno) from None
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise FormatError(
                 f"endpoint out of range: ({u}, {v}) with vertex_count {vertex_count}",
                 path=path,
-                line=i + 2,
+                line=lineno,
             )
         edges.append((u, v))
-    return _wrap_invariant(path, None, Graph, vertex_count, edges, fields[3] == "1")
+    return _wrap_invariant(path, None, Graph, vertex_count, edges, directed)
 
 
 def _load_kv(path: str, rest: bytes) -> KeyValueSet:
-    entries = []
-    seen = set()
-    for i, line in enumerate(_decode(rest, path, 2).split("\n")):
-        if line == "":
-            continue
+    entries = {}
+    for lineno, line in _body_lines(path, rest):
         if "\t" not in line:
-            raise FormatError(f"kv line missing tab separator: {line!r}", path=path, line=i + 2)
+            raise FormatError(f"kv line missing tab separator: {line!r}", path=path, line=lineno)
         key, _, value = line.partition("\t")
-        if key in seen:
-            raise FormatError(f"duplicate key {key!r}", path=path, line=i + 2)
-        seen.add(key)
-        entries.append((key, value))
+        if key in entries:
+            raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
+        entries[key] = value
     return _wrap_invariant(path, None, KeyValueSet, entries)
 
 
