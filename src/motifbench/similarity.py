@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .dataio import _decode, csv_records, open_output, read_input
 from .datasets import Record
-from .errors import InvariantError
+from .errors import EventError, InvariantError
 from .topdown import MetricVector
 
 QL_MAX_ITERATIONS = 30  # per eigenvalue, as in Numerical Recipes' tqli
@@ -393,26 +393,29 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
 
 def append_vector_csv(path: str, vector: MetricVector):
     """Create the CSV with a header on first use, when the file is absent or
-    empty; append rows afterwards, refusing mismatched metric orderings,
-    after a newline if the file's last line lacks one. Only the header
-    record and the last byte are read and decoded, and a row is appended in
-    place: reading the rows, or copying the file to replace it atomically,
-    would make N appends cost O(N^2)."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        write_vectors_csv(path, [vector])
-        return
-    with open(path, "a+b") as fh:
-        fh.seek(0)
-        lines = (_decode(line, path, n) for n, line in enumerate(fh, 1))
-        _, header = next(csv_records(lines, path), (1, []))
-        if header != ["label", *vector.names]:
-            raise InvariantError(f"{path}: metric ordering does not match existing header")
-        row = io.StringIO()
-        fh.seek(-1, os.SEEK_END)  # a header was read, so the file is not empty
-        if fh.read(1) != b"\n":
-            row.write("\n")
-        csv.writer(row, lineterminator="\n").writerow([vector.label, *(repr(x) for x in vector.values)])
-        fh.write(row.getvalue().encode("utf-8"))
+    holds no record, only line terminators; append rows afterwards, refusing
+    mismatched metric orderings, after a newline if the file's last line
+    lacks one. Only the header record and the last byte are read and
+    decoded, and a row is appended in place: reading the rows, or copying
+    the file to replace it atomically, would make N appends cost O(N^2)."""
+    if os.path.exists(path):
+        with open(path, "a+b") as fh:
+            fh.seek(0)
+            lines = (_decode(line, path, n) for n, line in enumerate(fh, 1))
+            records = (record for _, record in csv_records(lines, path))
+            header = next(records, [])
+            if header or any(records):
+                if header != ["label", *vector.names]:
+                    raise InvariantError(f"{path}: metric ordering does not match existing header")
+                row = io.StringIO()
+                fh.seek(-1, os.SEEK_END)  # a record was read, so the file is not empty
+                if fh.read(1) != b"\n":
+                    row.write("\n")
+                csv.writer(row, lineterminator="\n").writerow(
+                    [vector.label, *(repr(x) for x in vector.values)])
+                fh.write(row.getvalue().encode("utf-8"))
+                return
+    write_vectors_csv(path, [vector])
 
 
 def read_vectors_csv(path: str) -> list[MetricVector]:
@@ -433,8 +436,9 @@ def read_vectors_csv(path: str) -> list[MetricVector]:
                 f"{path}:{lineno}: row has {len(row)} fields, header has {len(names) + 1}"
             )
         try:
-            values = tuple(float(x) for x in row[1:])
+            vectors.append(MetricVector(row[0], names, tuple(map(float, row[1:]))))
         except ValueError:
             raise InvariantError(f"{path}:{lineno}: non-numeric metric value") from None
-        vectors.append(MetricVector(row[0], names, values))
+        except EventError as exc:
+            raise EventError(f"{path}:{lineno}: {exc}") from None
     return vectors

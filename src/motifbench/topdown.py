@@ -247,7 +247,10 @@ def parse_sample(text: str, path: str = "<sample>",
     except ValueError as exc:
         raise EventError(f"{path}: bad metadata value: {exc}") from None
     label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
-    return EventSample(events=events, width=width, cycles=cycles, label=label)
+    try:
+        return EventSample(events=events, width=width, cycles=cycles, label=label)
+    except EventError as exc:
+        raise EventError(f"{path}: {exc}") from None
 
 
 def load_sample(path: str, width: Optional[int] = None,
@@ -494,7 +497,10 @@ def load_tree(path: str) -> MetricTree:
         doc = json.loads(read_input(path))
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise EventError(f"{path}: bad tree JSON: {exc}") from None
-    return tree_from_json(doc)
+    try:
+        return tree_from_json(doc)
+    except (EventError, FormulaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -585,35 +591,33 @@ def analysis_json(doc: dict) -> str:
 # scalar metrics
 
 
+def _counts(sample: EventSample, *names: str) -> list[float]:
+    """The counts of `names` in `sample`; MissingEventsError names every
+    absent one."""
+    missing = [n for n in names if n not in sample.events]
+    if missing:
+        raise MissingEventsError(missing)
+    return [sample.events[n] for n in names]
+
+
 def ipc(sample: EventSample) -> float:
     """Retired instructions per cycle."""
-    if "instructions_retired" not in sample.events:
-        raise MissingEventsError(["instructions_retired"])
-    return sample.events["instructions_retired"] / sample.cycles
+    (retired,) = _counts(sample, "instructions_retired")
+    return retired / sample.cycles
 
 
 def mlp(sample: EventSample) -> float:
     """Average outstanding L1D misses over cycles with at least one; 0 when
     no such cycles were observed."""
-    missing = [n for n in ("l1d_miss_occupancy", "l1d_miss_cycles") if n not in sample.events]
-    if missing:
-        raise MissingEventsError(missing)
-    denom = sample.events["l1d_miss_cycles"]
-    if denom == 0:
-        return 0.0
-    return sample.events["l1d_miss_occupancy"] / denom
+    occupancy, denom = _counts(sample, "l1d_miss_occupancy", "l1d_miss_cycles")
+    return occupancy / denom if denom != 0 else 0.0
 
 
 def ms_uops_ratio(sample: EventSample) -> float:
     """Microcode-sequencer uops per retired uop; pressure indicator for
     instructions that bypass the default decoders."""
-    missing = [n for n in ("ms_uops", "uops_retired") if n not in sample.events]
-    if missing:
-        raise MissingEventsError(missing)
-    retired = sample.events["uops_retired"]
-    if retired == 0:
-        return 0.0
-    return sample.events["ms_uops"] / retired
+    ms_uops, retired = _counts(sample, "ms_uops", "uops_retired")
+    return ms_uops / retired if retired != 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,20 @@ def test_analyze_missing_events_exit_1(tmp_path, capsys):
     assert "missing events" in err and "uops_issued" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("uops_retired,5\n", "cycles must be present and > 0, got 0.0"),
+    ("cycles,10\nuops_retired,-1\n", "event 'uops_retired' has negative count -1.0"),
+    ("cycles,10\nuops_retired,inf\n", "event 'uops_retired' has non-finite count inf"),
+    ("#meta width=0\ncycles,10\n", "issue width must be >= 1, got 0"),
+], ids=["no-cycles", "negative-count", "infinite-count", "width-0"])
+def test_analyze_bad_dump_content_names_its_file(tmp_path, capsys, content, message):
+    ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+    write_sample(ideal_sample(), str(ok))
+    bad.write_text(content)
+    assert run_cli("analyze", "--events", str(ok), str(bad)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
 def test_analyze_vector_out_accumulates(tmp_path, existing):
     vec_csv = tmp_path / "metrics.csv"

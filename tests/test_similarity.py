@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motifbench import similarity
-from motifbench.errors import FormatError, InvariantError
+from motifbench.errors import EventError, FormatError, InvariantError
 from motifbench.similarity import (
     Dendrogram,
     append_vector_csv,
@@ -540,6 +540,33 @@ def test_append_vector_csv_reads_only_the_header(tmp_path, monkeypatch):
     blob = path.read_bytes()
     assert blob.count(b"\n") == 65
     assert decoded == [blob.index(b"\n") + 1] * 63
+
+
+@pytest.mark.parametrize("existing", ["\n", "\r\n", "\n\n"], ids=["lf", "crlf", "two-lf"])
+def test_append_vector_csv_on_a_file_of_line_terminators_writes_the_header(tmp_path, existing):
+    path = tmp_path / "m.csv"
+    path.write_bytes(existing.encode())
+    append_vector_csv(str(path), MetricVector("w1", ("a", "b"), (1.0, 2.0)))
+    assert path.read_text() == "label,a,b\nw1,1.0,2.0\n"
+
+
+@pytest.mark.parametrize("existing", ["\nlabel,a,b\n", "\n\nlabel,a,b\nw0,1.0,2.0\n"],
+                         ids=["blank-then-header", "blanks-then-rows"])
+def test_append_vector_csv_refuses_a_blank_first_record_before_others(tmp_path, existing):
+    path = tmp_path / "m.csv"
+    path.write_text(existing)
+    with pytest.raises(InvariantError, match="does not match existing header"):
+        append_vector_csv(str(path), MetricVector("w1", ("a", "b"), (1.0, 2.0)))
+    assert path.read_text() == existing
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_vectors_csv_names_the_line_of_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "m.csv"
+    path.write_text(f"label,a\nw1,1.0\n\nw2,{value}\n")
+    with pytest.raises(EventError) as err:
+        read_vectors_csv(str(path))
+    assert str(err.value) == f"{path}:4: metric 'a' has non-finite value {float(value)!r}"
 
 
 def test_append_vector_csv_decodes_and_parses_only_the_header(tmp_path):

@@ -370,6 +370,20 @@ def test_tree_from_json_rejects_bad_shapes(doc):
         tree_from_json(doc)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("[]", EventError, "metric tree has no root"),
+    ("5", EventError, "a tree is a node object or a list of them, got 5"),
+    ('{"name": "A"}', EventError, "tree node needs 'name' and 'formula': {'name': 'A'}"),
+    ('{"name": "A", "formula": "meta.x"}', FormulaError, "A: unknown metadata name 'meta.x'"),
+], ids=["no-root", "number", "no-formula", "unknown-metadata"])
+def test_load_tree_names_its_file_in_a_tree_error(tmp_path, text, error, message):
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        load_tree(str(path))
+    assert type(err.value) is error and str(err.value) == f"{path}: {message}"
+
+
 _DEEP_TREE = "".join(f'{{"name": "n{i}", "formula": "1", "children": [' for i in range(2000))
 
 
