@@ -31,7 +31,7 @@ import os
 import struct
 import sys
 from array import array
-from operator import add
+from operator import add, itemgetter
 
 from .datasets import (
     TABLE_KINDS,
@@ -58,7 +58,8 @@ def _is_header(line: str) -> bool:
 
 def _prefixed(strings):
     """Each string's 8-byte length followed by its UTF-8 bytes, one bytes
-    object per string, made only as each is taken."""
+    object per string, made only as each is taken: a list of them would
+    hold a second copy of every string while the stream grows."""
     raw, lengths = itertools.tee(map(str.encode, strings))
     return map(add, map(_U64.pack, map(len, lengths)), raw)
 
@@ -382,11 +383,9 @@ def _header_ints(path: str, header: str, kind: str, fields: list[str],
 
 
 def _body_lines(path: str, rest: bytes):
-    """Yield (line number, line) for each non-empty line of `rest`, the text
-    that follows a file's header line."""
-    for lineno, line in enumerate(_decode(rest, path, 2).split("\n"), 2):
-        if line:
-            yield lineno, line
+    """(line number, line) for each non-empty line of `rest`, the text that
+    follows a file's header line."""
+    return filter(itemgetter(1), enumerate(_decode(rest, path, 2).split("\n"), 2))
 
 
 def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
@@ -431,7 +430,8 @@ def _load_graph(path: str, header: str, rest: bytes) -> Graph:
         if not parts:
             continue
         try:
-            u, v = map(int, parts)
+            u, v = parts
+            u, v = int(u), int(v)
         except ValueError:
             raise FormatError(f"bad edge line {line!r}", path=path, line=lineno) from None
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
