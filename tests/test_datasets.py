@@ -159,6 +159,15 @@ def test_graph_endpoint_range():
         Graph(0, [])
 
 
+@pytest.mark.parametrize("edge", [(0,), (0, 1, 2), (0, 1.0), (True, 1), (0, "1")],
+                         ids=["one-end", "three-ends", "float", "bool", "str"])
+def test_graph_edge_not_two_integers_text_is_pinned(edge):
+    with pytest.raises(InvariantError) as err:
+        Graph(3, [(0, 1), (2, 2), edge])
+    assert str(err.value) == ("edge 2 endpoint out of range or not an integer: "
+                              f"{edge!r} with vertex_count 3")
+
+
 @pytest.mark.parametrize("build", [
     lambda: Matrix(True, 1, [1.0]),
     lambda: Matrix(1, True, [1.0]),

@@ -599,3 +599,38 @@ def test_read_vectors_csv_rejects_malformed(tmp_path):
     path.write_text('label,m0\n"two\nlines",1\nw2,notanumber\n')  # a label over lines 2-3
     with pytest.raises(InvariantError, match=":4: non-numeric"):
         read_vectors_csv(str(path))
+
+
+def _append_w1(path):
+    append_vector_csv(path, vec("w1", [1, 2], names=("a", "b")))
+
+
+# The whole text of each content error of a metrics CSV, after the file's
+# path: the error type, the line it names and the message. Blank lines count
+# toward the line numbers.
+METRICS_ERRORS = {
+    "empty-file": (read_vectors_csv, "", InvariantError, ": empty metrics file"),
+    "first-column-not-label": (
+        read_vectors_csv, "name,a\nw1,1.0\n", InvariantError, ": first column must be 'label'"),
+    "field-count": (
+        read_vectors_csv, "label,a\nw1,1.0\n\nw2,1.0,2.0\n", InvariantError,
+        ":4: row has 3 fields, header has 2"),
+    "non-numeric-value": (
+        read_vectors_csv, "label,a\n\nw1,x\n", InvariantError, ":3: non-numeric metric value"),
+    "non-finite-value": (
+        read_vectors_csv, "label,a\nw1,nan\n", EventError,
+        ":2: metric 'a' has non-finite value nan"),
+    "header-mismatch-on-append": (
+        _append_w1, "label,a,c\nw0,1.0,2.0\n", InvariantError,
+        ": metric ordering does not match existing header"),
+}
+
+
+@pytest.mark.parametrize("call, content, error, where_and_message", METRICS_ERRORS.values(),
+                         ids=METRICS_ERRORS.keys())
+def test_metrics_error_text_is_pinned(tmp_path, call, content, error, where_and_message):
+    path = tmp_path / "m.csv"
+    path.write_text(content)
+    with pytest.raises(error) as err:
+        call(str(path))
+    assert type(err.value) is error and str(err.value) == f"{path}{where_and_message}"

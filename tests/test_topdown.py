@@ -222,6 +222,35 @@ def test_mapping_renames_platform_events(tmp_path):
     assert "UOPS_RETIRED.RETIRE_SLOTS" not in sample.events
 
 
+# The whole text of each content error of an event dump or a mapping file,
+# after the file's path. Blank lines count toward the line numbers.
+DUMP_ERRORS = {
+    "meta-without-value": (
+        load_sample, "cycles,10\n\n#meta width\n", ":3: bad metadata line '#meta width'"),
+    "event-without-comma": (
+        load_sample, "cycles,10\nuops_retired 5\n",
+        ":2: expected 'event_name,count', got 'uops_retired 5'"),
+    "duplicate-event": (load_sample, "cycles,10\nx,1\n\nx,2\n", ":4: duplicate event 'x'"),
+    "bad-count": (load_sample, "cycles,10\nx, ten \n", ":2: bad count 'ten'"),
+    "bad-meta-value": (
+        load_sample, "#meta width=abc\ncycles,10\n",
+        ": bad metadata value: invalid literal for int() with base 10: 'abc'"),
+    "mapping-without-comma": (
+        load_mapping, "# abstract,platform\n\nuops_retired UOPS\n",
+        ":3: expected 'abstract,platform', got 'uops_retired UOPS'"),
+}
+
+
+@pytest.mark.parametrize("load, content, where_and_message", DUMP_ERRORS.values(),
+                         ids=DUMP_ERRORS.keys())
+def test_dump_error_text_is_pinned(tmp_path, load, content, where_and_message):
+    path = tmp_path / "dump.csv"
+    path.write_text(content)
+    with pytest.raises(EventError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}{where_and_message}"
+
+
 def test_apply_mapping_on_existing_sample():
     sample = parse_sample(
         "RAW.COUNTER,42\ncycles,100\n", mapping={"uops_retired": "RAW.COUNTER"}
@@ -375,7 +404,18 @@ def test_tree_from_json_rejects_bad_shapes(doc):
     ("5", EventError, "a tree is a node object or a list of them, got 5"),
     ('{"name": "A"}', EventError, "tree node needs 'name' and 'formula': {'name': 'A'}"),
     ('{"name": "A", "formula": "meta.x"}', FormulaError, "A: unknown metadata name 'meta.x'"),
-], ids=["no-root", "number", "no-formula", "unknown-metadata"])
+    ('{"name": ', EventError, "bad tree JSON: Expecting value: line 1 column 10 (char 9)"),
+    ('{"name": "A", "formula": "1", "negative_ok": 0}', EventError,
+     "tree node 'A': 'negative_ok' must be a bool, got 0"),
+    ('[{"name": "A", "formula": "1"}, {"name": "A", "formula": "1"}]', EventError,
+     "duplicate metric name 'A'"),
+    ("".join(f'{{"name": "n{i}", "formula": "1", "children": [' for i in range(5))
+     + '{"name": "n5", "formula": "1"}' + "]}" * 5, EventError,
+     "tree deeper than 5 levels at 'n5'"),
+    ('[{"name": "A", "formula": "B"}, {"name": "B", "formula": "1"}]', FormulaError,
+     "A: formula names 'B', which is not evaluated before it"),
+], ids=["no-root", "number", "no-formula", "unknown-metadata", "bad-json", "field-type",
+        "duplicate-name", "six-levels", "forward-reference"])
 def test_load_tree_names_its_file_in_a_tree_error(tmp_path, text, error, message):
     path = tmp_path / "tree.json"
     path.write_text(text)
