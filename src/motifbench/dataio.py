@@ -305,11 +305,16 @@ def csv_records(text, path: str, line: int = 1):
         raise FormatError(f"bad CSV record ({exc})", path=path, line=line) from None
 
 
-def _wrap_invariant(path, line, fn, *args, **kwargs):
+def _wrap_invariant(path: str, line_of, fn, *args):
+    """fn(*args), with the InvariantError it may raise raised as a FormatError
+    naming `path` and a line: `line_of` itself, a number or None, or when it
+    is a line map, the line it maps the index of the refused value to."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except InvariantError as exc:
-        raise FormatError(str(exc), path=path, line=line) from None
+        if callable(line_of):
+            line_of = None if exc.index is None else line_of(exc.index)
+        raise FormatError(str(exc), path=path, line=line_of) from None
 
 
 def _load_table(path: str, text: str) -> Table:
@@ -346,19 +351,7 @@ def _load_table(path: str, text: str) -> Table:
                     f"cell {cell!r} is not a valid {kind}", path=path, line=lineno
                 ) from None
         row_lines.append(lineno)
-    try:
-        return Table(schema, columns)
-    except InvariantError as exc:
-        # Table checks column by column, so the first cell that fails its
-        # column's check on its own, in that order, is the one it names.
-        for (name, kind), col in zip(schema, columns):
-            check = TABLE_KINDS[kind].check
-            for r, cell in enumerate(col):
-                try:
-                    check((cell,), lambda _: name)
-                except InvariantError:
-                    raise FormatError(str(exc), path=path, line=row_lines[r]) from None
-        raise FormatError(str(exc), path=path) from None
+    return _wrap_invariant(path, row_lines.__getitem__, Table, schema, columns)
 
 
 def _read_doubles(path: str, blob: bytes, count: int, what: str) -> tuple[float, ...]:
@@ -393,7 +386,7 @@ def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
     text_mode = fields[4:] == ["text"]
     rows, cols = _header_ints(path, header, "matrix", fields[2:4], len(fields) == 4 or text_mode)
     if text_mode:
-        data = []
+        data, row_lines = [], []
         for lineno, line in _body_lines(path, rest):
             cells = line.split(",")
             if len(cells) != cols:
@@ -404,7 +397,8 @@ def _load_matrix(path: str, header: str, rest: bytes) -> Matrix:
                 data.extend(map(float, cells))
             except ValueError:
                 raise FormatError("matrix cell is not a number", path=path, line=lineno) from None
-        return _wrap_invariant(path, None, Matrix, rows, cols, data)
+            row_lines.append(lineno)
+        return _wrap_invariant(path, lambda i: row_lines[i // cols], Matrix, rows, cols, data)
     if rows <= 0 or cols <= 0:
         raise FormatError(f"bad matrix dimensions {rows}x{cols}", path=path, line=1)
     values = _read_doubles(path, rest, rows * cols, "matrix")
@@ -424,28 +418,22 @@ def _load_graph(path: str, header: str, rest: bytes) -> Graph:
     vertex_count, directed = _header_ints(path, header, "graph", fields[2:],
                                           len(fields) == 4 and fields[3] in ("0", "1"))
     _wrap_invariant(path, 1, Graph, vertex_count, ())  # the header's count, on its line
-    edges = []
+    edges, edge_lines = [], []
     for lineno, line in _body_lines(path, rest):
         parts = line.split()
         if not parts:
             continue
         try:
             u, v = parts
-            u, v = int(u), int(v)
+            edges.append((int(u), int(v)))
         except ValueError:
             raise FormatError(f"bad edge line {line!r}", path=path, line=lineno) from None
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise FormatError(
-                f"endpoint out of range: ({u}, {v}) with vertex_count {vertex_count}",
-                path=path,
-                line=lineno,
-            )
-        edges.append((u, v))
-    return _wrap_invariant(path, None, Graph, vertex_count, edges, directed)
+        edge_lines.append(lineno)
+    return _wrap_invariant(path, edge_lines.__getitem__, Graph, vertex_count, edges, directed)
 
 
 def _load_kv(path: str, rest: bytes) -> KeyValueSet:
-    entries = {}
+    entries, entry_lines = {}, []
     for lineno, line in _body_lines(path, rest):
         if "\t" not in line:
             raise FormatError(f"kv line missing tab separator: {line!r}", path=path, line=lineno)
@@ -453,7 +441,8 @@ def _load_kv(path: str, rest: bytes) -> KeyValueSet:
         if key in entries:
             raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
         entries[key] = value
-    return _wrap_invariant(path, None, KeyValueSet, entries)
+        entry_lines.append(lineno)
+    return _wrap_invariant(path, entry_lines.__getitem__, KeyValueSet, entries)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -479,5 +468,5 @@ def load_dataset(path: str) -> Dataset:
         lines = _decode(blob, path).split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        payload = _wrap_invariant(path, None, TextCorpus, lines)
+        payload = _wrap_invariant(path, lambda i: i + 1, TextCorpus, lines)
     return Dataset(payload)

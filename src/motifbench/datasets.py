@@ -10,7 +10,7 @@ its rows are a view derived from them.
 Constructors check whole columns with C-level passes (the set of types,
 min/max, math.isfinite over all values, one join scanned for reserved
 characters and encoded as UTF-8); only after a check fails does a Python
-scan name the bad value.
+scan name the bad value, and the error's `index` gives its position.
 TABLE_KINDS holds each table column kind's column check and text parser.
 Record is the base of motifbench's validating record classes.
 """
@@ -89,7 +89,7 @@ def _integers(col: tuple, subject: Callable[[int], str]) -> tuple:
             and max(col, default=0) < 2**63:
         return col
     i = _first_bad(col, lambda v: type(v) is int and -2**63 <= v < 2**63)
-    raise InvariantError(f"{subject(i)}: expected a 64-bit integer, got {col[i]!r}")
+    raise InvariantError(f"{subject(i)}: expected a 64-bit integer, got {col[i]!r}", index=i)
 
 
 def _reals(col: tuple, subject: Callable[[int], str]) -> tuple:
@@ -98,7 +98,7 @@ def _reals(col: tuple, subject: Callable[[int], str]) -> tuple:
     types = set(map(type, col))
     if types - {float, int}:
         i = _first_bad(col, lambda v: type(v) in (float, int))
-        raise InvariantError(f"{subject(i)} must be numbers, got {col[i]!r}")
+        raise InvariantError(f"{subject(i)} must be numbers, got {col[i]!r}", index=i)
     try:
         values = tuple(map(float, col)) if int in types else col
         ok = all(map(math.isfinite, values))
@@ -106,7 +106,7 @@ def _reals(col: tuple, subject: Callable[[int], str]) -> tuple:
         ok = False
     if not ok:
         i = _first_bad(col, lambda v: abs(v) < _FLOAT_LIMIT)
-        raise InvariantError(f"{subject(i)} must be finite, got {col[i]!r}")
+        raise InvariantError(f"{subject(i)} must be finite, got {col[i]!r}", index=i)
     return values
 
 
@@ -115,12 +115,12 @@ def _strings(col: tuple, subject: Callable[[int], str], reserved: str = "") -> t
     that encodes as UTF-8 (no lone surrogates)."""
     if set(map(type, col)) - {str}:
         i = _first_bad(col, lambda v: type(v) is str)
-        raise InvariantError(f"{subject(i)} is not a string, got {col[i]!r}")
+        raise InvariantError(f"{subject(i)} is not a string, got {col[i]!r}", index=i)
     text = "".join(col)
     for ch in reserved:
         if ch in text:
             i = _first_bad(col, lambda v: ch not in v)
-            raise InvariantError(f"{subject(i)} contains {ch!r}")
+            raise InvariantError(f"{subject(i)} contains {ch!r}", index=i)
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -128,7 +128,7 @@ def _strings(col: tuple, subject: Callable[[int], str], reserved: str = "") -> t
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise InvariantError(f"{subject(i)} is not valid UTF-8: {exc}") from None
+                raise InvariantError(f"{subject(i)} is not valid UTF-8: {exc}", index=i) from None
     return col
 
 
@@ -263,12 +263,14 @@ class Graph(Record):
                 f"vertex_count must be a positive count below 2**64, got {vertex_count!r}")
         norm = tuple(map(tuple, edges))
         ends = list(chain.from_iterable(norm))
-        if not (set(map(len, norm)) <= {2} and set(map(type, ends)) <= {int}
-                and 0 <= min(ends, default=0) and max(ends, default=0) < vertex_count):
-            k = _first_bad(norm, lambda e: len(e) == 2 and set(map(type, e)) == {int}
-                           and 0 <= min(e) <= max(e) < vertex_count)
+        if not (set(map(len, norm)) <= {2} and set(map(type, ends)) <= {int}):
+            k = _first_bad(norm, lambda e: len(e) == 2 and set(map(type, e)) == {int})
             raise InvariantError(f"edge {k} endpoint out of range or not an integer: "
-                                 f"{norm[k]!r} with vertex_count {vertex_count}")
+                                 f"{norm[k]!r} with vertex_count {vertex_count}", index=k)
+        if not (0 <= min(ends, default=0) and max(ends, default=0) < vertex_count):
+            k = _first_bad(norm, lambda e: 0 <= min(e) <= max(e) < vertex_count)
+            raise InvariantError(
+                f"endpoint out of range: {norm[k]} with vertex_count {vertex_count}", index=k)
         self._set(vertex_count=vertex_count, edges=norm, directed=bool(directed))
 
 

@@ -9,7 +9,20 @@ from __future__ import annotations
 
 
 class MotifBenchError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    A content error names where it is: the file `path`, as `path: `, and its
+    `line` there, as `path:line: `, ahead of the message. `index` is the
+    position of the refused value in the sequence the message names; a
+    loader maps it to the line that holds the value.
+    """
+
+    def __init__(self, message: str, path: str | None = None, line: int | None = None,
+                 index: int | None = None):
+        self.path, self.line, self.index = path, line, index
+        if path is not None:
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
+        super().__init__(message)
 
 
 class InvariantError(MotifBenchError, ValueError):
@@ -18,15 +31,6 @@ class InvariantError(MotifBenchError, ValueError):
 
 class FormatError(MotifBenchError):
     """A data file could not be read or parsed."""
-
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = path if line is None else f"{path}:{line}"
-            where = f"{where}: "
-        super().__init__(f"{where}{message}")
 
 
 class KernelError(MotifBenchError, ValueError):

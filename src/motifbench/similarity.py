@@ -406,7 +406,8 @@ def append_vector_csv(path: str, vector: MetricVector):
             header = next(records, [])
             if header or any(records):
                 if header != ["label", *vector.names]:
-                    raise InvariantError(f"{path}: metric ordering does not match existing header")
+                    raise InvariantError("metric ordering does not match existing header",
+                                         path=path)
                 row = io.StringIO()
                 fh.seek(-1, os.SEEK_END)  # a record was read, so the file is not empty
                 if fh.read(1) != b"\n":
@@ -423,22 +424,21 @@ def read_vectors_csv(path: str) -> list[MetricVector]:
     try:
         _, header = next(reader)
     except StopIteration:
-        raise InvariantError(f"{path}: empty metrics file") from None
+        raise InvariantError("empty metrics file", path=path) from None
     if not header or header[0] != "label":
-        raise InvariantError(f"{path}: first column must be 'label'")
+        raise InvariantError("first column must be 'label'", path=path)
     names = tuple(header[1:])
     vectors = []
     for lineno, row in reader:
         if not row:
             continue
         if len(row) != len(names) + 1:
-            raise InvariantError(
-                f"{path}:{lineno}: row has {len(row)} fields, header has {len(names) + 1}"
-            )
+            raise InvariantError(f"row has {len(row)} fields, header has {len(names) + 1}",
+                                 path=path, line=lineno)
         try:
             vectors.append(MetricVector(row[0], names, tuple(map(float, row[1:]))))
         except ValueError:
-            raise InvariantError(f"{path}:{lineno}: non-numeric metric value") from None
+            raise InvariantError("non-numeric metric value", path=path, line=lineno) from None
         except EventError as exc:
-            raise EventError(f"{path}:{lineno}: {exc}") from None
+            raise EventError(str(exc), path=path, line=lineno) from None
     return vectors

@@ -216,22 +216,22 @@ def parse_sample(text: str, path: str = "<sample>",
         if line.startswith("#meta"):
             body = line[len("#meta"):].strip()
             if "=" not in body:
-                raise EventError(f"{path}:{lineno}: bad metadata line {line!r}")
+                raise EventError(f"bad metadata line {line!r}", path=path, line=lineno)
             key, _, value = body.partition("=")
             meta[key.strip()] = value.strip()
             continue
         if line.startswith("#"):
             continue
         if "," not in line:
-            raise EventError(f"{path}:{lineno}: expected 'event_name,count', got {line!r}")
+            raise EventError(f"expected 'event_name,count', got {line!r}", path=path, line=lineno)
         name, _, count_text = line.partition(",")
         name = name.strip()
         if name in events:
-            raise EventError(f"{path}:{lineno}: duplicate event {name!r}")
+            raise EventError(f"duplicate event {name!r}", path=path, line=lineno)
         try:
             count = float(count_text.strip())
         except ValueError:
-            raise EventError(f"{path}:{lineno}: bad count {count_text.strip()!r}") from None
+            raise EventError(f"bad count {count_text.strip()!r}", path=path, line=lineno) from None
         events[name] = count
 
     if mapping:
@@ -245,12 +245,12 @@ def parse_sample(text: str, path: str = "<sample>",
         if width is None:
             width = int(meta.get("width", DEFAULT_ISSUE_WIDTH))
     except ValueError as exc:
-        raise EventError(f"{path}: bad metadata value: {exc}") from None
+        raise EventError(f"bad metadata value: {exc}", path=path) from None
     label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
     try:
         return EventSample(events=events, width=width, cycles=cycles, label=label)
     except EventError as exc:
-        raise EventError(f"{path}: {exc}") from None
+        raise EventError(str(exc), path=path) from None
 
 
 def load_sample(path: str, width: Optional[int] = None,
@@ -266,7 +266,7 @@ def load_mapping(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "," not in line:
-            raise EventError(f"{path}:{lineno}: expected 'abstract,platform', got {line!r}")
+            raise EventError(f"expected 'abstract,platform', got {line!r}", path=path, line=lineno)
         abstract, _, platform = line.partition(",")
         mapping[abstract.strip()] = platform.strip()
     return mapping
@@ -496,11 +496,11 @@ def load_tree(path: str) -> MetricTree:
     try:
         doc = json.loads(read_input(path))
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
-        raise EventError(f"{path}: bad tree JSON: {exc}") from None
+        raise EventError(f"bad tree JSON: {exc}", path=path) from None
     try:
         return tree_from_json(doc)
     except (EventError, FormulaError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(str(exc), path=path) from None
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,15 @@ LOADER_ERRORS = {
     "edge-whitespace-line-skipped": (b"#graph v1 3 1\n0 1\n \t \n1 x\n", "4: bad edge line '1 x'"),
     "kv-no-tab": (b"#kv v1\na\t1\nb 2\n", "3: kv line missing tab separator: 'b 2'"),
     "kv-duplicate-key": (b"#kv v1\na\t1\n\nb\t2\na\t3\n", "5: duplicate key 'a'"),
+    # a value the payload refuses, on the line of its record
+    "corpus-line-with-cr": (b"a\nb\rc\n", "2: document 1 contains '\\r'"),
+    "corpus-crlf": (b"a\r\nb\r\n", "1: document 0 contains '\\r'"),
+    "text-matrix-inf-after-blank-line": (
+        b"#matrix v1 2 2 text\n\n1,inf\n3,4\n", "3: matrix values must be finite, got inf"),
+    "kv-value-with-cr": (b"#kv v1\na\t1\nb\tx\ry\n", "3: value for key 'b' contains '\\r'"),
+    # a malformed record before a refused value on an earlier line
+    "edge-bad-line-after-out-of-range": (
+        b"#graph v1 3 1\n0 5\n\n1 x\n", "4: bad edge line '1 x'"),
 }
 
 
@@ -414,3 +423,20 @@ def test_files_are_opened_only_through_read_input_and_open_output():
     src = pathlib.Path(motifbench.__file__).parent
     found = set().union(*(_opens(p) for p in sorted(src.rglob("*.py"))))
     assert found == OPENERS
+
+
+def test_a_path_prefix_is_written_only_by_the_error_base():
+    # MotifBenchError writes `path: ` and `path:line: ` ahead of a message;
+    # a reader passes path= and line= rather than an f-string that starts
+    # with the path.
+    root = pathlib.Path(motifbench.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            head = node.values[0] if isinstance(node, ast.JoinedStr) and node.values else None
+            if (isinstance(head, ast.FormattedValue) and isinstance(head.value, ast.Name)
+                    and head.value.id == "path"):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []

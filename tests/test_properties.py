@@ -6,11 +6,14 @@ returns a spec or raises SpecError; a payload saved and loaded back keeps
 its checksum; payload_size is the length of canonical_bytes, and a table
 encodes as its cells do one at a time; a table built from its columns reads
 back, through its rows view, the rows the columns were cut from; each table
-kernel returns what its row-form reference in tests/oracles.py returns; and a
+kernel returns what its row-form reference in tests/oracles.py returns; a
 corpus, table or key-value set with one bad value is refused or stored just
-as the scalar loops in tests/oracles.py do.
+as the scalar loops in tests/oracles.py do; and a line-based file with one
+refused value is refused on that value's line, with the payload's message.
 """
 
+import csv
+import io
 import math
 import re
 
@@ -294,6 +297,102 @@ def test_one_bad_value_is_found_as_the_scalar_check_finds_it(case):
         got = _outcome(lambda: KeyValueSet(data).entries, named)
         want = _outcome(lambda: scalar_kv_entries(data), named)
     assert got == want
+
+
+def _numbered(draw, records, first_line, blank=st.just("")):
+    """`records` one per line with blank lines drawn between them, and the
+    line each record starts on, the first line of the text being `first_line`."""
+    text, starts = "", []
+    for record in records:
+        text += "".join(f"{b}\n" for b in draw(st.lists(blank, max_size=2)))
+        starts.append(first_line + text.count("\n"))
+        text += f"{record}\n"
+    return text, starts
+
+
+def _csv_record(cells) -> str:
+    """One CSV record, with no line terminator after it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()[:-1]
+
+
+NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def refused_files(draw):
+    """(file text, line of the record that holds the one refused value, a
+    thunk that builds the payload from the values the file holds) for a
+    line-based kind; blank lines fall between the records."""
+    kind = draw(st.sampled_from(["corpus", "graph", "kv", "table", "text matrix"]))
+    if kind == "corpus":  # every line is a document, blank ones too
+        docs = draw(st.lists(st.text("ab ", max_size=3), min_size=1, max_size=6))
+        r = draw(st.integers(0, len(docs) - 1))
+        docs[r] = draw(st.text("ab", max_size=2)) + "\r" + draw(st.text("ab", max_size=2))
+        return "".join(f"{d}\n" for d in docs), r + 1, lambda: TextCorpus(docs)
+    if kind == "graph":
+        n = draw(st.integers(1, 5))
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=6))
+        r = draw(st.integers(0, len(edges) - 1))
+        far = draw(st.integers(-3, -1) | st.integers(n, n + 3))
+        edges[r] = (edges[r][0], far) if draw(st.booleans()) else (far, edges[r][1])
+        body, starts = _numbered(draw, [f"{u} {v}" for u, v in edges], 2,
+                                 st.sampled_from(["", " \t"]))
+        return f"#graph v1 {n} 1\n{body}", starts[r], lambda: Graph(n, edges)
+    if kind == "kv":
+        items = list(draw(st.dictionaries(small_key, st.text("ab ", max_size=3),
+                                          min_size=1, max_size=5)).items())
+        r = draw(st.integers(0, len(items) - 1))
+        key, value = items[r]
+        items[r] = (key, value + "\r") if draw(st.booleans()) else ("\r" + key, value)
+        body, starts = _numbered(draw, [f"{k}\t{v}" for k, v in items], 2)
+        return f"#kv v1\n{body}", starts[r], lambda: KeyValueSet(items)
+    if kind == "table":
+        kinds = draw(st.lists(st.sampled_from(list(TABLE_KINDS)), max_size=2))
+        kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(["integer", "real"])))
+        schema = [(f"c{j}", k) for j, k in enumerate(kinds)]
+        cell = {"integer": st.integers(-2**63, 2**63 - 1), "real": finite,
+                "string": st.text('ab ,"\n', max_size=4)}
+        rows = [list(row) for row in
+                draw(st.lists(st.tuples(*(cell[k] for k in kinds)), min_size=1, max_size=5))]
+        r = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.sampled_from([j for j, k in enumerate(kinds) if k != "string"]))
+        rows[r][j] = draw(st.sampled_from([2**63, -2**63 - 1]) if kinds[j] == "integer"
+                          else NOT_FINITE)
+        records = [_csv_record(repr(c) if isinstance(c, float) else c for c in row)
+                   for row in rows]
+        body, starts = _numbered(draw, records, 3)
+        schema_line = ",".join(f"{n}:{k}" for n, k in schema)
+        return (f"#table v1\n{schema_line}\n{body}", starts[r],
+                lambda: table_of_rows(schema, [tuple(row) for row in rows]))
+    rows, cols = draw(dims), draw(dims)
+    data = draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+    i = draw(st.integers(0, len(data) - 1))
+    data[i] = draw(NOT_FINITE)
+    records = [",".join(map(repr, data[k * cols:(k + 1) * cols])) for k in range(rows)]
+    body, starts = _numbered(draw, records, 2)
+    return (f"#matrix v1 {rows} {cols} text\n{body}", starts[i // cols],
+            lambda: Matrix(rows, cols, data))
+
+
+def test_a_refused_value_is_named_on_the_line_of_its_record(tmp_path_factory):
+    path = tmp_path_factory.mktemp("refused") / "data"
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=refused_files())
+    def check(case):
+        text, line, build = case
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(InvariantError) as built:
+            build()
+        with pytest.raises(FormatError) as loaded:
+            load_dataset(str(path))
+        assert loaded.value.line == line
+        assert str(loaded.value) == f"{path}:{line}: {built.value}"
+
+    check()
 
 
 def _cell_literals(table, i):
