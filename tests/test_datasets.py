@@ -168,6 +168,23 @@ def test_graph_edge_not_two_integers_text_is_pinned(edge):
                               f"{edge!r} with vertex_count 3")
 
 
+@pytest.mark.parametrize("build, index, message", [
+    (lambda: Graph(3, [(0, 1), (2, 3)]), 1, "endpoint out of range: (2, 3) with vertex_count 3"),
+    # an edge that is not two integers is refused before one out of range
+    (lambda: Graph(3, [(0, 5), (0, "1")]), 1,
+     "edge 1 endpoint out of range or not an integer: (0, '1') with vertex_count 3"),
+    (lambda: TextCorpus(["a", "b\r"]), 1, "document 1 contains '\\r'"),
+    (lambda: Table(SCHEMA, [range(3), [0.5, math.inf, 1]]), 1,
+     "row 1 column 'b' must be finite, got inf"),
+    (lambda: Matrix(2, 2, [1, 2, math.nan, 4]), 2, "matrix values must be finite, got nan"),
+    (lambda: KeyValueSet({"a": "1", "b": "x\r"}), 1, "value for key 'b' contains '\\r'"),
+], ids=["edge-range", "edge-type-first", "corpus", "table", "matrix", "kv"])
+def test_a_refusal_carries_the_index_of_the_value_it_names(build, index, message):
+    with pytest.raises(InvariantError) as err:
+        build()
+    assert (err.value.index, str(err.value)) == (index, message)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Matrix(True, 1, [1.0]),
     lambda: Matrix(1, True, [1.0]),
