@@ -425,18 +425,32 @@ def test_files_are_opened_only_through_read_input_and_open_output():
     assert found == OPENERS
 
 
+def _location_prefixes(tree: ast.AST):
+    """F-strings that write a location ahead of a message: one that opens
+    with `{path}`, one that opens with `line {...}`, and one printed to
+    stderr that opens with a formatted value and `: `."""
+    stderr_args = {id(arg) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                   if any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                          for kw in call.keywords) for arg in call.args}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.JoinedStr) and len(node.values) > 1):
+            continue
+        head, second = node.values[:2]
+        if isinstance(head, ast.FormattedValue):
+            if ast.unparse(head.value) == "path" or (
+                    id(node) in stderr_args and isinstance(second, ast.Constant)
+                    and second.value.startswith(": ")):
+                yield node
+        elif head.value == "line " and isinstance(second, ast.FormattedValue):
+            yield node
+
+
 def test_a_path_prefix_is_written_only_by_the_error_base():
     # MotifBenchError writes `path: ` and `path:line: ` ahead of a message;
-    # a reader passes path= and line= rather than an f-string that starts
-    # with the path.
+    # a reader or a spec check passes path= and line= to it, and the CLI
+    # prints the error's own text.
     root = pathlib.Path(motifbench.__file__).parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        if path == root / "errors.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            head = node.values[0] if isinstance(node, ast.JoinedStr) and node.values else None
-            if (isinstance(head, ast.FormattedValue) and isinstance(head.value, ast.Name)
-                    and head.value.id == "path"):
-                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py")) if path != root / "errors.py"
+             for node in _location_prefixes(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
