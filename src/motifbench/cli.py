@@ -439,8 +439,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SpecError as exc:  # raised only by parsing the --spec of run and validate
-        for diag in exc.diagnostics:
-            print(f"{args.spec}: {diag}", file=sys.stderr)
+        for problem in exc.diagnostics:
+            _fail(str(problem))
         return EXIT_VALIDATION
     except (MotifBenchError, OSError) as exc:
         _fail(str(exc))

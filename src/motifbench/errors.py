@@ -12,14 +12,14 @@ class MotifBenchError(Exception):
     """Base class for all toolkit errors.
 
     A content error names where it is: the file `path`, as `path: `, and its
-    `line` there, as `path:line: `, ahead of the message. `index` is the
-    position of the refused value in the sequence the message names; a
-    loader maps it to the line that holds the value.
+    `line` there, as `path:line: `, ahead of the message; `message` keeps the
+    text without them. `index` is the position of the refused value in the
+    sequence the message names; a loader maps it to the line that holds it.
     """
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None,
                  index: int | None = None):
-        self.path, self.line, self.index = path, line, index
+        self.message, self.path, self.line, self.index = message, path, line, index
         if path is not None:
             message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
         super().__init__(message)
@@ -40,13 +40,14 @@ class KernelError(MotifBenchError, ValueError):
 class SpecError(MotifBenchError):
     """A workload spec is syntactically or semantically invalid.
 
-    Carries the full diagnostic list so callers can report every problem,
-    not just the first one.
+    `diagnostics` lists every problem found, each a SpecError located at its
+    line, so callers can report all of them; a single problem lists itself.
     """
 
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
+    def __init__(self, message: str, path: str | None = None, line: int | None = None,
+                 diagnostics=()):
+        super().__init__(message, path, line)
+        self.diagnostics = list(diagnostics) or [self]
 
 
 class EventError(MotifBenchError):

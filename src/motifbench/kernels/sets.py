@@ -47,8 +47,9 @@ def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
     except KeyError:
         raise KernelError(f"unknown column {column!r}") from None
     kind = t.schema[i][1]
-    try:
-        lit = TABLE_KINDS[kind].parse(value)
+    rule = TABLE_KINDS[kind]
+    try:  # held to its column's rule, as each cell is; InvariantError is a ValueError
+        (lit,) = rule.check((rule.parse(value),), lambda _: "literal")
     except ValueError:
         raise KernelError(f"literal {value!r} is not a valid {kind}") from None
     keep = list(map(_COMPARATORS[cmp], t.columns[i], repeat(lit)))

@@ -456,9 +456,6 @@ def builtin_tree() -> MetricTree:
     return MetricTree((retiring, bad_speculation, frontend, backend))
 
 
-LEVEL1_NAMES = ("Retiring", "Bad_Speculation", "Frontend_Bound", "Backend_Bound")
-
-
 # ---------------------------------------------------------------------------
 # tree config files: a JSON node object {name, formula, expected_fraction,
 # negative_ok, children:[...]} or a list of such objects (multiple roots)

@@ -52,16 +52,6 @@ from .errors import (
 from .kernels import REGISTRY, SAME_AS_INPUT, get_kernel
 
 
-class Diagnostic(NamedTuple):
-    message: str
-    line: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.line is not None:
-            return f"line {self.line}: {self.message}"
-        return self.message
-
-
 class InputDecl(NamedTuple):
     dataset_id: str
     line: int
@@ -166,38 +156,37 @@ def _parse_value(raw: str) -> str:
     return raw
 
 
-def _parse_arglist(args: str, lineno: int, allow_operands: bool):
+def _parse_arglist(args: str, path: str, lineno: int, allow_operands: bool):
     operands: list[str] = []
     params: dict[str, str] = {}
     parts = _RE_ARG.findall(args) if args.strip() else []
     for part in map(str.strip, parts):
         if not part:
-            raise SpecError([Diagnostic(f"empty argument in ({args})", line=lineno)])
+            raise SpecError(f"empty argument in ({args})", path, lineno)
         key, eq, value = _RE_KEY_VALUE.match(part).groups()
         if not eq:
             if not allow_operands:
-                raise SpecError([Diagnostic(f"expected key=value, got {part!r}", line=lineno)])
+                raise SpecError(f"expected key=value, got {part!r}", path, lineno)
             if not re.fullmatch(_ID, part):
-                raise SpecError([Diagnostic(f"bad operand id {part!r}", lineno)])
+                raise SpecError(f"bad operand id {part!r}", path, lineno)
             if params:
-                raise SpecError(
-                    [Diagnostic(f"operand {part!r} appears after keyword parameters", lineno)]
-                )
+                raise SpecError(f"operand {part!r} appears after keyword parameters", path,
+                                lineno)
             operands.append(part)
         else:
             key = key.strip()
             if not re.fullmatch(_ID, key):
-                raise SpecError([Diagnostic(f"bad parameter name {key!r}", lineno)])
+                raise SpecError(f"bad parameter name {key!r}", path, lineno)
             if key in params:
-                raise SpecError([Diagnostic(f"duplicate parameter {key!r}", lineno)])
+                raise SpecError(f"duplicate parameter {key!r}", path, lineno)
             params[key] = _parse_value(value.strip())
     return operands, params
 
 
-def parse_spec(text: str) -> WorkloadSpec:
-    """Parse and fully validate a workload spec document.
+def parse_spec(text: str, path: str = "<spec>") -> WorkloadSpec:
+    """Parse and fully validate a workload spec document read from `path`.
 
-    Raises SpecError carrying line-numbered diagnostics on any syntax error,
+    Raises SpecError, located at `path` and a line, on any syntax error,
     unknown motif, undefined dataset id, arity or kind mismatch, or cycle.
     """
     name: Optional[str] = None
@@ -210,14 +199,14 @@ def parse_spec(text: str) -> WorkloadSpec:
         if not line:
             continue
         if line.count('"') % 2:
-            raise SpecError([Diagnostic(f"unterminated quoted value: {line!r}", line=lineno)])
+            raise SpecError(f"unterminated quoted value: {line!r}", path, lineno)
         m = _RE_WORKLOAD.match(line)
         if m:
             if name is not None:
-                raise SpecError([Diagnostic("duplicate workload line", line=lineno)])
+                raise SpecError("duplicate workload line", path, lineno)
             name = m.group("name")
             if not name:
-                raise SpecError([Diagnostic("workload name must be non-empty", line=lineno)])
+                raise SpecError("workload name must be non-empty", path, lineno)
             continue
         m = _RE_INPUT_FILE.match(line)
         if m:
@@ -225,16 +214,16 @@ def parse_spec(text: str) -> WorkloadSpec:
             continue
         m = _RE_INPUT_GEN.match(line)
         if m:
-            _, params = _parse_arglist(m.group("args"), lineno, allow_operands=False)
+            _, params = _parse_arglist(m.group("args"), path, lineno, allow_operands=False)
             try:
                 spec = generators.make_genspec(m.group("kind"), params)
             except InvariantError as exc:
-                raise SpecError([Diagnostic(str(exc), lineno)]) from None
+                raise SpecError(str(exc), path, lineno) from None
             inputs.append(InputDecl(m.group("id"), lineno, spec.kind, genspec=spec))
             continue
         m = _RE_NODE.match(line)
         if m:
-            operands, params = _parse_arglist(m.group("args"), lineno, allow_operands=True)
+            operands, params = _parse_arglist(m.group("args"), path, lineno, allow_operands=True)
             motif = f"{m.group('family')}.{m.group('kernel')}"
             invocations.append(
                 MotifInvocation(
@@ -246,29 +235,32 @@ def parse_spec(text: str) -> WorkloadSpec:
         if m:
             outputs.append(OutputDecl(m.group("id"), m.group("path"), lineno))
             continue
-        raise SpecError([Diagnostic(f"syntax error: {line!r}", line=lineno)])
+        raise SpecError(f"syntax error: {line!r}", path, lineno)
 
     if name is None:
-        raise SpecError([Diagnostic('missing workload "<name>" line', line=1)])
+        raise SpecError('missing workload "<name>" line', path, 1)
     spec = WorkloadSpec(name, tuple(inputs), tuple(invocations), tuple(outputs))
-    diags = validate_spec(spec)
-    if diags:
-        raise SpecError(diags)
+    problems = validate_spec(spec, path)
+    if problems:
+        raise SpecError("; ".join(map(str, problems)), diagnostics=problems)
     return spec
 
 
 def parse_spec_file(path: str) -> WorkloadSpec:
-    return parse_spec(read_input(path))
+    return parse_spec(read_input(path), path)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
-    """Empty list iff the spec satisfies every invariant; each diagnostic
-    names the offending dataset id or motif and its line."""
-    diags: list[Diagnostic] = []
+def validate_spec(s: WorkloadSpec, path: str = "<spec>") -> list[SpecError]:
+    """Empty list iff the spec satisfies every invariant; each problem names
+    the offending dataset id or motif and is located at `path` and its line."""
+    problems: list[SpecError] = []
+
+    def problem(message: str, line: int):
+        problems.append(SpecError(message, path, line))
 
     # Statements in line order; each defines one dataset id. Knowing every id
     # up front tells a forward reference (a cycle in execution order) from an
@@ -278,7 +270,7 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
     for st in statements:
         sid = st.dataset_id if isinstance(st, InputDecl) else st.result_id
         if sid in definer:
-            diags.append(Diagnostic(f"duplicate dataset id {sid!r}", st.line))
+            problem(f"duplicate dataset id {sid!r}", st.line)
         else:
             definer[sid] = st
 
@@ -287,12 +279,12 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
         if isinstance(st, InputDecl):
             if definer[st.dataset_id] is st:
                 if st.kind not in ALL_KINDS:
-                    diags.append(Diagnostic(f"unknown payload kind {st.kind!r}", st.line))
+                    problem(f"unknown payload kind {st.kind!r}", st.line)
                 kinds[st.dataset_id] = st.kind
             continue
         inv = st
         if inv.motif not in REGISTRY:
-            diags.append(Diagnostic(f"unknown motif {inv.motif!r}", inv.line))
+            problem(f"unknown motif {inv.motif!r}", inv.line)
             continue
         kspec = REGISTRY[inv.motif]
         ok = True
@@ -304,39 +296,25 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
             if op in definer:
                 # Defined, but on this line or a later one: a back edge in
                 # execution order.
-                diags.append(
-                    Diagnostic(
-                        f"cycle detected: {inv.result_id!r} consumes {op!r}, "
-                        "which is not defined earlier",
-                        inv.line,
-                    )
-                )
+                problem(f"cycle detected: {inv.result_id!r} consumes {op!r}, "
+                        "which is not defined earlier", inv.line)
             else:
-                diags.append(Diagnostic(f"undefined dataset id {op!r}", inv.line))
+                problem(f"undefined dataset id {op!r}", inv.line)
             ok = False
         if len(inv.operands) != kspec.arity:
-            diags.append(
-                Diagnostic(
-                    f"{inv.motif} takes {kspec.arity} operand(s), got {len(inv.operands)}",
-                    inv.line,
-                )
-            )
+            problem(f"{inv.motif} takes {kspec.arity} operand(s), got {len(inv.operands)}",
+                    inv.line)
             ok = False
         if ok:
             for op, op_kind, accepted in zip(inv.operands, operand_kinds, kspec.input_kinds):
                 if op_kind and op_kind not in accepted:
-                    diags.append(
-                        Diagnostic(
-                            f"{inv.motif} cannot take {op_kind} payload {op!r} "
-                            f"(accepts {', '.join(sorted(accepted))})",
-                            inv.line,
-                        )
-                    )
+                    problem(f"{inv.motif} cannot take {op_kind} payload {op!r} "
+                            f"(accepts {', '.join(sorted(accepted))})", inv.line)
                     ok = False
         try:
             inv.kernel_params  # coerced here once; execute runs this dict
         except KernelError as exc:
-            diags.append(Diagnostic(str(exc), inv.line))
+            problem(str(exc), inv.line)
             ok = False
         if definer[inv.result_id] is inv:
             same = kspec.output_kind == SAME_AS_INPUT
@@ -345,21 +323,17 @@ def validate_spec(s: WorkloadSpec) -> list[Diagnostic]:
     writers: dict[str, int] = {}  # normalized output path -> first line writing it
     for out in s.outputs:
         if out.dataset_id not in kinds:
-            diags.append(Diagnostic(f"undefined dataset id {out.dataset_id!r}", out.line))
+            problem(f"undefined dataset id {out.dataset_id!r}", out.line)
         if not out.path:
-            diags.append(Diagnostic("empty output path", out.line))
+            problem("empty output path", out.line)
             continue
         key = os.path.normpath(out.path)
         if key in writers:
-            diags.append(
-                Diagnostic(
-                    f"output path {out.path!r} is already written on line {writers[key]}",
-                    out.line,
-                )
-            )
+            problem(f"output path {out.path!r} is already written on line {writers[key]}",
+                    out.line)
         else:
             writers[key] = out.line
-    return diags
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -690,8 +690,13 @@ def row_project(t, columns: list[str]):
 def row_filter(t, column: str, cmp: str, value):
     i = _row_index(t, column)
     kind = t.schema[i][1]
-    try:
+    try:  # a literal its column would refuse as a cell is refused; UnicodeError is a ValueError
         lit = TABLE_KINDS[kind].parse(value)
+        if (kind == "integer" and not -2**63 <= lit < 2**63
+                or kind == "real" and not math.isfinite(lit)):
+            raise ValueError(lit)
+        if kind == "string":
+            lit.encode("utf-8")
     except ValueError:
         raise KernelError(f"literal {value!r} is not a valid {kind}") from None
     pred = _ROW_COMPARATORS[cmp]

@@ -294,9 +294,9 @@ def test_run_validates_spec_once(tmp_path, monkeypatch):
     calls = []
     real = workload.validate_spec
 
-    def counting(spec):
+    def counting(spec, *args):
         calls.append(spec.name)
-        return real(spec)
+        return real(spec, *args)
 
     monkeypatch.setattr(workload, "validate_spec", counting)
     code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("index"),
@@ -351,6 +351,41 @@ def test_validate_shipped_specs_exit_0(capsys):
         assert run_cli("validate", "--spec", motifbench.shipped_spec_path(name)) == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_every_spec_problem_is_one_located_error_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "two.spec"
+    bad.write_text(
+        'workload "w"\n'
+        "input m = generate.matrix(rows=2, cols=2, seed=1)\n"
+        "node y = transform.fft(x)\n"
+        'output m @ "out.matrix"\n'
+        'output m @ "./out.matrix"\n'
+    )
+    assert run_cli(command, "--spec", str(bad)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:3: undefined dataset id 'x'",
+        f"error: {bad}:5: output path './out.matrix' is already written on line 4",
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["two.spec"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_filter_literal_its_column_refuses_exits_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "filter.spec"
+    spec.write_text(
+        'workload "w"\n'
+        "input it = generate.table(orders=4, items=8, which=item, seed=1)\n"
+        f"node f = set.filter(it, column=goods_price, cmp=ne, value={value})\n"
+        'output f @ "f.table"\n'
+    )
+    assert run_cli("run", "--spec", str(spec)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"literal {value!r} is not a valid real" in err
+    assert sorted(os.listdir(tmp_path)) == ["filter.spec"]
+
+
 def test_validate_arity_error_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "arity.spec"
     bad.write_text(
@@ -374,7 +409,7 @@ def test_validate_non_finite_float_exit_3(tmp_path, capsys, line):
     bad.write_text(f'workload "w"\n{line}\n')
     assert run_cli("validate", "--spec", str(bad)) == 3
     err = capsys.readouterr().err
-    assert "line 3:" in err and "must be finite" in err
+    assert err.startswith(f"error: {bad}:3: ") and "must be finite" in err
 
 
 _TEXT = "input t = generate.text(bytes=64, seed=1)\n"
@@ -420,7 +455,7 @@ def test_value_the_schema_rejects_exits_3(tmp_path, capsys, command, lines, need
     bad.write_text(f'workload "w"\n{lines}\n')
     assert run_cli(command, "--spec", str(bad)) == 3
     err = capsys.readouterr().err
-    assert f"line {lines.count(chr(10)) + 2}:" in err and needle in err
+    assert err.startswith(f"error: {bad}:{lines.count(chr(10)) + 2}: ") and needle in err
 
 
 # ---------------------------------------------------------------------------

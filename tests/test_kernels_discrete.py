@@ -154,6 +154,25 @@ def test_filter_always_false_keeps_schema():
     assert out.rows == () and out.schema == _people().schema
 
 
+@pytest.mark.parametrize("column, value", [
+    ("score", "nan"), ("score", "inf"), ("score", "-inf"), ("score", "1e999"),
+    ("age", str(2**63)), ("age", str(-2**63 - 1)),
+])
+@pytest.mark.parametrize("cmp", ["eq", "lt", "ne"])
+def test_filter_refuses_a_literal_its_column_would_refuse(column, value, cmp):
+    # the literal is held to its column kind's rule, as each cell is
+    with pytest.raises(KernelError) as err:
+        filter_rows(_people(), column, cmp, value)
+    kind = dict(_people().schema)[column]
+    assert str(err.value) == f"literal {value!r} is not a valid {kind}"
+
+
+def test_filter_keeps_a_literal_at_its_column_bounds():
+    assert len(filter_rows(_people(), "age", "lt", str(2**63 - 1))) == 4
+    assert len(filter_rows(_people(), "age", "gt", str(-2**63))) == 4
+    assert len(filter_rows(_people(), "score", "lt", "1.7976931348623157e308")) == 4
+
+
 def test_filter_matches_row_scan_oracle():
     rng = random.Random(5)
     rows = [(i, rng.randint(0, 1000)) for i in range(1000)]

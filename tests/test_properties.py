@@ -421,8 +421,9 @@ def table_kernel_cases(draw, motif):
         column = draw(some_name)
         literals = (_cell_literals(table, names.index(column)) if column in names else []) \
             or ["0"]
-        value = draw(st.text(max_size=4) if draw(st.integers(0, 3)) == 3
-                     else st.sampled_from(literals))
+        # mostly a cell's spelling; else free text or a literal no cell may hold
+        odd = st.text(max_size=4) | st.sampled_from(["nan", "-inf", "1e999", str(2**63)])
+        value = draw(odd if draw(st.integers(0, 3)) == 3 else st.sampled_from(literals))
         cmp = draw(st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]))
         return table, [table], {"column": column, "cmp": cmp, "value": value}, (column, cmp, value)
     if motif == "set.table_union":

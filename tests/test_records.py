@@ -34,7 +34,6 @@ from motifbench.topdown import (
     MetricVector,
 )
 from motifbench.workload import (
-    Diagnostic,
     InputDecl,
     InvocationRecord,
     MotifInvocation,
@@ -108,8 +107,6 @@ RECORDS = {
                   ("a", "b", "distance", "new_id", "size"), ("distance", 0.25), True),
     "Dendrogram": (lambda **kw: Dendrogram(2, kw.get("merges", (_MERGE,))),
                    ("leaf_count", "merges"), ("merges", (MergeStep(1, 0, 0.5, 2, 2),)), True),
-    "Diagnostic": (lambda **kw: Diagnostic(**{"message": "bad", "line": 3, **kw}),
-                   ("message", "line"), ("line", None), True),
     "InputDecl": (lambda **kw: InputDecl(**{"dataset_id": "a", "line": 2, "kind": "matrix",
                                             "path": "a.matrix", **kw}),
                   ("dataset_id", "line", "kind", "path", "genspec"),
@@ -191,7 +188,7 @@ def test_frozen_record_refuses_assignment_and_deletion(name):
 
 
 def test_repr_tells_values_of_different_types_apart():
-    assert repr(Diagnostic("bad", 3)) != repr(Diagnostic("bad", "3"))
+    assert repr(OutputDecl("a", "a.text", 3)) != repr(OutputDecl("a", "a.text", "3"))
     assert repr(MergeStep(0, 1, 1, 2, 2)) != repr(MergeStep(0, 1, 1.0, 2, 2))
 
 
@@ -222,7 +219,6 @@ def test_defaults_are_fresh_or_empty():
     assert spec.params == {} and spec.check is None
     assert dict(spec.params) == {}
     assert ParamSpec("str") == ParamSpec("str", False, None, None, None, None)
-    assert Diagnostic("bad").line is None
     assert EventSample({}, cycles=2.0) == EventSample({"cycles": 2.0}, 4, 2.0, "")
 
 

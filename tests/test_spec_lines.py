@@ -40,33 +40,33 @@ CASES = [
     ('node g = set.grep(t, pattern="x")#"c"',
      ([('g', ('t',), (('pattern', 'x'),))], [], [])),
     ('node g = set.grep(t, pattern="a,b" # c")',
-     'line 4: syntax error: \'node g = set.grep(t, pattern="a,b"\''),
+     '<spec>:4: syntax error: \'node g = set.grep(t, pattern="a,b"\''),
     ('node g = set.grep(t, pattern="x")\r',
      ([('g', ('t',), (('pattern', 'x'),))], [], [])),
     ('node g = set.grep(t,, pattern="x")',
-     'line 4: empty argument in (t,, pattern="x")'),
+     '<spec>:4: empty argument in (t,, pattern="x")'),
     ('node g = set.grep(t, pattern="x",)',
-     'line 4: empty argument in (t, pattern="x",)'),
+     '<spec>:4: empty argument in (t, pattern="x",)'),
     ('node g = set.grep(t, pattern="x", )',
-     'line 4: empty argument in (t, pattern="x", )'),
+     '<spec>:4: empty argument in (t, pattern="x", )'),
     ('node g = set.grep(,)',
-     'line 4: empty argument in (,)'),
+     '<spec>:4: empty argument in (,)'),
     ('node g = set.grep( , )',
-     'line 4: empty argument in ( , )'),
+     '<spec>:4: empty argument in ( , )'),
     ('node g = set.grep(,t)',
-     'line 4: empty argument in (,t)'),
+     '<spec>:4: empty argument in (,t)'),
     ('node g = set.grep()',
-     "line 4: set.grep takes 1 operand(s), got 0; line 4: set.grep: missing required parameter 'pattern'"),
+     "<spec>:4: set.grep takes 1 operand(s), got 0; <spec>:4: set.grep: missing required parameter 'pattern'"),
     ('node g = set.grep(t, pattern="a)',
-     'line 4: unterminated quoted value: \'node g = set.grep(t, pattern="a)\''),
+     '<spec>:4: unterminated quoted value: \'node g = set.grep(t, pattern="a)\''),
     ('node g = set.grep(t, pattern="a#b)',
-     'line 4: unterminated quoted value: \'node g = set.grep(t, pattern="a#b)\''),
+     '<spec>:4: unterminated quoted value: \'node g = set.grep(t, pattern="a#b)\''),
     ('node g = set.grep(t, pattern="a\\"b")',
-     'line 4: unterminated quoted value: \'node g = set.grep(t, pattern="a\\\\"b")\''),
+     '<spec>:4: unterminated quoted value: \'node g = set.grep(t, pattern="a\\\\"b")\''),
     ('node g = set.grep(t, "pattern"="x")',
-     'line 4: bad parameter name \'"pattern"\''),
+     '<spec>:4: bad parameter name \'"pattern"\''),
     ('node g = set.grep(t, pat"tern=x"="y")',
-     'line 4: bad parameter name \'pat"tern=x"\''),
+     '<spec>:4: bad parameter name \'pat"tern=x"\''),
     ('node g = set.grep(t, pattern=x=y)',
      ([('g', ('t',), (('pattern', 'x=y'),))], [], [])),
     ('node g = set.grep(t, pattern="a"b)',
@@ -76,15 +76,15 @@ CASES = [
     ('node f = set.filter(tb, column=x, cmp=eq, value=)',
      ([('f', ('tb',), (('cmp', 'eq'), ('column', 'x'), ('value', '')))], [], [])),
     ('node g = set.grep(t, =x)',
-     "line 4: bad parameter name ''"),
+     "<spec>:4: bad parameter name ''"),
     ('node g = set.grep("t", pattern="x")',
-     'line 4: bad operand id \'"t"\''),
+     '<spec>:4: bad operand id \'"t"\''),
     ('node g = set.grep(pattern="x", t)',
-     "line 4: operand 't' appears after keyword parameters"),
+     "<spec>:4: operand 't' appears after keyword parameters"),
     ('node g = set.grep(t, pattern="x", pattern="y")',
-     "line 4: duplicate parameter 'pattern'"),
+     "<spec>:4: duplicate parameter 'pattern'"),
     ('node g = set.grep(t, pattern="x"',
-     'line 4: syntax error: \'node g = set.grep(t, pattern="x"\''),
+     '<spec>:4: syntax error: \'node g = set.grep(t, pattern="x"\''),
     ('node f = set.filter(tb, column="qty", cmp=ge, value="1,000")',
      ([('f', ('tb',), (('cmp', 'ge'), ('column', 'qty'), ('value', '1,000')))], [], [])),
     ('node f = set.filter(tb, column=qty, cmp="ge", value=1e3)',
@@ -92,9 +92,9 @@ CASES = [
     ('input x = generate.text(bytes=64, corpus="c,#=.txt", seed=7)',
      ([], [('x', None, (('bytes', 64), ('corpus', 'c,#=.txt')))], [])),
     ('input x = generate.matrix(rows=2, cols=2, seed=1,, )',
-     'line 4: empty argument in (rows=2, cols=2, seed=1,, )'),
+     '<spec>:4: empty argument in (rows=2, cols=2, seed=1,, )'),
     ('input x = generate.matrix(rows=2, t, seed=1)',
-     "line 4: expected key=value, got 't'"),
+     "<spec>:4: expected key=value, got 't'"),
     ('input x = generate.matrix(rows="2", cols=2, seed=1)',
      ([], [('x', None, (('cols', 2), ('dist', 'uniform'), ('hi', 1.0), ('lo', 0.0), ('rows', 2)))], [])),
     ('input f : text @ "in#1,a=b.text"',
@@ -102,7 +102,7 @@ CASES = [
     ('output t @ "out/t#1,a=b.text"  # trailing',
      ([], [], [('t', 'out/t#1,a=b.text')])),
     ('"node g = set.grep(t, pattern="x")"',
-     'line 4: syntax error: \'"node g = set.grep(t, pattern="x")"\''),
+     '<spec>:4: syntax error: \'"node g = set.grep(t, pattern="x")"\''),
     ('# node g = set.grep(t, pattern="x"',
      ([], [], [])),
     ('   # only a comment',
@@ -118,9 +118,9 @@ CASES = [
     ('node g = set.grep(t, pattern=Infinity)',
      ([('g', ('t',), (('pattern', 'Infinity'),))], [], [])),
     ('input x = generate.matrix(rows=1e3, cols=2, seed=1)',
-     "line 4: generate.matrix: parameter 'rows' must be an integer, got '1e3'"),
+     "<spec>:4: generate.matrix: parameter 'rows' must be an integer, got '1e3'"),
     ('node g = set.grep(t, pattern="")',
-     "line 4: set.grep: parameter 'pattern' must be non-empty"),
+     "<spec>:4: set.grep: parameter 'pattern' must be non-empty"),
 ]
 
 

@@ -13,7 +13,6 @@ from motifbench.errors import EventError, FormulaError, MissingEventsError
 from motifbench.topdown import (
     BreakdownNode,
     EventSample,
-    LEVEL1_NAMES,
     MetricNode,
     MetricTree,
     average_samples,
@@ -281,6 +280,9 @@ def test_collect_sample_runs_command(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # builtin tree shape
+
+
+LEVEL1_NAMES = ("Retiring", "Bad_Speculation", "Frontend_Bound", "Backend_Bound")
 
 
 def test_builtin_tree_level1_names():
