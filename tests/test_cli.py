@@ -370,6 +370,27 @@ def test_every_spec_problem_is_one_located_error_line(tmp_path, capsys, monkeypa
     assert sorted(os.listdir(tmp_path)) == ["two.spec"]
 
 
+def test_validate_prints_each_problem_once_in_line_order(tmp_path, capsys):
+    bad = tmp_path / "order.spec"
+    bad.write_text(
+        'workload "w"\n'
+        "node a = transform.fft(x)\n"
+        "input a = generate.matrix(rows=2, cols=2, seed=1)\n"
+        'input f : foo @ "f.foo"\n'
+        "node z = warp.zoom(a)\n"
+        "node s = sort.sort(f)\n"
+        "node y = transform.fft(z)\n"
+        'output z @ "z.matrix"\n'
+    )
+    assert run_cli("validate", "--spec", str(bad)) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2: undefined dataset id 'x'",
+        f"error: {bad}:3: duplicate dataset id 'a'",
+        f"error: {bad}:4: unknown payload kind 'foo'",
+        f"error: {bad}:5: unknown motif 'warp.zoom'",
+    ]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_run_filter_literal_its_column_refuses_exits_1(tmp_path, capsys, monkeypatch, value):
     monkeypatch.chdir(tmp_path)

@@ -159,6 +159,28 @@ def test_validate_clean_chain_returns_empty():
     assert validate_spec(spec) == []
 
 
+_MATRIX = "generate.matrix(rows=2, cols=2, seed=1)"
+
+
+@pytest.mark.parametrize("body, problems", [
+    # problems come in line order, not in the order of the checks
+    (f"node a = transform.fft(x)\ninput a = {_MATRIX}\n",
+     ["<spec>:2: undefined dataset id 'x'", "<spec>:3: duplicate dataset id 'a'"]),
+    # a node whose own check fails still defines its id, for nodes and outputs
+    (f"input m = {_MATRIX}\nnode a = warp.zoom(m)\nnode b = transform.fft(a)\n",
+     ["<spec>:3: unknown motif 'warp.zoom'"]),
+    (f'input m = {_MATRIX}\nnode a = warp.zoom(m)\noutput a @ "a.matrix"\n',
+     ["<spec>:3: unknown motif 'warp.zoom'"]),
+    # an input of unknown kind defines its id with unknown kind
+    ('input m : foo @ "m.foo"\nnode s = sort.sort(m)\n',
+     ["<spec>:2: unknown payload kind 'foo'"]),
+])
+def test_validate_reports_each_problem_once_in_line_order(body, problems):
+    with pytest.raises(SpecError) as err:
+        parse_spec('workload "w"\n' + body)
+    assert [str(d) for d in err.value.diagnostics] == problems
+
+
 # ---------------------------------------------------------------------------
 # execution
 
