@@ -149,6 +149,18 @@ def test_project_unknown_column():
         project(_people(), ["bogus"])
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: aggregate(t, "bogus", "count", None),
+    lambda t: aggregate(t, "name", "sum", "bogus"),
+    lambda t: project(t, ["age", "bogus"]),
+    lambda t: filter_rows(t, "bogus", "eq", "1"),
+], ids=["aggregate-group", "aggregate-target", "project", "filter"])
+def test_unknown_column_is_named(call):
+    with pytest.raises(KernelError) as err:
+        call(_people())
+    assert str(err.value) == "unknown column 'bogus'"
+
+
 def test_filter_always_false_keeps_schema():
     out = filter_rows(_people(), "age", "gt", "1000")
     assert out.rows == () and out.schema == _people().schema

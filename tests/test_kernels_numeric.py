@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -169,6 +170,14 @@ def test_batch_norm_moments_oracle():
 def test_batch_norm_bad_axis():
     with pytest.raises(KernelError):
         batch_norm(Tensor((2,), [1, 2]), axis=1, epsilon=1e-6)
+
+
+@pytest.mark.parametrize("norm", [partial(batch_norm, epsilon=1e-6), cosine_norm],
+                         ids=["batch_norm", "cosine_norm"])
+def test_norm_axis_out_of_range_is_named(norm):
+    with pytest.raises(KernelError) as err:
+        norm(Tensor((2, 3), [1, 2, 3, 4, 5, 6]), axis=2)
+    assert str(err.value) == "axis 2 out of range for rank-2 tensor"
 
 
 def test_cosine_norm_unit_vector_unchanged():
