@@ -256,84 +256,83 @@ def parse_spec_file(path: str) -> WorkloadSpec:
 
 def validate_spec(s: WorkloadSpec, path: str = "<spec>") -> list[SpecError]:
     """Empty list iff the spec satisfies every invariant; each problem names
-    the offending dataset id or motif and is located at `path` and its line."""
+    the offending dataset id or motif and is located at `path` and its line.
+    Problems come in line order, and within a line in check order."""
     problems: list[SpecError] = []
 
     def problem(message: str, line: int):
         problems.append(SpecError(message, path, line))
 
-    # Statements in line order; each defines one dataset id. Knowing every id
-    # up front tells a forward reference (a cycle in execution order) from an
-    # unknown id.
-    statements = sorted([*s.inputs, *s.invocations], key=lambda st: st.line)
-    definer: dict[str, object] = {}  # dataset id -> the statement defining it
-    for st in statements:
-        sid = st.dataset_id if isinstance(st, InputDecl) else st.result_id
-        if sid in definer:
-            problem(f"duplicate dataset id {sid!r}", st.line)
-        else:
-            definer[sid] = st
-
+    # Each input and node defines its id on its own line, and the first
+    # definition wins. One whose own check fails defines it with unknown kind,
+    # so the lines using it are not blamed for that. Knowing every id up front
+    # tells a forward reference (a cycle in execution order) from an unknown id.
+    defined = {i.dataset_id for i in s.inputs} | {i.result_id for i in s.invocations}
     kinds: dict[str, str] = {}  # ids defined on earlier lines -> kind, "" if unknown
-    for st in statements:
-        if isinstance(st, InputDecl):
-            if definer[st.dataset_id] is st:
-                if st.kind not in ALL_KINDS:
-                    problem(f"unknown payload kind {st.kind!r}", st.line)
-                kinds[st.dataset_id] = st.kind
-            continue
-        inv = st
-        if inv.motif not in REGISTRY:
-            problem(f"unknown motif {inv.motif!r}", inv.line)
-            continue
-        kspec = REGISTRY[inv.motif]
-        ok = True
-        operand_kinds: list[str] = []
-        for op in inv.operands:
-            if op in kinds:
-                operand_kinds.append(kinds[op])
-                continue
-            if op in definer:
-                # Defined, but on this line or a later one: a back edge in
-                # execution order.
-                problem(f"cycle detected: {inv.result_id!r} consumes {op!r}, "
-                        "which is not defined earlier", inv.line)
-            else:
-                problem(f"undefined dataset id {op!r}", inv.line)
-            ok = False
-        if len(inv.operands) != kspec.arity:
-            problem(f"{inv.motif} takes {kspec.arity} operand(s), got {len(inv.operands)}",
-                    inv.line)
-            ok = False
-        if ok:
-            for op, op_kind, accepted in zip(inv.operands, operand_kinds, kspec.input_kinds):
-                if op_kind and op_kind not in accepted:
-                    problem(f"{inv.motif} cannot take {op_kind} payload {op!r} "
-                            f"(accepts {', '.join(sorted(accepted))})", inv.line)
-                    ok = False
-        try:
-            inv.kernel_params  # coerced here once; execute runs this dict
-        except KernelError as exc:
-            problem(str(exc), inv.line)
-            ok = False
-        if definer[inv.result_id] is inv:
-            same = kspec.output_kind == SAME_AS_INPUT
-            kinds[inv.result_id] = (operand_kinds[0] if same else kspec.output_kind) if ok else ""
-
     writers: dict[str, int] = {}  # normalized output path -> first line writing it
-    for out in s.outputs:
-        if out.dataset_id not in kinds:
-            problem(f"undefined dataset id {out.dataset_id!r}", out.line)
-        if not out.path:
-            problem("empty output path", out.line)
+    for st in sorted([*s.inputs, *s.invocations, *s.outputs], key=lambda st: st.line):
+        if isinstance(st, OutputDecl):
+            if st.dataset_id not in defined:
+                problem(f"undefined dataset id {st.dataset_id!r}", st.line)
+            if not st.path:
+                problem("empty output path", st.line)
+                continue
+            first = writers.setdefault(os.path.normpath(st.path), st.line)
+            if first != st.line:
+                problem(f"output path {st.path!r} is already written on line {first}", st.line)
             continue
-        key = os.path.normpath(out.path)
-        if key in writers:
-            problem(f"output path {out.path!r} is already written on line {writers[key]}",
-                    out.line)
+        sid = st.dataset_id if isinstance(st, InputDecl) else st.result_id
+        if sid in kinds:
+            problem(f"duplicate dataset id {sid!r}", st.line)
+        if isinstance(st, MotifInvocation):
+            kind = _node_kind(st, kinds, defined, problem)
+        elif st.kind in ALL_KINDS:
+            kind = st.kind
         else:
-            writers[key] = out.line
+            problem(f"unknown payload kind {st.kind!r}", st.line)
+            kind = ""
+        kinds.setdefault(sid, kind)
     return problems
+
+
+def _node_kind(inv: MotifInvocation, kinds: dict[str, str], defined: set[str],
+               problem: Callable[[str, int], None]) -> str:
+    """Check one node line; the kind of its result, "" if unknown or the
+    line fails a check."""
+    kspec = REGISTRY.get(inv.motif)
+    if kspec is None:
+        problem(f"unknown motif {inv.motif!r}", inv.line)
+        return ""
+    ok = True
+    for op in inv.operands:
+        if op in kinds:
+            continue
+        if op in defined:
+            # Defined, but on this line or a later one: a back edge in
+            # execution order.
+            problem(f"cycle detected: {inv.result_id!r} consumes {op!r}, "
+                    "which is not defined earlier", inv.line)
+        else:
+            problem(f"undefined dataset id {op!r}", inv.line)
+        ok = False
+    if len(inv.operands) != kspec.arity:
+        problem(f"{inv.motif} takes {kspec.arity} operand(s), got {len(inv.operands)}",
+                inv.line)
+        ok = False
+    if ok:
+        for op, accepted in zip(inv.operands, kspec.input_kinds):
+            if kinds[op] and kinds[op] not in accepted:
+                problem(f"{inv.motif} cannot take {kinds[op]} payload {op!r} "
+                        f"(accepts {', '.join(sorted(accepted))})", inv.line)
+                ok = False
+    try:
+        inv.kernel_params  # coerced here once; execute runs this dict
+    except KernelError as exc:
+        problem(str(exc), inv.line)
+        ok = False
+    if not ok:
+        return ""
+    return kinds[inv.operands[0]] if kspec.output_kind == SAME_AS_INPUT else kspec.output_kind
 
 
 # ---------------------------------------------------------------------------
