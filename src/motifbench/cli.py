@@ -19,7 +19,7 @@ import sys
 
 from . import generators, similarity, topdown, workload
 from .dataio import checksum_hex, checksum_payload, open_output, save_dataset
-from .datasets import Dataset
+from .datasets import ALL_KINDS, Dataset
 from .errors import EventError, InvariantError, MotifBenchError, SpecError
 from .kernels import SAME_AS_INPUT, kernels_by_family
 
@@ -319,7 +319,7 @@ def cmd_list_motifs(args) -> int:
     for family, specs in kernels_by_family().items():
         print(family.capitalize())
         for spec in specs:
-            kinds = ", ".join("|".join(sorted(ks)) if len(ks) < 6 else "any"
+            kinds = ", ".join("any" if ks == set(ALL_KINDS) else "|".join(sorted(ks))
                               for ks in spec.input_kinds)
             out = "same as input" if spec.output_kind == SAME_AS_INPUT else spec.output_kind
             print(f"  {spec.motif:<26} arity {spec.arity}  {kinds} -> {out}")

@@ -30,22 +30,24 @@ def set_op(a: KeyValueSet, b: KeyValueSet, op: str) -> KeyValueSet:
     return KeyValueSet({k: v for k, v in a.entries.items() if k not in b.entries})
 
 
+def column_index(t: Table, name: str) -> int:
+    """Position of the named column of `t`; raises KernelError if none."""
+    try:
+        return t.column_index(name)
+    except KeyError:
+        raise KernelError(f"unknown column {name!r}") from None
+
+
 def project(t: Table, columns: list[str]) -> Table:
     """Keep only the named columns, in the order given."""
-    try:
-        idx = [t.column_index(c) for c in columns]
-    except KeyError as exc:
-        raise KernelError(f"unknown column {exc.args[0]!r}") from None
+    idx = [column_index(t, c) for c in columns]
     return Table([t.schema[i] for i in idx], [t.columns[i] for i in idx])
 
 
 def filter_rows(t: Table, column: str, cmp: str, value) -> Table:
     """Rows whose cell in `column` satisfies `cmp` against the literal;
     surviving row order preserved. `select` is this same operator."""
-    try:
-        i = t.column_index(column)
-    except KeyError:
-        raise KernelError(f"unknown column {column!r}") from None
+    i = column_index(t, column)
     kind = t.schema[i][1]
     rule = TABLE_KINDS[kind]
     try:  # held to its column's rule, as each cell is; InvariantError is a ValueError

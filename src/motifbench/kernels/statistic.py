@@ -9,6 +9,7 @@ from collections import Counter, defaultdict
 
 from ..datasets import Graph, KeyValueSet, Matrix, Payload, Table, Tensor, TextCorpus
 from ..errors import KernelError
+from .sets import column_index
 
 
 def wordcount(corpus: TextCorpus) -> KeyValueSet:
@@ -26,10 +27,7 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
     count needs no target; sum/avg need a numeric target column and accumulate
     with exact extended-precision summation.
     """
-    try:
-        gi = t.column_index(group)
-    except KeyError:
-        raise KernelError(f"unknown column {group!r}") from None
+    gi = column_index(t, group)
     group_kind = t.schema[gi][1]
     keys = t.columns[gi]
 
@@ -38,10 +36,7 @@ def aggregate(t: Table, group: str, agg: str, target: str | None) -> Table:
         schema = [(group, group_kind), ("count", "integer")]
         return Table(schema, [counts, counts.values()])
 
-    try:
-        ti = t.column_index(target)
-    except KeyError:
-        raise KernelError(f"unknown column {target!r}") from None
+    ti = column_index(t, target)
     target_kind = t.schema[ti][1]
     if target_kind not in ("integer", "real"):
         raise KernelError(f"{agg} target {target!r} must be numeric, is {target_kind}")
@@ -74,7 +69,10 @@ def count_records(payload: Payload) -> KeyValueSet:
 
 
 def _fibers(x: Tensor, axis: int):
-    """Yield flat-index lists of every 1-D fiber along `axis` (row-major)."""
+    """Yield flat-index lists of every 1-D fiber along `axis` (row-major);
+    raises KernelError before the first if `x` has no such axis."""
+    if not 0 <= axis < x.rank:
+        raise KernelError(f"axis {axis} out of range for rank-{x.rank} tensor")
     shape, strides = x.shape, x.strides()
     other = [i for i in range(len(shape)) if i != axis]
     base_indices = [0]
@@ -89,8 +87,6 @@ def _fibers(x: Tensor, axis: int):
 def batch_norm(x: Tensor, axis: int, epsilon: float) -> Tensor:
     """Standardize every 1-D fiber along `axis` to mean 0, variance 1
     (population variance, epsilon-guarded)."""
-    if not 0 <= axis < x.rank:
-        raise KernelError(f"axis {axis} out of range for rank-{x.rank} tensor")
     out = list(x.data)
     for fiber in _fibers(x, axis):
         n = len(fiber)
@@ -104,8 +100,6 @@ def batch_norm(x: Tensor, axis: int, epsilon: float) -> Tensor:
 
 def cosine_norm(x: Tensor, axis: int) -> Tensor:
     """Scale every 1-D fiber along `axis` to unit L2 norm."""
-    if not 0 <= axis < x.rank:
-        raise KernelError(f"axis {axis} out of range for rank-{x.rank} tensor")
     out = list(x.data)
     for fiber in _fibers(x, axis):
         norm = math.sqrt(math.fsum(x.data[i] ** 2 for i in fiber))

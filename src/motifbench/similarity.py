@@ -339,16 +339,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[int]:
 def dendrogram_to_json(dendrogram: Dendrogram, labels: list[str]) -> dict:
     return {
         "leaves": list(labels),
-        "merges": [
-            {
-                "a": step.a,
-                "b": step.b,
-                "distance": step.distance,
-                "new_id": step.new_id,
-                "size": step.size,
-            }
-            for step in dendrogram.merges
-        ],
+        "merges": [step._asdict() for step in dendrogram.merges],
     }
 
 
