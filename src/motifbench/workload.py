@@ -267,7 +267,7 @@ def validate_spec(s: WorkloadSpec, path: str = "<spec>") -> list[SpecError]:
     # definition wins. One whose own check fails defines it with unknown kind,
     # so the lines using it are not blamed for that. Knowing every id up front
     # tells a forward reference (a cycle in execution order) from an unknown id.
-    defined = {i.dataset_id for i in s.inputs} | {i.result_id for i in s.invocations}
+    defined = {d.dataset_id for d in s.inputs} | {inv.result_id for inv in s.invocations}
     kinds: dict[str, str] = {}  # ids defined on earlier lines -> kind, "" if unknown
     writers: dict[str, int] = {}  # normalized output path -> first line writing it
     for st in sorted([*s.inputs, *s.invocations, *s.outputs], key=lambda st: st.line):
