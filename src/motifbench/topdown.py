@@ -259,7 +259,9 @@ def load_sample(path: str, width: Optional[int] = None,
 
 
 def load_mapping(path: str) -> dict[str, str]:
-    """Event mapping CSV: 'abstract_name,platform_name' per line."""
+    """Event mapping CSV: 'abstract_name,platform_name' per line. A name
+    repeated on either side is an error: parse_sample renames each platform
+    counter once, so a second abstract name for it would go missing."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(read_input(path).split("\n"), start=1):
         line = raw.strip()
@@ -268,7 +270,12 @@ def load_mapping(path: str) -> dict[str, str]:
         if "," not in line:
             raise EventError(f"expected 'abstract,platform', got {line!r}", path=path, line=lineno)
         abstract, _, platform = line.partition(",")
-        mapping[abstract.strip()] = platform.strip()
+        abstract, platform = abstract.strip(), platform.strip()
+        if abstract in mapping:
+            raise EventError(f"duplicate abstract name {abstract!r}", path=path, line=lineno)
+        if platform in mapping.values():
+            raise EventError(f"platform counter {platform!r} mapped twice", path=path, line=lineno)
+        mapping[abstract] = platform
     return mapping
 
 

@@ -979,6 +979,30 @@ def test_run_graph_vertex_count_beyond_64_bits_exits_1(tmp_path, capsys):
     assert err[0].startswith(f"error: {path}:1: vertex_count must be")
 
 
+# input kind -> (file name, content with an entry its reader refuses, the
+# line and message of the error, the command); formatted as in _BAD_UTF8.
+_REFUSED_ENTRY = {
+    "mapping-abstract": ("m.csv", "x,A\nx,B\n", 2, "duplicate abstract name 'x'",
+                         "analyze --events {ok} --mapping {path}"),
+    "mapping-platform": ("m.csv", "x,A\ny,A\n", 2, "platform counter 'A' mapped twice",
+                         "analyze --events {ok} --mapping {path}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_ENTRY))
+def test_input_entry_refused_exits_1_naming_its_line(tmp_path, capsys, case):
+    name, content, line, message, command = _REFUSED_ENTRY[case]
+    path = tmp_path / name
+    path.write_text(content)
+    ok = tmp_path / "ok.csv"
+    ok.write_text(_DUMP)
+    spec = tmp_path / "in.spec"
+    spec.write_text(f'workload "w"\ninput t : table @ "{path}"\n'
+                    "node n = statistic.count(t)\n")
+    assert run_cli(*command.format(path=path, ok=ok, spec=spec).split()) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:{line}: {message}"]
+
+
 @pytest.mark.parametrize("content, read", [
     ('workload "w"\ninput a = generate.text(bytes=64, seed=1)\n'
      "node c = statistic.count(a)  # tally\n", workload.parse_spec_file),

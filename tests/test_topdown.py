@@ -237,6 +237,13 @@ DUMP_ERRORS = {
     "mapping-without-comma": (
         load_mapping, "# abstract,platform\n\nuops_retired UOPS\n",
         ":3: expected 'abstract,platform', got 'uops_retired UOPS'"),
+    # a repeat would keep only the last line, or leave one name unmapped
+    "mapping-repeated-abstract": (
+        load_mapping, "instructions_retired,INST\n\ninstructions_retired,OTHER\n",
+        ":3: duplicate abstract name 'instructions_retired'"),
+    "mapping-repeated-platform": (
+        load_mapping, "uops_retired,UOPS\ncycles,CLK\nuops_issued, UOPS\n",
+        ":3: platform counter 'UOPS' mapped twice"),
 }
 
 
