@@ -323,8 +323,6 @@ def _load_table(path: str, text: str) -> Table:
         raise FormatError("table file missing schema line", path=path, line=2)
     schema = []
     for part in lines[1].split(","):
-        if part == "":
-            continue
         if ":" not in part:
             raise FormatError(f"bad schema entry {part!r}", path=path, line=2)
         name, _, kind = part.rpartition(":")

@@ -204,7 +204,7 @@ def parse_sample(text: str, path: str = "<sample>",
                  mapping: Optional[dict[str, str]] = None) -> EventSample:
     """Parse an event dump: CSV lines 'event_name,count', metadata lines
     '#meta key=value' (keys width, cycles, label). A 'cycles' event row also
-    sets the cycle count. Duplicate event names are an error. A mapping of
+    sets the cycle count. Duplicate event names or metadata keys are errors. A mapping of
     abstract to platform counter names is applied before validation so a
     platform-named cycles counter still satisfies the cycles requirement."""
     events: dict[str, float] = {}
@@ -218,7 +218,10 @@ def parse_sample(text: str, path: str = "<sample>",
             if "=" not in body:
                 raise EventError(f"bad metadata line {line!r}", path=path, line=lineno)
             key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key in meta:
+                raise EventError(f"duplicate metadata key {key!r}", path=path, line=lineno)
+            meta[key] = value.strip()
             continue
         if line.startswith("#"):
             continue

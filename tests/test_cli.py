@@ -986,6 +986,10 @@ _REFUSED_ENTRY = {
                          "analyze --events {ok} --mapping {path}"),
     "mapping-platform": ("m.csv", "x,A\ny,A\n", 2, "platform counter 'A' mapped twice",
                          "analyze --events {ok} --mapping {path}"),
+    "event-dump-meta": ("d.csv", "#meta width=4\n#meta width=8\ncycles,10\n", 2,
+                        "duplicate metadata key 'width'", "analyze --events {path}"),
+    "table-schema": ("t", "#table v1\nid:integer,,x:real,\n1,2.0\n", 2,
+                     "bad schema entry ''", "run --spec {spec}"),
 }
 
 

@@ -217,6 +217,8 @@ LOADER_ERRORS = {
     "edge-whitespace-line-skipped": (b"#graph v1 3 1\n0 1\n \t \n1 x\n", "4: bad edge line '1 x'"),
     "kv-no-tab": (b"#kv v1\na\t1\nb 2\n", "3: kv line missing tab separator: 'b 2'"),
     "kv-duplicate-key": (b"#kv v1\na\t1\n\nb\t2\na\t3\n", "5: duplicate key 'a'"),
+    "table-schema-empty-entry": (
+        b"#table v1\nid:integer,,x:real,\n1,2.0\n", "2: bad schema entry ''"),
     # a value the payload refuses, on the line of its record
     "corpus-line-with-cr": (b"a\nb\rc\n", "2: document 1 contains '\\r'"),
     "corpus-crlf": (b"a\r\nb\r\n", "1: document 0 contains '\\r'"),

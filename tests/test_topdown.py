@@ -230,6 +230,9 @@ DUMP_ERRORS = {
         load_sample, "cycles,10\nuops_retired 5\n",
         ":2: expected 'event_name,count', got 'uops_retired 5'"),
     "duplicate-event": (load_sample, "cycles,10\nx,1\n\nx,2\n", ":4: duplicate event 'x'"),
+    "duplicate-meta": (
+        load_sample, "#meta width=4\ncycles,10\n#meta width=8\n",
+        ":3: duplicate metadata key 'width'"),
     "bad-count": (load_sample, "cycles,10\nx, ten \n", ":2: bad count 'ten'"),
     "bad-meta-value": (
         load_sample, "#meta width=abc\ncycles,10\n",
