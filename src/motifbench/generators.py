@@ -20,8 +20,9 @@ probabilities a/b/c/d (each in [0, 1], summing to 1) only with model=rmat,
 and a matrix or tensor takes lo/hi (hi >= lo) only with dist=uniform and
 mu/sigma (sigma > 0) only with dist=gaussian. Unknown names are errors;
 omitted ones take the schema defaults. A tensor's shape is parsed once, into
-the tuple the GenSpec holds. The distributions and the gen_* functions trust
-the values make_genspec has checked.
+the tuple the GenSpec holds. Each gen_* function takes its schema's names as
+arguments, so materialize calls it with the checked values by name, and it
+trusts them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .datasets import (
     Dataset,
     Graph,
     Matrix,
-    Record,
     Table,
     Tensor,
     TextCorpus,
@@ -87,50 +87,6 @@ DEFAULT_SEED_CORPUS = TextCorpus([
 
 
 # ---------------------------------------------------------------------------
-# distributions
-
-
-class Uniform(Record):
-    __slots__ = _fields = ("lo", "hi")
-
-    def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        self._set(lo=lo, hi=hi)
-
-    def draws(self, rng: SplitMix64, n: int) -> list[float]:
-        """n values of rng.uniform(lo, hi), from one bulk draw."""
-        lo, span = self.lo, self.hi - self.lo
-        return [lo + span * ((z >> 11) * (1.0 / (1 << 53))) for z in rng.u64s(n)]
-
-
-class Gaussian(Record):
-    __slots__ = _fields = ("mu", "sigma")
-
-    def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        self._set(mu=mu, sigma=sigma)
-
-    def draws(self, rng: SplitMix64, n: int) -> list[float]:
-        """n Box-Muller draws from rng, in bulk (see SplitMix64.gausses)."""
-        return rng.gausses(n, self.mu, self.sigma)
-
-
-# Per-distribution parameters, in positional order for `--dist name:v1,v2`.
-DISTRIBUTIONS = {
-    "uniform": {"lo": ParamSpec("float", default=0.0), "hi": ParamSpec("float", default=1.0)},
-    "gaussian": {
-        "mu": ParamSpec("float", default=0.0),
-        "sigma": ParamSpec("float", default=1.0, lo=ABOVE_ZERO),
-    },
-}
-
-
-def make_dist(p: dict):
-    """The Uniform or Gaussian described by coerced generator params."""
-    if p["dist"] == "uniform":
-        return Uniform(p["lo"], p["hi"])
-    return Gaussian(p["mu"], p["sigma"])
-
-
-# ---------------------------------------------------------------------------
 # text
 
 
@@ -163,22 +119,23 @@ def _choices(counts: dict[str, int]) -> list[str]:
     return [w for w in sorted(counts) for _ in range(counts[w])]
 
 
-def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextCorpus:
-    """Corpus sampled from the seed's bigram model (unigram fallback for
-    unseen contexts); vocabulary is a subset of the seed's; UTF-8 size lands
-    within +/-5% of target_bytes."""
-    unigrams, successors, lengths = _fit_bigram(seed_corpus)
+def gen_text(bytes: int, rng_seed: int, corpus: TextCorpus | None = None) -> TextCorpus:
+    """Corpus sampled from the bigram model of the seed corpus (None for
+    DEFAULT_SEED_CORPUS), with a unigram fallback for unseen contexts; the
+    vocabulary is a subset of the seed's; UTF-8 size lands within +/-5% of
+    `bytes`."""
+    unigrams, successors, lengths = _fit_bigram(DEFAULT_SEED_CORPUS if corpus is None else corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
     uni_choices = _choices(unigrams)
     succ_choices = {w: _choices(d) for w, d in successors.items()}
 
-    hi_cap = target_bytes + max(1, target_bytes // 20)
+    hi_cap = bytes + max(1, bytes // 20)
     out_lines: list[str] = []
     total = 0
     # Each word's bound is the count total of its predecessor's successors.
     with SplitMix64(rng_seed).bounded() as below:
-        while total < target_bytes:
+        while total < bytes:
             words: list[str] = []
             choices = uni_choices
             for _ in range(lengths[below(len(lengths))]):
@@ -204,26 +161,22 @@ def gen_text(seed_corpus: TextCorpus, target_bytes: int, rng_seed: int) -> TextC
 # graph
 
 
-def gen_graph(
-    vertices: int,
-    edges: int,
-    model: str = "uniform",
-    probs: tuple[float, float, float, float] = RMAT_DEFAULT,
-    rng_seed: int = 0,
-) -> Graph:
+def gen_graph(vertices: int, edges: int, rng_seed: int, model: str,
+              a: float | None = None, b: float | None = None,
+              c: float | None = None, d: float | None = None) -> Graph:
     """Directed graph with exactly `edges` edges.
 
     The 'rmat' model recursively picks quadrants of the adjacency matrix with
-    probabilities (a, b, c, d), producing the skewed degree distributions of
-    real web graphs; it needs a power-of-two vertex count. 'uniform' draws
-    endpoints independently, u before v.
+    probabilities a, b, c and d (the rest), producing the skewed degree
+    distributions of real web graphs; it needs a power-of-two vertex count.
+    'uniform' draws endpoints independently, u before v.
     """
     rng = SplitMix64(rng_seed)
     if model == "uniform":
         ends = iter(rng.belows((vertices,), 2 * edges))
         edge_list = list(zip(ends, ends))
     else:  # rmat
-        edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, probs)
+        edge_list = _rmat_edges(rng, vertices.bit_length() - 1, edges, a, b, c)
     return Graph(vertices, edge_list, directed=True)
 
 
@@ -235,7 +188,7 @@ _RMAT_V_BIT = bytes.maketrans(bytes(range(4)), b"0101")
 _ENDPOINT_WIDTHS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
-def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
+def _rmat_edges(rng: SplitMix64, levels: int, edges: int, a: float, b: float, c: float) -> list:
     """`edges` RMAT edges over 2**levels vertices, one draw per level, the
     first draw picking the top bit of each endpoint.
 
@@ -252,7 +205,6 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
     """
     if levels == 0:
         return [(0, 0)] * edges
-    a, b, c, _ = probs
     quadrants = cut_coder([random_cut(p) for p in (a, a + b, a + b + c)])
     width, code = next(wc for wc in _ENDPOINT_WIDTHS if wc[0] >= levels)
     stride = 2 * width
@@ -273,20 +225,40 @@ def _rmat_edges(rng: SplitMix64, levels: int, edges: int, probs: tuple) -> list:
     return out
 
 
-def _rmat_probs(p: dict) -> tuple:
-    return tuple(p.get(k, default) for k, default in zip("abcd", RMAT_DEFAULT))
-
-
 # ---------------------------------------------------------------------------
 # matrix / tensor
 
 
-def gen_matrix(rows: int, cols: int, dist, rng_seed: int) -> Matrix:
-    return Matrix(rows, cols, dist.draws(SplitMix64(rng_seed), rows * cols))
+# Per-distribution parameters, in positional order for `--dist name:v1,v2`.
+DISTRIBUTIONS = {
+    "uniform": {"lo": ParamSpec("float", default=0.0), "hi": ParamSpec("float", default=1.0)},
+    "gaussian": {
+        "mu": ParamSpec("float", default=0.0),
+        "sigma": ParamSpec("float", default=1.0, lo=ABOVE_ZERO),
+    },
+}
 
 
-def gen_tensor(shape: tuple[int, ...], dist, rng_seed: int) -> Tensor:
-    return Tensor(shape, dist.draws(SplitMix64(rng_seed), math.prod(shape)))
+def _draws(rng_seed: int, n: int, dist: str, lo, hi, mu, sigma) -> list[float]:
+    """n values of rng.uniform(lo, hi) from one bulk draw, or n Box-Muller
+    draws in bulk (see SplitMix64.gausses)."""
+    rng = SplitMix64(rng_seed)
+    if dist == "uniform":
+        span = hi - lo
+        return [lo + span * ((z >> 11) * (1.0 / (1 << 53))) for z in rng.u64s(n)]
+    return rng.gausses(n, mu, sigma)
+
+
+def gen_matrix(rows: int, cols: int, rng_seed: int, dist: str, lo: float | None = None,
+               hi: float | None = None, mu: float | None = None,
+               sigma: float | None = None) -> Matrix:
+    return Matrix(rows, cols, _draws(rng_seed, rows * cols, dist, lo, hi, mu, sigma))
+
+
+def gen_tensor(shape: tuple[int, ...], rng_seed: int, dist: str, lo: float | None = None,
+               hi: float | None = None, mu: float | None = None,
+               sigma: float | None = None) -> Tensor:
+    return Tensor(shape, _draws(rng_seed, math.prod(shape), dist, lo, hi, mu, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +379,7 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
     if kind == "graph" and p["model"] == "rmat":
         if p["vertices"] & (p["vertices"] - 1):
             raise InvariantError(f"rmat needs a power-of-two vertex count, got {p['vertices']}")
-        total = left_sum(_rmat_probs(p))
+        total = left_sum(p[k] for k in "abcd")
         if abs(total - 1.0) > 1e-9:
             raise InvariantError(f"rmat probabilities must sum to 1, got {total}")
     elif kind == "tensor":
@@ -420,25 +392,17 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
 
 
 def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
-    """Run the generator described by a GenSpec."""
+    """Run the generator described by a GenSpec: gen_<kind>, looked up in the
+    module at call time, with the checked params by name."""
     p = spec.param_dict()
-    if spec.kind == "text":
-        if "corpus" in p:
-            path = resolve_path(p["corpus"], base_dir)
-            seed_ds = load_dataset(path)
-            if not isinstance(seed_ds.payload, TextCorpus):
-                raise InvariantError(f"seed corpus {path!r} is not a text corpus")
-            seed_corpus = seed_ds.payload
-        else:
-            seed_corpus = DEFAULT_SEED_CORPUS
-        payload = gen_text(seed_corpus, p["bytes"], spec.rng_seed)
-    elif spec.kind == "graph":
-        payload = gen_graph(p["vertices"], p["edges"], p["model"], _rmat_probs(p), spec.rng_seed)
-    elif spec.kind == "matrix":
-        payload = gen_matrix(p["rows"], p["cols"], make_dist(p), spec.rng_seed)
-    elif spec.kind == "tensor":
-        payload = gen_tensor(p["shape"], make_dist(p), spec.rng_seed)
-    else:  # table: only the one asked for, from the stream gen_table draws
+    if "corpus" in p:
+        path = resolve_path(p["corpus"], base_dir)
+        p["corpus"] = load_dataset(path).payload
+        if not isinstance(p["corpus"], TextCorpus):
+            raise InvariantError(f"seed corpus {path!r} is not a text corpus")
+    if spec.kind != "table":
+        payload = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
+    else:  # only the one asked for, from the stream gen_table draws
         rng = SplitMix64(spec.rng_seed)
         with rng.bounded() as below:
             draws = _order_draws(below, p["orders"])

@@ -236,10 +236,14 @@ _KERNELS = [
         {"p": ParamSpec("float", required=True, lo=0.0, hi=1.0), "seed": SEED},
     ),
     # transform
-    KernelSpec("transform", "fft", (_MAT,), KIND_MATRIX, transform.matrix_fft),
-    KernelSpec("transform", "ifft", (_MAT,), KIND_MATRIX, transform.matrix_ifft),
-    KernelSpec("transform", "fft2d", (_MAT,), KIND_MATRIX, transform.matrix_fft2d),
-    KernelSpec("transform", "ifft2d", (_MAT,), KIND_MATRIX, transform.matrix_ifft2d),
+    KernelSpec("transform", "fft", (_MAT,), KIND_MATRIX,
+               partial(transform.fft, two_d=False, inverse=False)),
+    KernelSpec("transform", "ifft", (_MAT,), KIND_MATRIX,
+               partial(transform.fft, two_d=False, inverse=True)),
+    KernelSpec("transform", "fft2d", (_MAT,), KIND_MATRIX,
+               partial(transform.fft, two_d=True, inverse=False)),
+    KernelSpec("transform", "ifft2d", (_MAT,), KIND_MATRIX,
+               partial(transform.fft, two_d=True, inverse=True)),
     KernelSpec(
         "transform", "convolution", (_TEN, _TEN), KIND_TENSOR, transform.convolution,
         {

@@ -5,8 +5,9 @@ The FFT is the iterative Cooley-Tukey form (bit-reversal permutation, then
 butterflies of doubling span), restricted to power-of-two lengths. It runs
 over all rows of a flat list at once, one slice operation per twiddle per
 stage, with each butterfly's operations in the scalar loop's order, so the
-bits match that loop's. Matrix wrappers pack complex planes as real matrices
-with interleaved re,im columns so spectra can flow through the dataset pipeline.
+bits match that loop's. The fft kernel packs complex planes as real matrices
+with interleaved re,im columns so spectra can flow through the dataset
+pipeline; the registry holds its four variants as partials.
 """
 
 from __future__ import annotations
@@ -77,45 +78,24 @@ def _fft2d_rows(d: list[complex], rows: int, cols: int, inverse: bool) -> list[c
     return list(chain.from_iterable(d[i::rows] for i in range(rows)))
 
 
-# ---------------------------------------------------------------------------
-# Matrix packing: a complex r x c plane travels as a real r x 2c matrix with
-# columns re0, im0, re1, im1, ...
-
-
-def _unpack_complex(m: Matrix) -> list[complex]:
-    if m.cols % 2 != 0:
-        raise KernelError(f"interleaved complex matrix needs even cols, got {m.cols}")
-    return list(map(complex, m.data[0::2], m.data[1::2]))
-
-
-def _pack_complex(rows: int, d: list[complex]) -> Matrix:
+def fft(m: Matrix, two_d: bool, inverse: bool) -> Matrix:
+    """Row-wise (or 2-D) FFT of a real matrix, or its inverse. A complex
+    r x c plane travels as a real r x 2c matrix with columns re0, im0, re1,
+    im1, ...: the forward transform returns one, and the inverse takes one
+    and returns the real part of the reconstruction."""
+    if inverse:
+        if m.cols % 2 != 0:
+            raise KernelError(f"interleaved complex matrix needs even cols, got {m.cols}")
+        cols, d = m.cols // 2, list(map(complex, m.data[0::2], m.data[1::2]))
+    else:
+        cols, d = m.cols, list(map(complex, m.data))
+    d = _fft2d_rows(d, m.rows, cols, inverse) if two_d else _fft_rows(d, cols, inverse)
+    if inverse:
+        return Matrix(m.rows, cols, map(_real, d))
     data = [0.0] * (2 * len(d))
     data[0::2] = map(_real, d)
     data[1::2] = map(_imag, d)
-    return Matrix(rows, len(data) // rows, data)
-
-
-def matrix_fft(m: Matrix) -> Matrix:
-    """Row-wise FFT of a real matrix -> interleaved complex matrix."""
-    return _pack_complex(m.rows, _fft_rows(list(map(complex, m.data)), m.cols, False))
-
-
-def matrix_ifft(m: Matrix) -> Matrix:
-    """Row-wise inverse FFT of an interleaved complex matrix -> real matrix
-    (imaginary part of the reconstruction is dropped)."""
-    out = _fft_rows(_unpack_complex(m), m.cols // 2, True)
-    return Matrix(m.rows, m.cols // 2, map(_real, out))
-
-
-def matrix_fft2d(m: Matrix) -> Matrix:
-    """2-D FFT of a real plane -> interleaved complex matrix."""
-    return _pack_complex(m.rows, _fft2d_rows(list(map(complex, m.data)), m.rows, m.cols, False))
-
-
-def matrix_ifft2d(m: Matrix) -> Matrix:
-    """Inverse 2-D FFT of an interleaved complex matrix -> real plane."""
-    out = _fft2d_rows(_unpack_complex(m), m.rows, m.cols // 2, True)
-    return Matrix(m.rows, m.cols // 2, map(_real, out))
+    return Matrix(m.rows, 2 * cols, data)
 
 
 # ---------------------------------------------------------------------------

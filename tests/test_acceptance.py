@@ -20,9 +20,7 @@ from motifbench.cli import main as cli_main
 from motifbench.dataio import checksum_payload, load_dataset
 from motifbench.datasets import Graph, KeyValueSet, Matrix, Tensor, TextCorpus
 from motifbench.generators import (
-    DEFAULT_SEED_CORPUS,
-    Gaussian,
-    Uniform,
+    RMAT_DEFAULT,
     gen_graph,
     gen_matrix,
     gen_table,
@@ -45,8 +43,7 @@ from motifbench.kernels.transform import (
     _fft2d_rows,
     _fft_rows,
     convolution,
-    matrix_fft2d,
-    matrix_ifft2d,
+    fft,
 )
 from motifbench.similarity import cut_dendrogram, hcluster, pca, standardize
 from motifbench.topdown import (
@@ -354,9 +351,9 @@ def test_criterion_4_builtin_tree_shape():
 
 
 def _generator_checksums(seed: int) -> dict[str, int]:
-    text = gen_text(DEFAULT_SEED_CORPUS, 20_000, rng_seed=seed)
-    graph = gen_graph(256, 2048, model="rmat", rng_seed=seed)
-    matrix = gen_matrix(40, 30, Gaussian(0, 1), rng_seed=seed)
+    text = gen_text(20_000, rng_seed=seed)
+    graph = gen_graph(256, 2048, seed, "rmat", *RMAT_DEFAULT)
+    matrix = gen_matrix(40, 30, seed, "gaussian", mu=0, sigma=1)
     order, item = gen_table(50, 200, rng_seed=seed)
     return {
         "text": checksum_payload(text),
@@ -380,13 +377,13 @@ def test_criterion_5_generator_determinism_and_scale():
     script = (
         "import json\n"
         "from motifbench.dataio import checksum_payload\n"
-        "from motifbench.generators import (DEFAULT_SEED_CORPUS, Gaussian,\n"
+        "from motifbench.generators import (RMAT_DEFAULT,\n"
         "    gen_graph, gen_matrix, gen_table, gen_text)\n"
         "order, item = gen_table(50, 200, rng_seed=41)\n"
         "print(json.dumps({\n"
-        "    'text': checksum_payload(gen_text(DEFAULT_SEED_CORPUS, 20000, rng_seed=41)),\n"
-        "    'graph': checksum_payload(gen_graph(256, 2048, model='rmat', rng_seed=41)),\n"
-        "    'matrix': checksum_payload(gen_matrix(40, 30, Gaussian(0, 1), rng_seed=41)),\n"
+        "    'text': checksum_payload(gen_text(20000, rng_seed=41)),\n"
+        "    'graph': checksum_payload(gen_graph(256, 2048, 41, 'rmat', *RMAT_DEFAULT)),\n"
+        "    'matrix': checksum_payload(gen_matrix(40, 30, 41, 'gaussian', mu=0, sigma=1)),\n"
         "    'order': checksum_payload(order),\n"
         "    'item': checksum_payload(item),\n"
         "}))\n"
@@ -395,12 +392,12 @@ def test_criterion_5_generator_determinism_and_scale():
     assert json.loads(out.stdout) == in_process
 
     for target in (5_000, 100_000):
-        corpus = gen_text(DEFAULT_SEED_CORPUS, target, rng_seed=9)
+        corpus = gen_text(target, rng_seed=9)
         size = sum(len(line.encode()) + 1 for line in corpus.documents)
         assert 0.95 * target <= size <= 1.05 * target
 
-    assert len(gen_graph(128, 999, model="uniform", rng_seed=3).edges) == 999
-    assert len(gen_matrix(17, 13, Uniform(0, 1), rng_seed=3).data) == 17 * 13
+    assert len(gen_graph(128, 999, 3, "uniform").edges) == 999
+    assert len(gen_matrix(17, 13, 3, "uniform", lo=0, hi=1).data) == 17 * 13
 
     rng = random.Random(20)
     for _ in range(20):
@@ -425,8 +422,8 @@ def test_criterion_6_dag_composer_equivalence(tmp_path, monkeypatch):
     spec = parse_spec_file(motifbench.shipped_spec_path("sift-like"))
     reports = execute(spec, repeat=1)
 
-    img = gen_matrix(64, 64, Uniform(0, 255), rng_seed=11)
-    smooth = matrix_ifft2d(matrix_fft2d(img))
+    img = gen_matrix(64, 64, 11, "uniform", lo=0, hi=255)
+    smooth = fft(fft(img, two_d=True, inverse=False), two_d=True, inverse=True)
     residue = mat_elementwise(img, smooth, "subtract")
     octave = downsample(residue, 2)
     ranked = sort_records(octave, key=0)

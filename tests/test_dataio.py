@@ -28,7 +28,7 @@ from motifbench.datasets import (
     TextCorpus,
 )
 from motifbench.errors import FormatError, InvariantError
-from motifbench.generators import gen_graph
+from motifbench.generators import RMAT_DEFAULT, gen_graph
 
 from .oracles import table_of_rows
 
@@ -98,7 +98,7 @@ def test_kv_roundtrip(tmp_path):
 
 
 def test_generated_graph_checksum_stable_over_roundtrip(tmp_path):
-    g = gen_graph(64, 300, model="rmat", rng_seed=7)
+    g = gen_graph(64, 300, 7, "rmat", *RMAT_DEFAULT)
     before = checksum_payload(g)
     after = checksum_payload(roundtrip(tmp_path, g))
     assert before == after

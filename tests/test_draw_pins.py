@@ -15,7 +15,6 @@ from motifbench.generators import (
     DEFAULT_SEED_CORPUS,
     ITEM_SCHEMA,
     ORDER_SCHEMA,
-    Uniform,
     gen_graph,
     gen_table,
     gen_tensor,
@@ -92,7 +91,7 @@ UNIFORM_GRAPH_PINS = {
 @pytest.mark.parametrize("vertices, edges, seed", sorted(UNIFORM_GRAPH_PINS))
 def test_uniform_graph_pinned(vertices, edges, seed, made):
     checksum, draws = UNIFORM_GRAPH_PINS[vertices, edges, seed]
-    g = gen_graph(vertices, edges, "uniform", rng_seed=seed)
+    g = gen_graph(vertices, edges, seed, "uniform")
     assert checksum_hex(checksum_payload(g)) == checksum
     assert _only_draws(made) == draws
     oracle = SplitMix64(seed)
@@ -110,7 +109,7 @@ TEXT_PINS = {
 @pytest.mark.parametrize("target, seed", sorted(TEXT_PINS))
 def test_gen_text_pinned(target, seed, made):
     checksum, draws = TEXT_PINS[target, seed]
-    corpus = gen_text(DEFAULT_SEED_CORPUS, target, seed)
+    corpus = gen_text(target, seed)
     assert checksum_hex(checksum_payload(corpus)) == checksum
     assert _only_draws(made) == draws
     oracle = SplitMix64(seed)
@@ -165,7 +164,7 @@ DROPOUT_PINS = {
 @pytest.mark.parametrize("shape, p, seed", sorted(DROPOUT_PINS))
 def test_dropout_pinned(shape, p, seed, made):
     checksum, draws = DROPOUT_PINS[shape, p, seed]
-    x = gen_tensor(shape, Uniform(-1.0, 1.0), 17)
+    x = gen_tensor(shape, 17, "uniform", lo=-1.0, hi=1.0)
     made.clear()
     out = dropout(x, p, seed)
     assert checksum_hex(checksum_payload(out)) == checksum

@@ -20,17 +20,14 @@ from hypothesis import given, settings, strategies as st
 from motifbench.datasets import Matrix, Tensor
 from motifbench.errors import InvariantError
 from motifbench.floatsum import _reduce_sum, left_sum
-from motifbench.generators import Gaussian
+from motifbench.generators import _draws
 from motifbench.kernels.matrixops import matmul
 from motifbench.kernels.sampling import pool
 from motifbench.kernels.transform import (
     _fft2d_rows,
     _fft_rows,
     convolution,
-    matrix_fft,
-    matrix_fft2d,
-    matrix_ifft,
-    matrix_ifft2d,
+    fft,
 )
 from motifbench.rng import BULK_BLOCK, SplitMix64, _GAMMA
 
@@ -137,16 +134,16 @@ def test_matrix_transforms_bit_equal_to_scalar_butterflies(seed, dims):
     grid = [list(m.row(i)) for i in range(rows)]
 
     spectrum = [scalar_fft(row) for row in grid]
-    assert bits(matrix_fft(m).data) == b"".join(map(complex_bits, spectrum))
+    assert bits(fft(m, two_d=False, inverse=False).data) == b"".join(map(complex_bits, spectrum))
     spectrum2d = scalar_fft2d(grid)
-    assert bits(matrix_fft2d(m).data) == b"".join(map(complex_bits, spectrum2d))
+    assert bits(fft(m, two_d=True, inverse=False).data) == b"".join(map(complex_bits, spectrum2d))
 
     packed = Matrix(rows, 2 * cols, edge_doubles(rng, 2 * rows * cols))
     planes = [list(map(complex, packed.row(i)[0::2], packed.row(i)[1::2])) for i in range(rows)]
     want = [z.real for row in planes for z in scalar_fft(row, inverse=True)]
-    assert bits(matrix_ifft(packed).data) == bits(want)
+    assert bits(fft(packed, two_d=False, inverse=True).data) == bits(want)
     want = [z.real for row in scalar_fft2d(planes, inverse=True) for z in row]
-    assert bits(matrix_ifft2d(packed).data) == bits(want)
+    assert bits(fft(packed, two_d=True, inverse=True).data) == bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +239,10 @@ def test_matmul_overflow_raises_on_the_first_non_finite_output(a, b, message):
        n=st.sampled_from([0, 1, 2, 7, BULK_BLOCK // 2, BULK_BLOCK // 2 + 1, 3000]))
 def test_gaussian_draws_equal_scalar_box_muller(seed, mu, sigma, n):
     bulk, scalar = SplitMix64(seed), SplitMix64(seed)
-    got = Gaussian(mu, sigma).draws(bulk, n)
+    got = bulk.gausses(n, mu, sigma)
     assert bits(got) == bits(scalar_gaussian_draws(scalar, mu, sigma, n))
     assert bulk._state == scalar._state
+    assert bits(_draws(seed, n, "gaussian", None, None, mu, sigma)) == bits(got)
 
 
 GAUSS_N = 1500  # pairs span more than one bulk block
@@ -262,9 +260,10 @@ def test_gaussian_draws_reject_a_zero_u1_like_the_scalar_loop(k):
         probe = SplitMix64(seed)
         assert [probe.next_u64() for _ in range(k)][-1] == 0
     bulk, scalar = SplitMix64(seed), SplitMix64(seed)
-    got = Gaussian(0.5, 2.0).draws(bulk, GAUSS_N)
+    got = bulk.gausses(GAUSS_N, 0.5, 2.0)
     want = scalar_gaussian_draws(scalar, 0.5, 2.0, GAUSS_N)
     assert bits(got) == bits(want)
+    assert bits(_draws(seed, GAUSS_N, "gaussian", None, None, 0.5, 2.0)) == bits(got)
     assert bulk._state == scalar._state
     rejected = k % 2 == 1 and k < 2 * GAUSS_N
     assert bulk._state == (seed + (2 * GAUSS_N + rejected) * _GAMMA) % 2**64

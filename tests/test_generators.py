@@ -10,16 +10,15 @@ from motifbench.datasets import TextCorpus
 from motifbench.errors import InvariantError
 from motifbench.generators import (
     DEFAULT_SEED_CORPUS,
-    Gaussian,
+    RMAT_DEFAULT,
     GenSpec,
-    Uniform,
+    _draws,
     _rmat_edges,
     gen_graph,
     gen_matrix,
     gen_table,
     gen_tensor,
     gen_text,
-    make_dist,
     make_genspec,
     materialize,
 )
@@ -28,6 +27,8 @@ from motifbench.rng import BULK_BLOCK, SplitMix64
 from .oracles import scalar_rmat_edges
 from .test_pinned import GOLDEN_PLATFORM, _platform_fingerprint
 
+RMAT = dict(zip("abcd", RMAT_DEFAULT))
+
 
 # ---------------------------------------------------------------------------
 # text
@@ -35,34 +36,34 @@ from .test_pinned import GOLDEN_PLATFORM, _platform_fingerprint
 
 def test_text_degenerate_seed_vocabulary():
     seed = TextCorpus(["x x x", "x"])
-    out = gen_text(seed, 500, rng_seed=1)
+    out = gen_text(500, rng_seed=1, corpus=seed)
     assert out.documents
     assert set(" ".join(out.documents).split()) == {"x"}
 
 
 def test_text_deterministic():
-    a = gen_text(DEFAULT_SEED_CORPUS, 10_000, rng_seed=42)
-    b = gen_text(DEFAULT_SEED_CORPUS, 10_000, rng_seed=42)
+    a = gen_text(10_000, rng_seed=42)
+    b = gen_text(10_000, rng_seed=42)
     assert checksum_payload(a) == checksum_payload(b)
-    c = gen_text(DEFAULT_SEED_CORPUS, 10_000, rng_seed=43)
+    c = gen_text(10_000, rng_seed=43)
     assert checksum_payload(a) != checksum_payload(c)
 
 
 def test_text_size_within_five_percent():
     for target in (2_000, 50_000, 300_000):
-        out = gen_text(DEFAULT_SEED_CORPUS, target, rng_seed=7)
+        out = gen_text(target, rng_seed=7)
         size = sum(len(line.encode()) + 1 for line in out.documents)
         assert 0.95 * target <= size <= 1.05 * target
 
 
 def test_text_vocabulary_subset_of_seed():
-    out = gen_text(DEFAULT_SEED_CORPUS, 20_000, rng_seed=3)
+    out = gen_text(20_000, rng_seed=3)
     seed_vocab = set(" ".join(DEFAULT_SEED_CORPUS.documents).split())
     assert set(" ".join(out.documents).split()) <= seed_vocab
 
 
 def test_text_unigram_total_variation_at_1mb():
-    out = gen_text(DEFAULT_SEED_CORPUS, 1_000_000, rng_seed=11)
+    out = gen_text(1_000_000, rng_seed=11)
 
     def frequencies(corpus):
         counts: dict[str, int] = {}
@@ -80,9 +81,9 @@ def test_text_unigram_total_variation_at_1mb():
 
 def test_text_empty_seed_rejected():
     with pytest.raises(InvariantError):
-        gen_text(TextCorpus([]), 100, rng_seed=0)
+        gen_text(100, rng_seed=0, corpus=TextCorpus([]))
     with pytest.raises(InvariantError):
-        gen_text(TextCorpus(["", "   "]), 100, rng_seed=0)
+        gen_text(100, rng_seed=0, corpus=TextCorpus(["", "   "]))
 
 
 # ---------------------------------------------------------------------------
@@ -90,26 +91,26 @@ def test_text_empty_seed_rejected():
 
 
 def test_graph_uniform_tiny():
-    g = gen_graph(2, 1, model="uniform", rng_seed=5)
+    g = gen_graph(2, 1, rng_seed=5, model="uniform")
     assert g.vertex_count == 2 and len(g.edges) == 1
     u, v = g.edges[0]
     assert 0 <= u < 2 and 0 <= v < 2
 
 
 def test_graph_exact_edge_count_and_range():
-    g = gen_graph(256, 4096, model="rmat", rng_seed=9)
+    g = gen_graph(256, 4096, rng_seed=9, model="rmat", **RMAT)
     assert len(g.edges) == 4096
     assert all(0 <= u < 256 and 0 <= v < 256 for u, v in g.edges)
 
 
 def test_graph_deterministic():
-    a = gen_graph(128, 1000, model="rmat", rng_seed=2)
-    b = gen_graph(128, 1000, model="rmat", rng_seed=2)
+    a = gen_graph(128, 1000, rng_seed=2, model="rmat", **RMAT)
+    b = gen_graph(128, 1000, rng_seed=2, model="rmat", **RMAT)
     assert checksum_payload(a) == checksum_payload(b)
 
 
 def test_graph_rmat_skew():
-    g = gen_graph(2**14, 2**17, model="rmat", rng_seed=1)
+    g = gen_graph(2**14, 2**17, rng_seed=1, model="rmat", **RMAT)
     outdeg: dict[int, int] = {}
     for u, _ in g.edges:
         outdeg[u] = outdeg.get(u, 0) + 1
@@ -142,10 +143,10 @@ def test_graph_rmat_rejects_bad_probs():
 ])
 def test_graph_rmat_matches_scalar_loop(vertices, edges, probs):
     bulk, scalar = SplitMix64(77), SplitMix64(77)
-    assert _rmat_edges(bulk, vertices.bit_length() - 1, edges, probs) == \
+    assert _rmat_edges(bulk, vertices.bit_length() - 1, edges, *probs[:3]) == \
         scalar_rmat_edges(scalar, vertices, edges, probs)
     assert bulk._state == scalar._state
-    g = gen_graph(vertices, edges, model="rmat", probs=probs, rng_seed=77)
+    g = gen_graph(vertices, edges, 77, "rmat", *probs)
     assert list(g.edges) == scalar_rmat_edges(SplitMix64(77), vertices, edges, probs)
 
 
@@ -157,7 +158,7 @@ def test_graph_rmat_every_endpoint_width_matches_scalar_loop(levels, probs, seed
     # Two blocks of draws, the second one short, at every endpoint width.
     edges = BULK_BLOCK // levels + 3
     bulk, scalar = SplitMix64(seed), SplitMix64(seed)
-    assert _rmat_edges(bulk, levels, edges, probs) == \
+    assert _rmat_edges(bulk, levels, edges, *probs[:3]) == \
         scalar_rmat_edges(scalar, 1 << levels, edges, probs)
     assert bulk._state == scalar._state
 
@@ -190,13 +191,13 @@ def test_graph_rmat_quadrant_cuts_exact_at_boundaries(probs):
         edge = math.ceil(p * 2**53) << 11
         draws += [z for z in (edge - 2049, edge - 2048, edge - 1, edge, edge + 1, edge + 2047)
                   if 0 <= z < 2**64]
-    assert _rmat_edges(_ScriptedDraws(draws), 1, len(draws), probs) == \
+    assert _rmat_edges(_ScriptedDraws(draws), 1, len(draws), a, b, c) == \
         scalar_rmat_edges(_ScriptedDraws(draws), 2, len(draws), probs)
 
 
 def test_graph_seed_outside_64_bits_rejected():
     with pytest.raises(ValueError):
-        gen_graph(8, 4, model="rmat", rng_seed=-1)
+        gen_graph(8, 4, rng_seed=-1, model="rmat", **RMAT)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +207,23 @@ def test_graph_seed_outside_64_bits_rejected():
 @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-2.5, 3.0), (0.0, 255.0), (4.0, 4.0)])
 def test_uniform_draws_equal_scalar_uniform(lo, hi):
     scalar = SplitMix64(19)
-    assert Uniform(lo, hi).draws(SplitMix64(19), 5000) == \
+    assert _draws(19, 5000, "uniform", lo, hi, None, None) == \
         [scalar.uniform(lo, hi) for _ in range(5000)]
 
 
 def test_matrix_uniform_degenerate_zero():
-    m = gen_matrix(3, 3, Uniform(0, 0), rng_seed=4)
+    m = gen_matrix(3, 3, rng_seed=4, dist="uniform", lo=0, hi=0)
     assert all(v == 0.0 for v in m.data)
 
 
 def test_matrix_deterministic():
-    a = gen_matrix(10, 10, Gaussian(0, 1), rng_seed=12)
-    b = gen_matrix(10, 10, Gaussian(0, 1), rng_seed=12)
+    a = gen_matrix(10, 10, rng_seed=12, dist="gaussian", mu=0, sigma=1)
+    b = gen_matrix(10, 10, rng_seed=12, dist="gaussian", mu=0, sigma=1)
     assert checksum_payload(a) == checksum_payload(b)
 
 
 def test_matrix_gaussian_moments():
-    m = gen_matrix(1000, 1000, Gaussian(0, 1), rng_seed=21)
+    m = gen_matrix(1000, 1000, rng_seed=21, dist="gaussian", mu=0, sigma=1)
     n = len(m.data)
     mean = math.fsum(m.data) / n
     var = math.fsum((v - mean) ** 2 for v in m.data) / n
@@ -231,7 +232,7 @@ def test_matrix_gaussian_moments():
 
 
 def test_matrix_uniform_bounds():
-    m = gen_matrix(100, 100, Uniform(-2, 3), rng_seed=31)
+    m = gen_matrix(100, 100, rng_seed=31, dist="uniform", lo=-2, hi=3)
     assert all(-2 <= v < 3 for v in m.data)
 
 
@@ -244,7 +245,8 @@ def test_dist_validation():
     with pytest.raises(InvariantError, match="parameter 'sigma'=0.0 out of range"):
         matrix(dist="gaussian", sigma=0)
     # equal bounds degenerate but legal
-    assert make_dist(matrix(dist="uniform", lo=2, hi=2).param_dict()) == Uniform(2, 2)
+    assert matrix(dist="uniform", lo=2, hi=2).param_dict() == {
+        "rows": 1, "cols": 1, "dist": "uniform", "lo": 2.0, "hi": 2.0}
 
 
 def test_parse_dist():
@@ -252,11 +254,11 @@ def test_parse_dist():
 
     def parse_dist(text):
         spec = make_genspec("matrix", {"rows": 1, "cols": 1, **_dist_flag(text)})
-        return make_dist(spec.param_dict())
+        return {k: v for k, v in spec.params if k not in ("rows", "cols")}
 
-    assert parse_dist("uniform:0,1") == Uniform(0, 1)
-    assert parse_dist("gaussian:3,0.5") == Gaussian(3, 0.5)
-    assert parse_dist("uniform") == Uniform()
+    assert parse_dist("uniform:0,1") == {"dist": "uniform", "lo": 0.0, "hi": 1.0}
+    assert parse_dist("gaussian:3,0.5") == {"dist": "gaussian", "mu": 3.0, "sigma": 0.5}
+    assert parse_dist("uniform") == {"dist": "uniform", "lo": 0.0, "hi": 1.0}
     with pytest.raises(InvariantError):
         parse_dist("poisson:3")
     with pytest.raises(InvariantError):
@@ -264,9 +266,9 @@ def test_parse_dist():
 
 
 def test_tensor_shape_and_determinism():
-    a = gen_tensor((2, 3, 4), Uniform(0, 1), rng_seed=8)
+    a = gen_tensor((2, 3, 4), rng_seed=8, dist="uniform", lo=0, hi=1)
     assert a.shape == (2, 3, 4)
-    b = gen_tensor((2, 3, 4), Uniform(0, 1), rng_seed=8)
+    b = gen_tensor((2, 3, 4), rng_seed=8, dist="uniform", lo=0, hi=1)
     assert checksum_payload(a) == checksum_payload(b)
 
 
@@ -313,7 +315,7 @@ def test_table_deterministic():
 def test_genspec_matrix_materialize_matches_direct():
     spec = make_genspec("matrix", {"rows": 4, "cols": 5, "dist": "uniform", "lo": 0, "hi": 1, "seed": 7})
     ds = materialize(spec)
-    direct = gen_matrix(4, 5, Uniform(0, 1), rng_seed=7)
+    direct = gen_matrix(4, 5, rng_seed=7, dist="uniform", lo=0, hi=1)
     assert ds.payload == direct
 
 

@@ -120,3 +120,28 @@ def test_kernel_binds_its_operands_and_schema_names(motif):
     # errors: a schema name the kernel does not take would be a TypeError.
     spec = REGISTRY[motif]
     inspect.signature(spec.fn).bind(*range(spec.arity), **dict.fromkeys(spec.params))
+
+
+def _generator_variants():
+    """(id, generator, schema) for each model and distribution: the kind's
+    schema less its seed, which materialize passes as rng_seed."""
+    schemas = {kind: {k: s for k, s in schema.items() if k != "seed"}
+               for kind, schema in generators._SCHEMAS.items()}
+    yield "text", generators.gen_text, schemas["text"]
+    yield "graph/uniform", generators.gen_graph, schemas["graph"]
+    yield "graph/rmat", generators.gen_graph, {**schemas["graph"], **generators._RMAT_PARAMS}
+    for kind in ("matrix", "tensor"):
+        for dist, params in sorted(generators.DISTRIBUTIONS.items()):
+            yield f"{kind}/{dist}", getattr(generators, f"gen_{kind}"), {**schemas[kind], **params}
+
+
+GENERATORS = {name: (gen, schema) for name, gen, schema in _generator_variants()}
+
+
+@pytest.mark.parametrize("variant", sorted(GENERATORS))
+def test_generator_binds_its_schema_names(variant):
+    # materialize calls gen_<kind>(**checked params, rng_seed=seed): a schema
+    # name the generator does not take would be a TypeError, and one it
+    # requires but the schema lacks would be too.
+    gen, schema = GENERATORS[variant]
+    inspect.signature(gen).bind(rng_seed=0, **dict.fromkeys(schema))

@@ -201,7 +201,7 @@ DAG_GRAPH_PAGERANK = "b5e6c35b9016b6ec"
 
 
 def _dag_graph_pagerank_digest() -> str:
-    g = gen_graph(4096, 16384, model="rmat", probs=(0.57, 0.19, 0.19, 0.05), rng_seed=1)
+    g = gen_graph(4096, 16384, 1, "rmat", 0.57, 0.19, 0.19, 0.05)
     scores = pagerank(g, 0.85, 16, 0.0)
     return hashlib.sha256(struct.pack(f"<{len(scores)}d", *scores)).hexdigest()[:16]
 

@@ -17,12 +17,13 @@ from motifbench.datasets import (
     Graph,
     KeyValueSet,
     Matrix,
+    Record,
     Table,
     Tensor,
     TextCorpus,
 )
 from motifbench.errors import EventError, FormulaError, InvariantError
-from motifbench.generators import Gaussian, GenSpec, Uniform
+from motifbench.generators import GenSpec
 from motifbench.kernels import KernelSpec
 from motifbench.params import ParamSpec
 from motifbench.similarity import Dendrogram, MergeStep, PcaResult
@@ -74,10 +75,6 @@ RECORDS = {
                 ("payload",), ("payload", Matrix(1, 1, [2.0])), True),
     "ParamSpec": (lambda **kw: ParamSpec(**{"kind": "int", "default": 0, "lo": 0, **kw}),
                   ("kind", "required", "default", "choices", "lo", "hi"), ("hi", 9), True),
-    "Uniform": (lambda **kw: Uniform(**{"lo": 0.0, "hi": 1.0, **kw}),
-                ("lo", "hi"), ("hi", 2.0), True),
-    "Gaussian": (lambda **kw: Gaussian(**{"mu": 0.0, "sigma": 1.0, **kw}),
-                 ("mu", "sigma"), ("sigma", 2.0), True),
     "GenSpec": (lambda **kw: GenSpec(**{"kind": "matrix", "rng_seed": 3,
                                         "params": (("rows", 2), ("cols", 2)), **kw}),
                 ("kind", "rng_seed", "params"), ("rng_seed", 4), True),
@@ -192,10 +189,18 @@ def test_repr_tells_values_of_different_types_apart():
     assert repr(MergeStep(0, 1, 1, 2, 2)) != repr(MergeStep(0, 1, 1.0, 2, 2))
 
 
-def test_distributions_with_equal_values_differ_across_kinds():
-    assert Uniform(0.0, 1.0) != Gaussian(0.0, 1.0)
-    assert Uniform() == Uniform(0.0, 1.0)
-    assert Gaussian() == Gaussian(0.0, 1.0)
+def test_records_with_equal_values_differ_across_classes():
+    class Span(Record):
+        __slots__ = _fields = ("lo", "hi")
+
+        def __init__(self, lo, hi):
+            self._set(lo=lo, hi=hi)
+
+    class OtherSpan(Span):
+        __slots__ = ()
+
+    assert Span(0.0, 1.0) == Span(0.0, 1.0)
+    assert Span(0.0, 1.0) != OtherSpan(0.0, 1.0)
 
 
 def test_motif_invocation_compares_its_fields_not_its_cached_params():

@@ -7,13 +7,13 @@ import motifbench
 from motifbench.dataio import checksum_payload, load_dataset, save_dataset
 from motifbench.datasets import Dataset, Matrix, TextCorpus
 from motifbench.errors import SpecError
-from motifbench.generators import Uniform, gen_matrix
+from motifbench.generators import gen_matrix
 from motifbench.kernels import REGISTRY
 from motifbench.kernels.matrixops import mat_elementwise
 from motifbench.kernels.sampling import downsample
 from motifbench.kernels.sorting import sort_records
 from motifbench.kernels.statistic import count_records
-from motifbench.kernels.transform import matrix_fft2d, matrix_ifft2d
+from motifbench.kernels.transform import fft
 from motifbench.workload import (
     InvocationRecord,
     MotifInvocation,
@@ -235,7 +235,7 @@ def test_execute_repeat_that_differs_names_the_output(tmp_path, monkeypatch):
 
 
 def test_execute_file_input_and_relative_path(tmp_path):
-    m = gen_matrix(4, 4, Uniform(0, 1), rng_seed=3)
+    m = gen_matrix(4, 4, 3, "uniform", lo=0, hi=1)
     save_dataset(Dataset(m), str(tmp_path / "in.matrix"))
     out_path = tmp_path / "sorted.matrix"
     text = (
@@ -277,8 +277,8 @@ def test_sift_like_manual_composition_oracle(tmp_path, monkeypatch):
     spec = parse_spec_file(motifbench.shipped_spec_path("sift-like"))
     reports = execute(spec, repeat=1)
 
-    img = gen_matrix(64, 64, Uniform(0, 255), rng_seed=11)
-    smooth = matrix_ifft2d(matrix_fft2d(img))
+    img = gen_matrix(64, 64, 11, "uniform", lo=0, hi=255)
+    smooth = fft(fft(img, two_d=True, inverse=False), two_d=True, inverse=True)
     residue = mat_elementwise(img, smooth, "subtract")
     octave = downsample(residue, 2)
     ranked = sort_records(octave, key=0)
