@@ -123,10 +123,8 @@ def test_kernel_binds_its_operands_and_schema_names(motif):
 
 
 def _generator_variants():
-    """(id, generator, schema) for each model and distribution: the kind's
-    schema less its seed, which materialize passes as rng_seed."""
-    schemas = {kind: {k: s for k, s in schema.items() if k != "seed"}
-               for kind, schema in generators._SCHEMAS.items()}
+    """(id, generator, schema) for each model and distribution."""
+    schemas = generators._SCHEMAS
     yield "text", generators.gen_text, schemas["text"]
     yield "graph/uniform", generators.gen_graph, schemas["graph"]
     yield "graph/rmat", generators.gen_graph, {**schemas["graph"], **generators._RMAT_PARAMS}
@@ -140,8 +138,8 @@ GENERATORS = {name: (gen, schema) for name, gen, schema in _generator_variants()
 
 @pytest.mark.parametrize("variant", sorted(GENERATORS))
 def test_generator_binds_its_schema_names(variant):
-    # materialize calls gen_<kind>(**checked params, rng_seed=seed): a schema
-    # name the generator does not take would be a TypeError, and one it
-    # requires but the schema lacks would be too.
+    # materialize calls gen_<kind>(**checked params, rng_seed=seed), the seed
+    # popped from the params: a schema name the generator does not take would
+    # be a TypeError, and one it requires but the schema lacks would be too.
     gen, schema = GENERATORS[variant]
-    inspect.signature(gen).bind(rng_seed=0, **dict.fromkeys(schema))
+    inspect.signature(gen).bind(rng_seed=0, **dict.fromkeys(k for k in schema if k != "seed"))
