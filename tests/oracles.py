@@ -302,6 +302,38 @@ def dense_pagerank(vertex_count: int, edges, damping: float, iters: int) -> list
     return score.tolist()
 
 
+def scalar_pagerank(vertex_count: int, edges, damping: float, max_iters: int,
+                    tol: float) -> tuple[list[float], list[float]]:
+    """Sparse power iteration as plain loops: each iteration adds the whole
+    L1 change from 0, left to right, and stops once it is below tol. Returns
+    the scores and each iteration's change."""
+    n = vertex_count
+    out_edges: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        out_edges[u].append(v)
+    score = [1.0 / n] * n
+    deltas = []
+    for _ in range(max_iters):
+        dangling = 0
+        for u in range(n):
+            if not out_edges[u]:
+                dangling += score[u]
+        nxt = [(1.0 - damping) / n + damping * dangling / n] * n
+        for u in range(n):
+            if out_edges[u]:
+                share = damping * score[u] / len(out_edges[u])
+                for v in out_edges[u]:
+                    nxt[v] += share
+        delta = 0
+        for new, old in zip(nxt, score):
+            delta += abs(new - old)
+        deltas.append(delta)
+        score = nxt
+        if delta < tol:
+            break
+    return score, deltas
+
+
 def scalar_rmat_edges(rng, vertices: int, edges: int, probs) -> list[tuple[int, int]]:
     """Per-level RMAT: one rng.random() per level per edge, compared as a
     float against the cumulative probabilities, the top bit first."""

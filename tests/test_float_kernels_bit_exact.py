@@ -2,9 +2,12 @@
 references, compared as little-endian binary64 bytes, not within a tolerance.
 
 The batched FFT, the gather-and-fold convolution, tap-column pooling, matrix
-multiply and the bulk Box-Muller draw each keep the floating-point operations
-of one output in the order the scalar loops in `oracles` perform them, so
-every output must carry the same bits, signed zeros included.
+multiply, PageRank and the bulk Box-Muller draw each keep the floating-point
+operations of one output in the order the scalar loops in `oracles` perform
+them, so every output must carry the same bits, signed zeros included.
+PageRank must also stop at the iteration the scalar loop stops at, and the
+matrix row sort must keep tied rows, `-0.0` against `0.0` among them, in
+their input order.
 """
 
 import math
@@ -15,14 +18,16 @@ import sys
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from motifbench.datasets import Matrix, Tensor
+from motifbench.datasets import Graph, Matrix, Tensor
 from motifbench.errors import InvariantError
 from motifbench.floatsum import _reduce_sum, left_sum
 from motifbench.generators import _draws
+from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.matrixops import matmul
 from motifbench.kernels.sampling import pool
+from motifbench.kernels.sorting import sort_records
 from motifbench.kernels.transform import (
     _fft2d_rows,
     _fft_rows,
@@ -36,6 +41,8 @@ from .oracles import (
     scalar_fft,
     scalar_fft2d,
     scalar_gaussian_draws,
+    scalar_pagerank,
+    stable_mergesort,
     triple_loop_matmul,
     window_pool,
 )
@@ -228,6 +235,55 @@ def test_matmul_overflow_raises_on_the_first_non_finite_output(a, b, message):
     with pytest.raises(InvariantError) as info:
         matmul(a, b)
     assert str(info.value) == f"matrix values must be finite, {message}"
+
+
+# ---------------------------------------------------------------------------
+# pagerank
+
+
+@st.composite
+def pagerank_cases(draw):
+    """A directed graph of up to 6 vertices, whose drawn edges give dangling
+    vertices, self-loops and parallel edges, with a tol at, just below and
+    just above each L1 change the scalar loop sees, or 0, or at random."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    damping = draw(st.sampled_from([0.85, 0.5]) | st.floats(1e-3, 0.999))
+    max_iters = draw(st.integers(1, 40))
+    _, deltas = scalar_pagerank(n, edges, damping, max_iters, 0.0)
+    near = [t for d in deltas
+            for t in (d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)) if t >= 0]
+    tol = draw(st.sampled_from([0.0, *near]) | st.floats(0.0, 2.0))
+    return n, edges, damping, max_iters, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pagerank_cases())
+@example(case=(1, [], 0.85, 100, 1e-10))
+@example(case=(3, [(0, 0), (0, 1), (0, 1)], 0.85, 30, 1e-6))
+@example(case=(4, [(0, 1), (1, 2), (2, 0), (3, 3)], 0.85, 16, 0.0))
+def test_pagerank_bit_equal_to_scalar_loop(case):
+    n, edges, damping, max_iters, tol = case
+    want, _ = scalar_pagerank(n, edges, damping, max_iters, tol)
+    assert bits(pagerank(Graph(n, edges), damping, max_iters, tol)) == bits(want)
+
+
+# ---------------------------------------------------------------------------
+# matrix row sort
+
+SORT_VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 4))
+def test_sort_matrix_rows_bit_equal_to_stable_mergesort(data, rows, cols):
+    key = data.draw(st.integers(0, cols - 1))
+    m = Matrix(rows, cols, data.draw(st.lists(SORT_VALUES, min_size=rows * cols,
+                                              max_size=rows * cols)))
+    want = stable_mergesort([m.row(i) for i in range(rows)], key=lambda row: row[key])
+    assert bits(sort_records(m, key).data) == bits(v for row in want for v in row)
 
 
 # ---------------------------------------------------------------------------

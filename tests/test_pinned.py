@@ -198,11 +198,15 @@ def test_shipped_spec_output_checksums_under_python_312_sum(name, tmp_path, monk
 # sha256 prefix of the little-endian binary64 PageRank scores of a graph the
 # size of perfbench's dag-graph workload, recorded under Python 3.11's sum().
 DAG_GRAPH_PAGERANK = "b5e6c35b9016b6ec"
+# The same graph with tol=1e-10: the L1 change first drops below tol in
+# iteration 25 of 100, so a convergence test that stops at another iteration
+# changes these bits.
+DAG_GRAPH_PAGERANK_CONVERGED = "34a73687a1e5339c"
 
 
-def _dag_graph_pagerank_digest() -> str:
+def _dag_graph_pagerank_digest(max_iters: int = 16, tol: float = 0.0) -> str:
     g = gen_graph(4096, 16384, 1, "rmat", 0.57, 0.19, 0.19, 0.05)
-    scores = pagerank(g, 0.85, 16, 0.0)
+    scores = pagerank(g, 0.85, max_iters, tol)
     return hashlib.sha256(struct.pack(f"<{len(scores)}d", *scores)).hexdigest()[:16]
 
 
@@ -212,6 +216,14 @@ def test_dag_graph_sized_pagerank_pinned():
 
 def test_dag_graph_sized_pagerank_under_python_312_sum(sum_of_python_312):
     assert _dag_graph_pagerank_digest() == DAG_GRAPH_PAGERANK
+
+
+def test_dag_graph_sized_pagerank_to_tol_pinned():
+    assert _dag_graph_pagerank_digest(100, 1e-10) == DAG_GRAPH_PAGERANK_CONVERGED
+
+
+def test_dag_graph_sized_pagerank_to_tol_under_python_312_sum(sum_of_python_312):
+    assert _dag_graph_pagerank_digest(100, 1e-10) == DAG_GRAPH_PAGERANK_CONVERGED
 
 
 # (id, in_bytes, out_bytes) per invocation. A later repeat reuses the input
