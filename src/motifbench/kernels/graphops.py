@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import operator
-from collections import deque
+from itertools import accumulate, repeat
+from operator import ge, sub
 
 from ..datasets import Graph
 from ..errors import KernelError
@@ -24,9 +24,8 @@ def connected_components(g: Graph) -> list[int]:
         # Scanning vertices in ascending order makes the BFS root the minimum
         # id of its component.
         labels[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        queue = [start]
+        for u in queue:  # visits each vertex appended below, in FIFO order
             for v in adj[u]:
                 if labels[v] == -1:
                     labels[v] = start
@@ -38,8 +37,12 @@ def pagerank(g: Graph, damping: float, max_iters: int, tol: float) -> list[float
     """Power iteration with uniform teleport.
 
     Dangling-node mass is redistributed uniformly each iteration; parallel
-    edges each carry their own share of the source's score. Stops when the L1
-    change drops below tol or after max_iters. Scores sum to 1.
+    edges each carry their own share of the source's score. Scores sum to 1.
+    Stops after max_iters, or after the first iteration whose L1 change,
+    added from the left, is below tol; tol=0 runs exactly max_iters. The
+    test stops adding at the first partial sum that reaches tol: partial sums
+    of non-negative terms never decrease, so the whole sum is below tol
+    exactly when no partial sum reaches it.
     """
     if not g.directed:
         raise KernelError("pagerank needs a directed graph")
@@ -61,8 +64,8 @@ def pagerank(g: Graph, damping: float, max_iters: int, tol: float) -> list[float
             share = damping * score[u] / outdeg[u]
             for v in out_edges[u]:
                 nxt[v] += share
-        delta = left_sum(map(abs, map(operator.sub, nxt, score)))
+        converged = not any(map(ge, accumulate(map(abs, map(sub, nxt, score))), repeat(tol)))
         score = nxt
-        if delta < tol:
+        if converged:
             break
     return score

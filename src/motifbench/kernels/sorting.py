@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 
 from ..datasets import Matrix, Table, TextCorpus
 from ..errors import KernelError
@@ -23,9 +24,11 @@ def sort_records(data, key: int):
         if not 0 <= key < len(data.schema):
             raise KernelError(f"key {key} out of range for table with {len(data.schema)} columns")
         order = sorted(range(len(data)), key=data.columns[key].__getitem__)
-        return Table(data.schema, [[c[i] for i in order] for c in data.columns])
+        if len(order) < 2:  # nothing to move, and itemgetter returns a tuple only for two or more
+            return data
+        return Table(data.schema, map(itemgetter(*order), data.columns))
     # a Matrix, the one kind left that the registry lets through
     if not 0 <= key < data.cols:
         raise KernelError(f"key {key} out of range for matrix with {data.cols} columns")
-    rows = sorted(range(data.rows), key=data.data[key::data.cols].__getitem__)
-    return Matrix(data.rows, data.cols, chain.from_iterable(map(data.row, rows)))
+    rows = sorted(zip(*[iter(data.data)] * data.cols), key=itemgetter(key))
+    return Matrix(data.rows, data.cols, chain.from_iterable(rows))
