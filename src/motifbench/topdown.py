@@ -204,9 +204,10 @@ def parse_sample(text: str, path: str = "<sample>",
                  mapping: Optional[dict[str, str]] = None) -> EventSample:
     """Parse an event dump: CSV lines 'event_name,count', metadata lines
     '#meta key=value' (keys width, cycles, label). A 'cycles' event row also
-    sets the cycle count. Duplicate event names or metadata keys are errors. A mapping of
-    abstract to platform counter names is applied before validation so a
-    platform-named cycles counter still satisfies the cycles requirement."""
+    sets the cycle count. Empty or duplicate event names and duplicate
+    metadata keys are errors. A mapping of abstract to platform counter names
+    is applied before validation so a platform-named cycles counter still
+    satisfies the cycles requirement."""
     events: dict[str, float] = {}
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -225,10 +226,10 @@ def parse_sample(text: str, path: str = "<sample>",
             continue
         if line.startswith("#"):
             continue
-        if "," not in line:
-            raise EventError(f"expected 'event_name,count', got {line!r}", path=path, line=lineno)
-        name, _, count_text = line.partition(",")
+        name, comma, count_text = line.partition(",")
         name = name.strip()
+        if not (comma and name):
+            raise EventError(f"expected 'event_name,count', got {line!r}", path=path, line=lineno)
         if name in events:
             raise EventError(f"duplicate event {name!r}", path=path, line=lineno)
         try:
@@ -262,18 +263,19 @@ def load_sample(path: str, width: Optional[int] = None,
 
 
 def load_mapping(path: str) -> dict[str, str]:
-    """Event mapping CSV: 'abstract_name,platform_name' per line. A name
-    repeated on either side is an error: parse_sample renames each platform
-    counter once, so a second abstract name for it would go missing."""
+    """Event mapping CSV: 'abstract_name,platform_name' per line. An empty
+    name, or a name repeated on either side, is an error: parse_sample renames
+    each platform counter once, so a second abstract name for it would go
+    missing."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(read_input(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "," not in line:
-            raise EventError(f"expected 'abstract,platform', got {line!r}", path=path, line=lineno)
-        abstract, _, platform = line.partition(",")
+        abstract, comma, platform = line.partition(",")
         abstract, platform = abstract.strip(), platform.strip()
+        if not (comma and abstract and platform):
+            raise EventError(f"expected 'abstract,platform', got {line!r}", path=path, line=lineno)
         if abstract in mapping:
             raise EventError(f"duplicate abstract name {abstract!r}", path=path, line=lineno)
         if platform in mapping.values():

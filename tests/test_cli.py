@@ -986,6 +986,11 @@ _REFUSED_ENTRY = {
                          "analyze --events {ok} --mapping {path}"),
     "mapping-platform": ("m.csv", "x,A\ny,A\n", 2, "platform counter 'A' mapped twice",
                          "analyze --events {ok} --mapping {path}"),
+    "mapping-empty-platform": ("m.csv", "x,A\nuops_retired,\n", 2,
+                               "expected 'abstract,platform', got 'uops_retired,'",
+                               "analyze --events {ok} --mapping {path}"),
+    "event-dump-empty-name": ("d.csv", "cycles,10\n,5\n", 2,
+                              "expected 'event_name,count', got ',5'", "analyze --events {path}"),
     "event-dump-meta": ("d.csv", "#meta width=4\n#meta width=8\ncycles,10\n", 2,
                         "duplicate metadata key 'width'", "analyze --events {path}"),
     "table-schema": ("t", "#table v1\nid:integer,,x:real,\n1,2.0\n", 2,

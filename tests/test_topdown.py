@@ -229,6 +229,8 @@ DUMP_ERRORS = {
     "event-without-comma": (
         load_sample, "cycles,10\nuops_retired 5\n",
         ":2: expected 'event_name,count', got 'uops_retired 5'"),
+    "event-without-name": (
+        load_sample, "cycles,10\n ,5\n", ":2: expected 'event_name,count', got ',5'"),
     "duplicate-event": (load_sample, "cycles,10\nx,1\n\nx,2\n", ":4: duplicate event 'x'"),
     "duplicate-meta": (
         load_sample, "#meta width=4\ncycles,10\n#meta width=8\n",
@@ -240,6 +242,11 @@ DUMP_ERRORS = {
     "mapping-without-comma": (
         load_mapping, "# abstract,platform\n\nuops_retired UOPS\n",
         ":3: expected 'abstract,platform', got 'uops_retired UOPS'"),
+    "mapping-without-platform": (
+        load_mapping, "cycles,CLK\nuops_retired,\n",
+        ":2: expected 'abstract,platform', got 'uops_retired,'"),
+    "mapping-without-abstract": (
+        load_mapping, " , UOPS\n", ":1: expected 'abstract,platform', got ', UOPS'"),
     # a repeat would keep only the last line, or leave one name unmapped
     "mapping-repeated-abstract": (
         load_mapping, "instructions_retired,INST\n\ninstructions_retired,OTHER\n",
