@@ -264,9 +264,9 @@ def load_sample(path: str, width: Optional[int] = None,
 
 def load_mapping(path: str) -> dict[str, str]:
     """Event mapping CSV: 'abstract_name,platform_name' per line. An empty
-    name, or a name repeated on either side, is an error: parse_sample renames
-    each platform counter once, so a second abstract name for it would go
-    missing."""
+    name is an error, and so is a name repeated on either side: parse_sample
+    renames each platform counter once, so a second abstract name for it
+    would go missing."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(read_input(path).split("\n"), start=1):
         line = raw.strip()
