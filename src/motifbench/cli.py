@@ -19,7 +19,7 @@ import sys
 
 from . import generators, similarity, topdown, workload
 from .dataio import checksum_hex, checksum_payload, open_output, save_dataset
-from .datasets import ALL_KINDS, Dataset
+from .datasets import ALL_KINDS, Payload
 from .errors import EventError, InvariantError, MotifBenchError, SpecError
 from .kernels import SAME_AS_INPUT, kernels_by_family
 
@@ -78,9 +78,9 @@ def _write_csv(path: str, header: list, rows):
 # generate
 
 
-def _emit_dataset(dataset: Dataset, path: str, text_matrix: bool = False) -> None:
-    save_dataset(dataset, path, text_matrix=text_matrix)
-    digest = checksum_hex(checksum_payload(dataset.payload))
+def _emit_dataset(payload: Payload, path: str, text_matrix: bool = False) -> None:
+    save_dataset(payload, path, text_matrix=text_matrix)
+    digest = checksum_hex(checksum_payload(payload))
     size = os.path.getsize(path)
     print(f"{digest} {size} {path}")
 
@@ -132,11 +132,11 @@ def cmd_generate(args) -> int:
         p = spec.param_dict()
         tables = generators.gen_table(p["orders"], p["items"], spec.rng_seed)
         for name, table in zip(("order", "item"), tables):
-            _emit_dataset(Dataset(table), os.path.join(args.output, f"{name}.table"))
+            _emit_dataset(table, os.path.join(args.output, f"{name}.table"))
         return EXIT_OK
 
-    dataset = generators.materialize(spec)
-    _emit_dataset(dataset, args.output, text_matrix=getattr(args, "text", False))
+    payload = generators.materialize(spec).payload
+    _emit_dataset(payload, args.output, text_matrix=getattr(args, "text", False))
     return EXIT_OK
 
 
@@ -183,7 +183,7 @@ def cmd_run(args) -> int:
     doc = workload.report_document(reports, counters=counters_doc)
     if args.report:
         if args.csv:
-            fields = ["id", "motif", "wall_ns", "in_bytes", "out_bytes"]
+            fields = workload.InvocationRecord._fields
             _write_csv(args.report, ["workload", "repeat", *fields],
                        ([doc["workload"], rep["repeat"], *(inv[f] for f in fields)]
                         for rep in doc["repeats"] for inv in rep["invocations"]))

@@ -31,7 +31,7 @@ import os
 import struct
 import sys
 from array import array
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .datasets import (
     TABLE_KINDS,
@@ -43,6 +43,7 @@ from .datasets import (
     Table,
     Tensor,
     TextCorpus,
+    kind_of,
 )
 from .errors import FormatError, InvariantError
 
@@ -60,8 +61,7 @@ def _prefixed(strings):
     """Each string's 8-byte length followed by its UTF-8 bytes, one bytes
     object per string, made only as each is taken: a list of them would
     hold a second copy of every string while the stream grows."""
-    raw, lengths = itertools.tee(map(str.encode, strings))
-    return map(add, map(_U64.pack, map(len, lengths)), raw)
+    return (_U64.pack(len(raw)) + raw for raw in map(str.encode, strings))
 
 
 def _packed(code: str, values) -> array:
@@ -203,13 +203,12 @@ def open_output(path: str, binary: bool = False):
         raise
 
 
-def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
-    """Write a dataset file; load_dataset(path) reconstructs the same payload.
+def save_dataset(payload: Payload, path: str, text_matrix: bool = False):
+    """Write a payload's dataset file; load_dataset(path) reconstructs it.
 
     text_matrix selects the CSV body for matrices (the CLI --text flag);
     everything else has a single canonical form.
     """
-    payload = d.payload
     documents = payload.documents if isinstance(payload, TextCorpus) else ()
     if documents and _is_header(documents[0]):
         raise InvariantError(
@@ -237,7 +236,7 @@ def save_dataset(d: Dataset, path: str, text_matrix: bool = False):
                                    for k, col in zip(kinds, payload.columns))))
         elif binary:
             dims = (payload.rows, payload.cols) if isinstance(payload, Matrix) else payload.shape
-            fh.write(f"#{d.kind} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
+            fh.write(f"#{kind_of(payload)} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
             fh.write(_packed("d", payload.data))
         elif isinstance(payload, Matrix):
             fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")

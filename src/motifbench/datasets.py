@@ -191,12 +191,6 @@ class Table(Record):
     def rows(self) -> tuple[tuple, ...]:
         return tuple(zip(*self.columns))
 
-    def column_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.schema):
-            if n == name:
-                return i
-        raise KeyError(name)
-
     def __len__(self) -> int:
         return len(self.columns[0])
 
@@ -322,7 +316,3 @@ class Dataset(Record):
     def __init__(self, payload: Payload):
         kind_of(payload)  # raises on foreign objects
         self._set(payload=payload)
-
-    @property
-    def kind(self) -> str:
-        return kind_of(self.payload)

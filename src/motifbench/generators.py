@@ -32,7 +32,7 @@ import sys
 from array import array
 from itertools import repeat
 from operator import add, mul, truediv
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dataio import load_dataset, resolve_path
 from .datasets import (
@@ -278,39 +278,26 @@ ITEM_SCHEMA = (
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-def _order_draws(below, order_rows: int) -> tuple[list[int], list[str]]:
-    """Each ORDER row's buyer and create_date, drawn in row order by a
-    bounded() below; a day's bound depends on the month drawn before it."""
+def gen_table(orders: int, items: int, rng_seed: int) -> Iterator[Table]:
+    """ORDER, then ITEM, each drawn and built only when taken from the
+    iterator; every ITEM.order_id resolves to an ORDER row and goods_amount
+    is exactly goods_number * goods_price. ORDER's rows draw each buyer and
+    create_date by bounded() (a day's bound depends on the month drawn
+    before it); ITEM's rows then draw each order, goods, number and price
+    cents, each 1 + a draw, from the same stream."""
+    rng = SplitMix64(rng_seed)
     buyers, dates = [], []
-    for _ in range(order_rows):
-        buyers.append(1 + below(order_rows))
-        month = below(12)
-        dates.append(f"2023-{month + 1:02d}-{1 + below(_DAYS_IN_MONTH[month]):02d}")
-    return buyers, dates
-
-
-def _order_table(draws: tuple[list[int], list[str]]) -> Table:
-    buyers, dates = draws
-    return Table(ORDER_SCHEMA, (range(1, len(buyers) + 1), buyers, dates))
-
-
-def _item_table(rng: SplitMix64, order_rows: int, item_rows: int) -> Table:
-    """ITEM rows, drawn after the ORDER draws of the same stream: each row's
-    order, goods, number and price cents, each 1 + a draw."""
-    cells = list(map(add, rng.belows((order_rows, 10000, 10, 99999), item_rows), repeat(1)))
+    with rng.bounded() as below:
+        for _ in range(orders):
+            buyers.append(1 + below(orders))
+            month = below(12)
+            dates.append(f"2023-{month + 1:02d}-{1 + below(_DAYS_IN_MONTH[month]):02d}")
+    yield Table(ORDER_SCHEMA, (range(1, orders + 1), buyers, dates))
+    cells = list(map(add, rng.belows((orders, 10000, 10, 99999), items), repeat(1)))
     numbers = cells[2::4]
     prices = list(map(truediv, cells[3::4], repeat(100.0)))
-    return Table(ITEM_SCHEMA, (range(1, item_rows + 1), cells[0::4], cells[1::4],
-                               numbers, prices, map(mul, numbers, prices)))
-
-
-def gen_table(order_rows: int, item_rows: int, rng_seed: int) -> tuple[Table, Table]:
-    """ORDER/ITEM pair; every ITEM.order_id resolves to an ORDER row and
-    goods_amount is exactly goods_number * goods_price."""
-    rng = SplitMix64(rng_seed)
-    with rng.bounded() as below:
-        order = _order_table(_order_draws(below, order_rows))
-    return order, _item_table(rng, order_rows, item_rows)
+    yield Table(ITEM_SCHEMA, (range(1, items + 1), cells[0::4], cells[1::4],
+                              numbers, prices, map(mul, numbers, prices)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +387,11 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         p["corpus"] = load_dataset(path).payload
         if not isinstance(p["corpus"], TextCorpus):
             raise InvariantError(f"seed corpus {path!r} is not a text corpus")
-    if spec.kind != "table":
-        payload = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
-    else:  # only the one asked for, from the stream gen_table draws
-        rng = SplitMix64(spec.rng_seed)
-        with rng.bounded() as below:
-            draws = _order_draws(below, p["orders"])
-        if p["which"] == "order":
-            payload = _order_table(draws)
-        else:
-            payload = _item_table(rng, p["orders"], p["items"])
+    which = p.pop("which", None)  # a table's; gen_table draws ITEM after ORDER
+    payload = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
+    if which is not None:
+        tables = payload
+        payload = next(tables)
+        if which == "item":
+            payload = next(tables)
     return Dataset(payload)

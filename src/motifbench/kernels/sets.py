@@ -32,10 +32,10 @@ def set_op(a: KeyValueSet, b: KeyValueSet, op: str) -> KeyValueSet:
 
 def column_index(t: Table, name: str) -> int:
     """Position of the named column of `t`; raises KernelError if none."""
-    try:
-        return t.column_index(name)
-    except KeyError:
-        raise KernelError(f"unknown column {name!r}") from None
+    for i, (n, _) in enumerate(t.schema):
+        if n == name:
+            return i
+    raise KernelError(f"unknown column {name!r}")
 
 
 def project(t: Table, columns: list[str]) -> Table:

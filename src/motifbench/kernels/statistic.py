@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from itertools import chain
 
 from ..datasets import Graph, KeyValueSet, Matrix, Payload, Table, Tensor, TextCorpus
 from ..errors import KernelError
@@ -14,10 +15,7 @@ from .sets import column_index
 
 def wordcount(corpus: TextCorpus) -> KeyValueSet:
     """Multiplicity of every whitespace-delimited token across all lines."""
-    counts: dict[str, int] = {}
-    for line in corpus.documents:
-        for token in line.split():
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(chain.from_iterable(map(str.split, corpus.documents)))
     return KeyValueSet({token: str(n) for token, n in counts.items()})
 
 

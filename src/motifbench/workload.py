@@ -41,7 +41,7 @@ from .dataio import (
     resolve_path,
     save_dataset,
 )
-from .datasets import ALL_KINDS, Dataset, Record
+from .datasets import ALL_KINDS, Record, kind_of
 from .errors import (
     FormatError,
     InvariantError,
@@ -93,7 +93,7 @@ class WorkloadSpec(NamedTuple):
 
 
 class InvocationRecord(NamedTuple):
-    dataset_id: str
+    id: str  # the result's dataset id
     motif: str
     wall_ns: int
     in_bytes: int
@@ -345,13 +345,13 @@ def _materialize_inputs(s: WorkloadSpec, base_dir: Optional[str]) -> dict[str, o
         if decl.genspec is not None:
             env[decl.dataset_id] = generators.materialize(decl.genspec, base_dir).payload
         else:
-            ds = load_dataset(resolve_path(decl.path, base_dir))
-            if ds.kind != decl.kind:
+            payload = load_dataset(resolve_path(decl.path, base_dir)).payload
+            if (kind := kind_of(payload)) != decl.kind:
                 raise WorkloadRuntimeError(
-                    f"input {decl.dataset_id!r}: file {decl.path!r} holds a {ds.kind} "
+                    f"input {decl.dataset_id!r}: file {decl.path!r} holds a {kind} "
                     f"payload, declared {decl.kind}"
                 )
-            env[decl.dataset_id] = ds.payload
+            env[decl.dataset_id] = payload
     return env
 
 
@@ -439,7 +439,7 @@ def execute(
 
     for out in s.outputs:
         try:
-            save_dataset(Dataset(env[out.dataset_id]), out.path)
+            save_dataset(env[out.dataset_id], out.path)
         except (OSError, FormatError) as exc:
             raise WorkloadRuntimeError(f"writing output {out.dataset_id!r}: {exc}") from exc
     return reports
@@ -455,16 +455,7 @@ def report_document(reports: list[RunReport], counters: Optional[dict] = None) -
         "repeats": [
             {
                 "repeat": rep.repeat_index,
-                "invocations": [
-                    {
-                        "id": rec.dataset_id,
-                        "motif": rec.motif,
-                        "wall_ns": rec.wall_ns,
-                        "in_bytes": rec.in_bytes,
-                        "out_bytes": rec.out_bytes,
-                    }
-                    for rec in rep.invocations
-                ],
+                "invocations": [rec._asdict() for rec in rep.invocations],
                 "total_ns": rep.total_ns,
                 "family_fractions": dict(rep.family_fractions),
                 "output_checksums": {k: checksum_hex(v) for k, v in rep.output_checksums.items()},

@@ -30,7 +30,14 @@ from motifbench.kernels.graphops import connected_components, pagerank
 from motifbench.kernels.logic import elementwise_activation, md5_digests
 from motifbench.kernels.matrixops import fully_connected, mat_elementwise, matmul
 from motifbench.kernels.sampling import downsample, dropout, pool, random_sample
-from motifbench.kernels.sets import filter_rows, grep, project, set_op, table_union
+from motifbench.kernels.sets import (
+    column_index,
+    filter_rows,
+    grep,
+    project,
+    set_op,
+    table_union,
+)
 from motifbench.kernels.sorting import sort_records
 from motifbench.kernels.statistic import (
     aggregate,
@@ -405,7 +412,7 @@ def test_criterion_5_generator_determinism_and_scale():
         order, item = gen_table(30, 120, rng_seed=seed)
         assert len(order.rows) == 30 and len(item.rows) == 120
         order_ids = {r[0] for r in order.rows}
-        oid = item.column_index("order_id")
+        oid = column_index(item, "order_id")
         assert all(r[oid] in order_ids for r in item.rows)
 
     elapsed = time.monotonic() - start

@@ -13,6 +13,7 @@ import motifbench
 from motifbench import generators, similarity, topdown, workload
 from motifbench.cli import build_parser, main
 from motifbench.kernels import KernelSpec
+from motifbench.kernels.sets import column_index
 from motifbench.similarity import read_vectors_csv
 
 from .test_dataio import fail_on_write
@@ -127,9 +128,9 @@ def test_generate_table_writes_pair_with_integrity(tmp_path, capsys):
     order = load_dataset(str(out / "order.table")).payload
     item = load_dataset(str(out / "item.table")).payload
     order_ids = {r[0] for r in order.rows}
-    oid = item.column_index("order_id")
+    oid = column_index(item, "order_id")
     assert all(r[oid] in order_ids for r in item.rows)
-    assert (order, item) == generators.gen_table(100, 300, 1)
+    assert (order, item) == tuple(generators.gen_table(100, 300, 1))
 
 
 def test_generate_text_size(tmp_path, capsys):

@@ -19,7 +19,6 @@ from motifbench.dataio import (
     save_dataset,
 )
 from motifbench.datasets import (
-    Dataset,
     Graph,
     KeyValueSet,
     Matrix,
@@ -35,7 +34,7 @@ from .oracles import table_of_rows
 
 def roundtrip(tmp_path, payload, **kwargs):
     path = str(tmp_path / "data.bin")
-    save_dataset(Dataset(payload), path, **kwargs)
+    save_dataset(payload, path, **kwargs)
     return load_dataset(path).payload
 
 
@@ -51,7 +50,7 @@ def test_matrix_text_mode_roundtrip(tmp_path):
 
 def test_empty_corpus_roundtrip(tmp_path):
     path = str(tmp_path / "empty.txt")
-    save_dataset(Dataset(TextCorpus([])), path)
+    save_dataset(TextCorpus([]), path)
     with open(path, "rb") as fh:
         assert fh.read() == b""
     assert load_dataset(path).payload == TextCorpus([])
@@ -65,7 +64,7 @@ def test_corpus_roundtrip_preserves_order(tmp_path):
 def test_corpus_header_collision_rejected(tmp_path):
     bad = TextCorpus(["#graph v1 2 1", "0 1"])
     with pytest.raises(InvariantError):
-        save_dataset(Dataset(bad), str(tmp_path / "x"))
+        save_dataset(bad, str(tmp_path / "x"))
 
 
 def test_table_roundtrip_with_quoting(tmp_path):
@@ -243,7 +242,7 @@ def test_loader_error_text_is_pinned(tmp_path, content, where_and_message):
 
 def test_matrix_header_consistency_on_load(tmp_path):
     path = tmp_path / "ok.matrix"
-    save_dataset(Dataset(Matrix(2, 3, range(6))), str(path))
+    save_dataset(Matrix(2, 3, range(6)), str(path))
     loaded = load_dataset(str(path)).payload
     assert loaded.rows * loaded.cols == len(loaded.data)
 
@@ -355,11 +354,11 @@ MATRIX_64 = Matrix(8, 8, [i / 3 for i in range(64)])
 def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, payload, fail_at, existing):
     path = tmp_path / "new" / "data"
     if existing:
-        save_dataset(Dataset(payload), str(path))
+        save_dataset(payload, str(path))
     old = path.read_bytes() if existing else None
     fail_on_write(monkeypatch, fail_at)
     with pytest.raises(OSError):
-        save_dataset(Dataset(payload), str(path))
+        save_dataset(payload, str(path))
     assert os.listdir(path.parent) == (["data"] if existing else [])
     if existing:
         assert path.read_bytes() == old

@@ -224,6 +224,6 @@ def test_kv_rejects_duplicates_and_tabs():
 def test_dataset_kinds():
     assert kind_of(TextCorpus([])) == "text"
     assert kind_of(Matrix(1, 1, [0.0])) == "matrix"
-    assert Dataset(Matrix(1, 1, [0.0])).kind == "matrix"
+    assert kind_of(Dataset(Matrix(1, 1, [0.0])).payload) == "matrix"
     with pytest.raises(InvariantError):
         Dataset("not a payload")  # type: ignore[arg-type]

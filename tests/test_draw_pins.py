@@ -123,7 +123,7 @@ def _corpus(lines: int) -> TextCorpus:
 
 
 def _table(rows: int) -> Table:
-    return gen_table(max(1, rows // 4), rows, 2)[1]
+    return tuple(gen_table(max(1, rows // 4), rows, 2))[1]
 
 
 # (input, size, fraction, seed) -> checksum, draws

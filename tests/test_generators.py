@@ -22,6 +22,7 @@ from motifbench.generators import (
     make_genspec,
     materialize,
 )
+from motifbench.kernels.sets import column_index
 from motifbench.rng import BULK_BLOCK, SplitMix64
 
 from .oracles import scalar_rmat_edges
@@ -283,9 +284,9 @@ def test_table_single_row_fk():
 
 def test_table_amount_invariant_exact():
     _, item = gen_table(50, 500, rng_seed=6)
-    number_i = item.column_index("goods_number")
-    price_i = item.column_index("goods_price")
-    amount_i = item.column_index("goods_amount")
+    number_i = column_index(item, "goods_number")
+    price_i = column_index(item, "goods_price")
+    amount_i = column_index(item, "goods_amount")
     for row in item.rows:
         assert row[amount_i] == row[number_i] * row[price_i]
         assert row[number_i] >= 1 and row[price_i] > 0
@@ -294,7 +295,7 @@ def test_table_amount_invariant_exact():
 def test_table_foreign_keys_resolve_join_oracle():
     order, item = gen_table(200, 10_000, rng_seed=14)
     order_ids = {row[0] for row in order.rows}
-    oid_i = item.column_index("order_id")
+    oid_i = column_index(item, "order_id")
     dangling = [row for row in item.rows if row[oid_i] not in order_ids]
     assert dangling == []
     assert len({row[0] for row in order.rows}) == len(order.rows)  # unique order ids
@@ -302,8 +303,8 @@ def test_table_foreign_keys_resolve_join_oracle():
 
 
 def test_table_deterministic():
-    a = gen_table(20, 60, rng_seed=3)
-    b = gen_table(20, 60, rng_seed=3)
+    a = tuple(gen_table(20, 60, rng_seed=3))
+    b = tuple(gen_table(20, 60, rng_seed=3))
     assert checksum_payload(a[0]) == checksum_payload(b[0])
     assert checksum_payload(a[1]) == checksum_payload(b[1])
 
@@ -363,7 +364,7 @@ def _draw_counts(monkeypatch):
 def test_materialize_table_builds_only_the_table_asked_for(orders, items, seed, monkeypatch):
     draws = _draw_counts(monkeypatch)
     order, item = gen_table(orders, items, seed)
-    gen_table(orders, 0, seed)  # the ORDER draws alone
+    next(gen_table(orders, 0, seed))  # the ORDER draws alone
     pair_draws, order_draws = draws()
     for which, want, want_draws in (("order", order, order_draws), ("item", item, pair_draws)):
         spec = make_genspec("table", {"orders": orders, "items": items, "which": which,
@@ -374,11 +375,10 @@ def test_materialize_table_builds_only_the_table_asked_for(orders, items, seed, 
 
 def test_genspec_text_uses_seed_corpus_file(tmp_path):
     from motifbench.dataio import save_dataset
-    from motifbench.datasets import Dataset
 
     seed = TextCorpus(["alpha beta gamma", "beta gamma delta"])
     path = tmp_path / "seed.txt"
-    save_dataset(Dataset(seed), str(path))
+    save_dataset(seed, str(path))
     spec = make_genspec("text", {"bytes": 2000, "corpus": "seed.txt", "seed": 4})
     ds = materialize(spec, base_dir=str(tmp_path))
     vocab = set(" ".join(ds.payload.documents).split())

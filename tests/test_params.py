@@ -131,6 +131,8 @@ def _generator_variants():
     for kind in ("matrix", "tensor"):
         for dist, params in sorted(generators.DISTRIBUTIONS.items()):
             yield f"{kind}/{dist}", getattr(generators, f"gen_{kind}"), {**schemas[kind], **params}
+    # materialize pops `which`: it picks the table taken from gen_table's pair
+    yield "table", generators.gen_table, {k: v for k, v in schemas["table"].items() if k != "which"}
 
 
 GENERATORS = {name: (gen, schema) for name, gen, schema in _generator_variants()}

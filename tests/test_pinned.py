@@ -20,7 +20,7 @@ import motifbench
 from motifbench import shipped_spec_path
 from motifbench.cli import main
 from motifbench.dataio import canonical_bytes, save_dataset
-from motifbench.datasets import Dataset, Graph, KeyValueSet, Matrix, Tensor, TextCorpus
+from motifbench.datasets import Graph, KeyValueSet, Matrix, Tensor, TextCorpus
 from motifbench.generators import gen_graph
 from motifbench.kernels.graphops import pagerank
 from motifbench.kernels.logic import md5_corpus, md5_digests
@@ -81,13 +81,13 @@ SAVED_SHA256 = {
 @pytest.mark.parametrize("kind", sorted(PAYLOADS))
 def test_saved_bytes_pinned(kind, tmp_path):
     path = tmp_path / kind
-    save_dataset(Dataset(PAYLOADS[kind]), str(path))
+    save_dataset(PAYLOADS[kind], str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[kind]
 
 
 def test_saved_text_matrix_bytes_pinned(tmp_path):
     path = tmp_path / "matrix.txt"
-    save_dataset(Dataset(PAYLOADS["matrix"]), str(path), text_matrix=True)
+    save_dataset(PAYLOADS["matrix"], str(path), text_matrix=True)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "87012284508d50151f5126f749a8745da043bef7cc7e6925c464422cc3a8fd84"
 
@@ -101,7 +101,7 @@ def test_saved_text_matrix_bytes_pinned(tmp_path):
 ])
 def test_saved_bytes_pinned_across_pack_chunks(payload, expected, tmp_path):
     path = tmp_path / "big"
-    save_dataset(Dataset(payload), str(path))
+    save_dataset(payload, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
@@ -249,7 +249,7 @@ def test_shipped_spec_record_sizes_on_a_later_repeat(name, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     spec = parse_spec_file(shipped_spec_path(name))
     _, second = execute(spec, repeat=2)
-    got = [(rec.dataset_id, rec.in_bytes, rec.out_bytes) for rec in second.invocations]
+    got = [(rec.id, rec.in_bytes, rec.out_bytes) for rec in second.invocations]
     assert got == SPEC_RECORD_SIZES[name]
 
 

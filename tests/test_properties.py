@@ -31,7 +31,6 @@ from motifbench.dataio import (
 )
 from motifbench.datasets import (
     TABLE_KINDS,
-    Dataset,
     Graph,
     KeyValueSet,
     Matrix,
@@ -165,7 +164,7 @@ def test_a_table_from_its_columns_equals_the_table_from_its_rows(data):
 def test_load_of_save_keeps_the_checksum(tmp_path, payload, text_matrix):
     path = str(tmp_path / "data")
     try:
-        save_dataset(Dataset(payload), path, text_matrix=text_matrix)
+        save_dataset(payload, path, text_matrix=text_matrix)
     except InvariantError:
         # only a corpus whose first line reads as a format header is refused
         assert isinstance(payload, TextCorpus) and payload.documents[0].startswith("#")
@@ -177,9 +176,9 @@ def _saved_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("saved")
     files = []
     for kind, payload in sorted(PAYLOADS.items()):
-        save_dataset(Dataset(payload), str(out / kind))
+        save_dataset(payload, str(out / kind))
         files.append((out / kind).read_bytes())
-    save_dataset(Dataset(PAYLOADS["matrix"]), str(out / "matrix.txt"), text_matrix=True)
+    save_dataset(PAYLOADS["matrix"], str(out / "matrix.txt"), text_matrix=True)
     files.append((out / "matrix.txt").read_bytes())
     return files
 

@@ -121,10 +121,10 @@ RECORDS = {
                                                   "invocations": (_INVOCATION,),
                                                   "outputs": (_OUTPUT,), **kw}),
                      ("name", "inputs", "invocations", "outputs"), ("outputs", ()), True),
-    "InvocationRecord": (lambda **kw: InvocationRecord(**{"dataset_id": "s", "motif": "sort.sort",
+    "InvocationRecord": (lambda **kw: InvocationRecord(**{"id": "s", "motif": "sort.sort",
                                                           "wall_ns": 10, "in_bytes": 48,
                                                           "out_bytes": 48, **kw}),
-                         ("dataset_id", "motif", "wall_ns", "in_bytes", "out_bytes"),
+                         ("id", "motif", "wall_ns", "in_bytes", "out_bytes"),
                          ("wall_ns", 11), True),
     "RunReport": (lambda **kw: RunReport(**{"workload": "w", "repeat_index": 0,
                                             "invocations": (_RECORD,), "total_ns": 10,

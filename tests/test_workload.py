@@ -5,7 +5,7 @@ import pytest
 
 import motifbench
 from motifbench.dataio import checksum_payload, load_dataset, save_dataset
-from motifbench.datasets import Dataset, Matrix, TextCorpus
+from motifbench.datasets import Matrix, TextCorpus
 from motifbench.errors import SpecError
 from motifbench.generators import gen_matrix
 from motifbench.kernels import REGISTRY
@@ -236,7 +236,7 @@ def test_execute_repeat_that_differs_names_the_output(tmp_path, monkeypatch):
 
 def test_execute_file_input_and_relative_path(tmp_path):
     m = gen_matrix(4, 4, 3, "uniform", lo=0, hi=1)
-    save_dataset(Dataset(m), str(tmp_path / "in.matrix"))
+    save_dataset(m, str(tmp_path / "in.matrix"))
     out_path = tmp_path / "sorted.matrix"
     text = (
         'workload "fileio"\n'
@@ -251,7 +251,7 @@ def test_execute_file_input_and_relative_path(tmp_path):
 
 
 def test_execute_kind_mismatch_on_file_input(tmp_path):
-    save_dataset(Dataset(TextCorpus(["hello"])), str(tmp_path / "in.txt"))
+    save_dataset(TextCorpus(["hello"]), str(tmp_path / "in.txt"))
     text = 'workload "w"\ninput m : matrix @ "in.txt"\nnode s = sort.sort(m, key=0)\n'
     spec = parse_spec(text)
     with pytest.raises(WorkloadRuntimeError) as err:
