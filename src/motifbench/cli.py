@@ -127,16 +127,14 @@ def cmd_generate(args) -> int:
         _fail(str(exc))
         return EXIT_USAGE
 
-    if spec.kind == "table":
-        # Both tables come from one draw, so generate the pair once.
-        p = spec.param_dict()
-        tables = generators.gen_table(p["orders"], p["items"], spec.rng_seed)
-        for name, table in zip(("order", "item"), tables):
-            _emit_dataset(table, os.path.join(args.output, f"{name}.table"))
+    if spec.kind != "table":
+        payload = generators.materialize(spec).payload
+        _emit_dataset(payload, args.output, text_matrix=getattr(args, "text", False))
         return EXIT_OK
-
-    payload = generators.materialize(spec).payload
-    _emit_dataset(payload, args.output, text_matrix=getattr(args, "text", False))
+    p = spec.param_dict()  # both tables come from one stream: generate the pair once
+    tables = generators.gen_table(p["orders"], p["items"], spec.rng_seed)
+    for name, table in zip(("order", "item"), tables):
+        _emit_dataset(table, os.path.join(args.output, f"{name}.table"))
     return EXIT_OK
 
 
@@ -167,7 +165,15 @@ def cmd_run(args) -> int:
             return EXIT_USAGE
         samples = [topdown.load_sample(p) for p in paths]
     elif mode == "cmd":
-        window = functools.partial(_collector, counter_arg, args.duration, samples)
+        import shlex  # here, by its only user, as _collector imports subprocess
+        try:  # before any input is made
+            argv = shlex.split(counter_arg)
+            if not argv:
+                raise ValueError("it is empty")
+        except ValueError as exc:  # No closing quotation, say
+            _fail(f"--counters cmd: {counter_arg!r} is not a command: {exc}")
+            return EXIT_USAGE
+        window = functools.partial(_collector, argv, args.duration, samples)
     elif args.counters:
         _fail(f"--counters must start with file: or cmd:, got {args.counters!r}")
         return EXIT_USAGE
@@ -197,19 +203,16 @@ def cmd_run(args) -> int:
 
 
 @contextlib.contextmanager
-def _collector(template: str, duration: float, samples: list):
-    """Run the collector command across one repeat's invocations and append
-    the sample parsed from its stdout. A kernel failure inside the window
-    still reaps the collector and stays the error reported. subprocess and
-    shlex are imported here, by their only user, to spare every other
-    command their import."""
-    import shlex
+def _collector(template: list[str], duration: float, samples: list):
+    """Run the collector command, the `template` arguments with {pid} and
+    {duration} substituted, across one repeat's invocations and append the
+    sample parsed from its stdout. A kernel failure inside the window still
+    reaps the collector and stays the error reported. subprocess is imported
+    here, by its only user, to spare every other command its import."""
     import subprocess
 
-    command = template.replace("{pid}", str(os.getpid()))
-    argv = shlex.split(command.replace("{duration}", f"{duration:g}"))
-    if not argv:
-        raise EventError("empty collector command")
+    pid, seconds = str(os.getpid()), f"{duration:g}"
+    argv = [arg.replace("{pid}", pid).replace("{duration}", seconds) for arg in template]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         yield

@@ -7,7 +7,7 @@ platform; gaussian draws go through the platform libm (log, cos, sqrt), so
 they are identical only on the same platform.
 
     text    bigram language model fitted on a seed corpus; emits lines until
-            the byte target is met (within +/-5%)
+            the byte target is met (within +/-5% from 240 bytes; see gen_text)
     graph   recursive-quadrant (skewed) or uniform edge sampling
     matrix  i.i.d. uniform or gaussian entries
     tensor  same distributions over an arbitrary shape
@@ -122,8 +122,12 @@ def _choices(counts: dict[str, int]) -> list[str]:
 def gen_text(bytes: int, rng_seed: int, corpus: TextCorpus | None = None) -> TextCorpus:
     """Corpus sampled from the bigram model of the seed corpus (None for
     DEFAULT_SEED_CORPUS), with a unigram fallback for unseen contexts; the
-    vocabulary is a subset of the seed's; UTF-8 size lands within +/-5% of
-    `bytes`."""
+    vocabulary is a subset of the seed's. The line that would pass
+    bytes + max(1, bytes // 20) is cut word by word to fit, or dropped, so
+    the UTF-8 size is at most that and more than `bytes` less the longest
+    seed word: within +/-5% once bytes // 20 reaches that word's length less
+    one (from 240 bytes on the built-in corpus, whose longest word has 13
+    bytes), and smaller targets can come out short, even empty."""
     unigrams, successors, lengths = _fit_bigram(DEFAULT_SEED_CORPUS if corpus is None else corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
@@ -387,11 +391,9 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         p["corpus"] = load_dataset(path).payload
         if not isinstance(p["corpus"], TextCorpus):
             raise InvariantError(f"seed corpus {path!r} is not a text corpus")
-    which = p.pop("which", None)  # a table's; gen_table draws ITEM after ORDER
-    payload = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
-    if which is not None:
-        tables = payload
-        payload = next(tables)
-        if which == "item":
-            payload = next(tables)
-    return Dataset(payload)
+    which = p.pop("which", None)  # a table's
+    made = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
+    if which is None:
+        return Dataset(made)
+    order = next(made)  # gen_table draws ITEM after ORDER, from the same stream
+    return Dataset(order if which == "order" else next(made))

@@ -376,10 +376,17 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
         if v.names != names:
             raise InvariantError(f"metric orderings differ at {v.label!r}")
     with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", *names])
+        _write_record(fh, ["label", *names])
         for v in vectors:
-            writer.writerow([v.label, *(repr(x) for x in v.values)])
+            _write_record(fh, [v.label, *map(repr, v.values)])
+
+
+def _write_record(fh, record: list[str]):
+    """csv quotes a field only for the characters of its line terminator, but
+    a bare CR would read back as a line break: a record holding one has every
+    field quoted, as save_dataset quotes a table's cells."""
+    quoting = csv.QUOTE_ALL if "\r" in "".join(record) else csv.QUOTE_MINIMAL
+    csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(record)
 
 
 def append_vector_csv(path: str, vector: MetricVector):
@@ -403,8 +410,7 @@ def append_vector_csv(path: str, vector: MetricVector):
                 fh.seek(-1, os.SEEK_END)  # a record was read, so the file is not empty
                 if fh.read(1) != b"\n":
                     row.write("\n")
-                csv.writer(row, lineterminator="\n").writerow(
-                    [vector.label, *(repr(x) for x in vector.values)])
+                _write_record(row, [vector.label, *map(repr, vector.values)])
                 fh.write(row.getvalue().encode("utf-8"))
                 return
     write_vectors_csv(path, [vector])

@@ -349,8 +349,7 @@ def _materialize_inputs(s: WorkloadSpec, base_dir: Optional[str]) -> dict[str, o
             if (kind := kind_of(payload)) != decl.kind:
                 raise WorkloadRuntimeError(
                     f"input {decl.dataset_id!r}: file {decl.path!r} holds a {kind} "
-                    f"payload, declared {decl.kind}"
-                )
+                    f"payload, declared {decl.kind}")
             env[decl.dataset_id] = payload
     return env
 

@@ -69,6 +69,21 @@ def test_generate_graph_vertices_past_64_bits_exit_2(tmp_path, capsys, model, ve
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("graph", "--vertices", "8", "--edges", "4", "--model", "rmat:0.5,0.5"), 2,
+     "rmat needs four probabilities, got 'rmat:0.5,0.5'"),
+    (("text", "--bytes", "100", "--seed-corpus", "{table}"), 1,
+     "seed corpus '{table}' is not a text corpus"),
+], ids=["rmat-two-probabilities", "seed-corpus-table"])
+def test_generate_refusal_exit_code_and_text(tmp_path, capsys, argv, code, message):
+    table = tmp_path / "order.table"
+    table.write_text("#table v1\norder_id:integer\n1\n")
+    out = tmp_path / "out"
+    assert run_cli("generate", *(a.format(table=table) for a in argv), "-o", str(out)) == code
+    assert capsys.readouterr().err == f"error: {message.format(table=table)}\n"
+    assert not out.exists()
+
+
 def test_generate_graph_largest_vertex_count_accepted(tmp_path):
     assert run_cli("generate", "graph", "--vertices", str(2**64 - 1), "--edges", "3",
                    "-o", str(tmp_path / "g")) == 0
@@ -244,6 +259,30 @@ def test_run_counters_cmd_collector_failure_exit_1(tmp_path, capsys, monkeypatch
     )
     assert code == 1
     assert "collector exited" in capsys.readouterr().err
+
+
+# Refused before any input is made: no input is generated, no collector
+# starts and no report is written.
+@pytest.mark.parametrize("counters, message", [
+    ("bogus", "--counters must start with file: or cmd:, got 'bogus'"),
+    ('cmd:perf "x', """--counters cmd: 'perf "x' is not a command: No closing quotation"""),
+    ("cmd:", "--counters cmd: '' is not a command: it is empty"),
+    ("cmd:  ", "--counters cmd: '  ' is not a command: it is empty"),
+], ids=["bogus", "unclosed-quote", "empty", "blank"])
+def test_run_counters_refused_before_any_input_exit_2(tmp_path, capsys, monkeypatch, counters,
+                                                      message):
+    def called(*args, **kwargs):
+        pytest.fail("called after --counters was refused")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(subprocess, "Popen", called)
+    monkeypatch.setattr(generators, "materialize", called)
+    report = tmp_path / "rep.json"
+    code = run_cli("run", "--spec", motifbench.shipped_spec_path("index"),
+                   "--counters", counters, "--report", str(report))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
 
 
 def test_run_counters_cmd_collector(tmp_path, monkeypatch):
@@ -517,6 +556,25 @@ def test_analyze_three_dumps_average_linearity(tmp_path, capsys):
     assert retiring["fraction"] == pytest.approx(0.3, abs=1e-12)
 
 
+def _without(sample, event):
+    events = {k: v for k, v in sample.events.items() if k != event}
+    return topdown.EventSample(events, sample.width, sample.cycles, sample.label)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([_without(golden_sample(0.3), "instructions_retired")],
+     "missing events: instructions_retired"),
+    ([golden_sample(0.3, width=4), golden_sample(0.3, width=8)],
+     "samples disagree on issue width"),
+], ids=["no-instructions-retired", "widths-differ"])
+def test_analyze_refusal_is_one_error_line_exit_1(tmp_path, capsys, samples, message):
+    paths = [str(tmp_path / f"d{i}.csv") for i in range(len(samples))]
+    for sample, path in zip(samples, paths):
+        write_sample(sample, path)
+    assert run_cli("analyze", "--events", *paths) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_analyze_missing_events_exit_1(tmp_path, capsys):
     dump = tmp_path / "thin.csv"
     dump.write_text("cycles,100\nuops_retired,10\n")
@@ -585,6 +643,34 @@ def _metrics_csv(tmp_path):
             rows.append(f"{name}{i}," + ",".join(str(v) for v in vals))
     path.write_text("\n".join(rows) + "\n")
     return str(path)
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-standardize",)], ids=["standardized", "raw"])
+def test_cluster_identical_vectors_merge_at_distance_0(tmp_path, flags):
+    path = tmp_path / "same.csv"
+    path.write_text("label,a,b\nw0,1.0,2.0\nw1,1.0,2.0\nw2,1.0,2.0\n")
+    out = tmp_path / "c.json"
+    assert run_cli("cluster", "--metrics", str(path), *flags, "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["retained_components"] == 1
+    assert doc["explained"] == [0.0, 0.0]
+    assert [m["distance"] for m in doc["dendrogram"]["merges"]] == [0.0, 0.0]
+
+
+def test_metrics_csv_with_a_cr_in_a_label_and_a_metric_name_reads_back(tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps([
+        {"name": "Re\rtiring", "formula": "uops_retired / (meta.width * meta.cycles)"},
+    ]))
+    metrics = tmp_path / "m.csv"
+    for label in ("a\rb", "c"):  # the first writes the header, the second appends
+        dump = tmp_path / f"{label}.csv".replace("\r", "")
+        write_sample(golden_sample(0.3), str(dump))
+        assert run_cli("--quiet", "analyze", "--events", str(dump), "--tree", str(tree),
+                       "--label", label, "--vector-out", str(metrics)) == 0
+    vectors = read_vectors_csv(str(metrics))
+    assert [(v.label, v.names[0]) for v in vectors] == [("a\rb", "Re\rtiring"), ("c", "Re\rtiring")]
+    assert run_cli("--quiet", "cluster", "--metrics", str(metrics)) == 0
 
 
 def test_cluster_two_rows_prints_merge(tmp_path, capsys):

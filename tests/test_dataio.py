@@ -218,6 +218,8 @@ LOADER_ERRORS = {
     "kv-duplicate-key": (b"#kv v1\na\t1\n\nb\t2\na\t3\n", "5: duplicate key 'a'"),
     "table-schema-empty-entry": (
         b"#table v1\nid:integer,,x:real,\n1,2.0\n", "2: bad schema entry ''"),
+    "table-header-only": (b"#table v1", "2: table file missing schema line"),
+    "table-schema-empty-name": (b"#table v1\n:integer\n1\n", "2: empty column name"),
     # a value the payload refuses, on the line of its record
     "corpus-line-with-cr": (b"a\nb\rc\n", "2: document 1 contains '\\r'"),
     "corpus-crlf": (b"a\r\nb\r\n", "1: document 0 contains '\\r'"),

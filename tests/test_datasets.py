@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 import sys
 
 import pytest
 
+import motifbench
 from motifbench.datasets import (
     Dataset,
     Graph,
@@ -219,6 +222,27 @@ def test_kv_rejects_duplicates_and_tabs():
         KeyValueSet({"a\tb": "v"})
     ok = KeyValueSet({"a": "v\twith tab"})  # tabs fine in values
     assert ok.entries["a"] == "v\twith tab"
+
+
+def _dataset_builders(node, module: str, scope: str, found: list):
+    """Append module.function for each Dataset(...) call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "Dataset" in (getattr(child.func, "id", None),
+                                                         getattr(child.func, "attr", None)):
+            found.append(f"{module}.{scope}")
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        _dataset_builders(child, module, child.name if is_def else scope, found)
+
+
+def test_dataset_is_built_only_where_a_payload_is_read_or_generated():
+    # Everything else takes and passes payloads; load_dataset and materialize
+    # still return a Dataset, since the benchmark tracer reads its `.payload`.
+    root = pathlib.Path(motifbench.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        _dataset_builders(ast.parse(path.read_text(encoding="utf-8")), module, "<module>", found)
+    assert sorted(set(found)) == ["dataio.load_dataset", "generators.materialize"]
 
 
 def test_dataset_kinds():

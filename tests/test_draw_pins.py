@@ -118,6 +118,32 @@ def test_gen_text_pinned(target, seed, made):
     assert made[0][0]._state == oracle._state
 
 
+def _size(lines) -> int:
+    return sum(len(line.encode("utf-8")) + 1 for line in lines)
+
+
+def test_gen_text_last_line_trim_matches_the_oracle_for_small_targets():
+    # Every target draws the same stream of lines; a corpus is a prefix of it,
+    # ended by the line that would overshoot, cut word by word or dropped.
+    longest = max(len(w.encode("utf-8")) for d in DEFAULT_SEED_CORPUS.documents for w in d.split())
+    ends = set()
+    for seed in range(4):
+        stream = gen_text(100_000, seed).documents
+        for target in range(1, 201):
+            lines = gen_text(target, seed).documents
+            assert list(lines) == \
+                scalar_text_lines(DEFAULT_SEED_CORPUS.documents, target, SplitMix64(seed))
+            assert target - longest < _size(lines) <= target + max(1, target // 20)
+            if lines and lines[-1] != stream[len(lines) - 1]:
+                ends.add("trimmed")
+            elif _size(lines) < target:
+                ends.add("dropped")
+    assert ends == {"trimmed", "dropped"}
+    # below about 60 bytes the +/-5% does not hold
+    assert [_size(gen_text(t, s).documents) for t, s in ((5, 2), (1, 1), (1, 2), (1, 3),
+                                                          (30, 3), (10, 1))] == [0, 0, 0, 0, 24, 11]
+
+
 def _corpus(lines: int) -> TextCorpus:
     return TextCorpus(f"line {i}" for i in range(lines))
 

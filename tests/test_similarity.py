@@ -513,6 +513,21 @@ def test_append_vector_csv_checks_header_of_header_only_file(tmp_path):
     assert [v.values for v in read_vectors_csv(str(path))] == [(1.0, 2.0)]
 
 
+def test_vectors_csv_quotes_every_field_of_a_record_holding_a_cr(tmp_path):
+    # A bare CR in an unquoted field would read back as a line break.
+    path = str(tmp_path / "m.csv")
+    first = MetricVector("a\rb", ("m", "ipc"), (0.5, 1.25))
+    second = MetricVector("c", ("m", "ipc"), (0.25, 2.0))
+    append_vector_csv(path, first)
+    append_vector_csv(path, second)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == 'label,m,ipc\n"a\rb","0.5","1.25"\nc,0.25,2.0\n'
+    assert read_vectors_csv(path) == [first, second]
+    crossed = [MetricVector(v.label, ("Front\rend", "ipc"), v.values) for v in (second, first)]
+    write_vectors_csv(path, crossed)
+    assert read_vectors_csv(path) == crossed
+
+
 @pytest.mark.parametrize("existing", ["label,a,b", "label,a,b\nw0,1.0,2.0"],
                          ids=["header-only", "last-row"])
 def test_append_vector_csv_after_a_last_line_without_newline(tmp_path, existing):

@@ -121,6 +121,12 @@ CASES = [
      "<spec>:4: generate.matrix: parameter 'rows' must be an integer, got '1e3'"),
     ('node g = set.grep(t, pattern="")',
      "<spec>:4: set.grep: parameter 'pattern' must be non-empty"),
+    ('input x = generate.foo()',
+     "<spec>:4: unknown generator kind 'foo'"),
+    ('workload "again"',
+     "<spec>:4: duplicate workload line"),
+    ('output t @ ""',
+     "<spec>:4: empty output path"),
 ]
 
 
@@ -139,3 +145,9 @@ def _parsed(line):
 @pytest.mark.parametrize("line, expected", CASES, ids=[f"line{i}" for i in range(len(CASES))])
 def test_spec_line_corpus(line, expected):
     assert _parsed(line) == expected
+
+
+def test_empty_workload_name_is_refused_on_its_line():
+    with pytest.raises(SpecError) as err:
+        parse_spec('# no name\nworkload ""\n' + HEAD)
+    assert str(err.value) == "<spec>:2: workload name must be non-empty"
