@@ -209,6 +209,7 @@ def save_dataset(payload: Payload, path: str, text_matrix: bool = False):
     text_matrix selects the CSV body for matrices (the CLI --text flag);
     everything else has a single canonical form.
     """
+    kind = kind_of(payload)  # refuses a foreign object before any file is made
     documents = payload.documents if isinstance(payload, TextCorpus) else ()
     if documents and _is_header(documents[0]):
         raise InvariantError(
@@ -236,7 +237,7 @@ def save_dataset(payload: Payload, path: str, text_matrix: bool = False):
                                    for k, col in zip(kinds, payload.columns))))
         elif binary:
             dims = (payload.rows, payload.cols) if isinstance(payload, Matrix) else payload.shape
-            fh.write(f"#{kind_of(payload)} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
+            fh.write(f"#{kind} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
             fh.write(_packed("d", payload.data))
         elif isinstance(payload, Matrix):
             fh.write(f"#matrix v1 {payload.rows} {payload.cols} text\n")
@@ -246,12 +247,10 @@ def save_dataset(payload: Payload, path: str, text_matrix: bool = False):
             fh.write(f"#graph v1 {payload.vertex_count} {1 if payload.directed else 0}\n")
             for u, v in payload.edges:
                 fh.write(f"{u} {v}\n")
-        elif isinstance(payload, KeyValueSet):
+        else:
             fh.write("#kv v1\n")
             for key, value in sorted(payload.entries.items()):
                 fh.write(f"{key}\t{value}\n")
-        else:
-            raise InvariantError(f"not a dataset payload: {type(payload).__name__}")
 
 
 # ---------------------------------------------------------------------------

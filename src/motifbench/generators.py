@@ -125,9 +125,8 @@ def gen_text(bytes: int, rng_seed: int, corpus: TextCorpus | None = None) -> Tex
     vocabulary is a subset of the seed's. The line that would pass
     bytes + max(1, bytes // 20) is cut word by word to fit, or dropped, so
     the UTF-8 size is at most that and more than `bytes` less the longest
-    seed word: within +/-5% once bytes // 20 reaches that word's length less
-    one (from 240 bytes on the built-in corpus, whose longest word has 13
-    bytes), and smaller targets can come out short, even empty."""
+    seed word (13 bytes in the built-in corpus): within +/-5% from 240 bytes
+    on that corpus, while a smaller target can come out short, even empty."""
     unigrams, successors, lengths = _fit_bigram(DEFAULT_SEED_CORPUS if corpus is None else corpus)
     if not unigrams:
         raise InvariantError("seed corpus has no tokens")
@@ -384,16 +383,17 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
 
 def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
     """Run the generator described by a GenSpec: gen_<kind>, looked up in the
-    module at call time, with the checked params by name."""
+    module at call time, with the checked params by name; a table's `which`
+    takes ORDER, or ITEM after it, from gen_table's pair."""
     p = spec.param_dict()
     if "corpus" in p:
         path = resolve_path(p["corpus"], base_dir)
         p["corpus"] = load_dataset(path).payload
         if not isinstance(p["corpus"], TextCorpus):
             raise InvariantError(f"seed corpus {path!r} is not a text corpus")
-    which = p.pop("which", None)  # a table's
+    which = p.pop("which", None)
     made = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
     if which is None:
         return Dataset(made)
-    order = next(made)  # gen_table draws ITEM after ORDER, from the same stream
+    order = next(made)
     return Dataset(order if which == "order" else next(made))

@@ -67,6 +67,13 @@ def test_corpus_header_collision_rejected(tmp_path):
         save_dataset(bad, str(tmp_path / "x"))
 
 
+def test_save_refuses_a_foreign_object_before_making_any_file(tmp_path):
+    # save_dataset takes the payload itself, so it checks the kind itself.
+    with pytest.raises(InvariantError, match="not a dataset payload: tuple"):
+        save_dataset((1.0,), str(tmp_path / "new" / "x"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_roundtrip_with_quoting(tmp_path):
     t = table_of_rows(
         [("name", "string"), ("n", "integer"), ("x", "real")],
