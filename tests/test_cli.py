@@ -662,10 +662,9 @@ def test_metrics_csv_with_a_cr_in_a_label_and_a_metric_name_reads_back(tmp_path)
     tree.write_text(json.dumps([
         {"name": "Re\rtiring", "formula": "uops_retired / (meta.width * meta.cycles)"},
     ]))
-    metrics = tmp_path / "m.csv"
+    dump, metrics = tmp_path / "d.csv", tmp_path / "m.csv"
+    write_sample(golden_sample(0.3), str(dump))
     for label in ("a\rb", "c"):  # the first writes the header, the second appends
-        dump = tmp_path / f"{label}.csv".replace("\r", "")
-        write_sample(golden_sample(0.3), str(dump))
         assert run_cli("--quiet", "analyze", "--events", str(dump), "--tree", str(tree),
                        "--label", label, "--vector-out", str(metrics)) == 0
     vectors = read_vectors_csv(str(metrics))
