@@ -17,11 +17,16 @@ import math
 import os
 import sys
 
-from . import generators, similarity, topdown, workload
+from . import generators, workload
 from .dataio import checksum_hex, checksum_payload, open_output, save_dataset
 from .datasets import ALL_KINDS, Payload
 from .errors import EventError, InvariantError, MotifBenchError, SpecError
 from .kernels import SAME_AS_INPUT, kernels_by_family
+from .params import LINKAGES
+
+# topdown and similarity, the analysis half, are imported by the commands and
+# the run --counters paths that call them: every other command would compile
+# them, and topdown's ast import, for nothing.
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -142,7 +147,7 @@ def cmd_generate(args) -> int:
 # run
 
 
-def _sample_json(sample: topdown.EventSample) -> dict:
+def _sample_json(sample) -> dict:
     return {
         "label": sample.label,
         "width": sample.width,
@@ -156,13 +161,14 @@ def cmd_run(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.spec))
 
     mode, _, counter_arg = (args.counters or "").partition(":")
-    samples: list[topdown.EventSample] = []
+    samples = []
     window = contextlib.nullcontext
     if mode == "file":
         paths = [p for p in counter_arg.split(",") if p]
         if len(paths) != args.repeat:
             _fail(f"--counters file: needs {args.repeat} files (one per repeat), got {len(paths)}")
             return EXIT_USAGE
+        from . import topdown
         samples = [topdown.load_sample(p) for p in paths]
     elif mode == "cmd":
         import shlex  # here, by its only user, as _collector imports subprocess
@@ -181,6 +187,7 @@ def cmd_run(args) -> int:
     reports = workload.execute(spec, repeat=args.repeat, base_dir=base_dir, window=window)
     counters_doc = None
     if samples:
+        from . import topdown
         counters_doc = {
             "repeats": [_sample_json(s) for s in samples],
             "averaged": _sample_json(topdown.average_samples(samples)),
@@ -210,6 +217,7 @@ def _collector(template: list[str], duration: float, samples: list):
     reaps the collector and stays the error reported. subprocess is imported
     here, by its only user, to spare every other command its import."""
     import subprocess
+    from . import topdown
 
     pid, seconds = str(os.getpid()), f"{duration:g}"
     argv = [arg.replace("{pid}", pid).replace("{duration}", seconds) for arg in template]
@@ -228,6 +236,7 @@ def _collector(template: list[str], duration: float, samples: list):
 
 
 def cmd_analyze(args) -> int:
+    from . import topdown
     mapping = topdown.load_mapping(args.mapping) if args.mapping else None
     samples = [topdown.load_sample(path, width=args.width, mapping=mapping)
                for path in args.events]
@@ -259,6 +268,7 @@ def cmd_analyze(args) -> int:
         with open_output(args.output) as fh:
             fh.write(topdown.analysis_json(doc))
     if args.vector_out:
+        from . import similarity
         similarity.append_vector_csv(args.vector_out, vector)
     return EXIT_OK
 
@@ -268,6 +278,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import similarity
     vectors = similarity.read_vectors_csv(args.metrics)
     if len(vectors) < 2:
         _fail(f"need at least 2 metric rows, got {len(vectors)}")
@@ -357,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="gen_kind", required=True)
 
     g_text = gensub.add_parser("text", parents=[globals_parent], help="bigram-model text corpus")
-    g_text.add_argument("--bytes", required=True, help="target size in bytes (+/-5%%)")
+    g_text.add_argument("--bytes", required=True,
+                        help="target size in bytes: the corpus is at most 5%% (at least 1 "
+                        "byte) larger and short of it by less than the longest seed word")
     g_text.add_argument("--seed-corpus", help="seed corpus file (default: built-in corpus)")
 
     g_graph = gensub.add_parser("graph", parents=[globals_parent], help="random graph")
@@ -415,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--metrics", required=True, help="metric vector CSV")
     cluster.add_argument("--variance", type=_variance_fraction, default=0.9,
                          help="explained-variance threshold for PCA (default 0.9)")
-    cluster.add_argument("--linkage", choices=similarity.LINKAGES, default="average")
+    cluster.add_argument("--linkage", choices=LINKAGES, default="average")
     cluster.add_argument("--no-standardize", action="store_true",
                          help="cluster raw metric values")
     cluster.add_argument("--cut", type=_positive_int,

@@ -1,9 +1,9 @@
 """Logic-family kernels: MD5 digesting and pointwise activations.
 
-MD5 is implemented from scratch (Merkle-Damgard over 64-byte blocks with the
-sine-derived constant table) so the digest rounds themselves are the measured
-unit of work rather than a C library call; the test suite cross-checks them
-byte-exactly against hashlib.
+MD5 is implemented from scratch (Merkle-Damgard over 64-byte blocks with
+RFC 1321's sine-derived constant table) so the digest rounds themselves are
+the measured unit of work rather than a C library call; the test suite
+cross-checks them byte-exactly against hashlib.
 
 `md5_digests` hashes many records at once, the way `rng.SplitMix64.u64s`
 draws many values: each of the 64 MD5 steps is one big-integer operation
@@ -64,8 +64,26 @@ _MASK32 = 0xFFFFFFFF
 LANE_BLOCK = 1024  # records per lane block: 8 KB per operand
 LANE_BYTES = 1 << 20  # padded message bytes per lane block, unless one record is longer
 
-# K[i] = floor(abs(sin(i + 1)) * 2^32)
-_K = [int(abs(math.sin(i + 1)) * 4294967296) & _MASK32 for i in range(64)]
+# K[i] = floor(abs(sin(i + 1)) * 2^32), as listed in RFC 1321 section 3.4:
+# literals, so the digests do not hang on how a libm rounds a sine.
+_K = (
+    0xD76AA478, 0xE8C7B756, 0x242070DB, 0xC1BDCEEE,
+    0xF57C0FAF, 0x4787C62A, 0xA8304613, 0xFD469501,
+    0x698098D8, 0x8B44F7AF, 0xFFFF5BB1, 0x895CD7BE,
+    0x6B901122, 0xFD987193, 0xA679438E, 0x49B40821,
+    0xF61E2562, 0xC040B340, 0x265E5A51, 0xE9B6C7AA,
+    0xD62F105D, 0x02441453, 0xD8A1E681, 0xE7D3FBC8,
+    0x21E1CDE6, 0xC33707D6, 0xF4D50D87, 0x455A14ED,
+    0xA9E3E905, 0xFCEFA3F8, 0x676F02D9, 0x8D2A4C8A,
+    0xFFFA3942, 0x8771F681, 0x6D9D6122, 0xFDE5380C,
+    0xA4BEEA44, 0x4BDECFA9, 0xF6BB4B60, 0xBEBFBC70,
+    0x289B7EC6, 0xEAA127FA, 0xD4EF3085, 0x04881D05,
+    0xD9D4D039, 0xE6DB99E5, 0x1FA27CF8, 0xC4AC5665,
+    0xF4292244, 0x432AFF97, 0xAB9423A7, 0xFC93A039,
+    0x655B59C3, 0x8F0CCC92, 0xFFEFF47D, 0x85845DD1,
+    0x6FA87E4F, 0xFE2CE6E0, 0xA3014314, 0x4E0811A1,
+    0xF7537E82, 0xBD3AF235, 0x2AD7D2BB, 0xEB86D391,
+)
 _IV = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
 _LANE_ONE = (1).to_bytes(8, "little")
 # 0x80 and the zeros that follow a record of length n, by n % 64

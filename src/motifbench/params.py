@@ -1,4 +1,5 @@
-"""Parameter schemas shared by the kernel registry and the generators.
+"""Parameter schemas shared by the kernel registry and the generators, and
+the linkage names that similarity.hcluster takes.
 
 A schema maps each parameter name to a ParamSpec. coerce() checks raw
 key=value parameters, as parsed from a workload spec or CLI flags, against a
@@ -29,6 +30,10 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 # Seeds become SplitMix64's 64-bit state; a value outside [0, 2**64) would
 # silently alias another seed.
 SEED = ParamSpec("int", default=0, lo=0, hi=2**64 - 1)
+
+# cluster's --linkage choices, stated here because the CLI parser, built by
+# every command, needs them without loading similarity.
+LINKAGES = ("average", "single", "complete")
 
 
 def coerce(schema: dict[str, ParamSpec], raw: dict, where: str, error: type) -> dict:

@@ -33,11 +33,10 @@ from typing import NamedTuple
 from .dataio import _decode, csv_records, open_output, read_input
 from .datasets import Record
 from .errors import EventError, InvariantError
+from .params import LINKAGES
 from .topdown import MetricVector
 
 QL_MAX_ITERATIONS = 30  # per eigenvalue, as in Numerical Recipes' tqli
-
-LINKAGES = ("average", "single", "complete")
 
 
 def _finite_fsum(values, what: str) -> float:

@@ -1148,12 +1148,73 @@ def test_analyze_label_must_be_non_empty(tmp_path, capsys, label):
     assert not out.exists()
 
 
+# The analysis half: only analyze, cluster and run --counters import it.
+ANALYSIS_MODULES = ("motifbench.topdown", "motifbench.similarity", "ast")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(motifbench.__file__)))
+
+
+def fresh_python(args: list, cwd=None) -> subprocess.CompletedProcess:
+    """Run python with `args` in a fresh interpreter without site, which may
+    load modules itself, and so without the modules this process imported."""
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, cwd=cwd, check=False)
+
+
 def test_cli_import_loads_no_module_that_only_some_commands_need():
-    # Fresh interpreter without site, which may load some of these itself;
-    # the cmd: collector imports subprocess and shlex when it runs.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(motifbench.__file__)))
-    unwanted = ("dataclasses", "inspect", "subprocess", "shlex", "importlib.resources")
+    # The cmd: collector imports subprocess and shlex when it runs.
+    unwanted = ("dataclasses", "inspect", "subprocess", "shlex", "importlib.resources",
+                *ANALYSIS_MODULES)
     code = f"import motifbench.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout == "[]\n"
+    result = fresh_python(["-c", code])
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--spec", motifbench.shipped_spec_path("index")],
+    ["generate", "text", "--bytes", "300", "-o", "corpus.txt"],
+    ["generate", "table", "--orders", "5", "--items", "9", "-o", "."],
+    ["validate", "--spec", motifbench.shipped_spec_path("index")],
+    ["list-motifs"],
+], ids=["run", "generate-text", "generate-table", "validate", "list-motifs"])
+def test_commands_that_never_analyze_load_nothing_past_the_cli_import(tmp_path, argv):
+    # No analysis module, and no motifbench module at all: run and generate
+    # execute what `import motifbench.cli` loads, so deferring more of it
+    # would show here.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import motifbench.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert motifbench.cli.main({argv!r}) == 0\n"
+        f"print(json.dumps([[m for m in {ANALYSIS_MODULES!r} if m in sys.modules],\n"
+        "                  sorted(m for m in set(sys.modules) - before\n"
+        "                         if m.partition('.')[0] == 'motifbench')]))\n"
+    )
+    result = fresh_python(["-c", code], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    analysis, loaded = json.loads(result.stdout)
+    assert analysis == []
+    assert loaded == []
+
+
+def test_analysis_commands_import_what_they_call_in_a_fresh_process(tmp_path):
+    # In this process the tests have imported topdown and similarity already,
+    # so a missing function-local import shows only in a fresh interpreter.
+    dumps = []
+    for i, retiring in enumerate((0.2, 0.3, 0.4)):
+        dumps.append(str(tmp_path / f"c{i}.csv"))
+        write_sample(golden_sample(retiring, label=f"r{i}"), dumps[-1])
+    commands = [
+        ["run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "3",
+         "--counters", "file:" + ",".join(dumps), "--report", "report.json"],
+        ["analyze", "--events", dumps[0], "-o", "breakdown.json"],
+        *(["analyze", "--events", dump, "--vector-out", "m.csv"] for dump in dumps),
+        ["cluster", "--metrics", "m.csv", "-o", "dendrogram.json"],
+    ]
+    for argv in commands:
+        result = fresh_python(["-m", "motifbench", *argv], tmp_path)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+    assert len(json.loads((tmp_path / "report.json").read_text())["counters"]["repeats"]) == 3
+    assert json.loads((tmp_path / "breakdown.json").read_text())["label"] == "r0"
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 4
+    assert json.loads((tmp_path / "dendrogram.json").read_text())["labels"] == ["r0", "r1", "r2"]

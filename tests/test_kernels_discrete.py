@@ -299,6 +299,12 @@ def test_md5_reference_vectors():
     assert [d.hex() for d in got] == list(RFC_VECTORS.values())
 
 
+def test_md5_constant_literals_equal_this_platforms_sines():
+    # logic._K holds RFC 1321's literals; the rule they come from, checked
+    # here with this libm, no longer runs at import.
+    assert list(logic._K) == [int(abs(math.sin(i + 1)) * 2**32) for i in range(64)]
+
+
 def test_md5_matches_library_oracle_on_random_inputs():
     rng = random.Random(17)
     for _ in range(200):
