@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -339,6 +340,16 @@ def test_tree_json_roundtrip(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(doc))
     assert load_tree(str(path)) == tree
+
+
+# SHA-256 of the built-in tree in its --tree JSON form, keys sorted: any
+# change to a node's name, formula, flags or children moves it.
+BUILTIN_TREE_SHA256 = "08e2bc6d342a2b17488219842cd41e9082feb9bb94a82cc67ec0dd580f67b564"
+
+
+def test_builtin_tree_pinned_node_for_node():
+    text = json.dumps(tree_to_json(builtin_tree()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_TREE_SHA256
 
 
 def test_tree_rejects_depth_over_five():
