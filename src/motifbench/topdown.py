@@ -1,26 +1,11 @@
 """Hierarchical pipeline-bottleneck model over hardware-event counts.
 
 Every issue slot (issue_width per cycle) is classified at the top level into
-four fractions that sum to one:
-
-    Retiring        = uops_retired / slots
-    Bad_Speculation = (uops_issued - uops_retired + width * recovery_cycles) / slots
-    Frontend_Bound  = frontend_undelivered_slots / slots
-    Backend_Bound   = residual (1 - the other three)
-
-with slots = meta.width * meta.cycles. Lower levels attribute each category to
-causes, drilling down to DRAM behavior:
-
-    Retiring            -> Base | Microcode_Sequencer
-    Bad_Speculation     -> Branch_Mispredicts | Machine_Clears
-    Frontend_Bound      -> Frontend_Latency | Frontend_Bandwidth
-      Frontend_Latency    -> ICache_Misses ITLB_Misses Branch_Resteers
-                             DSB_Switches LCP MS_Switches
-      Frontend_Bandwidth  -> MITE DSB LSD
-    Backend_Bound       -> Backend_Core | Backend_Memory
-      Backend_Core        -> Divider Port_Utilization
-      Backend_Memory      -> L1_Bound L2_Bound L3_Bound DRAM_Bound Store_Bound
-        DRAM_Bound          -> Bandwidth Local_DRAM Remote_DRAM Remote_Cache
+four fractions that sum to one: Retiring, Bad_Speculation, Frontend_Bound and
+Backend_Bound, the last the residual of the other three. Lower levels
+attribute each category to causes, drilling down to DRAM behavior. The
+built-in hierarchy and its formulas are the tree file trees/topdown.json, in
+the format --tree files take.
 
 Event names are abstract and platform-neutral; a mapping file (CSV lines
 'abstract_name,platform_name') translates a sample collected with native
@@ -374,100 +359,6 @@ class BreakdownNode(NamedTuple):
     children: tuple["BreakdownNode", ...] = ()
 
 
-_SLOTS = "(meta.width * meta.cycles)"
-
-
-@functools.cache
-def builtin_tree() -> MetricTree:
-    """The default metric hierarchy described in the module docstring; built
-    once per process and shared, which is safe because trees are frozen."""
-
-    def leaf(name, formula, negative_ok=False):
-        return MetricNode(name, formula, negative_ok=negative_ok)
-
-    retiring = MetricNode(
-        "Retiring", f"uops_retired / {_SLOTS}",
-        children=(
-            MetricNode("Base", f"Retiring - ms_uops / {_SLOTS}"),
-            leaf("Microcode_Sequencer", f"ms_uops / {_SLOTS}"),
-        ),
-    )
-    bad_speculation = MetricNode(
-        "Bad_Speculation",
-        f"(uops_issued - uops_retired + meta.width * recovery_cycles) / {_SLOTS}",
-        children=(
-            MetricNode(
-                "Branch_Mispredicts",
-                "Bad_Speculation - machine_clear_recovery_cycles / meta.cycles",
-            ),
-            leaf("Machine_Clears", "machine_clear_recovery_cycles / meta.cycles"),
-        ),
-    )
-    frontend = MetricNode(
-        "Frontend_Bound", f"frontend_undelivered_slots / {_SLOTS}",
-        children=(
-            MetricNode(
-                "Frontend_Latency", "frontend_zero_delivery_cycles / meta.cycles",
-                children=(
-                    leaf("ICache_Misses", "icache_miss_stall_cycles / meta.cycles"),
-                    leaf("ITLB_Misses", "itlb_miss_stall_cycles / meta.cycles"),
-                    leaf("Branch_Resteers", "branch_resteer_stall_cycles / meta.cycles"),
-                    leaf("DSB_Switches", "dsb_switch_stall_cycles / meta.cycles"),
-                    leaf("LCP", "lcp_stall_cycles / meta.cycles"),
-                    leaf("MS_Switches", "ms_switch_stall_cycles / meta.cycles"),
-                ),
-            ),
-            MetricNode(
-                "Frontend_Bandwidth", "Frontend_Bound - Frontend_Latency",
-                children=(
-                    leaf("MITE", "mite_stall_cycles / meta.cycles"),
-                    leaf("DSB", "dsb_stall_cycles / meta.cycles"),
-                    leaf("LSD", "lsd_stall_cycles / meta.cycles"),
-                ),
-            ),
-        ),
-    )
-    backend = MetricNode(
-        "Backend_Bound", "1 - Retiring - Bad_Speculation - Frontend_Bound",
-        children=(
-            MetricNode(
-                "Backend_Core",
-                "Backend_Bound - (memory_stall_cycles + store_buffer_stall_cycles) / meta.cycles",
-                children=(
-                    leaf("Divider", "divider_active_cycles / meta.cycles"),
-                    leaf("Port_Utilization", "port_underutilized_cycles / meta.cycles"),
-                ),
-            ),
-            MetricNode(
-                "Backend_Memory",
-                "(memory_stall_cycles + store_buffer_stall_cycles) / meta.cycles",
-                children=(
-                    leaf("L1_Bound",
-                         "(memory_stall_cycles - l1d_pending_stall_cycles) / meta.cycles"),
-                    # Difference of pending-stall counters; errata can push it
-                    # below zero, hence negative_ok.
-                    leaf("L2_Bound",
-                         "(l1d_pending_stall_cycles - l2_pending_stall_cycles) / meta.cycles",
-                         negative_ok=True),
-                    leaf("L3_Bound",
-                         "(l2_pending_stall_cycles - dram_pending_stall_cycles) / meta.cycles"),
-                    MetricNode(
-                        "DRAM_Bound", "dram_pending_stall_cycles / meta.cycles",
-                        children=(
-                            leaf("Bandwidth", "dram_bandwidth_stall_cycles / meta.cycles"),
-                            leaf("Local_DRAM", "local_dram_stall_cycles / meta.cycles"),
-                            leaf("Remote_DRAM", "remote_dram_stall_cycles / meta.cycles"),
-                            leaf("Remote_Cache", "remote_cache_stall_cycles / meta.cycles"),
-                        ),
-                    ),
-                    leaf("Store_Bound", "store_buffer_stall_cycles / meta.cycles"),
-                ),
-            ),
-        ),
-    )
-    return MetricTree((retiring, bad_speculation, frontend, backend))
-
-
 # ---------------------------------------------------------------------------
 # tree config files: a JSON node object {name, formula, expected_fraction,
 # negative_ok, children:[...]} or a list of such objects (multiple roots)
@@ -510,6 +401,16 @@ def load_tree(path: str) -> MetricTree:
         return tree_from_json(doc)
     except (EventError, FormulaError) as exc:
         raise type(exc)(str(exc), path=path) from None
+
+
+_BUILTIN_TREE_PATH = os.path.join(os.path.dirname(__file__), "trees", "topdown.json")
+
+
+@functools.cache
+def builtin_tree() -> MetricTree:
+    """The default metric hierarchy, trees/topdown.json; loaded once per
+    process and shared, which is safe because trees are frozen."""
+    return load_tree(_BUILTIN_TREE_PATH)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,18 @@ def test_builtin_tree_pinned_node_for_node():
     assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_TREE_SHA256
 
 
+def test_event_intent_documents_every_event_analyze_reads():
+    scalar_events = set()
+    for metric in (ipc, mlp, ms_uops_ratio):
+        with pytest.raises(MissingEventsError) as info:
+            metric(EventSample({}, cycles=1.0))
+        scalar_events.update(info.value.names)
+    assert scalar_events == {"instructions_retired", "l1d_miss_occupancy", "l1d_miss_cycles",
+                             "ms_uops", "uops_retired"}
+    assert set(topdown.EVENT_INTENT) == (builtin_tree().required_events() | {"cycles"}
+                                         | scalar_events)
+
+
 def test_tree_rejects_depth_over_five():
     node = MetricNode("n5", "1")
     for i in (4, 3, 2, 1, 0):
