@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -18,7 +17,8 @@ import os
 import sys
 
 from . import generators, workload
-from .dataio import checksum_hex, checksum_payload, open_output, save_dataset
+from .dataio import (checksum_hex, checksum_payload, open_output, save_dataset,
+                     write_csv_record)
 from .datasets import ALL_KINDS, Payload
 from .errors import EventError, InvariantError, MotifBenchError, SpecError
 from .kernels import SAME_AS_INPUT, kernels_by_family
@@ -74,9 +74,9 @@ def _write_json(path: str, doc: dict):
 
 def _write_csv(path: str, header: list, rows):
     with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_csv_record(fh, header)
+        for row in rows:
+            write_csv_record(fh, row)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,15 @@ def csv_records(text, path: str, line: int = 1):
         raise FormatError(f"bad CSV record ({exc})", path=path, line=line) from None
 
 
+def write_csv_record(fh, record: list):
+    """Write one CSV record, the form csv_records reads back. csv quotes a
+    field only for the characters of its line terminator, but a bare CR
+    would read back as a line break: a record holding one has every field
+    quoted, as save_dataset quotes a table's cells."""
+    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, record)) else csv.QUOTE_MINIMAL
+    csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(record)
+
+
 def _wrap_invariant(path: str, line_of, fn, *args):
     """fn(*args), with the InvariantError it may raise raised as a FormatError
     naming `path` and a line: `line_of` itself, a number or None, or when it

@@ -22,7 +22,6 @@ its largest-magnitude entry is positive.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
@@ -30,7 +29,7 @@ import sys
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .dataio import _decode, csv_records, open_output, read_input
+from .dataio import _decode, csv_records, open_output, read_input, write_csv_record
 from .datasets import Record
 from .errors import EventError, InvariantError
 from .params import LINKAGES
@@ -375,17 +374,9 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
         if v.names != names:
             raise InvariantError(f"metric orderings differ at {v.label!r}")
     with open_output(path) as fh:
-        _write_record(fh, ["label", *names])
+        write_csv_record(fh, ["label", *names])
         for v in vectors:
-            _write_record(fh, [v.label, *map(repr, v.values)])
-
-
-def _write_record(fh, record: list[str]):
-    """csv quotes a field only for the characters of its line terminator, but
-    a bare CR would read back as a line break: a record holding one has every
-    field quoted, as save_dataset quotes a table's cells."""
-    quoting = csv.QUOTE_ALL if "\r" in "".join(record) else csv.QUOTE_MINIMAL
-    csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(record)
+            write_csv_record(fh, [v.label, *map(repr, v.values)])
 
 
 def append_vector_csv(path: str, vector: MetricVector):
@@ -409,7 +400,7 @@ def append_vector_csv(path: str, vector: MetricVector):
                 fh.seek(-1, os.SEEK_END)  # a record was read, so the file is not empty
                 if fh.read(1) != b"\n":
                     row.write("\n")
-                _write_record(row, [vector.label, *map(repr, vector.values)])
+                write_csv_record(row, [vector.label, *map(repr, vector.values)])
                 fh.write(row.getvalue().encode("utf-8"))
                 return
     write_vectors_csv(path, [vector])

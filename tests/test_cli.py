@@ -12,6 +12,7 @@ import pytest
 import motifbench
 from motifbench import generators, similarity, topdown, workload
 from motifbench.cli import build_parser, main
+from motifbench.dataio import csv_records, read_input
 from motifbench.kernels import KernelSpec
 from motifbench.kernels.sets import column_index
 from motifbench.similarity import read_vectors_csv
@@ -872,6 +873,34 @@ def test_run_csv_flattening(tmp_path, monkeypatch):
     lines = report.read_text().splitlines()
     assert lines[0] == "workload,repeat,id,motif,wall_ns,in_bytes,out_bytes"
     assert len(lines) == 1 + 2 * 4  # header + repeats * invocations
+
+
+def _csv_file_records(path) -> list:
+    return [record for _, record in csv_records(read_input(str(path)), str(path))]
+
+
+# A bare CR in an unquoted field would read back as a line break.
+def test_run_csv_with_a_cr_in_the_workload_name_reads_back(tmp_path):
+    spec, report = tmp_path / "cr.spec", tmp_path / "report.csv"
+    spec.write_text('workload "a\rb"\ninput d = generate.text(bytes=64, seed=1)\n'
+                    "node s = sort.sort(d)\n", newline="")
+    assert run_cli("--quiet", "--csv", "run", "--spec", str(spec), "--report", str(report)) == 0
+    header, *rows = _csv_file_records(report)
+    assert header == ["workload", "repeat", "id", "motif", "wall_ns", "in_bytes", "out_bytes"]
+    assert [row[:4] for row in rows] == [["a\rb", "0", "s", "sort.sort"]]
+    assert len(rows[0]) == len(header)
+
+
+def test_analyze_csv_with_a_cr_in_a_metric_name_reads_back(tmp_path):
+    tree, dump, out = tmp_path / "tree.json", tmp_path / "d.csv", tmp_path / "flat.csv"
+    tree.write_text(json.dumps([{"name": "A\rB", "formula": "uops_retired / meta.cycles",
+                                 "expected_fraction": False}]))
+    write_sample(golden_sample(0.3), str(dump))
+    assert run_cli("--quiet", "--csv", "analyze", "--events", str(dump), "--tree", str(tree),
+                   "-o", str(out)) == 0
+    records = _csv_file_records(out)
+    assert [record[0] for record in records] == ["metric", "A\rB", "ipc", "mlp", "ms_uops_ratio"]
+    assert {len(record) for record in records} == {2}
 
 
 def test_analyze_csv_flattening(tmp_path):
