@@ -1,5 +1,5 @@
 """Pinned outputs: canonical encodings, saved file bytes, report JSON bytes,
-shipped-spec checksums, MD5 edge cases.
+CSV output bytes, shipped-spec checksums, MD5 edge cases.
 
 These values were recorded before the MD5 kernel, the canonical encoder and
 the dataset writer were rewritten; each rewrite must stay bit-exact. Outputs that pass
@@ -9,15 +9,19 @@ the platform they were recorded on.
 
 import hashlib
 import importlib
+import itertools
+import json
 import math
 import platform
+import random
 import pkgutil
 import struct
+import types
 
 import pytest
 
 import motifbench
-from motifbench import shipped_spec_path
+from motifbench import shipped_spec_path, workload
 from motifbench.cli import main
 from motifbench.dataio import canonical_bytes, save_dataset
 from motifbench.datasets import Graph, KeyValueSet, Matrix, Tensor, TextCorpus
@@ -27,7 +31,7 @@ from motifbench.kernels.logic import md5_corpus, md5_digests
 from motifbench.workload import execute, parse_spec_file
 
 from .oracles import table_of_rows
-from .topdown_samples import golden_sample, write_sample
+from .topdown_samples import golden_sample, random_valid_sample, write_sample
 
 # ---------------------------------------------------------------------------
 # canonical_bytes
@@ -92,6 +96,15 @@ def test_saved_text_matrix_bytes_pinned(tmp_path):
     assert digest == "87012284508d50151f5126f749a8745da043bef7cc7e6925c464422cc3a8fd84"
 
 
+# A CR in a string cell has every cell of the file quoted, the numbers too.
+def test_saved_table_with_a_cr_bytes_pinned(tmp_path):
+    path = tmp_path / "cr.table"
+    table = table_of_rows((("id", "integer"), ("price", "real"), ("name", "string")),
+                          [(1, 2.5, "a\rb"), (-7, -0.0, "c"), (3, 1e16, "")])
+    save_dataset(table, str(path))
+    assert _sha256(path) == "1137e121118c6de7e1b389df94e278622bfe225c404b0923b6a0ff064d6d7487"
+
+
 # 9000 values: the binary body spans more than one pack chunk.
 @pytest.mark.parametrize("payload, expected", [
     (Matrix(3, 3000, [i / 7 - 600 for i in range(9000)]),
@@ -115,6 +128,62 @@ def test_analyze_report_bytes_pinned(tmp_path):
     assert main(["--quiet", "analyze", "--events", str(dump), "-o", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "9936f9c3bbc007d33136138cbba2bcadbd9a5c1d280ffe2393993f7191d3d6b8"
+
+
+# ---------------------------------------------------------------------------
+# CSV output bytes
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_csv_bytes_pinned(tmp_path, monkeypatch):
+    # Every invocation is timed at 1000 ns, so wall_ns is fixed too.
+    ticks = itertools.count(0, 1000)
+    monkeypatch.setattr(workload, "time", types.SimpleNamespace(perf_counter_ns=ticks.__next__))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.csv"
+    assert main(["--quiet", "--csv", "run", "--spec", shipped_spec_path("index"),
+                 "--repeat", "2", "--report", str(out)]) == 0
+    assert _sha256(out) == "496073ab3c2801e78b06315ac9061ccc432f73e0fa92f8c66e6d06c2d2f5a2f8"
+
+
+# A metric named with a CR has every field quoted, the float values too.
+@pytest.mark.parametrize("tree, expected", [
+    (None, "11bced1bbab42e9f15cc0f595436d595b2a5496ea822851533871a9b65d01401"),
+    ([{"name": "A\rB", "formula": "uops_retired / meta.cycles", "expected_fraction": False}],
+     "895d69cdcc6fa47ee962f35b46ab9836fdf4ab06b3181b2476aea04a7ebf658b"),
+], ids=["builtin", "cr-metric"])
+def test_analyze_csv_bytes_pinned(tree, expected, tmp_path):
+    dump, out = tmp_path / "golden.csv", tmp_path / "flat.csv"
+    write_sample(random_valid_sample(random.Random(7)), str(dump))
+    argv = ["--quiet", "--csv", "analyze", "--events", str(dump), "-o", str(out)]
+    if tree is not None:
+        (tmp_path / "tree.json").write_text(json.dumps(tree))
+        argv += ["--tree", str(tmp_path / "tree.json")]
+    assert main(argv) == 0
+    assert _sha256(out) == expected
+
+
+def test_cluster_csv_bytes_pinned(tmp_path):
+    metrics, out = tmp_path / "metrics.csv", tmp_path / "merges.csv"
+    metrics.write_text("label,m0,m1,m2\na0,0,0,0\na1,0.01,0.02,0\nb0,5,5,5.5\n"
+                       "b1,5.1,4.9,5\nc0,-3,2,0.125\n")
+    assert main(["--quiet", "--csv", "cluster", "--metrics", str(metrics), "-o", str(out)]) == 0
+    assert _sha256(out) == "afe99a52595ed7e9294cc8ac644ee00870bb67168ff1a785988e2619d14cfb14"
+
+
+def test_vector_out_bytes_pinned(tmp_path):
+    # The first row creates the file; the second, labelled with a CR, is
+    # appended with every field quoted, and the third after it.
+    out = tmp_path / "metrics.csv"
+    for i, label in enumerate(("r0", "r\r1", "r2")):
+        dump = tmp_path / f"d{i}.csv"
+        write_sample(random_valid_sample(random.Random(i)), str(dump))
+        assert main(["--quiet", "analyze", "--events", str(dump), "--label", label,
+                     "--vector-out", str(out)]) == 0
+    assert _sha256(out) == "133a9351516397f20dba262ff167ffc527684bbd94bf80d68f50b645c4132d1b"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ encodes as its cells do one at a time; a table built from its columns reads
 back, through its rows view, the rows the columns were cut from; each table
 kernel returns what its row-form reference in tests/oracles.py returns; a
 corpus, table or key-value set with one bad value is refused or stored just
-as the scalar loops in tests/oracles.py do; and a line-based file with one
-refused value is refused on that value's line, with the payload's message.
+as the scalar loops in tests/oracles.py do; a line-based file with one
+refused value is refused on that value's line, with the payload's message;
+and a CSV record of floats is written as the record of their reprs.
 """
 
 import csv
@@ -28,6 +29,7 @@ from motifbench.dataio import (
     payload_size,
     read_input,
     save_dataset,
+    write_csv_record,
 )
 from motifbench.datasets import (
     TABLE_KINDS,
@@ -145,6 +147,19 @@ def test_payload_size_is_the_canonical_length(payload):
                              [(-0.0, -1, 2**63 - 1), (1e-300, -2**63, 0)]))
 def test_canonical_bytes_of_a_table_as_encoded_cell_by_cell(table):
     assert canonical_bytes(table) == scalar_table_bytes(table)
+
+
+# The csv module writes a float as its repr, so writers may pass floats as
+# they are; CRs in the string fields switch the record to QUOTE_ALL.
+@settings(max_examples=500, deadline=None)
+@given(record=st.lists(st.floats() | st.integers()
+                       | st.text(st.sampled_from('a,"\r\n é')) | st.text(), min_size=1))
+@example(record=[-0.0, 5e-324, 1e16, 1.7976931348623157e308, "a\rb"])
+def test_a_record_of_floats_is_written_as_the_record_of_their_reprs(record):
+    as_floats, as_reprs = io.StringIO(), io.StringIO()
+    write_csv_record(as_floats, record)
+    write_csv_record(as_reprs, [repr(f) if type(f) is float else f for f in record])
+    assert as_floats.getvalue() == as_reprs.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
