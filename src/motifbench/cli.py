@@ -17,8 +17,7 @@ import os
 import sys
 
 from . import generators, workload
-from .dataio import (checksum_hex, checksum_payload, open_output, save_dataset,
-                     write_csv_record)
+from .dataio import checksum_hex, checksum_payload, open_output, save_dataset, write_csv
 from .datasets import ALL_KINDS, Payload
 from .errors import EventError, InvariantError, MotifBenchError, SpecError
 from .kernels import SAME_AS_INPUT, kernels_by_family
@@ -70,13 +69,6 @@ def _fail(message: str) -> None:
 def _write_json(path: str, doc: dict):
     with open_output(path) as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _write_csv(path: str, header: list, rows):
-    with open_output(path) as fh:
-        write_csv_record(fh, header)
-        for row in rows:
-            write_csv_record(fh, row)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +189,9 @@ def cmd_run(args) -> int:
     if args.report:
         if args.csv:
             fields = workload.InvocationRecord._fields
-            _write_csv(args.report, ["workload", "repeat", *fields],
-                       ([doc["workload"], rep["repeat"], *(inv[f] for f in fields)]
-                        for rep in doc["repeats"] for inv in rep["invocations"]))
+            write_csv(args.report, ["workload", "repeat", *fields],
+                      ([doc["workload"], rep["repeat"], *(inv[f] for f in fields)]
+                       for rep in doc["repeats"] for inv in rep["invocations"]))
         else:
             _write_json(args.report, doc)
     total_ms = sum(r.total_ns for r in reports) / 1e6
@@ -246,25 +238,20 @@ def cmd_analyze(args) -> int:
     tree = topdown.builtin_tree() if args.tree == "builtin" else topdown.load_tree(args.tree)
 
     breakdown = topdown.evaluate_tree(sample, tree)
-    ipc_value = topdown.ipc(sample)
-    mlp_value = topdown.mlp(sample)
-    extras = []
-    if "ms_uops" in sample.events and "uops_retired" in sample.events:
-        extras.append(("ms_uops_ratio", topdown.ms_uops_ratio(sample)))
-    vector = topdown.to_metric_vector(breakdown, ipc_value, mlp_value, sample.label, tuple(extras))
+    scalars = topdown.scalar_metrics(sample)
+    vector = topdown.to_metric_vector(breakdown, scalars, sample.label)
 
     _say(args, f"label: {sample.label}  (width {sample.width}, cycles {sample.cycles:g})")
     for node in breakdown.children:
         _say(args, f"  {node.name:<16} {node.fraction:.3f}")
-    _say(args, f"  {'IPC':<16} {ipc_value:.3f}")
-    _say(args, f"  {'MLP':<16} {mlp_value:.3f}")
+    _say(args, f"  {'IPC':<16} {scalars['ipc']:.3f}")
+    _say(args, f"  {'MLP':<16} {scalars['mlp']:.3f}")
 
     if args.output and args.csv:
-        _write_csv(args.output, ["metric", "value"],
-                   ([name, repr(value)] for name, value in zip(vector.names, vector.values)))
+        write_csv(args.output, ["metric", "value"], zip(vector.names, vector.values))
     elif args.output:
         doc = {"label": sample.label, "width": sample.width, "cycles": sample.cycles,
-               "breakdown": breakdown, "ipc": ipc_value, "mlp": mlp_value, **dict(extras)}
+               "breakdown": breakdown, **scalars}
         with open_output(args.output) as fh:
             fh.write(topdown.analysis_json(doc))
     if args.vector_out:
@@ -307,8 +294,7 @@ def cmd_cluster(args) -> int:
         }
     if args.output:
         if args.csv:
-            _write_csv(args.output, ["a", "b", "distance", "new_id", "size"],
-                       ([m.a, m.b, repr(m.distance), m.new_id, m.size] for m in dendrogram.merges))
+            write_csv(args.output, similarity.MergeStep._fields, dendrogram.merges)
         else:
             _write_json(args.output, doc)
     _say(args, similarity.render_dendrogram(dendrogram, labels))

@@ -227,14 +227,12 @@ def save_dataset(payload: Payload, path: str, text_matrix: bool = False):
             fh.write(",".join(f"{n}:{k}" for n, k in payload.schema) + "\n")
             # csv quotes a field only for the characters of its line terminator,
             # but a bare CR in a string cell would read back as a line break
-            kinds = [k for _, k in payload.schema]
             has_cr = any(k == "string" and "\r" in "".join(col)
-                         for k, col in zip(kinds, payload.columns))
+                         for (_, k), col in zip(payload.schema, payload.columns))
             quoting = csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
             writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
-            # repr round-trips binary64 exactly through float()
-            writer.writerows(zip(*(map(repr if k == "real" else str, col)
-                                   for k, col in zip(kinds, payload.columns))))
+            # csv writes a float as its repr, which float() reads back exactly
+            writer.writerows(zip(*payload.columns))
         elif binary:
             dims = (payload.rows, payload.cols) if isinstance(payload, Matrix) else payload.shape
             fh.write(f"#{kind} v1 {' '.join(map(str, dims))}\n".encode("ascii"))
@@ -303,13 +301,22 @@ def csv_records(text, path: str, line: int = 1):
         raise FormatError(f"bad CSV record ({exc})", path=path, line=line) from None
 
 
-def write_csv_record(fh, record: list):
-    """Write one CSV record, the form csv_records reads back. csv quotes a
-    field only for the characters of its line terminator, but a bare CR
-    would read back as a line break: a record holding one has every field
-    quoted, as save_dataset quotes a table's cells."""
-    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, record)) else csv.QUOTE_MINIMAL
+def write_csv_record(fh, record):
+    """Write one CSV record of str, int and float fields (a float as its repr),
+    the form csv_records reads back. csv quotes only for its line terminator,
+    but a bare CR would read back as a line break: a string holding one has
+    every field quoted, as save_dataset quotes a table's cells."""
+    has_cr = "\r" in "".join([field for field in record if type(field) is str])
+    quoting = csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL
     csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(record)
+
+
+def write_csv(path: str, header, rows):
+    """Write the header and then each row as a CSV file, by write_csv_record."""
+    with open_output(path) as fh:
+        write_csv_record(fh, header)
+        for row in rows:
+            write_csv_record(fh, row)
 
 
 def _wrap_invariant(path: str, line_of, fn, *args):

@@ -12,7 +12,8 @@ min/max, math.isfinite over all values, one join scanned for reserved
 characters and encoded as UTF-8); only after a check fails does a Python
 scan name the bad value, and the error's `index` gives its position.
 TABLE_KINDS holds each table column kind's column check and text parser.
-Record is the base of motifbench's validating record classes.
+Record is the base of motifbench's validating record classes; MetricVector,
+analyze's output and cluster's input, is here so cluster needs no topdown.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from itertools import chain
 from typing import Callable, NamedTuple, Union
 
-from .errors import InvariantError
+from .errors import EventError, InvariantError
 
 
 class Record:
@@ -56,6 +57,18 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MetricVector(Record):
+    __slots__ = _fields = ("label", "names", "values")
+
+    def __init__(self, label: str, names: tuple[str, ...], values: tuple[float, ...]):
+        if len(names) != len(values):
+            raise EventError("metric vector names/values length mismatch")
+        for name, value in zip(names, values):
+            if not math.isfinite(value):
+                raise EventError(f"metric {name!r} has non-finite value {value!r}")
+        self._set(label=label, names=names, values=values)
 
 
 # Payload kind tags, used by the kernel registry and workload type-checker.

@@ -29,11 +29,10 @@ import sys
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .dataio import _decode, csv_records, open_output, read_input, write_csv_record
-from .datasets import Record
+from .dataio import _decode, csv_records, read_input, write_csv, write_csv_record
+from .datasets import MetricVector, Record
 from .errors import EventError, InvariantError
 from .params import LINKAGES
-from .topdown import MetricVector
 
 QL_MAX_ITERATIONS = 30  # per eigenvalue, as in Numerical Recipes' tqli
 
@@ -373,10 +372,7 @@ def write_vectors_csv(path: str, vectors: list[MetricVector]):
     for v in vectors[1:]:
         if v.names != names:
             raise InvariantError(f"metric orderings differ at {v.label!r}")
-    with open_output(path) as fh:
-        write_csv_record(fh, ["label", *names])
-        for v in vectors:
-            write_csv_record(fh, [v.label, *map(repr, v.values)])
+    write_csv(path, ["label", *names], ([v.label, *v.values] for v in vectors))
 
 
 def append_vector_csv(path: str, vector: MetricVector):
@@ -400,7 +396,7 @@ def append_vector_csv(path: str, vector: MetricVector):
                 fh.seek(-1, os.SEEK_END)  # a record was read, so the file is not empty
                 if fh.read(1) != b"\n":
                     row.write("\n")
-                write_csv_record(row, [vector.label, *map(repr, vector.values)])
+                write_csv_record(row, [vector.label, *vector.values])
                 fh.write(row.getvalue().encode("utf-8"))
                 return
     write_vectors_csv(path, [vector])

@@ -30,7 +30,7 @@ import os
 from typing import NamedTuple, Optional
 
 from .dataio import read_input
-from .datasets import Record
+from .datasets import MetricVector, Record
 from .errors import EventError, FormulaError, MissingEventsError
 from .floatsum import left_sum
 
@@ -189,10 +189,10 @@ def parse_sample(text: str, path: str = "<sample>",
                  mapping: Optional[dict[str, str]] = None) -> EventSample:
     """Parse an event dump: CSV lines 'event_name,count', metadata lines
     '#meta key=value' (keys width, cycles, label). A 'cycles' event row also
-    sets the cycle count. Empty or duplicate event names and duplicate
-    metadata keys are errors. A mapping of abstract to platform counter names
-    is applied before validation so a platform-named cycles counter still
-    satisfies the cycles requirement."""
+    sets the cycle count. Empty or duplicate event names and unknown or
+    duplicate metadata keys are errors. A mapping of abstract to platform
+    counter names is applied before validation so a platform-named cycles
+    counter still satisfies the cycles requirement."""
     events: dict[str, float] = {}
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -205,6 +205,8 @@ def parse_sample(text: str, path: str = "<sample>",
                 raise EventError(f"bad metadata line {line!r}", path=path, line=lineno)
             key, _, value = body.partition("=")
             key = key.strip()
+            if key not in ("width", "cycles", "label"):
+                raise EventError(f"unknown metadata key {key!r}", path=path, line=lineno)
             if key in meta:
                 raise EventError(f"duplicate metadata key {key!r}", path=path, line=lineno)
             meta[key] = value.strip()
@@ -361,20 +363,23 @@ class BreakdownNode(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # tree config files: a JSON node object {name, formula, expected_fraction,
-# negative_ok, children:[...]} or a list of such objects (multiple roots)
+# negative_ok, children:[...]} with no other key, or a list of them (roots)
 
 
-_NODE_FIELDS = (("name", str), ("formula", str), ("expected_fraction", bool),
-                ("negative_ok", bool), ("children", list))
+_NODE_FIELDS = {"name": str, "formula": str, "expected_fraction": bool,
+                "negative_ok": bool, "children": list}
 
 
 def _node_from_json(obj: dict) -> MetricNode:
     if not isinstance(obj, dict) or "name" not in obj or "formula" not in obj:
         raise EventError(f"tree node needs 'name' and 'formula': {obj!r}")
-    for key, want in _NODE_FIELDS:
-        if key in obj and not isinstance(obj[key], want):
+    for key, value in obj.items():
+        want = _NODE_FIELDS.get(key)
+        if want is None:
+            raise EventError(f"tree node {obj['name']!r}: unknown key {key!r}")
+        if not isinstance(value, want):
             raise EventError(f"tree node {obj['name']!r}: {key!r} must be a "
-                             f"{want.__name__}, got {obj[key]!r}")
+                             f"{want.__name__}, got {value!r}")
     return MetricNode(
         name=obj["name"],
         formula=obj["formula"],
@@ -530,34 +535,25 @@ def ms_uops_ratio(sample: EventSample) -> float:
     return ms_uops / retired if retired != 0 else 0.0
 
 
+def scalar_metrics(sample: EventSample) -> dict[str, float]:
+    """The companion scalars of a sample, in output order: ipc and mlp, then
+    ms_uops_ratio when the sample counts both ms_uops and uops_retired."""
+    scalars = {"ipc": ipc(sample), "mlp": mlp(sample)}
+    if "ms_uops" in sample.events and "uops_retired" in sample.events:
+        scalars["ms_uops_ratio"] = ms_uops_ratio(sample)
+    return scalars
+
+
 # ---------------------------------------------------------------------------
 # metric vectors
 
 
-class MetricVector(Record):
-    __slots__ = _fields = ("label", "names", "values")
-
-    def __init__(self, label: str, names: tuple[str, ...], values: tuple[float, ...]):
-        if len(names) != len(values):
-            raise EventError("metric vector names/values length mismatch")
-        for name, value in zip(names, values):
-            if not math.isfinite(value):
-                raise EventError(f"metric {name!r} has non-finite value {value!r}")
-        self._set(label=label, names=names, values=values)
-
-
-def to_metric_vector(
-    breakdown: BreakdownNode,
-    ipc_value: float,
-    mlp_value: float,
-    label: str,
-    extras: tuple = (),
-) -> MetricVector:
-    """Deterministic pre-order flattening of all tree fractions plus the
-    scalar metrics; the synthetic container root is not a metric and is
-    skipped. extras appends further (name, value) pairs, e.g. ms_uops_ratio."""
+def to_metric_vector(breakdown: BreakdownNode, scalars: dict[str, float],
+                     label: str) -> MetricVector:
+    """Deterministic pre-order flattening of all tree fractions, then the
+    scalar metrics (name -> value) in their order; the synthetic container
+    root is not a metric and is skipped."""
     roots = breakdown.children if breakdown.name == "pipeline" else (breakdown,)
-    pairs = [(node.name, node.fraction) for node, _ in _preorder(roots)]
-    pairs += [("ipc", ipc_value), ("mlp", mlp_value), *extras]
-    names, values = zip(*pairs)
+    names, values = zip(*[(node.name, node.fraction) for node, _ in _preorder(roots)],
+                        *scalars.items())
     return MetricVector(label, names, values)

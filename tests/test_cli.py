@@ -903,6 +903,34 @@ def test_analyze_csv_with_a_cr_in_a_metric_name_reads_back(tmp_path):
     assert {len(record) for record in records} == {2}
 
 
+# ipc and mlp always; ms_uops_ratio only from a dump that counts both of its
+# events. A tree on instructions_retired alone lets the dump leave them out.
+@pytest.mark.parametrize("dropped, scalars", [
+    ((), ["ipc", "mlp", "ms_uops_ratio"]),
+    (("ms_uops", "uops_retired"), ["ipc", "mlp"]),
+], ids=["with-ms-uops", "without"])
+def test_every_analyze_output_lists_the_same_scalars(tmp_path, dropped, scalars):
+    tree, dump = tmp_path / "tree.json", tmp_path / "d.csv"
+    tree.write_text(json.dumps({"name": "Ipc", "formula": "instructions_retired / meta.cycles",
+                                "expected_fraction": False}))
+    sample = golden_sample(0.3)
+    for event in dropped:
+        sample = _without(sample, event)
+    write_sample(sample, str(dump))
+    base = ["--quiet", "analyze", "--events", str(dump), "--tree", str(tree)]
+    assert run_cli(*base, "-o", str(tmp_path / "a.json"), "--vector-out",
+                   str(tmp_path / "m.csv")) == 0
+    assert run_cli("--csv", *base, "-o", str(tmp_path / "a.csv")) == 0
+    doc = json.loads((tmp_path / "a.json").read_text())
+    keys = list(doc)
+    assert keys[keys.index("breakdown") + 1:] == scalars
+    rows = _csv_file_records(tmp_path / "a.csv")
+    assert [row[0] for row in rows[-len(scalars):]] == scalars
+    assert [row[0] for row in rows[1:-len(scalars)]] == ["Ipc"]
+    header = _csv_file_records(tmp_path / "m.csv")[0]
+    assert header[-len(scalars):] == scalars and header[:-len(scalars)] == ["label", "Ipc"]
+
+
 def test_analyze_csv_flattening(tmp_path):
     dump = tmp_path / "d.csv"
     write_sample(ideal_sample(), str(dump))
@@ -1108,6 +1136,8 @@ _REFUSED_ENTRY = {
                               "expected 'event_name,count', got ',5'", "analyze --events {path}"),
     "event-dump-meta": ("d.csv", "#meta width=4\n#meta width=8\ncycles,10\n", 2,
                         "duplicate metadata key 'width'", "analyze --events {path}"),
+    "event-dump-unknown-meta": ("d.csv", "#meta cycles=100\n#meta widht=8\nuops_retired,5\n",
+                                2, "unknown metadata key 'widht'", "analyze --events {path}"),
     "table-schema": ("t", "#table v1\nid:integer,,x:real,\n1,2.0\n", 2,
                      "bad schema entry ''", "run --spec {spec}"),
 }
@@ -1198,6 +1228,25 @@ def test_cli_import_loads_no_module_that_only_some_commands_need():
     assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
+def _modules_loaded_by(argv: list, cwd) -> tuple[list, list]:
+    """In a fresh interpreter, `import motifbench.cli` and then main(argv),
+    which must exit 0: the ANALYSIS_MODULES loaded, and the motifbench
+    modules main loaded past the cli import."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import motifbench.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert motifbench.cli.main({argv!r}) == 0\n"
+        f"print(json.dumps([[m for m in {ANALYSIS_MODULES!r} if m in sys.modules],\n"
+        "                  sorted(m for m in set(sys.modules) - before\n"
+        "                         if m.partition('.')[0] == 'motifbench')]))\n"
+    )
+    result = fresh_python(["-c", code], cwd)
+    assert (result.returncode, result.stderr) == (0, "")
+    return tuple(json.loads(result.stdout))
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--spec", motifbench.shipped_spec_path("index")],
     ["generate", "text", "--bytes", "300", "-o", "corpus.txt"],
@@ -1209,21 +1258,20 @@ def test_commands_that_never_analyze_load_nothing_past_the_cli_import(tmp_path, 
     # No analysis module, and no motifbench module at all: run and generate
     # execute what `import motifbench.cli` loads, so deferring more of it
     # would show here.
-    code = (
-        "import contextlib, io, json, sys\n"
-        "import motifbench.cli\n"
-        "before = set(sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert motifbench.cli.main({argv!r}) == 0\n"
-        f"print(json.dumps([[m for m in {ANALYSIS_MODULES!r} if m in sys.modules],\n"
-        "                  sorted(m for m in set(sys.modules) - before\n"
-        "                         if m.partition('.')[0] == 'motifbench')]))\n"
-    )
-    result = fresh_python(["-c", code], tmp_path)
-    assert (result.returncode, result.stderr) == (0, "")
-    analysis, loaded = json.loads(result.stdout)
-    assert analysis == []
-    assert loaded == []
+    assert _modules_loaded_by(argv, tmp_path) == ([], [])
+
+
+def test_cluster_loads_similarity_but_not_topdown_or_ast(tmp_path):
+    analysis, _ = _modules_loaded_by(["cluster", "--metrics", _metrics_csv(tmp_path)], tmp_path)
+    assert analysis == ["motifbench.similarity"]
+
+
+def test_analyze_without_vector_out_does_not_load_similarity(tmp_path):
+    dump = tmp_path / "d.csv"
+    write_sample(golden_sample(0.3), str(dump))
+    analysis, _ = _modules_loaded_by(["analyze", "--events", str(dump), "-o", "a.json"],
+                                     tmp_path)
+    assert analysis == ["motifbench.topdown", "ast"]
 
 
 def test_analysis_commands_import_what_they_call_in_a_fresh_process(tmp_path):

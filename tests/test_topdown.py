@@ -236,6 +236,9 @@ DUMP_ERRORS = {
     "duplicate-meta": (
         load_sample, "#meta width=4\ncycles,10\n#meta width=8\n",
         ":3: duplicate metadata key 'width'"),
+    # a misspelt key would otherwise leave its default in force
+    "unknown-meta": (
+        load_sample, "\n#meta widht=8\n#meta cycles=100\n", ":2: unknown metadata key 'widht'"),
     "bad-count": (load_sample, "cycles,10\nx, ten \n", ":2: bad count 'ten'"),
     "bad-meta-value": (
         load_sample, "#meta width=abc\ncycles,10\n",
@@ -434,6 +437,7 @@ def test_tree_references_to_earlier_metrics_are_not_events():
     {"name": "A", "formula": 0.5},
     {"name": "A", "formula": "1", "negative_ok": "false"},
     {"name": "A", "formula": "1", "expected_fraction": 1},
+    {"name": "A", "formula": "uops_retired / meta.cycles", "expected_fracton": False},
     {"name": "A", "formula": "1", "children": [{"name": "B", "formula": None}]},
 ])
 def test_tree_from_json_rejects_bad_shapes(doc):
@@ -456,8 +460,12 @@ def test_tree_from_json_rejects_bad_shapes(doc):
      "tree deeper than 5 levels at 'n5'"),
     ('[{"name": "A", "formula": "B"}, {"name": "B", "formula": "1"}]', FormulaError,
      "A: formula names 'B', which is not evaluated before it"),
+    ('{"name": "A", "formula": "1", "expected_fracton": false}', EventError,
+     "tree node 'A': unknown key 'expected_fracton'"),
+    ('{"name": "A", "formula": "1", "children": [{"name": "B", "formula": "1", "kids": []}]}',
+     EventError, "tree node 'B': unknown key 'kids'"),
 ], ids=["no-root", "number", "no-formula", "unknown-metadata", "bad-json", "field-type",
-        "duplicate-name", "six-levels", "forward-reference"])
+        "duplicate-name", "six-levels", "forward-reference", "unknown-key", "unknown-child-key"])
 def test_load_tree_names_its_file_in_a_tree_error(tmp_path, text, error, message):
     path = tmp_path / "tree.json"
     path.write_text(text)
@@ -683,7 +691,7 @@ def test_vector_length_is_node_count_plus_two():
     rng = random.Random(3)
     sample = random_valid_sample(rng)
     root = evaluate_tree(sample, tree)
-    vec = to_metric_vector(root, ipc(sample), mlp(sample), "w")
+    vec = to_metric_vector(root, {"ipc": ipc(sample), "mlp": mlp(sample)}, "w")
     assert len(vec.names) == len(metric_names(tree)) + 2
     assert vec.names[-2:] == ("ipc", "mlp")
 
@@ -693,8 +701,8 @@ def test_vector_ordering_is_stable_across_samples():
     rng = random.Random(4)
     a = random_valid_sample(rng)
     b = random_valid_sample(rng)
-    va = to_metric_vector(evaluate_tree(a, tree), ipc(a), mlp(a), "a")
-    vb = to_metric_vector(evaluate_tree(b, tree), ipc(b), mlp(b), "b")
+    va = to_metric_vector(evaluate_tree(a, tree), {"ipc": ipc(a), "mlp": mlp(a)}, "a")
+    vb = to_metric_vector(evaluate_tree(b, tree), {"ipc": ipc(b), "mlp": mlp(b)}, "b")
     assert va.names == vb.names
 
 
@@ -708,7 +716,7 @@ def test_vector_preorder_on_toy_tree():
         )
     )
     sample = EventSample({"a": 100, "b": 60, "c": 40}, width=4, cycles=1000)
-    vec = to_metric_vector(evaluate_tree(sample, tree), 1.0, 2.0, "toy")
+    vec = to_metric_vector(evaluate_tree(sample, tree), {"ipc": 1.0, "mlp": 2.0}, "toy")
     assert vec.names == ("A", "B", "C", "ipc", "mlp")
     assert vec.values == (0.1, 0.06, 0.04, 1.0, 2.0)
 
@@ -716,7 +724,7 @@ def test_vector_preorder_on_toy_tree():
 def test_vector_extras_appended():
     sample = golden_sample(0.3)
     root = evaluate_tree(sample, builtin_tree())
-    vec = to_metric_vector(root, 1.0, 0.0, "g", extras=(("ms_uops_ratio", 0.25),))
+    vec = to_metric_vector(root, {"ipc": 1.0, "mlp": 0.0, "ms_uops_ratio": 0.25}, "g")
     assert vec.names[-1] == "ms_uops_ratio" and vec.values[-1] == 0.25
 
 
