@@ -355,6 +355,27 @@ def test_md5_digests_lane_blocks_close_on_either_cap(monkeypatch):
     assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
 
 
+def test_md5_digests_lane_block_of_few_long_runs():
+    # 300 records each of one, two and three MD5 blocks, shuffled: sorted
+    # longest first, the lane block holds three long runs of equal block count.
+    rng = random.Random(9)
+    records = [bytes(rng.randrange(256) for _ in range(rng.randint(lo, lo + 55)))
+               for lo in (0, 56, 120) for _ in range(300)]
+    rng.shuffle(records)
+    assert md5_digests(records) == [hashlib.md5(x).digest() for x in records]
+
+
+def test_md5_corpus_non_ascii_lines():
+    # UTF-8 lengths differ from str lengths, so a line's block count is its
+    # encoded length's: 20 two-byte characters pad to one block, 30 to two.
+    rng = random.Random(10)
+    alphabet = "aé☕日" + string.ascii_letters
+    lines = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+             for _ in range(500)] + ["é" * 20, "é" * 30, "☕" * 19, "日" * 40]
+    want = tuple(hashlib.md5(line.encode("utf-8")).hexdigest() for line in lines)
+    assert md5_corpus(TextCorpus(lines)).documents == want
+
+
 def test_md5_lane_carry_stays_in_its_lane():
     # Pick the first message word so that step 1 computes f = 0xFFFFFFFF in
     # every lane. Then the rotation leaves the lane above's low bits, all
