@@ -281,26 +281,36 @@ ITEM_SCHEMA = (
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-def gen_table(orders: int, items: int, rng_seed: int) -> Iterator[Table]:
-    """ORDER, then ITEM, each drawn and built only when taken from the
-    iterator; every ITEM.order_id resolves to an ORDER row and goods_amount
-    is exactly goods_number * goods_price. ORDER's rows draw each buyer and
-    create_date by bounded() (a day's bound depends on the month drawn
-    before it); ITEM's rows then draw each order, goods, number and price
-    cents, each 1 + a draw, from the same stream."""
-    rng = SplitMix64(rng_seed)
+def _order_columns(rng: SplitMix64, orders: int) -> tuple:
+    """ORDER's columns: each row draws its buyer and create_date by
+    bounded() (a day's bound depends on the month drawn before it)."""
     buyers, dates = [], []
     with rng.bounded() as below:
         for _ in range(orders):
             buyers.append(1 + below(orders))
             month = below(12)
             dates.append(f"2023-{month + 1:02d}-{1 + below(_DAYS_IN_MONTH[month]):02d}")
-    yield Table(ORDER_SCHEMA, (range(1, orders + 1), buyers, dates))
+    return range(1, orders + 1), buyers, dates
+
+
+def _item_table(rng: SplitMix64, orders: int, items: int) -> Table:
+    """ITEM: each row draws its order, goods, number and price cents, each
+    1 + a draw."""
     cells = list(map(add, rng.belows((orders, 10000, 10, 99999), items), repeat(1)))
     numbers = cells[2::4]
     prices = list(map(truediv, cells[3::4], repeat(100.0)))
-    yield Table(ITEM_SCHEMA, (range(1, items + 1), cells[0::4], cells[1::4],
-                              numbers, prices, map(mul, numbers, prices)))
+    return Table(ITEM_SCHEMA, (range(1, items + 1), cells[0::4], cells[1::4],
+                               numbers, prices, map(mul, numbers, prices)))
+
+
+def gen_table(orders: int, items: int, rng_seed: int) -> Iterator[Table]:
+    """ORDER, then ITEM, each drawn and built only when taken from the
+    iterator, ITEM's rows from the same stream after ORDER's; every
+    ITEM.order_id resolves to an ORDER row and goods_amount is exactly
+    goods_number * goods_price."""
+    rng = SplitMix64(rng_seed)
+    yield Table(ORDER_SCHEMA, _order_columns(rng, orders))
+    yield _item_table(rng, orders, items)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +394,8 @@ def make_genspec(kind: str, raw_params: dict) -> GenSpec:
 def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
     """Run the generator described by a GenSpec: gen_<kind>, looked up in the
     module at call time, with the checked params by name; a table's `which`
-    takes ORDER, or ITEM after it, from gen_table's pair."""
+    takes ORDER from gen_table's pair, or draws ITEM after ORDER's draws
+    without building ORDER's table."""
     p = spec.param_dict()
     if "corpus" in p:
         path = resolve_path(p["corpus"], base_dir)
@@ -392,8 +403,9 @@ def materialize(spec: GenSpec, base_dir: str | None = None) -> Dataset:
         if not isinstance(p["corpus"], TextCorpus):
             raise InvariantError(f"seed corpus {path!r} is not a text corpus")
     which = p.pop("which", None)
+    if which == "item":
+        rng = SplitMix64(spec.rng_seed)
+        _order_columns(rng, p["orders"])
+        return Dataset(_item_table(rng, **p))
     made = globals()[f"gen_{spec.kind}"](**p, rng_seed=spec.rng_seed)
-    if which is None:
-        return Dataset(made)
-    order = next(made)
-    return Dataset(order if which == "order" else next(made))
+    return Dataset(made if which is None else next(made))

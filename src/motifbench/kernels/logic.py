@@ -36,11 +36,25 @@ high ones, have their digests copied out of the state ints, and the state
 is masked down to the live prefix. Every step then works only on live
 lanes, so the work is the total number of record-blocks, not records times
 the longest record, and lanes stay wide whatever the spread of lengths.
-A lane block's padded messages are joined back to back, each record
-followed by its padding, without a padded copy of each record. Block j of
-every live record, 64 bytes each, is joined into one buffer; word g of each
-is one strided slice of its 4-byte units, copied into the low halves of a
-zeroed buffer of 64-bit lanes and read as one int.
+A lane block's padded messages are joined back to back in one pass, each
+record followed by the tail of its length (0x80, the zeros and its bit
+length), which is built once per distinct length.
+
+Block j's message words are gathered by runs. Sorted longest first, the
+records of equal block count form runs, and within a run each record's
+message starts 64 * blocks bytes after the one before. So word g of block j
+of every record in a run is one strided slice of the message's 4-byte
+units, copied straight into the low halves of a zeroed buffer of 64-bit
+lanes; after one such copy per live run the buffer is read as one int.
+Block j then costs 16 copies per live run, however many records a run
+holds. Long lines of mixed length make many runs of a record or two, and
+there those copies cost more than the records do. So when 16 * live runs
+exceeds the live lanes, block j of every live record, 64 bytes each, is
+first joined into one buffer, and each word g is one strided slice of it.
+The choice is made per block from the input.
+
+The digests leave the state ints in sorted order, 16 bytes a record, and
+one pass over the sort order puts them back in input order.
 
 Those copies only move bytes, so no lane needs a byteswap on big-endian
 hosts: message words, lanes and digests are built and taken apart with
@@ -55,7 +69,8 @@ work, and a C library call would measure only the call.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from collections import Counter
+from itertools import chain
 
 from ..datasets import Tensor, TextCorpus
 
@@ -115,28 +130,53 @@ def _message_words(message: bytes, starts: list, at: int) -> list[int]:
     return m
 
 
+def _run_words(words: memoryview, runs: list, live: int, at: int) -> list[int]:
+    """The same 16 lane ints for block at // 16 of the first `live` lanes,
+    from the message's 4-byte units `words`: each run (blocks, first lane,
+    end lane, first unit, end unit) holds records of `blocks` blocks back to
+    back, so word g of its lanes is one strided slice."""
+    lane_bytes = bytearray(8 * live)
+    low_halves = memoryview(lane_bytes).cast("I")[::2]
+    m = []
+    for g in range(at, at + 16):
+        for blocks, lo, hi, first, end in runs:
+            low_halves[lo:hi] = words[first + g:end:16 * blocks]
+        m.append(int.from_bytes(lane_bytes, "little"))
+    return m
+
+
 def _md5_lanes(records: list) -> bytes:
     """MD5 digests of byte strings sorted longest first, run as one lane
     block; returned as 16 bytes per record, in order."""
-    blocks = [(len(r) + 8) // 64 + 1 for r in records]
-    # The padded messages back to back: each record, 0x80, zeros and its bit
-    # length, joined without copying a record on its own.
-    message = b"".join([piece for r in records for piece in (
-        r, _PADDING[len(r) & 63], (len(r) << 3).to_bytes(8, "little"))])
-    starts = list(accumulate([64 * n for n in blocks], initial=0))
+    lengths = list(map(len, records))
+    per_length = Counter(lengths)
+    per_blocks = Counter()
+    for n, count in per_length.items():
+        per_blocks[(n + 72) // 64] += count
+    runs = []  # (blocks, first lane, end lane, first word, end word), longest first
+    lane = word = 0
+    for blocks, count in sorted(per_blocks.items(), reverse=True):
+        runs.append((blocks, lane, lane + count, word, word + 16 * blocks * count))
+        lane, word = lane + count, word + 16 * blocks * count
+    # The padded messages back to back: each record, then the tail of its
+    # length (0x80, zeros and its bit length), built once per length.
+    tails = {n: _PADDING[n & 63] + (n << 3).to_bytes(8, "little") for n in per_length}
+    message = b"".join(chain.from_iterable(zip(records, map(tails.__getitem__, lengths))))
+    words = memoryview(message).cast("I")
+    starts = []  # each record's first byte, made when a block first joins its records
     out = bytearray(16 * len(records))
     digest_words = memoryview(out).cast("I")
-    live = len(records)
+    live, live_runs = len(records), len(runs)
     ones = int.from_bytes(_LANE_ONE * live, "little")
     M = _MASK32 * ones
     a0, b0, c0, d0 = (v * ones for v in _IV)
-    for j in range(blocks[0] + 1):
-        if blocks[live - 1] == j:
+    for j in range(runs[0][0] + 1):
+        if runs[live_runs - 1][0] == j:
             # The lanes whose last block was j - 1 are the high ones: copy
             # their digests out and drop them from the state.
             done = live
-            while live and blocks[live - 1] == j:
-                live -= 1
+            live_runs -= 1
+            live = runs[live_runs][1]
             for w, lane_int in enumerate((a0, b0, c0, d0)):
                 ended = (lane_int >> 64 * live).to_bytes(8 * (done - live), "little")
                 digest_words[4 * live + w:4 * done:4] = memoryview(ended).cast("I")[::2]
@@ -145,7 +185,13 @@ def _md5_lanes(records: list) -> bytes:
             ones = int.from_bytes(_LANE_ONE * live, "little")
             M = _MASK32 * ones
             a0, b0, c0, d0 = a0 & M, b0 & M, c0 & M, d0 & M
-        m = _message_words(message, starts[:live], 64 * j)
+        if 16 * live_runs > live:
+            # Many short runs: join block j of each live record first.
+            starts = starts or list(chain.from_iterable(
+                range(4 * first, 4 * end, 64 * blocks) for blocks, _, _, first, end in runs))
+            m = _message_words(message, starts[:live], 64 * j)
+        else:
+            m = _run_words(words, runs[:live_runs], live, 16 * j)
         a, b, c, d = a0, b0, c0, d0
         for k, g, s, t in _ROUND1:
             f = ((d ^ (b & (c ^ d))) + a + k * ones + m[g]) & M
@@ -165,32 +211,42 @@ def _md5_lanes(records: list) -> bytes:
         d0 = (d0 + d) & M
 
 
-def md5_digests(records) -> list[bytes]:
-    """16-byte MD5 digests of byte strings (or any bytes-like objects), in
-    input order."""
-    records = [bytes(r) for r in records]
-    lengths = [len(r) for r in records]
-    # Longest first, so the lanes still live at any MD5 block are a prefix.
+def _md5_sorted(records: list) -> tuple[list[int], bytes]:
+    """The order that sorts byte strings longest first, and their digests
+    in that order, 16 bytes each."""
+    lengths = list(map(len, records))
     order = sorted(range(len(records)), key=lengths.__getitem__, reverse=True)
-    out = [b""] * len(records)
+    digests = []
     start = 0
     while start < len(order):
         # LANE_BLOCK records, or fewer when LANE_BYTES would not hold that
         # many at the padded length of the longest, which comes first
         width = LANE_BYTES // (lengths[order[start]] + 72)
         stop = start + min(max(width, 1), LANE_BLOCK)
-        lane_block = order[start:stop]
-        digests = _md5_lanes([records[i] for i in lane_block])
-        for i, at in zip(lane_block, range(0, len(digests), 16)):
-            out[i] = digests[at:at + 16]
+        digests.append(_md5_lanes(list(map(records.__getitem__, order[start:stop]))))
         start = stop
+    return order, b"".join(digests)
+
+
+def _in_input_order(items: list, order: list[int]) -> list:
+    """items[k] belongs to input record order[k]: put each in its place."""
+    out = [None] * len(items)
+    for i, item in zip(order, items):
+        out[i] = item
     return out
+
+
+def md5_digests(records) -> list[bytes]:
+    """16-byte MD5 digests of byte strings (or any bytes-like objects), in
+    input order."""
+    order, digests = _md5_sorted([bytes(r) for r in records])
+    return _in_input_order([digests[at:at + 16] for at in range(0, len(digests), 16)], order)
 
 
 def md5_corpus(corpus: TextCorpus) -> TextCorpus:
     """Per-record digests: one 32-char hex line per input line (UTF-8 bytes)."""
-    digests = md5_digests([line.encode("utf-8") for line in corpus.documents])
-    return TextCorpus([d.hex() for d in digests])
+    order, digests = _md5_sorted(list(map(str.encode, corpus.documents)))
+    return TextCorpus(_in_input_order(digests.hex(" ", 16).split(), order))
 
 
 def _sigmoid(v: float) -> float:

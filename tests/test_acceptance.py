@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-import motifbench
 from motifbench.cli import main as cli_main
 from motifbench.dataio import checksum_payload, load_dataset
 from motifbench.datasets import Graph, KeyValueSet, Matrix, Tensor, TextCorpus
@@ -73,6 +72,7 @@ from .oracles import (
     triple_loop_matmul,
     union_find_components,
 )
+from .shipped import SHIPPED_SPECS, shipped_spec_path
 from .topdown_samples import find_node, golden_sample, random_valid_sample, write_sample
 
 CASES = 100  # randomized instances per kernel
@@ -426,7 +426,7 @@ def test_criterion_5_generator_determinism_and_scale():
 
 def test_criterion_6_dag_composer_equivalence(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    spec = parse_spec_file(motifbench.shipped_spec_path("sift-like"))
+    spec = parse_spec_file(shipped_spec_path("sift-like"))
     reports = execute(spec, repeat=1)
 
     img = gen_matrix(64, 64, 11, "uniform", lo=0, hi=255)
@@ -534,9 +534,9 @@ def test_criterion_8_end_to_end_smoke(tmp_path, monkeypatch):
 
     retiring_by_spec = {"sift-like": 0.2, "pagerank": 0.3, "index": 0.4, "cnn-forward": 0.5}
     metrics_csv = tmp_path / "metrics.csv"
-    for name in motifbench.SHIPPED_SPECS:
+    for name in SHIPPED_SPECS:
         report = tmp_path / f"report-{name}.json"
-        assert cli_main(["run", "--spec", motifbench.shipped_spec_path(name),
+        assert cli_main(["run", "--spec", shipped_spec_path(name),
                          "--repeat", "3", "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["workload"] == name

@@ -17,6 +17,7 @@ from motifbench.kernels import KernelSpec
 from motifbench.kernels.sets import column_index
 from motifbench.similarity import read_vectors_csv
 
+from .shipped import SHIPPED_SPECS, shipped_spec_path
 from .test_dataio import fail_on_write
 from .topdown_samples import golden_sample, ideal_sample, write_sample
 
@@ -177,7 +178,7 @@ def test_run_shipped_spec_repeat3(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "report.json"
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("sift-like"),
+        "run", "--spec", shipped_spec_path("sift-like"),
         "--repeat", "3", "--report", str(report),
     )
     assert code == 0
@@ -206,7 +207,7 @@ def test_run_counters_files_averaged(tmp_path, monkeypatch):
         paths.append(str(p))
     report = tmp_path / "rep.json"
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "3",
+        "run", "--spec", shipped_spec_path("index"), "--repeat", "3",
         "--counters", "file:" + ",".join(paths), "--report", str(report),
     )
     assert code == 0
@@ -224,7 +225,7 @@ def test_run_counters_file_count_mismatch(tmp_path, capsys, monkeypatch):
     p = tmp_path / "c.csv"
     write_sample(sample, str(p))
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "2",
+        "run", "--spec", shipped_spec_path("index"), "--repeat", "2",
         "--counters", f"file:{p}",
     )
     assert code == 2
@@ -242,7 +243,7 @@ def test_run_counters_cmd_substitutes_placeholders(tmp_path, monkeypatch):
     )
     report = tmp_path / "rep.json"
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "run", "--spec", shipped_spec_path("index"),
         "--counters", f"cmd:{sys.executable} {collector} {{pid}} {{duration}}",
         "--duration", "2.5", "--report", str(report),
     )
@@ -255,7 +256,7 @@ def test_run_counters_cmd_substitutes_placeholders(tmp_path, monkeypatch):
 def test_run_counters_cmd_collector_failure_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "run", "--spec", shipped_spec_path("index"),
         "--counters", f'cmd:{sys.executable} -c "import sys; sys.exit(3)"',
     )
     assert code == 1
@@ -279,7 +280,7 @@ def test_run_counters_refused_before_any_input_exit_2(tmp_path, capsys, monkeypa
     monkeypatch.setattr(subprocess, "Popen", called)
     monkeypatch.setattr(generators, "materialize", called)
     report = tmp_path / "rep.json"
-    code = run_cli("run", "--spec", motifbench.shipped_spec_path("index"),
+    code = run_cli("run", "--spec", shipped_spec_path("index"),
                    "--counters", counters, "--report", str(report))
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -296,7 +297,7 @@ def test_run_counters_cmd_collector(tmp_path, monkeypatch):
     )
     report = tmp_path / "rep.json"
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "2",
+        "run", "--spec", shipped_spec_path("index"), "--repeat", "2",
         "--counters", f"cmd:{sys.executable} {collector} {{pid}} {{duration}}",
         "--duration", "0.1", "--report", str(report),
     )
@@ -320,7 +321,7 @@ def test_run_counters_cmd_materializes_inputs_once(tmp_path, monkeypatch):
     collector.write_text("print('cycles,1000')\n")
     report = tmp_path / "rep.json"
     code = run_cli(
-        "run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "3",
+        "run", "--spec", shipped_spec_path("index"), "--repeat", "3",
         "--counters", f"cmd:{sys.executable} {collector}", "--report", str(report),
     )
     assert code == 0
@@ -340,7 +341,7 @@ def test_run_validates_spec_once(tmp_path, monkeypatch):
         return real(spec, *args)
 
     monkeypatch.setattr(workload, "validate_spec", counting)
-    code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("index"),
+    code = run_cli("--quiet", "run", "--spec", shipped_spec_path("index"),
                    "--repeat", "3")
     assert code == 0
     assert calls == ["index"]
@@ -356,7 +357,7 @@ def test_run_coerces_each_invocations_params_once(tmp_path, monkeypatch):
         return real(self, raw)
 
     monkeypatch.setattr(KernelSpec, "coerce_params", counting)
-    code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("sift-like"),
+    code = run_cli("--quiet", "run", "--spec", shipped_spec_path("sift-like"),
                    "--repeat", "2")
     assert code == 0
     assert len(calls) == 6  # one per invocation: validation's dict is the one run
@@ -388,8 +389,8 @@ def test_run_counters_cmd_kernel_failure_waits_for_collector(tmp_path, capsys, m
 
 
 def test_validate_shipped_specs_exit_0(capsys):
-    for name in motifbench.SHIPPED_SPECS:
-        assert run_cli("validate", "--spec", motifbench.shipped_spec_path(name)) == 0
+    for name in SHIPPED_SPECS:
+        assert run_cli("validate", "--spec", shipped_spec_path(name)) == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -859,7 +860,7 @@ def test_cli_text_pinned(monkeypatch):
 
 def test_quiet_suppresses_summary(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = run_cli("--quiet", "run", "--spec", motifbench.shipped_spec_path("index"))
+    code = run_cli("--quiet", "run", "--spec", shipped_spec_path("index"))
     assert code == 0
     assert capsys.readouterr().out == ""
 
@@ -867,7 +868,7 @@ def test_quiet_suppresses_summary(tmp_path, capsys, monkeypatch):
 def test_run_csv_flattening(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "report.csv"
-    code = run_cli("--csv", "run", "--spec", motifbench.shipped_spec_path("index"),
+    code = run_cli("--csv", "run", "--spec", shipped_spec_path("index"),
                    "--repeat", "2", "--report", str(report))
     assert code == 0
     lines = report.read_text().splitlines()
@@ -1058,7 +1059,7 @@ def test_main_calls_do_not_share_state(tmp_path, capsys):
 
 def test_global_flags_accepted_after_subcommand(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = run_cli("run", "--spec", motifbench.shipped_spec_path("index"), "--quiet")
+    code = run_cli("run", "--spec", shipped_spec_path("index"), "--quiet")
     assert code == 0
     assert capsys.readouterr().out == ""
 
@@ -1248,10 +1249,10 @@ def _modules_loaded_by(argv: list, cwd) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--spec", motifbench.shipped_spec_path("index")],
+    ["run", "--spec", shipped_spec_path("index")],
     ["generate", "text", "--bytes", "300", "-o", "corpus.txt"],
     ["generate", "table", "--orders", "5", "--items", "9", "-o", "."],
-    ["validate", "--spec", motifbench.shipped_spec_path("index")],
+    ["validate", "--spec", shipped_spec_path("index")],
     ["list-motifs"],
 ], ids=["run", "generate-text", "generate-table", "validate", "list-motifs"])
 def test_commands_that_never_analyze_load_nothing_past_the_cli_import(tmp_path, argv):
@@ -1282,7 +1283,7 @@ def test_analysis_commands_import_what_they_call_in_a_fresh_process(tmp_path):
         dumps.append(str(tmp_path / f"c{i}.csv"))
         write_sample(golden_sample(retiring, label=f"r{i}"), dumps[-1])
     commands = [
-        ["run", "--spec", motifbench.shipped_spec_path("index"), "--repeat", "3",
+        ["run", "--spec", shipped_spec_path("index"), "--repeat", "3",
          "--counters", "file:" + ",".join(dumps), "--report", "report.json"],
         ["analyze", "--events", dumps[0], "-o", "breakdown.json"],
         *(["analyze", "--events", dump, "--vector-out", "m.csv"] for dump in dumps),

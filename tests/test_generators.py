@@ -6,7 +6,7 @@ import pytest
 
 from motifbench import generators
 from motifbench.dataio import checksum_hex, checksum_payload
-from motifbench.datasets import TextCorpus
+from motifbench.datasets import Table, TextCorpus
 from motifbench.errors import InvariantError
 from motifbench.generators import (
     DEFAULT_SEED_CORPUS,
@@ -371,6 +371,17 @@ def test_materialize_table_builds_only_the_table_asked_for(orders, items, seed, 
                                       "seed": seed})
         assert materialize(spec).payload == want
         assert draws()[-1] == want_draws
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 2**64 - 1])
+def test_materialize_item_builds_no_order_table(seed, monkeypatch):
+    _, want = gen_table(40, 120, seed)
+    built = []
+    init = Table.__init__
+    monkeypatch.setattr(Table, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    spec = make_genspec("table", {"orders": 40, "items": 120, "which": "item", "seed": seed})
+    assert materialize(spec).payload == want
+    assert [schema for schema, _ in built] == [generators.ITEM_SCHEMA]
 
 
 def test_genspec_text_uses_seed_corpus_file(tmp_path):

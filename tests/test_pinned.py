@@ -21,7 +21,7 @@ import types
 import pytest
 
 import motifbench
-from motifbench import shipped_spec_path, workload
+from motifbench import workload
 from motifbench.cli import main
 from motifbench.dataio import canonical_bytes, save_dataset
 from motifbench.datasets import Graph, KeyValueSet, Matrix, Tensor, TextCorpus
@@ -31,6 +31,7 @@ from motifbench.kernels.logic import md5_corpus, md5_digests
 from motifbench.workload import execute, parse_spec_file
 
 from .oracles import table_of_rows
+from .shipped import shipped_spec_path
 from .topdown_samples import golden_sample, random_valid_sample, write_sample
 
 # ---------------------------------------------------------------------------

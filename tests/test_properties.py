@@ -21,7 +21,6 @@ import re
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from motifbench import SHIPPED_SPECS, shipped_spec_path
 from motifbench.dataio import (
     canonical_bytes,
     checksum_payload,
@@ -57,6 +56,7 @@ from .oracles import (
     scalar_table_rows,
     table_of_rows,
 )
+from .shipped import SHIPPED_SPECS, shipped_spec_path
 from .test_pinned import PAYLOADS
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

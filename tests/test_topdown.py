@@ -7,7 +7,6 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import motifbench
 from motifbench import topdown
 from motifbench.cli import main
 from motifbench.errors import EventError, FormulaError, MissingEventsError
@@ -33,6 +32,7 @@ from motifbench.topdown import (
     tree_from_json,
 )
 
+from .shipped import shipped_spec_path
 from .topdown_samples import (
     find_node,
     golden_sample,
@@ -289,7 +289,7 @@ def test_collect_sample_runs_command(tmp_path, monkeypatch):
     )
     report = tmp_path / "rep.json"
     code = main([
-        "run", "--spec", motifbench.shipped_spec_path("index"),
+        "run", "--spec", shipped_spec_path("index"),
         "--counters", f'cmd:{sys.executable} -c "{script}"',
         "--duration", "0.5", "--report", str(report),
     ])

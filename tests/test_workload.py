@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-import motifbench
 from motifbench.dataio import checksum_payload, load_dataset, save_dataset
 from motifbench.datasets import Matrix, TextCorpus
 from motifbench.errors import SpecError
@@ -26,6 +25,8 @@ from motifbench.workload import (
     report_document,
     validate_spec,
 )
+
+from .shipped import shipped_spec_path
 
 GOOD_SPEC = """
 workload "tiny"
@@ -209,7 +210,7 @@ def test_execute_repeats_are_checksum_identical(tmp_path, monkeypatch):
 
 def test_execute_family_fractions_sum_to_one(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    spec = parse_spec_file(motifbench.shipped_spec_path("sift-like"))
+    spec = parse_spec_file(shipped_spec_path("sift-like"))
     reports = execute(spec, repeat=1)
     total = sum(reports[0].family_fractions.values())
     assert abs(total - 1.0) < 1e-9
@@ -274,7 +275,7 @@ def test_execute_kernel_failure_names_invocation(tmp_path):
 
 def test_sift_like_manual_composition_oracle(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    spec = parse_spec_file(motifbench.shipped_spec_path("sift-like"))
+    spec = parse_spec_file(shipped_spec_path("sift-like"))
     reports = execute(spec, repeat=1)
 
     img = gen_matrix(64, 64, 11, "uniform", lo=0, hi=255)
@@ -297,7 +298,7 @@ def test_shipped_specs_counts_and_families():
         "cnn-forward": (5, {"transform", "logic", "sampling", "matrix", "statistic"}),
     }
     for name, (count, families) in expected.items():
-        spec = parse_spec_file(motifbench.shipped_spec_path(name))
+        spec = parse_spec_file(shipped_spec_path(name))
         assert validate_spec(spec) == []
         assert len(spec.invocations) == count
         assert {inv.motif.split(".")[0] for inv in spec.invocations} == families
@@ -305,7 +306,7 @@ def test_shipped_specs_counts_and_families():
 
 def test_report_document_shape(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    spec = parse_spec_file(motifbench.shipped_spec_path("pagerank"))
+    spec = parse_spec_file(shipped_spec_path("pagerank"))
     reports = execute(spec, repeat=2)
     doc = report_document(reports)
     assert set(doc) == {"workload", "repeats", "family_fractions"}
