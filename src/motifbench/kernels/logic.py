@@ -36,6 +36,9 @@ high ones, have their digests copied out of the state ints, and the state
 is masked down to the live prefix. Every step then works only on live
 lanes, so the work is the total number of record-blocks, not records times
 the longest record, and lanes stay wide whatever the spread of lengths.
+The digests leave the state ints in sorted order, 16 bytes a record, and
+one pass over the sort order puts them back in input order.
+
 A lane block's padded messages are joined back to back in one pass, each
 record followed by the tail of its length (0x80, the zeros and its bit
 length), which is built once per distinct length.
@@ -52,9 +55,6 @@ there those copies cost more than the records do. So when 16 * live runs
 exceeds the live lanes, block j of every live record, 64 bytes each, is
 first joined into one buffer, and each word g is one strided slice of it.
 The choice is made per block from the input.
-
-The digests leave the state ints in sorted order, 16 bytes a record, and
-one pass over the sort order puts them back in input order.
 
 Those copies only move bytes, so no lane needs a byteswap on big-endian
 hosts: message words, lanes and digests are built and taken apart with
@@ -156,8 +156,10 @@ def _md5_lanes(records: list) -> bytes:
     runs = []  # (blocks, first lane, end lane, first word, end word), longest first
     lane = word = 0
     for blocks, count in sorted(per_blocks.items(), reverse=True):
-        runs.append((blocks, lane, lane + count, word, word + 16 * blocks * count))
-        lane, word = lane + count, word + 16 * blocks * count
+        size = 16 * blocks * count
+        runs.append((blocks, lane, lane + count, word, word + size))
+        lane += count
+        word += size
     # The padded messages back to back: each record, then the tail of its
     # length (0x80, zeros and its bit length), built once per length.
     tails = {n: _PADDING[n & 63] + (n << 3).to_bytes(8, "little") for n in per_length}
@@ -215,6 +217,7 @@ def _md5_sorted(records: list) -> tuple[list[int], bytes]:
     """The order that sorts byte strings longest first, and their digests
     in that order, 16 bytes each."""
     lengths = list(map(len, records))
+    # Longest first, so the lanes still live at any MD5 block are a prefix.
     order = sorted(range(len(records)), key=lengths.__getitem__, reverse=True)
     digests = []
     start = 0
