@@ -130,15 +130,15 @@ def _message_words(message: bytes, starts: list, at: int) -> list[int]:
     return m
 
 
-def _run_words(words: memoryview, runs: list, live: int, at: int) -> list[int]:
-    """The same 16 lane ints for block at // 16 of the first `live` lanes,
-    from the message's 4-byte units `words`: each run (blocks, first lane,
-    end lane, first unit, end unit) holds records of `blocks` blocks back to
-    back, so word g of its lanes is one strided slice."""
+def _run_words(words: memoryview, runs: list, live: int, j: int) -> list[int]:
+    """The same 16 lane ints for block j of the first `live` lanes, from the
+    message's 4-byte words: each run (blocks, first lane, end lane, first
+    word, end word) holds records of `blocks` blocks back to back, so word g
+    of its lanes is one strided slice."""
     lane_bytes = bytearray(8 * live)
     low_halves = memoryview(lane_bytes).cast("I")[::2]
     m = []
-    for g in range(at, at + 16):
+    for g in range(16 * j, 16 * j + 16):
         for blocks, lo, hi, first, end in runs:
             low_halves[lo:hi] = words[first + g:end:16 * blocks]
         m.append(int.from_bytes(lane_bytes, "little"))
@@ -193,7 +193,7 @@ def _md5_lanes(records: list) -> bytes:
                 range(4 * first, 4 * end, 64 * blocks) for blocks, _, _, first, end in runs))
             m = _message_words(message, starts[:live], 64 * j)
         else:
-            m = _run_words(words, runs[:live_runs], live, 16 * j)
+            m = _run_words(words, runs[:live_runs], live, j)
         a, b, c, d = a0, b0, c0, d0
         for k, g, s, t in _ROUND1:
             f = ((d ^ (b & (c ^ d))) + a + k * ones + m[g]) & M
